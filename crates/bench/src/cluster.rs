@@ -18,8 +18,7 @@
 //!   what that buys: kill the first shard and re-drive the batch —
 //!   zero recomputed stages, only re-routing overhead.
 //!
-//! `cargo bench --bench gateway` prints the sweep; the unit tests here
-//! pin the invariants at reduced concurrency.
+//! The unit tests here pin the invariants at reduced concurrency.
 
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -27,7 +26,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dahlia_gateway::{Gateway, GatewayConfig};
-use dahlia_server::json::{obj, Json};
+use dahlia_server::json::Json;
 use dahlia_server::{serve_listener, Client, NetSummary, Request, Server, Stage};
 
 /// One live in-process shard: its address and listener thread.
@@ -94,156 +93,6 @@ pub fn drive(gateway: &Gateway, requests: &[Request], submitters: usize) -> u64 
         }
     });
     t0.elapsed().as_micros() as u64
-}
-
-/// Drive `requests` through the gateway from `submitters` concurrent
-/// threads, collecting one per-request latency sample (µs) per
-/// submit. With `traced`, every request carries a bench trace id —
-/// the tracing-overhead scenario. Panics if any request fails.
-pub fn drive_latencies(
-    gateway: &Gateway,
-    requests: &[Request],
-    submitters: usize,
-    traced: bool,
-) -> Vec<u64> {
-    let cursor = AtomicUsize::new(0);
-    let samples = std::sync::Mutex::new(Vec::with_capacity(requests.len()));
-    std::thread::scope(|s| {
-        for _ in 0..submitters.max(1) {
-            s.spawn(|| {
-                let mut local = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(req) = requests.get(i) else { break };
-                    let req = if traced {
-                        req.clone().traced(format!("bench-{i}"))
-                    } else {
-                        req.clone()
-                    };
-                    let t0 = Instant::now();
-                    let resp = gateway.submit(&req);
-                    local.push(t0.elapsed().as_micros() as u64);
-                    assert_eq!(
-                        resp.get("ok").and_then(Json::as_bool),
-                        Some(true),
-                        "request {} failed through the gateway: {}",
-                        req.id,
-                        resp.emit()
-                    );
-                }
-                samples.lock().unwrap().extend(local);
-            });
-        }
-    });
-    samples.into_inner().unwrap()
-}
-
-/// Per-request latency quantiles for one bench scenario, derived from
-/// the full collected sample set (nearest rank), not the histogram's
-/// power-of-two buckets.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LatencyStats {
-    /// Samples the scenario collected.
-    pub requests: u64,
-    /// Median request latency (µs).
-    pub p50_us: u64,
-    /// 99th-percentile request latency (µs).
-    pub p99_us: u64,
-    /// Mean request latency (µs).
-    pub mean_us: u64,
-}
-
-impl LatencyStats {
-    /// Reduce a scenario's raw samples (µs) to its quantile summary.
-    pub fn from_samples(mut samples: Vec<u64>) -> LatencyStats {
-        assert!(!samples.is_empty(), "a scenario produced no samples");
-        samples.sort_unstable();
-        let rank = |q: f64| samples[((samples.len() - 1) as f64 * q).round() as usize];
-        let sum: u64 = samples.iter().sum();
-        LatencyStats {
-            requests: samples.len() as u64,
-            p50_us: rank(0.50),
-            p99_us: rank(0.99),
-            mean_us: sum / samples.len() as u64,
-        }
-    }
-
-    /// The trajectory-file shape of one scenario.
-    pub fn to_json(&self) -> Json {
-        obj([
-            ("requests", Json::Num(self.requests as f64)),
-            ("p50_us", Json::Num(self.p50_us as f64)),
-            ("p99_us", Json::Num(self.p99_us as f64)),
-            ("mean_us", Json::Num(self.mean_us as f64)),
-        ])
-    }
-
-    /// Parse a scenario back out of a trajectory file.
-    pub fn from_json(v: &Json) -> Option<LatencyStats> {
-        Some(LatencyStats {
-            requests: v.get("requests")?.as_u64()?,
-            p50_us: v.get("p50_us")?.as_u64()?,
-            p99_us: v.get("p99_us")?.as_u64()?,
-            mean_us: v.get("mean_us")?.as_u64()?,
-        })
-    }
-}
-
-/// Merge one bench run into the `BENCH_gateway.json` trajectory: the
-/// first run of each scenario pins its `baseline`, later runs rewrite
-/// `current` and the derived `speedup` ratios (baseline / current, so
-/// bigger is better).
-pub fn merge_gateway_trajectory(
-    existing: Option<&Json>,
-    current: &[(String, LatencyStats)],
-) -> Json {
-    let mut baseline_fields = Vec::new();
-    let mut current_fields = Vec::new();
-    let mut speedup_fields = Vec::new();
-    let ratio = |b: u64, c: u64| {
-        if c > 0 {
-            Json::Num(b as f64 / c as f64)
-        } else {
-            Json::Num(0.0)
-        }
-    };
-    for (name, stats) in current {
-        let base = existing
-            .and_then(|j| j.get("baseline"))
-            .and_then(|b| b.get(name))
-            .and_then(LatencyStats::from_json)
-            .unwrap_or_else(|| stats.clone());
-        speedup_fields.push((
-            name.clone(),
-            obj([
-                ("p50", ratio(base.p50_us, stats.p50_us)),
-                ("p99", ratio(base.p99_us, stats.p99_us)),
-            ]),
-        ));
-        baseline_fields.push((name.clone(), base.to_json()));
-        current_fields.push((name.clone(), stats.to_json()));
-    }
-    obj([
-        ("schema", Json::Num(1.0)),
-        ("unit", Json::Str("us".into())),
-        (
-            "workload",
-            Json::Str(
-                "MachSuite estimate batch through a live in-process gateway; \
-                 per-request latency quantiles per scenario"
-                    .into(),
-            ),
-        ),
-        ("baseline", Json::Obj(baseline_fields)),
-        ("current", Json::Obj(current_fields)),
-        ("speedup", Json::Obj(speedup_fields)),
-    ])
-}
-
-/// The gateway trajectory file lives at the repository root, next to
-/// `BENCH_frontend.json`, regardless of the invocation directory.
-pub fn gateway_trajectory_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_gateway.json")
 }
 
 /// Results of one cold+warm MachSuite batch through an N-shard gateway.
@@ -542,80 +391,5 @@ mod tests {
         let run = failover_batch(2, 2, 2, 4);
         assert_eq!(run.recomputed_stages, 0, "{run}");
         assert_eq!(run.local_fallbacks, 0, "{run}");
-    }
-
-    #[test]
-    fn latency_stats_take_nearest_rank_quantiles() {
-        let stats = LatencyStats::from_samples((1..=100).rev().collect());
-        assert_eq!(stats.requests, 100);
-        assert_eq!(stats.p50_us, 51, "rank rounds half away from zero");
-        assert_eq!(stats.p99_us, 99);
-        assert_eq!(stats.mean_us, 50);
-        assert_eq!(LatencyStats::from_json(&stats.to_json()), Some(stats));
-
-        let one = LatencyStats::from_samples(vec![7]);
-        assert_eq!((one.p50_us, one.p99_us, one.mean_us), (7, 7, 7));
-    }
-
-    #[test]
-    fn gateway_trajectory_pins_the_first_baseline() {
-        let first = vec![(
-            "warm_2shard".to_string(),
-            LatencyStats {
-                requests: 32,
-                p50_us: 100,
-                p99_us: 400,
-                mean_us: 150,
-            },
-        )];
-        let pinned = merge_gateway_trajectory(None, &first);
-        assert_eq!(
-            pinned.get("baseline").and_then(|b| b.get("warm_2shard")),
-            pinned.get("current").and_then(|c| c.get("warm_2shard")),
-        );
-
-        // A faster second run keeps the old baseline and reports the
-        // improvement as a >1 ratio; a brand-new scenario self-pins.
-        let second = vec![
-            (
-                "warm_2shard".to_string(),
-                LatencyStats {
-                    requests: 32,
-                    p50_us: 50,
-                    p99_us: 200,
-                    mean_us: 75,
-                },
-            ),
-            (
-                "warm_2shard_traced".to_string(),
-                LatencyStats {
-                    requests: 32,
-                    p50_us: 60,
-                    p99_us: 240,
-                    mean_us: 90,
-                },
-            ),
-        ];
-        let merged = merge_gateway_trajectory(Some(&pinned), &second);
-        let speedup = |name: &str, q: &str| {
-            merged
-                .get("speedup")
-                .and_then(|s| s.get(name))
-                .and_then(|s| s.get(q))
-                .and_then(Json::as_f64)
-                .unwrap()
-        };
-        assert_eq!(speedup("warm_2shard", "p50"), 2.0);
-        assert_eq!(speedup("warm_2shard", "p99"), 2.0);
-        assert_eq!(speedup("warm_2shard_traced", "p50"), 1.0);
-        assert_eq!(
-            merged
-                .get("baseline")
-                .and_then(|b| b.get("warm_2shard"))
-                .and_then(|s| s.get("p50_us"))
-                .and_then(Json::as_u64),
-            Some(100),
-            "baseline survives later runs"
-        );
     }
 }

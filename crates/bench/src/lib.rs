@@ -13,8 +13,9 @@
 //! | `fig9` | Fig. 9 + Fig. 13 — Spatial banking-inference sweep |
 //! | `fig11` | Fig. 11a–f — MachSuite baseline vs Dahlia rewrite |
 //!
-//! Criterion benches (`cargo bench`) time the pipeline stages themselves:
-//! type checking, lowering, estimation, scheduling, and Pareto filtering.
+//! `cargo bench --bench frontend` times the front-end stages (parse,
+//! check, desugar, lower) per MachSuite kernel; the socket-level
+//! benchmark of the whole serving stack lives in `perfbench/`.
 
 pub mod ablation;
 pub mod cluster;

@@ -57,8 +57,8 @@ use dahlia_core::{interp, parse, typecheck, Error};
 use dahlia_gateway::GatewayConfig;
 use dahlia_server::json::{obj, Json};
 use dahlia_server::{
-    metrics, serve_sessions_with, Client, NetConfig, Request, Server, ServerConfig, SessionHost,
-    Stage, TransportStats,
+    metrics, query, serve_sessions_with, Client, ControlOp, NetConfig, Request, Server,
+    ServerConfig, SessionHost, Stage, TransportStats,
 };
 
 /// Runtime failure (interpreter, failed batch item).
@@ -158,9 +158,9 @@ const USAGE: &str = "usage: dahliac <command> [args]
                                       after N consecutive health-check
                                       failures (never the last live one;
                                       0 = off, the default); --wire v0
-                                      pins both the client listener and
-                                      the shard hop to JSON lines (binary
-                                      otherwise); --max-inflight bounds
+                                      pins the client listener to JSON
+                                      lines (the shard hop is always
+                                      binary v1); --max-inflight bounds
                                       unanswered requests per connection;
                                       --admission-cache N caches hot
                                       untraced responses at the front door
@@ -661,14 +661,14 @@ fn start_metrics(
     metrics::spawn(
         listener,
         std::sync::Arc::new(move || {
-            let mut stats = stats_host.stats_json();
+            let mut stats = query(&*stats_host, ControlOp::Stats);
             if let (Some(t), Json::Obj(fields)) = (&transport, &mut stats) {
                 fields.retain(|(k, _)| k != "transport");
                 fields.push(("transport".to_string(), t.to_json()));
             }
             stats
         }),
-        std::sync::Arc::new(move || host.health_json()),
+        std::sync::Arc::new(move || query(&*host, ControlOp::Health)),
     )
     .map_err(|e| {
         eprintln!("dahliac: cannot start metrics thread: {e}");
@@ -724,8 +724,8 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         return ExitCode::from(EXIT_USAGE);
     }
 
-    // Plain stdio serve compiles on the calling thread, so default its
-    // pool to one parked worker; pipelined modes want real parallelism.
+    // Plain stdio serve has one request in flight at a time, so one
+    // pool worker suffices; pipelined modes want real parallelism.
     let opts = if listen.is_none() && !pipeline {
         ServiceOpts {
             threads: Some(1),
@@ -990,8 +990,8 @@ fn cmd_gateway(args: &[String]) -> ExitCode {
         Ok(n) => n,
         Err(code) => return code,
     };
-    // `--wire v0` pins both the client-facing listener and the shard
-    // hop to JSON lines; the default negotiates binary frames on both.
+    // `--wire v0` pins the client-facing listener to JSON lines; the
+    // shard hop always speaks the v1 binary wire.
     let wire_max = match parse_wire("--wire", wire_raw) {
         Ok(w) => w,
         Err(code) => return code,
@@ -1055,9 +1055,6 @@ fn cmd_gateway(args: &[String]) -> ExitCode {
     }
     if let Some(n) = auto_drain_after {
         cfg = cfg.auto_drain_after(n);
-    }
-    if let Some(w) = wire_max {
-        cfg = cfg.wire_max(w);
     }
     if let Some(n) = admission_cache {
         cfg = cfg.admission_cache(n as usize);
@@ -2157,7 +2154,7 @@ fn cmd_batch(args: &[String]) -> ExitCode {
         // with, so scripts parse both paths identically.
         println!(
             "{}",
-            obj([("trace", SessionHost::trace_json(&server))]).emit()
+            obj([("trace", query(&server, ControlOp::Trace))]).emit()
         );
     }
     if slowlog {
@@ -2165,7 +2162,7 @@ fn cmd_batch(args: &[String]) -> ExitCode {
         // dump (cursor 0): a batch run is one-shot, not a poller.
         println!(
             "{}",
-            obj([("slowlog", SessionHost::slowlog_json(&server, 0))]).emit()
+            obj([("slowlog", query(&server, ControlOp::Slowlog { since: 0 }))]).emit()
         );
     }
 

@@ -26,7 +26,8 @@
 //! ```
 //!
 //! * One [`PipelinedClient`] per shard multiplexes every in-flight
-//!   request over a single TCP session, correlated by wire id.
+//!   request over a single v1 binary-wire session, correlated by wire
+//!   id. A shard that will not negotiate v1 is treated as dead.
 //! * **Replication** ([`GatewayConfig::replication`], default 1):
 //!   every newly computed artifact fans out to the top-N shards in
 //!   rendezvous order, so killing the primary serves warm artifacts
@@ -76,14 +77,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
-use dahlia_obs::{
-    AlertEngine, Clock, Journal, Sampler, SlowLog, Span, TraceEntry, Tsdb, WallClock, Window,
-};
+use dahlia_obs::{Clock, Sampler, Span, TraceEntry, Tsdb, WallClock, Window};
 use dahlia_server::json::{obj, Json};
 use dahlia_server::{
-    obs_json, parse_alert_rules, source_digest, AdminOp, PipelinedClient, Pool, Request, Server,
-    SessionHost, Stage, SweepOp, ALERT_JOURNAL_CAP, DEFAULT_SLOW_THRESHOLD_MS,
-    DEFAULT_TELEMETRY_INTERVAL_MS, SLOWLOG_CAP, TRACE_JOURNAL_CAP,
+    obs_json, parse_alert_rules, query, source_digest, AdminOp, ControlOp, PipelinedClient, Pool,
+    Reply, Request, Respond, Server, SessionHost, Stage, Telemetry, DEFAULT_SLOW_THRESHOLD_MS,
+    DEFAULT_TELEMETRY_INTERVAL_MS, TRACE_JOURNAL_CAP,
 };
 
 /// Bound on the per-shard warm-key ledger the drain migrator walks.
@@ -118,7 +117,6 @@ pub struct GatewayConfig {
     telemetry_interval_ms: u64,
     alert_rules: Vec<String>,
     auto_drain_after: u64,
-    wire_max: u32,
     admission_cache: usize,
 }
 
@@ -148,7 +146,6 @@ impl GatewayConfig {
             telemetry_interval_ms: DEFAULT_TELEMETRY_INTERVAL_MS,
             alert_rules: Vec::new(),
             auto_drain_after: 0,
-            wire_max: dahlia_server::wire::WIRE_VERSION as u32,
             admission_cache: DEFAULT_ADMISSION_CACHE,
         }
     }
@@ -249,15 +246,6 @@ impl GatewayConfig {
         self
     }
 
-    /// Highest wire protocol version to negotiate on shard connections
-    /// (default: the newest this build speaks). `0` pins the gateway →
-    /// shard hop to the v0 JSON-lines protocol — the knob mixed-version
-    /// rollouts and the bench baseline mode use.
-    pub fn wire_max(mut self, v: u32) -> GatewayConfig {
-        self.wire_max = v;
-        self
-    }
-
     /// Entry bound on the gateway's hot-source admission cache
     /// (default [`DEFAULT_ADMISSION_CACHE`]): successful, untraced
     /// responses are retained keyed by `(source, stage, options)`
@@ -294,11 +282,6 @@ impl GatewayConfig {
         // Alert timestamps and on-disk sample timestamps share a wall
         // clock so history cursors stay meaningful across restarts.
         let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
-        let engine = Arc::new(AlertEngine::new(
-            rules,
-            Arc::clone(&clock),
-            ALERT_JOURNAL_CAP,
-        ));
         let threads = self
             .threads
             .unwrap_or_else(|| (self.shards.len() * 4).clamp(4, 32));
@@ -312,7 +295,6 @@ impl GatewayConfig {
                             *weight,
                             self.connect_timeout,
                             self.io_timeout,
-                            self.wire_max,
                         ))
                     })
                     .collect(),
@@ -320,7 +302,6 @@ impl GatewayConfig {
             replication: self.replication,
             connect_timeout: self.connect_timeout,
             io_timeout: self.io_timeout,
-            wire_max: self.wire_max,
             admission: Mutex::new(AdmissionCache::new(self.admission_cache)),
             admission_hits: AtomicU64::new(0),
             requests: AtomicU64::new(0),
@@ -328,15 +309,12 @@ impl GatewayConfig {
             replica_writes: AtomicU64::new(0),
             replica_failures: AtomicU64::new(0),
             local_fallbacks: AtomicU64::new(0),
-            journal: Journal::new(self.trace_journal),
+            telemetry: Telemetry::new(self.trace_journal, tsdb, rules, Arc::clone(&clock)),
             window: Window::with_default_clock(),
             in_flight: AtomicU64::new(0),
-            slowlog: SlowLog::new(SLOWLOG_CAP),
             slow_threshold_us: self.slow_threshold_ms.saturating_mul(1_000),
             local: OnceLock::new(),
             pool: Pool::new(threads),
-            tsdb,
-            engine,
             clock,
             auto_drain_after: self.auto_drain_after,
             ledger_path,
@@ -385,7 +363,8 @@ impl GatewayConfig {
                 t_inner.health_pass();
             })
             .ok();
-        let sampler = (inner.tsdb.is_some() || inner.engine.rule_count() > 0).then(|| {
+        let t = &inner.telemetry;
+        let sampler = (t.tsdb.is_some() || t.engine.rule_count() > 0).then(|| {
             let t_inner = Arc::clone(&inner);
             Sampler::spawn(self.telemetry_interval_ms.max(1), move || {
                 t_inner.telemetry_tick()
@@ -542,8 +521,6 @@ struct Shard {
     weight: AtomicU64,
     connect_timeout: Duration,
     io_timeout: Duration,
-    /// Highest wire version to offer when dialling (0 pins v0).
-    wire_max: u32,
     client: Mutex<Option<Arc<PipelinedClient>>>,
     /// Draining shards receive no new keys; in-flight work completes.
     draining: AtomicBool,
@@ -576,19 +553,12 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(
-        addr: String,
-        weight: f64,
-        connect_timeout: Duration,
-        io_timeout: Duration,
-        wire_max: u32,
-    ) -> Shard {
+    fn new(addr: String, weight: f64, connect_timeout: Duration, io_timeout: Duration) -> Shard {
         Shard {
             addr,
             weight: AtomicU64::new(weight.to_bits()),
             connect_timeout,
             io_timeout,
-            wire_max,
             client: Mutex::new(None),
             draining: AtomicBool::new(false),
             routed: AtomicU64::new(0),
@@ -636,7 +606,9 @@ impl Shard {
         }
     }
 
-    /// (Re)dial unless already connected. Returns liveness.
+    /// (Re)dial unless already connected. Returns liveness. The hop is
+    /// v1-only: a shard that will not negotiate binary frames is
+    /// refused at connect and stays dead.
     ///
     /// The dial happens *outside* the client mutex: a black-holed
     /// address makes each attempt last the full connect timeout, and
@@ -648,11 +620,7 @@ impl Shard {
         if self.live().is_some() {
             return true;
         }
-        match PipelinedClient::connect_timeout_wire(
-            self.addr.as_str(),
-            self.connect_timeout,
-            self.wire_max,
-        ) {
+        match PipelinedClient::connect_timeout(self.addr.as_str(), self.connect_timeout) {
             Ok(c) => {
                 let client = Arc::new(c.with_io_timeout(self.io_timeout));
                 *self.client.lock().unwrap() = Some(client);
@@ -693,8 +661,6 @@ struct GwInner {
     replication: usize,
     connect_timeout: Duration,
     io_timeout: Duration,
-    /// Highest wire version new shard connections offer (0 pins v0).
-    wire_max: u32,
     /// Hot-source response cache checked before any shard dispatch.
     admission: Mutex<AdmissionCache>,
     /// Requests answered straight out of the admission cache.
@@ -710,31 +676,24 @@ struct GwInner {
     replica_failures: AtomicU64,
     /// Requests answered by the embedded local server.
     local_fallbacks: AtomicU64,
-    /// Ring buffer of completed traced requests: gateway hops plus the
-    /// shard-reported spans, dumped by `{"op":"trace"}`.
-    journal: Journal,
     /// Sliding window over every routed request (client traffic and
     /// drain migrations alike): live cluster throughput, error rate,
     /// and windowed end-to-end latency as the gateway observed it.
     window: Window,
     /// Requests currently inside [`GwInner::route`].
     in_flight: AtomicU64,
-    /// Slow-request captures: routed requests whose wall latency
-    /// crossed [`GwInner::slow_threshold_us`], with span breakdowns.
-    slowlog: SlowLog,
     slow_threshold_us: u64,
     local: OnceLock<Server>,
     /// Dispatch pool: session requests, stats polls, replication
     /// fan-out, and admin ops all run here, never on a session's read
     /// loop.
     pool: Pool,
-    /// The on-disk telemetry ring (`--telemetry-dir`), fed by the
-    /// sampler thread and read back by `{"op":"history"}`.
-    tsdb: Option<Arc<Tsdb>>,
-    /// The alert engine: rules evaluated on every sampler tick, plus
-    /// the transition/event journal `{"op":"alerts"}` reads. Always
-    /// present — with zero rules it is just the auto-drain journal.
-    engine: Arc<AlertEngine>,
+    /// The trace journal (gateway hops plus shard-reported spans), the
+    /// slow-request log (routed requests slower than
+    /// [`GwInner::slow_threshold_us`]), the on-disk sample ring the
+    /// sampler feeds, and the alert engine evaluated on every sampler
+    /// tick — with zero rules just the auto-drain journal.
+    telemetry: Telemetry,
     /// Wall clock shared by the sample ring and the alert journal.
     clock: Arc<dyn Clock>,
     /// Consecutive health-check failures before a shard is auto-
@@ -796,7 +755,8 @@ impl GwInner {
             return;
         }
         shard.auto_drained.fetch_add(1, Ordering::Relaxed);
-        self.engine
+        self.telemetry
+            .engine
             .record_event(rule, "auto_drain", value, &shard.addr);
         self.drain(&shard.addr);
     }
@@ -807,10 +767,11 @@ impl GwInner {
     /// unhealthiest shard), and checkpoint the warm-key ledger.
     fn telemetry_tick(self: &Arc<Self>) {
         let stats = self.stats_json();
-        if let Some(tsdb) = &self.tsdb {
+        if let Some(tsdb) = &self.telemetry.tsdb {
             tsdb.append(self.clock.now_ms(), stats.emit().as_bytes());
         }
         let fired = self
+            .telemetry
             .engine
             .eval(&|path| obs_json::resolve_series(&stats, path).and_then(Json::as_f64));
         for rule in fired {
@@ -920,7 +881,7 @@ impl GwInner {
                 }
                 _ => gw_spans,
             };
-            self.slowlog.push(TraceEntry {
+            self.telemetry.slowlog.push(TraceEntry {
                 trace: req.trace.clone().unwrap_or_default(),
                 id: req.id.clone(),
                 stage: req.stage.name().to_string(),
@@ -1022,7 +983,7 @@ impl GwInner {
             Some(Json::Arr(items)) => items.iter().filter_map(obs_json::span_from_json).collect(),
             _ => spans,
         };
-        self.journal.push(TraceEntry {
+        self.telemetry.journal.push(TraceEntry {
             trace: trace_id.clone(),
             id: req.id.clone(),
             stage: req.stage.name().to_string(),
@@ -1163,7 +1124,6 @@ impl GwInner {
                         weight.unwrap_or(1.0),
                         self.connect_timeout,
                         self.io_timeout,
-                        self.wire_max,
                     ));
                     topo.push(Arc::clone(&shard));
                     shard
@@ -1283,9 +1243,9 @@ impl GwInner {
             ]));
         }
         if let Some(local) = self.local.get() {
-            // The SessionHost form carries the `hist` section beside
+            // The stats op's object carries the `hist` section beside
             // the flat counters, same as a shard's stats line.
-            merge_sum(&mut agg, &SessionHost::stats_json(local));
+            merge_sum(&mut agg, &query(local, ControlOp::Stats));
         }
         // Bucket counts summed correctly across shards; percentile
         // fields did not. Re-derive them from the merged buckets.
@@ -1318,7 +1278,6 @@ impl GwInner {
             ),
             ("admission_cache_entries", Json::Num(adm_entries as f64)),
             ("admission_cache_cap", Json::Num(adm_cap as f64)),
-            ("wire_max", Json::Num(self.wire_max as f64)),
             ("shards_live", Json::Num(live as f64)),
             ("shards_draining", Json::Num(draining as f64)),
             ("shards_dead", Json::Num(dead as f64)),
@@ -1334,13 +1293,7 @@ impl GwInner {
                     0,
                 ),
             ),
-            (
-                "journals",
-                obj([
-                    ("trace_dropped", Json::Num(self.journal.dropped() as f64)),
-                    ("slowlog_dropped", Json::Num(self.slowlog.dropped() as f64)),
-                ]),
-            ),
+            ("journals", self.telemetry.journals_json()),
             ("sweeps", self.sweeps.to_json()),
             ("shards", Json::Arr(shard_objs)),
         ]);
@@ -1353,27 +1306,29 @@ impl GwInner {
             // identically from either).
             fields.retain(|(k, _)| k != "telemetry" && k != "alerts" && k != "alert_state");
             fields.push(("gateway".to_string(), gateway));
-            if let Some(tsdb) = &self.tsdb {
-                fields.push((
-                    "telemetry".to_string(),
-                    obs_json::tsdb_stats_to_json(&tsdb.stats()),
-                ));
-            }
-            if self.engine.rule_count() > 0 {
-                fields.push((
-                    "alerts".to_string(),
-                    obj([
-                        ("rules", Json::Num(self.engine.rule_count() as f64)),
-                        ("firing", Json::Num(self.engine.firing() as f64)),
-                    ]),
-                ));
-                fields.push((
-                    "alert_state".to_string(),
-                    obs_json::alert_states_to_json(&self.engine.states()),
-                ));
-            }
+            self.telemetry.push_stats_sections(fields);
         }
         agg
+    }
+
+    /// The liveness object: shard counts by state beside the
+    /// telemetry's drop and alert counters.
+    fn health_json(&self) -> Json {
+        let (mut live, mut draining, mut dead) = (0u64, 0u64, 0u64);
+        for shard in self.shards() {
+            if shard.is_draining() {
+                draining += 1;
+            } else if shard.live().is_some() {
+                live += 1;
+            } else {
+                dead += 1;
+            }
+        }
+        self.telemetry.health(vec![
+            ("shards_live", Json::Num(live as f64)),
+            ("shards_draining", Json::Num(draining as f64)),
+            ("shards_dead", Json::Num(dead as f64)),
+        ])
     }
 }
 
@@ -1583,124 +1538,48 @@ impl Gateway {
             .collect()
     }
 
-    /// The aggregated stats object (see [`SessionHost::stats_json`]).
+    /// The aggregated stats object `{"op":"stats"}` answers.
     pub fn stats_json(&self) -> Json {
         self.inner.stats_json()
     }
 }
 
 impl SessionHost for Gateway {
-    fn dispatch(&self, req: Request, respond: Box<dyn FnOnce(String) + Send>) {
+    fn dispatch(&self, req: Request, respond: Respond) {
         let inner = Arc::clone(&self.inner);
-        self.inner.pool.execute(move || {
-            respond(inner.submit(&req).emit());
-        });
+        self.inner.pool.execute(move || respond(inner.submit(&req)));
     }
 
-    fn dispatch_obj(&self, req: Request, respond: Box<dyn FnOnce(Json) + Send>) {
-        // Binary sessions skip the emit-then-reparse round trip: the
-        // router already produces the response as a JSON object.
+    fn control(&self, op: ControlOp, reply: Reply) {
         let inner = Arc::clone(&self.inner);
-        self.inner.pool.execute(move || {
-            respond(inner.submit(&req));
-        });
-    }
-
-    fn stats_json(&self) -> Json {
-        self.inner.stats_json()
-    }
-
-    fn trace_json(&self) -> Json {
-        obs_json::journal_to_json(&self.inner.journal)
-    }
-
-    fn slowlog_json(&self, since: u64) -> Json {
-        obs_json::slowlog_to_json(&self.inner.slowlog.snapshot_since(since))
-    }
-
-    fn health_json(&self) -> Json {
-        let (mut live, mut draining, mut dead) = (0u64, 0u64, 0u64);
-        for shard in self.inner.shards() {
-            if shard.is_draining() {
-                draining += 1;
-            } else if shard.live().is_some() {
-                live += 1;
-            } else {
-                dead += 1;
+        match op {
+            // Stats poll every shard over the network, and admin ops
+            // take the topology lock and may dial a joining shard (a
+            // full connect timeout): both run on the dispatch pool,
+            // never on a transport thread.
+            ControlOp::Stats => self
+                .inner
+                .pool
+                .execute(move || reply(inner.stats_json(), true)),
+            ControlOp::Admin(op) => self.inner.pool.execute(move || {
+                let ack = match op {
+                    AdminOp::Drain { shard } => inner.drain(&shard),
+                    AdminOp::Undrain { shard, weight } => inner.undrain(&shard, weight),
+                };
+                reply(ack, true);
+            }),
+            // A sweep can run for minutes; a dedicated thread keeps it
+            // off the dispatch pool so point fan-out can never starve
+            // behind the sweep body itself. If the thread cannot start,
+            // the client sees the session close without a final line —
+            // the same contract as a crashed gateway.
+            ControlOp::Sweep(op) => {
+                let _ = std::thread::Builder::new()
+                    .name("dahlia-gateway-sweep".into())
+                    .spawn(move || sweep::run_sweep(&inner, op, &*reply));
             }
-        }
-        obj([
-            ("ok", Json::Bool(true)),
-            ("shards_live", Json::Num(live as f64)),
-            ("shards_draining", Json::Num(draining as f64)),
-            ("shards_dead", Json::Num(dead as f64)),
-            (
-                "trace_dropped",
-                Json::Num(self.inner.journal.dropped() as f64),
-            ),
-            (
-                "slowlog_dropped",
-                Json::Num(self.inner.slowlog.dropped() as f64),
-            ),
-            (
-                "alerts_firing",
-                Json::Num(self.inner.engine.firing() as f64),
-            ),
-        ])
-    }
-
-    fn history_json(&self, series: &str, since: u64, step: u64) -> Json {
-        let samples = match &self.inner.tsdb {
-            Some(tsdb) => obs_json::decode_samples(tsdb.scan_since(since)),
-            None => Vec::new(),
-        };
-        obs_json::history_to_json(series, since, step, &samples)
-    }
-
-    fn alerts_json(&self, since: u64) -> Json {
-        obs_json::alertlog_to_json(
-            &self.inner.engine.snapshot_since(since),
-            &self.inner.engine.states(),
-        )
-    }
-
-    fn dispatch_stats(&self, respond: Box<dyn FnOnce(Json) + Send>) {
-        // Gateway stats poll every shard over the network; that must
-        // not run on the session's read loop (a slow shard would stall
-        // every request line queued behind the stats op).
-        let inner = Arc::clone(&self.inner);
-        self.inner.pool.execute(move || {
-            respond(inner.stats_json());
-        });
-    }
-
-    fn dispatch_admin(&self, op: AdminOp, respond: Box<dyn FnOnce(String) + Send>) {
-        // Admin ops touch the topology lock and may dial a joining
-        // shard (a full connect timeout) — worker-pool territory.
-        let inner = Arc::clone(&self.inner);
-        self.inner.pool.execute(move || {
-            let ack = match op {
-                AdminOp::Drain { shard } => inner.drain(&shard),
-                AdminOp::Undrain { shard, weight } => inner.undrain(&shard, weight),
-            };
-            respond(ack.emit());
-        });
-    }
-
-    fn dispatch_sweep(&self, op: SweepOp, emit: Box<dyn Fn(String, bool) + Send + Sync>) {
-        // A sweep can run for minutes; a dedicated thread keeps it off
-        // the dispatch pool so point fan-out (which *does* use pool
-        // slots indirectly via shard clients) can never starve behind
-        // the sweep body itself.
-        let inner = Arc::clone(&self.inner);
-        let spawned = std::thread::Builder::new()
-            .name("dahlia-gateway-sweep".into())
-            .spawn(move || sweep::run_sweep(&inner, op, emit.as_ref()));
-        if let Err(e) = spawned {
-            // `emit` moved into the (failed) closure; nothing can be
-            // sent — the client sees the session close without a final
-            // line, the same contract as a crashed gateway.
-            let _ = e;
+            ControlOp::Health => reply(self.inner.health_json(), true),
+            read => reply(self.inner.telemetry.read(&read), true),
         }
     }
 }
@@ -1851,7 +1730,7 @@ mod tests {
             .any(|s| s.get("name").and_then(Json::as_str) == Some("stage:est")));
 
         // The combined entry landed in the gateway's journal.
-        let journal = SessionHost::trace_json(&gw);
+        let journal = query(&gw, ControlOp::Trace);
         let Some(Json::Arr(entries)) = journal.get("entries") else {
             panic!("journal entries");
         };
@@ -1870,7 +1749,7 @@ mod tests {
         assert!(stats.get("hist").is_some(), "local hist merged into agg");
 
         // Liveness summary: an empty cluster is still alive.
-        let health = SessionHost::health_json(&gw);
+        let health = query(&gw, ControlOp::Health);
         assert_eq!(health.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(health.get("shards_live").and_then(Json::as_u64), Some(0));
         assert_eq!(health.get("shards_dead").and_then(Json::as_u64), Some(0));
@@ -1904,7 +1783,7 @@ mod tests {
 
         // A zero threshold captured the request — spans and all —
         // without the client asking for a trace.
-        let log = SessionHost::slowlog_json(&gw, 0);
+        let log = query(&gw, ControlOp::Slowlog { since: 0 });
         assert_eq!(log.get("last_seq").and_then(Json::as_u64), Some(1));
         let Some(Json::Arr(entries)) = log.get("entries") else {
             panic!("slowlog entries");
@@ -1920,20 +1799,20 @@ mod tests {
         };
         assert_eq!(spans[0].get("name").and_then(Json::as_str), Some("local"));
         // Cursoring past the newest capture drains the view.
-        let tail = SessionHost::slowlog_json(&gw, 1);
+        let tail = query(&gw, ControlOp::Slowlog { since: 1 });
         let Some(Json::Arr(rest)) = tail.get("entries") else {
             panic!();
         };
         assert!(rest.is_empty());
         // Slow capture is not tracing: the trace journal stayed empty.
-        let journal = SessionHost::trace_json(&gw);
+        let journal = query(&gw, ControlOp::Trace);
         let Some(Json::Arr(traced)) = journal.get("entries") else {
             panic!();
         };
         assert!(traced.is_empty());
 
         // Health carries both drop counters for probes.
-        let health = SessionHost::health_json(&gw);
+        let health = query(&gw, ControlOp::Health);
         assert_eq!(health.get("trace_dropped").and_then(Json::as_u64), Some(0));
         assert_eq!(
             health.get("slowlog_dropped").and_then(Json::as_u64),

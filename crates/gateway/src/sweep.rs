@@ -379,13 +379,12 @@ pub(crate) fn run_sweep(inner: &Arc<GwInner>, op: dahlia_server::SweepOp, emit: 
                 ("front", Json::Arr(front_json)),
             ]),
         ),
-    ])
-    .emit();
+    ]);
     emit(line, true);
 }
 
 /// The emit callback type [`run_sweep`] streams lines through.
-pub(crate) type EmitFn = dyn Fn(String, bool) + Send + Sync;
+pub(crate) type EmitFn = dyn Fn(Json, bool) + Send + Sync;
 
 /// Scatter `pts` across the cluster and fold completions into the
 /// shared state. Points are ordered by rendezvous owner first so each
@@ -467,7 +466,7 @@ fn objectives_of(resp: &Json) -> Option<Vec<f64>> {
 }
 
 /// One `"done":false` incremental update.
-fn progress_line(state: &SweepState<'_>, done: u64) -> String {
+fn progress_line(state: &SweepState<'_>, done: u64) -> Json {
     obj([
         ("id", Json::Str(state.op_id.clone())),
         ("ok", Json::Bool(true)),
@@ -494,11 +493,10 @@ fn progress_line(state: &SweepState<'_>, done: u64) -> String {
             ]),
         ),
     ])
-    .emit()
 }
 
 /// The final error line of a sweep that could not run.
-fn error_line(id: &str, code: &str, message: &str) -> String {
+fn error_line(id: &str, code: &str, message: &str) -> Json {
     obj([
         ("id", Json::Str(id.into())),
         ("ok", Json::Bool(false)),
@@ -512,7 +510,6 @@ fn error_line(id: &str, code: &str, message: &str) -> String {
             ]),
         ),
     ])
-    .emit()
 }
 
 /// One journal record: the point's identity, front key, and outcome.
@@ -629,8 +626,8 @@ mod tests {
     /// Drive a sweep synchronously, collecting every emitted line.
     fn run(gw: &crate::Gateway, op: dahlia_server::SweepOp) -> Vec<(String, bool)> {
         let (tx, rx) = mpsc::channel();
-        run_sweep(&gw.inner, op, &move |line: String, done: bool| {
-            let _ = tx.send((line, done));
+        run_sweep(&gw.inner, op, &move |line: Json, done: bool| {
+            let _ = tx.send((line.emit(), done));
         });
         rx.try_iter().collect()
     }

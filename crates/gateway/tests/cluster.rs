@@ -577,7 +577,7 @@ fn draining_a_shard_mid_batch_loses_nothing_and_migrates_keys() {
 /// re-derived from the summed buckets.
 #[test]
 fn traced_request_reports_gateway_and_stage_spans_and_merged_hist() {
-    use dahlia_server::SessionHost;
+    use dahlia_server::{query, ControlOp};
     let (addr_a, join_a) = spawn_shard(Server::with_threads(2));
     let (addr_b, join_b) = spawn_shard(Server::with_threads(2));
     let gw = GatewayConfig::new([addr_a.clone(), addr_b.clone()])
@@ -630,7 +630,7 @@ fn traced_request_reports_gateway_and_stage_spans_and_merged_hist() {
     assert!(nested <= hop_us, "nested {nested}us > hop {hop_us}us");
 
     // The combined entry is queryable from the gateway's journal.
-    let journal = SessionHost::trace_json(&gw);
+    let journal = query(&gw, ControlOp::Trace);
     let Some(Json::Arr(entries)) = journal.get("entries") else {
         panic!("journal entries");
     };
@@ -655,7 +655,7 @@ fn traced_request_reports_gateway_and_stage_spans_and_merged_hist() {
     assert!(p50 <= p99 && p99 > 0.0, "p50={p50} p99={p99}");
 
     // Liveness summary backing /healthz.
-    let health = SessionHost::health_json(&gw);
+    let health = query(&gw, ControlOp::Health);
     assert_eq!(health.get("shards_live").and_then(Json::as_u64), Some(2));
     assert_eq!(health.get("shards_dead").and_then(Json::as_u64), Some(0));
 
@@ -666,15 +666,18 @@ fn traced_request_reports_gateway_and_stage_spans_and_merged_hist() {
     join_b.join().unwrap();
 }
 
-/// A shard that accepts one connection, reads one byte, and slams it —
-/// a deterministic mid-call failure, the in-process stand-in for
-/// SIGKILLing the primary.
+/// A shard that accepts one connection, answers the v1 `hello`, reads
+/// one byte of the first request, and slams it — a deterministic
+/// mid-call failure, the in-process stand-in for SIGKILLing the primary.
 fn spawn_flaky_shard() -> (String, std::thread::JoinHandle<()>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().unwrap().to_string();
     let handle = std::thread::spawn(move || {
         if let Ok((mut stream, _)) = listener.accept() {
-            use std::io::Read;
+            use std::io::{BufRead, Read, Write};
+            let mut hello = String::new();
+            let _ = std::io::BufReader::new(&stream).read_line(&mut hello);
+            let _ = stream.write_all(b"{\"hello\":{\"version\":1}}\n");
             let mut buf = [0u8; 1];
             let _ = stream.read(&mut buf);
             // Drop the stream: EOF with the request in flight.
@@ -695,12 +698,6 @@ fn failover_records_the_reroute_hop_in_the_span_tree() {
     let gw =
         GatewayConfig::new_weighted([(flaky_addr.clone(), 1_000_000.0), (real_addr.clone(), 1.0)])
             .health_interval(Duration::from_secs(30))
-            // The flaky stand-in speaks no protocol at all, so the v1
-            // hello exchange would already fail at connect time and the
-            // shard would never look live. Pin the v0 wire: connect is
-            // a bare TCP handshake again and the death lands mid-call,
-            // which is the failure this test is about.
-            .wire_max(0)
             .build();
     let src = "let A: float[4 bank 2]; for (let i = 0..4) unroll 2 { A[i] := 1.0; }";
 
@@ -779,7 +776,7 @@ fn dead_shard_keeps_contributing_its_last_stats_snapshot() {
 /// restart.
 #[test]
 fn auto_drain_and_durable_telemetry_survive_a_gateway_restart() {
-    use dahlia_server::SessionHost;
+    use dahlia_server::{query, ControlOp};
 
     let (addr_a, join_a) = spawn_shard(Server::with_threads(2));
     let (addr_b, join_b) = spawn_shard(Server::with_threads(2));
@@ -810,7 +807,7 @@ fn auto_drain_and_durable_telemetry_survive_a_gateway_restart() {
 
     // The remediation left an audit trail: an alert-journal event with
     // the drained address, and the per-shard counter.
-    let alerts = SessionHost::alerts_json(&gw, 0);
+    let alerts = query(&gw, ControlOp::Alerts { since: 0 });
     let Some(Json::Arr(events)) = alerts.get("entries") else {
         panic!("{alerts:?}")
     };
@@ -864,7 +861,14 @@ fn auto_drain_and_durable_telemetry_survive_a_gateway_restart() {
     assert!(warm > 0, "ledger not rehydrated: {stats2:?}");
 
     // History answers from the ring written by the *previous* gateway.
-    let history = SessionHost::history_json(&gw2, "gateway.requests", 0, 0);
+    let history = query(
+        &gw2,
+        ControlOp::History {
+            series: "gateway.requests".into(),
+            since: 0,
+            step: 0,
+        },
+    );
     let Some(Json::Arr(points)) = history.get("points") else {
         panic!("{history:?}")
     };
@@ -928,16 +932,14 @@ fn transport_counter(t: &Json, key: &str) -> u64 {
     t.get(key).and_then(Json::as_u64).unwrap_or(0)
 }
 
-/// Mixed clusters must interoperate in both directions: a v1 gateway
-/// degrades to JSON lines against a v0-pinned shard, a v0-pinned
-/// gateway never offers `hello` to a v1-capable shard, and two current
-/// builds negotiate the binary wire — each asserted through the shard's
-/// own transport counters, with byte-identical artifacts throughout.
+/// The gateway↔shard hop is v1-only: a shard pinned to the v0 wire is
+/// refused at connect with a clear error and counts as dead (its keys
+/// compile locally instead), while a current shard negotiates binary
+/// frames — byte-identical artifacts either way.
 #[test]
-fn mixed_wire_clusters_interoperate_in_both_directions() {
+fn a_shard_negotiating_v0_is_refused_and_counts_as_dead() {
     let direct = Server::with_threads(2);
     let requests: Vec<Request> = machsuite_requests().into_iter().take(4).collect();
-
     let check = |gw: &dahlia_gateway::Gateway, tag: &str| {
         for req in &requests {
             let via = gw.submit(req);
@@ -951,41 +953,36 @@ fn mixed_wire_clusters_interoperate_in_both_directions() {
         }
     };
 
-    // New gateway, old shard: the `hello` exchange answers version 0,
-    // so the hop stays JSON lines and nothing is ever framed.
     let (addr_old, join_old) =
         spawn_shard_with(Server::with_threads(2), NetConfig::new().max_wire(0));
+    let err = dahlia_server::PipelinedClient::connect(addr_old.as_str())
+        .err()
+        .expect("a v0 shard is refused at connect");
+    assert!(err.to_string().contains("wire v0"), "{err}");
     let gw = GatewayConfig::new([addr_old.clone()])
         .admission_cache(0)
         .build();
-    check(&gw, "v1-gw/v0-shard");
+    assert_eq!(gw.live_shards(), 0);
+    check(&gw, "v0-shard");
+    assert_eq!(gw.local_fallbacks(), requests.len() as u64);
+    let stats = gw.stats_json();
+    let gws = stats.get("gateway").unwrap();
+    assert_eq!(gws.get("shards_dead").and_then(Json::as_u64), Some(1));
+    assert_eq!(gws.get("shards_live").and_then(Json::as_u64), Some(0));
     let t = shard_transport(&addr_old);
-    assert_eq!(transport_counter(&t, "sessions_v1"), 0);
     assert_eq!(transport_counter(&t, "frames_in"), 0);
-    assert!(transport_counter(&t, "sessions_v0") >= 1);
     drop(gw);
     shutdown_shard(&addr_old);
     join_old.join().unwrap();
 
-    // Old gateway, new shard: a v0-pinned gateway skips `hello`
-    // entirely, and the shard keeps speaking bytes any v0 client knows.
+    // A current shard: the hop negotiates v1 and the request/response
+    // traffic is binary frames.
     let (addr_new, join_new) = spawn_shard(Server::with_threads(2));
     let gw = GatewayConfig::new([addr_new.clone()])
-        .wire_max(0)
         .admission_cache(0)
         .build();
-    check(&gw, "v0-gw/v1-shard");
-    let t = shard_transport(&addr_new);
-    assert_eq!(transport_counter(&t, "sessions_v1"), 0);
-    assert_eq!(transport_counter(&t, "frames_in"), 0);
-    drop(gw);
-
-    // Two current builds: the hop negotiates v1 and the request/response
-    // traffic is binary frames.
-    let gw = GatewayConfig::new([addr_new.clone()])
-        .admission_cache(0)
-        .build();
-    check(&gw, "v1-gw/v1-shard");
+    check(&gw, "v1-shard");
+    assert_eq!(gw.local_fallbacks(), 0);
     let t = shard_transport(&addr_new);
     assert!(transport_counter(&t, "sessions_v1") >= 1, "{t:?}");
     assert!(transport_counter(&t, "frames_in") > 0, "{t:?}");

@@ -8,10 +8,12 @@
 //! * [`PipelinedClient`] — a **multiplexing** client for long-lived
 //!   pool connections (the gateway keeps one per shard): many callers
 //!   share one TCP session, each `call` is tagged with a private wire
-//!   id, and a background reader thread routes every response line to
-//!   the caller that is blocked on it. Control ops (`stats`,
-//!   `shutdown`), whose responses carry no id, are serialized: at most
-//!   one control round-trip is outstanding per connection, so the
+//!   id, and a background reader thread routes every response frame to
+//!   the caller that is blocked on it. It speaks only the v1 binary
+//!   wire: a server that will not negotiate v1 is refused at connect.
+//!   Control ops (`stats`, `shutdown`), whose responses carry no id,
+//!   are serialized: at most one control round-trip is outstanding per
+//!   connection, so the
 //!   id-less response on the wire always belongs to the one caller
 //!   waiting for it (hosts may answer control lines from different
 //!   threads — a gateway pools `stats` but acks `shutdown` inline — so
@@ -227,7 +229,7 @@ pub struct PipelinedClient {
     shared: Arc<Shared>,
     writer: Mutex<TcpStream>,
     next_id: AtomicU64,
-    /// Negotiated wire version: 0 = JSON lines, ≥1 = binary frames.
+    /// Negotiated wire version (always ≥ 1).
     wire: u32,
     /// Bound on each call's wait for its response; `None` waits forever.
     io_timeout: Option<Duration>,
@@ -240,19 +242,10 @@ pub struct PipelinedClient {
 }
 
 impl PipelinedClient {
-    /// Connect to a pipelined protocol endpoint, negotiating the newest
-    /// wire version both ends speak (see [`PipelinedClient::connect_wire`]).
+    /// Connect to a pipelined protocol endpoint over the v1 binary
+    /// wire. Fails if the server will not negotiate it.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<PipelinedClient> {
-        PipelinedClient::connect_wire(addr, wire::WIRE_VERSION as u32)
-    }
-
-    /// Connect, offering at most wire version `wire_max` in the `hello`
-    /// exchange. `0` skips the exchange entirely — the session is pure
-    /// v0 JSON lines, byte-compatible with any server ever shipped. A
-    /// server that does not understand `hello` (it answers with a
-    /// protocol error) leaves the session on v0 too.
-    pub fn connect_wire(addr: impl ToSocketAddrs, wire_max: u32) -> io::Result<PipelinedClient> {
-        PipelinedClient::from_stream(TcpStream::connect(addr)?, wire_max, Self::NEGOTIATE_TIMEOUT)
+        PipelinedClient::from_stream(TcpStream::connect(addr)?, Self::NEGOTIATE_TIMEOUT)
     }
 
     /// Connect with a bound on how long the TCP handshake may take —
@@ -263,23 +256,13 @@ impl PipelinedClient {
         addr: impl ToSocketAddrs,
         timeout: Duration,
     ) -> io::Result<PipelinedClient> {
-        PipelinedClient::connect_timeout_wire(addr, timeout, wire::WIRE_VERSION as u32)
-    }
-
-    /// [`PipelinedClient::connect_timeout`] with an explicit wire-version
-    /// ceiling (see [`PipelinedClient::connect_wire`]).
-    pub fn connect_timeout_wire(
-        addr: impl ToSocketAddrs,
-        timeout: Duration,
-        wire_max: u32,
-    ) -> io::Result<PipelinedClient> {
         let mut last = None;
         for a in addr.to_socket_addrs()? {
             match TcpStream::connect_timeout(&a, timeout) {
                 // The caller's timeout bounds negotiation too: a shard
                 // that accepts but never answers hello is as dead as
                 // one that never completes the handshake.
-                Ok(s) => return PipelinedClient::from_stream(s, wire_max, timeout),
+                Ok(s) => return PipelinedClient::from_stream(s, timeout),
                 Err(e) => last = Some(e),
             }
         }
@@ -341,19 +324,19 @@ impl PipelinedClient {
 
     fn from_stream(
         mut stream: TcpStream,
-        wire_max: u32,
         negotiate_timeout: Duration,
     ) -> io::Result<PipelinedClient> {
         stream.set_nodelay(true)?;
-        let wire_max = wire_max.min(wire::WIRE_VERSION as u32);
-        let wire_v = if wire_max == 0 {
-            0
-        } else {
-            stream.set_read_timeout(Some(negotiate_timeout.max(Duration::from_millis(1))))?;
-            let v = PipelinedClient::negotiate(&mut stream, wire_max)?;
-            stream.set_read_timeout(None)?;
-            v
-        };
+        stream.set_read_timeout(Some(negotiate_timeout.max(Duration::from_millis(1))))?;
+        let wire_v = PipelinedClient::negotiate(&mut stream, wire::WIRE_VERSION as u32)?;
+        if wire_v == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                "server negotiated wire v0; pipelined sessions need the v1 binary wire \
+                 (is it pinned with `--wire v0`?)",
+            ));
+        }
+        stream.set_read_timeout(None)?;
         let shared = Arc::new(Shared {
             dead: AtomicBool::new(false),
             waiters: Mutex::new(Waiters {
@@ -365,13 +348,7 @@ impl PipelinedClient {
         let t_shared = Arc::clone(&shared);
         let reader = std::thread::Builder::new()
             .name("dahlia-pipelined-client".into())
-            .spawn(move || {
-                if wire_v == 0 {
-                    reader_loop(reader_stream, &t_shared)
-                } else {
-                    frame_reader_loop(reader_stream, &t_shared)
-                }
-            })?;
+            .spawn(move || reader_loop(reader_stream, &t_shared))?;
         Ok(PipelinedClient {
             shared,
             writer: Mutex::new(stream),
@@ -383,7 +360,7 @@ impl PipelinedClient {
         })
     }
 
-    /// The wire version this session negotiated (0 = JSON lines).
+    /// The wire version this session negotiated (always ≥ 1).
     pub fn wire_version(&self) -> u32 {
         self.wire
     }
@@ -433,26 +410,10 @@ impl PipelinedClient {
         )
     }
 
-    fn write_line(&self, line: &str) -> io::Result<()> {
-        let mut w = self.writer.lock().unwrap();
-        w.write_all(line.as_bytes())?;
-        w.write_all(b"\n")?;
-        w.flush()
-    }
-
     fn write_frame(&self, bytes: &[u8]) -> io::Result<()> {
         let mut w = self.writer.lock().unwrap();
         w.write_all(bytes)?;
         w.flush()
-    }
-
-    /// Encode and send one compile request for the negotiated wire.
-    fn send_request(&self, req: &Request) -> io::Result<()> {
-        if self.wire == 0 {
-            self.write_line(&req.to_line())
-        } else {
-            self.write_frame(&wire::json_frame(wire::FRAME_REQUEST, &req.to_json()))
-        }
     }
 
     /// Send `req` and block for its response, returned with the
@@ -474,19 +435,13 @@ impl PipelinedClient {
             trace: req.trace.clone(),
         };
         let (tx, rx) = mpsc::channel();
-        self.shared.waiters.lock().unwrap().calls.insert(n, tx);
-        if let Err(e) = self.send_request(&wire) {
+        self.register(|w| {
+            w.calls.insert(n, tx);
+        })?;
+        if let Err(e) = self.write_frame(&wire::json_frame(wire::FRAME_REQUEST, &wire.to_json())) {
             self.shared.waiters.lock().unwrap().calls.remove(&n);
             self.poison();
             return Err(e);
-        }
-        // The reader may have died (and drained the map) before our
-        // insert became visible to it; re-checking after the insert
-        // guarantees the entry cannot be orphaned (the flag is raised
-        // before the drain, under the same waiter lock we used).
-        if self.is_dead() {
-            self.shared.waiters.lock().unwrap().calls.remove(&n);
-            return Err(Self::dead_err());
         }
         let mut v = self.recv_response(&rx)?;
         set_id(&mut v, &req.id);
@@ -505,27 +460,32 @@ impl PipelinedClient {
         let (tx, rx) = mpsc::channel();
         {
             let mut w = self.writer.lock().unwrap();
-            self.shared.waiters.lock().unwrap().control.push_back(tx);
-            let sent = if self.wire == 0 {
-                w.write_all(line.as_bytes())
-                    .and_then(|()| w.write_all(b"\n"))
-                    .and_then(|()| w.flush())
-            } else {
-                // Control ops stay JSON text on v1, wrapped in a
-                // control frame.
-                w.write_all(&wire::frame(wire::FRAME_CONTROL, line.as_bytes()))
-                    .and_then(|()| w.flush())
-            };
+            self.register(|waiters| waiters.control.push_back(tx))?;
+            // Control ops stay JSON text, wrapped in a control frame.
+            let sent = w
+                .write_all(&wire::frame(wire::FRAME_CONTROL, line.as_bytes()))
+                .and_then(|()| w.flush());
             if let Err(e) = sent {
                 drop(w);
                 self.poison();
                 return Err(e);
             }
         }
+        self.recv_response(&rx)
+    }
+
+    /// Add a waiter, unless the connection is already dead. The flag is
+    /// checked under the waiter lock: a reader that died first raised it
+    /// before clearing the waiters, and one that dies later drops this
+    /// waiter's sender, so the wait fails instead of hanging. A reply
+    /// that lands just before the connection dies is still delivered.
+    fn register(&self, add: impl FnOnce(&mut Waiters)) -> io::Result<()> {
+        let mut waiters = self.shared.waiters.lock().unwrap();
         if self.is_dead() {
             return Err(Self::dead_err());
         }
-        self.recv_response(&rx)
+        add(&mut waiters);
+        Ok(())
     }
 
     /// Fetch the server's stats object (the payload under `"stats"`).
@@ -606,35 +566,12 @@ fn route_response(shared: &Shared, v: Json) {
     }
 }
 
-fn reader_loop(stream: TcpStream, shared: &Shared) {
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-        let text = line.trim();
-        if text.is_empty() {
-            continue;
-        }
-        // Unparseable or unmatched lines are dropped, not fatal: the
-        // waiter they might have answered will surface an error when
-        // the connection is eventually poisoned, and a line-level
-        // glitch must not take down the whole multiplexed session.
-        let Ok(v) = Json::parse(text) else { continue };
-        route_response(shared, v);
-    }
-    shared.poison();
-}
-
-/// The v1 counterpart of [`reader_loop`]: length-prefixed frames
-/// instead of lines. Response frames carry binary-encoded objects;
-/// control replies stay JSON text inside their frame. An unrecoverable
-/// framing error poisons the session (there is no way to resync a
-/// byte stream with a corrupt length word).
-fn frame_reader_loop(mut stream: TcpStream, shared: &Shared) {
+/// Read length-prefixed frames and route each reply to its waiter.
+/// Response frames carry binary-encoded objects; control replies stay
+/// JSON text inside their frame. An unrecoverable framing error
+/// poisons the session (there is no way to resync a byte stream with a
+/// corrupt length word).
+fn reader_loop(mut stream: TcpStream, shared: &Shared) {
     let mut buf: Vec<u8> = Vec::new();
     let mut scratch = [0u8; 64 * 1024];
     'session: loop {
@@ -755,14 +692,19 @@ mod tests {
 
     #[test]
     fn unresponsive_server_times_out_and_poisons() {
-        // A "server" that accepts and then never answers: the TCP
+        // A "server" that negotiates v1 and then never answers: the TCP
         // session stays up, so only the io timeout can unstick callers.
+        // (Negotiation has its own timeout, tested below.)
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let hold = std::thread::spawn(move || listener.accept().map(|(s, _)| s));
-        // Pinned to v0: negotiation has its own timeout (tested below);
-        // this test is about the per-call io timeout.
-        let client = PipelinedClient::connect_wire(addr, 0)
+        let hold = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept()?;
+            let mut hello = String::new();
+            BufReader::new(s.try_clone()?).read_line(&mut hello)?;
+            s.write_all(b"{\"hello\":{\"version\":1}}\n")?;
+            io::Result::Ok(s)
+        });
+        let client = PipelinedClient::connect(addr)
             .expect("connect")
             .with_io_timeout(Duration::from_millis(200));
         let stream = hold.join().unwrap().expect("accepted");
@@ -820,12 +762,29 @@ mod tests {
         let t0 = std::time::Instant::now();
         let err = PipelinedClient::from_stream(
             TcpStream::connect(addr).unwrap(),
-            1,
             Duration::from_millis(200),
         );
         assert!(err.is_err(), "mute server must fail negotiation");
         assert!(t0.elapsed() < Duration::from_secs(5));
         drop(hold.join());
+    }
+
+    #[test]
+    fn a_server_pinned_to_v0_is_refused_at_connect() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().unwrap();
+        let server = Arc::new(Server::with_threads(1));
+        let cfg = crate::NetConfig::new().max_wire(0);
+        let handle = std::thread::spawn(move || {
+            crate::serve_sessions_with(server, listener, cfg).expect("serve")
+        });
+        let err = PipelinedClient::connect(addr)
+            .err()
+            .expect("v0 server refused");
+        assert_eq!(err.kind(), io::ErrorKind::Unsupported);
+        assert!(err.to_string().contains("wire v0"), "{err}");
+        Client::connect(addr).unwrap().shutdown_server().unwrap();
+        handle.join().unwrap();
     }
 
     #[test]

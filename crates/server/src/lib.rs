@@ -130,7 +130,6 @@ use dahlia_obs::{
 };
 
 use json::{obj, Json};
-use session::Control;
 
 pub use client::{Client, PipelinedClient};
 pub use disk::{DiskStats, DiskStore};
@@ -141,7 +140,10 @@ pub use net::{
 pub use pipeline::{source_digest, Artifact, Options, Pipeline, Stage};
 pub use pool::Pool;
 pub use protocol::{Request, Response};
-pub use session::{AdminOp, SessionHost, SweepOp};
+pub use session::{
+    query, AdminOp, ControlOp, Dispatch, Reply, Respond, Session, SessionConfig, SessionHost, Sink,
+    SweepOp,
+};
 pub use store::{ArtifactTier, CacheValue, Key, Store, StoreConfig, StoreStats};
 
 /// Default trace-journal retention (ring buffer; pushing beyond this
@@ -180,13 +182,121 @@ pub fn parse_alert_rules(texts: &[String]) -> Result<Vec<Rule>, String> {
     texts.iter().map(|t| Rule::parse(t)).collect()
 }
 
+/// The observability state every host keeps — the trace journal, the
+/// slow-request log, the optional on-disk sample ring, and the alert
+/// engine — and the control ops answered straight from it. The server
+/// and the gateway both carry one, so `trace`, `slowlog`, `history`,
+/// `alerts`, and `/healthz` answer identically from either.
+pub struct Telemetry {
+    /// Client-traced requests with their span breakdowns.
+    pub journal: Journal,
+    /// Requests slower than the host's threshold, traced or not.
+    pub slowlog: SlowLog,
+    /// The on-disk sample ring (`--telemetry-dir`), if any.
+    pub tsdb: Option<Arc<Tsdb>>,
+    /// Alert rules and their event journal (with zero rules, just the
+    /// journal).
+    pub engine: Arc<AlertEngine>,
+}
+
+impl Telemetry {
+    /// A journal of `journal_cap` entries, a default-sized slow log,
+    /// and an alert engine over `rules` timed by `clock`.
+    pub fn new(
+        journal_cap: usize,
+        tsdb: Option<Arc<Tsdb>>,
+        rules: Vec<Rule>,
+        clock: Arc<dyn Clock>,
+    ) -> Telemetry {
+        Telemetry {
+            journal: Journal::new(journal_cap),
+            slowlog: SlowLog::new(SLOWLOG_CAP),
+            tsdb,
+            engine: Arc::new(AlertEngine::new(rules, clock, ALERT_JOURNAL_CAP)),
+        }
+    }
+
+    /// Answer an op that only reads these rings: `trace`, `slowlog`,
+    /// `history`, or `alerts`. Any other op answers `null`.
+    pub fn read(&self, op: &ControlOp) -> Json {
+        match op {
+            ControlOp::Trace => obs_json::journal_to_json(&self.journal),
+            ControlOp::Slowlog { since } => {
+                obs_json::slowlog_to_json(&self.slowlog.snapshot_since(*since))
+            }
+            ControlOp::History {
+                series,
+                since,
+                step,
+            } => {
+                let samples = match &self.tsdb {
+                    Some(tsdb) => obs_json::decode_samples(tsdb.scan_since(*since)),
+                    None => Vec::new(),
+                };
+                obs_json::history_to_json(series, *since, *step, &samples)
+            }
+            ControlOp::Alerts { since } => obs_json::alertlog_to_json(
+                &self.engine.snapshot_since(*since),
+                &self.engine.states(),
+            ),
+            _ => Json::Null,
+        }
+    }
+
+    /// The liveness object `/healthz` serves: `ok`, the host's `extra`
+    /// fields, then the rings' drop counters and the firing-rule count.
+    pub fn health(&self, extra: Vec<(&'static str, Json)>) -> Json {
+        let mut fields = vec![("ok", Json::Bool(true))];
+        fields.extend(extra);
+        fields.extend([
+            ("trace_dropped", Json::Num(self.journal.dropped() as f64)),
+            ("slowlog_dropped", Json::Num(self.slowlog.dropped() as f64)),
+            ("alerts_firing", Json::Num(self.engine.firing() as f64)),
+        ]);
+        obj(fields)
+    }
+
+    /// The `journals` stats section: lifetime eviction counts of the
+    /// bounded rings, surfaced so silent overflow is alertable.
+    pub fn journals_json(&self) -> Json {
+        obj([
+            ("trace_dropped", Json::Num(self.journal.dropped() as f64)),
+            ("slowlog_dropped", Json::Num(self.slowlog.dropped() as f64)),
+        ])
+    }
+
+    /// Append the `telemetry`, `alerts`, and `alert_state` stats
+    /// sections (each only when there is something to report).
+    pub fn push_stats_sections(&self, fields: &mut Vec<(String, Json)>) {
+        if let Some(tsdb) = &self.tsdb {
+            fields.push((
+                "telemetry".to_string(),
+                obs_json::tsdb_stats_to_json(&tsdb.stats()),
+            ));
+        }
+        if self.engine.rule_count() > 0 {
+            fields.push((
+                "alerts".to_string(),
+                obj([
+                    ("rules", Json::Num(self.engine.rule_count() as f64)),
+                    ("firing", Json::Num(self.engine.firing() as f64)),
+                ]),
+            ));
+            fields.push((
+                "alert_state".to_string(),
+                obs_json::alert_states_to_json(&self.engine.states()),
+            ));
+        }
+    }
+}
+
 struct Inner {
     pipeline: Pipeline,
     requests: AtomicU64,
     latency_us: AtomicU64,
     latency_hist: Histogram,
     queue_hist: Histogram,
-    journal: Journal,
+    telemetry: Telemetry,
     /// Live sliding window over finished requests (throughput, error
     /// rate, windowed latency percentiles).
     window: Window,
@@ -194,7 +304,6 @@ struct Inner {
     in_flight: AtomicU64,
     /// Requests dispatched to the pool but not yet picked up.
     queue_depth: AtomicU64,
-    slowlog: SlowLog,
     slow_threshold_us: u64,
 }
 
@@ -235,7 +344,7 @@ impl Inner {
         self.window.record(latency_us, value.is_ok());
         self.in_flight.fetch_sub(1, Ordering::Relaxed);
         if latency_us > self.slow_threshold_us {
-            self.slowlog.push(TraceEntry {
+            self.telemetry.slowlog.push(TraceEntry {
                 trace: req.trace.clone().unwrap_or_default(),
                 id: req.id.clone(),
                 stage: req.stage.name().to_string(),
@@ -245,7 +354,7 @@ impl Inner {
             });
         }
         let trace = req.trace.as_ref().map(|trace_id| {
-            self.journal.push(TraceEntry {
+            self.telemetry.journal.push(TraceEntry {
                 trace: trace_id.clone(),
                 id: req.id.clone(),
                 stage: req.stage.name().to_string(),
@@ -306,20 +415,8 @@ impl Inner {
         )
     }
 
-    /// The `journals` section of the stats object: lifetime eviction
-    /// counts of the bounded rings, surfaced here so the Prometheus
-    /// exposition (a mechanical walk of this object) makes silent
-    /// overflow alertable.
-    fn journals_json(&self) -> Json {
-        obj([
-            ("trace_dropped", Json::Num(self.journal.dropped() as f64)),
-            ("slowlog_dropped", Json::Num(self.slowlog.dropped() as f64)),
-        ])
-    }
-
-    /// The stats object minus the telemetry-layer sections (which need
-    /// the [`Server`]'s handles). The sampler thread snapshots exactly
-    /// this shape, so alert series paths and on-disk history records
+    /// The stats object minus the telemetry-layer sections. The sampler
+    /// thread snapshots exactly this shape, so alert series paths and on-disk history records
     /// resolve against the same field layout `{"op":"stats"}` serves.
     fn base_stats_json(&self) -> Json {
         let stats = ServerStats {
@@ -331,20 +428,10 @@ impl Inner {
         if let Json::Obj(fields) = &mut v {
             fields.push(("hist".to_string(), self.hist_json()));
             fields.push(("window".to_string(), self.window_json()));
-            fields.push(("journals".to_string(), self.journals_json()));
+            fields.push(("journals".to_string(), self.telemetry.journals_json()));
         }
         v
     }
-}
-
-/// The durable-telemetry layer a server optionally carries: the
-/// on-disk sample ring, the always-present alert engine (zero rules is
-/// just an event journal), and the sampler thread that feeds both.
-/// Dropping the server stops the sampler (its `Drop` joins).
-struct Telemetry {
-    tsdb: Option<Arc<Tsdb>>,
-    engine: Arc<AlertEngine>,
-    _sampler: Option<Sampler>,
 }
 
 /// Service-level statistics: request accounting plus store counters.
@@ -610,7 +697,9 @@ impl ServerConfig {
 pub struct Server {
     inner: Arc<Inner>,
     pool: Pool,
-    telemetry: Telemetry,
+    /// The sampler thread feeding the on-disk ring and the alert rules;
+    /// dropping the server stops it (its `Drop` joins).
+    _sampler: Option<Sampler>,
 }
 
 impl Default for Server {
@@ -637,20 +726,11 @@ impl Server {
     }
 
     fn build(pipeline: Pipeline, pool: Pool) -> Server {
-        Server::build_telemetry(pipeline, pool, TRACE_JOURNAL_CAP, DEFAULT_SLOW_THRESHOLD_MS)
-    }
-
-    fn build_telemetry(
-        pipeline: Pipeline,
-        pool: Pool,
-        journal_cap: usize,
-        slow_threshold_ms: u64,
-    ) -> Server {
         Server::build_full(
             pipeline,
             pool,
-            journal_cap,
-            slow_threshold_ms,
+            TRACE_JOURNAL_CAP,
+            DEFAULT_SLOW_THRESHOLD_MS,
             None,
             Vec::new(),
             DEFAULT_TELEMETRY_INTERVAL_MS,
@@ -666,50 +746,41 @@ impl Server {
         rules: Vec<Rule>,
         telemetry_interval_ms: u64,
     ) -> Server {
+        // Alert timestamps and on-disk sample timestamps share a wall
+        // clock so history `since` cursors stay meaningful across
+        // restarts (a per-process monotonic origin would restart at 0).
+        let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
         let inner = Arc::new(Inner {
             pipeline,
             requests: AtomicU64::new(0),
             latency_us: AtomicU64::new(0),
             latency_hist: Histogram::new(),
             queue_hist: Histogram::new(),
-            journal: Journal::new(journal_cap),
+            telemetry: Telemetry::new(journal_cap, tsdb, rules, Arc::clone(&clock)),
             window: Window::with_default_clock(),
             in_flight: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
-            slowlog: SlowLog::new(SLOWLOG_CAP),
             slow_threshold_us: slow_threshold_ms.saturating_mul(1_000),
         });
-        // Alert timestamps and on-disk sample timestamps share a wall
-        // clock so history `since` cursors stay meaningful across
-        // restarts (a per-process monotonic origin would restart at 0).
-        let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
-        let engine = Arc::new(AlertEngine::new(
-            rules,
-            Arc::clone(&clock),
-            ALERT_JOURNAL_CAP,
-        ));
-        let sampler = (tsdb.is_some() || engine.rule_count() > 0).then(|| {
+        let t = &inner.telemetry;
+        let sampler = (t.tsdb.is_some() || t.engine.rule_count() > 0).then(|| {
             let inner = Arc::clone(&inner);
-            let tsdb = tsdb.clone();
-            let engine = Arc::clone(&engine);
             Sampler::spawn(telemetry_interval_ms.max(1), move || {
                 let stats = inner.base_stats_json();
-                if let Some(tsdb) = &tsdb {
+                let t = &inner.telemetry;
+                if let Some(tsdb) = &t.tsdb {
                     tsdb.append(clock.now_ms(), stats.emit().as_bytes());
                 }
                 // A plain server has no remediation actions to bind;
                 // the transitions still land in the alert journal.
-                engine.eval(&|path| obs_json::resolve_series(&stats, path).and_then(Json::as_f64));
+                t.engine
+                    .eval(&|path| obs_json::resolve_series(&stats, path).and_then(Json::as_f64));
             })
         });
         Server {
             inner,
             pool,
-            telemetry: Telemetry {
-                tsdb,
-                engine,
-                _sampler: sampler,
-            },
+            _sampler: sampler,
         }
     }
 
@@ -773,98 +844,17 @@ impl Server {
     /// control line `{"op":"stats"}` emits a `{"stats":{...}}` line;
     /// `{"op":"shutdown"}` is acknowledged and ends the session.
     ///
-    /// This mode is strictly request/response: each line is answered
-    /// (on the calling thread) before the next is read, so a lone
-    /// `serve` client sees no pool parallelism — use
+    /// This mode is strictly request/response: a session with a window
+    /// of one, so each line is answered before the next is parsed and a
+    /// lone `serve` client sees no pool parallelism — use
     /// [`Server::serve_pipelined`] (or the socket transport) for
     /// out-of-order completion.
     pub fn serve<R: BufRead, W: Write>(
         &self,
         input: R,
-        mut output: W,
+        output: W,
     ) -> std::io::Result<ServeSummary> {
-        let mut summary = ServeSummary::default();
-        for (lineno, line) in input.lines().enumerate() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            summary.lines += 1;
-            match session::parse_control(&line, lineno as u64) {
-                Ok(Control::Hello { .. }) => {
-                    // The strict stdio loop has no frame mode; `hello`
-                    // always negotiates down to v0 JSON lines.
-                    writeln!(output, "{}", session::hello_reply_line(0))?;
-                }
-                Ok(Control::Stats) => {
-                    writeln!(
-                        output,
-                        "{}",
-                        obj([("stats", SessionHost::stats_json(self))]).emit()
-                    )?;
-                }
-                Ok(Control::Trace) => {
-                    writeln!(
-                        output,
-                        "{}",
-                        obj([("trace", SessionHost::trace_json(self))]).emit()
-                    )?;
-                }
-                Ok(Control::Slowlog { since }) => {
-                    writeln!(
-                        output,
-                        "{}",
-                        obj([("slowlog", SessionHost::slowlog_json(self, since))]).emit()
-                    )?;
-                }
-                Ok(Control::History {
-                    series,
-                    since,
-                    step,
-                }) => {
-                    writeln!(
-                        output,
-                        "{}",
-                        obj([(
-                            "history",
-                            SessionHost::history_json(self, &series, since, step)
-                        )])
-                        .emit()
-                    )?;
-                }
-                Ok(Control::Alerts { since }) => {
-                    writeln!(
-                        output,
-                        "{}",
-                        obj([("alerts", SessionHost::alerts_json(self, since))]).emit()
-                    )?;
-                }
-                Ok(Control::Shutdown) => {
-                    writeln!(output, "{}", session::shutdown_ack_line())?;
-                    break;
-                }
-                Ok(Control::Admin(op)) => {
-                    // A plain server has no topology to administer; the
-                    // strict loop answers inline like every other line.
-                    writeln!(output, "{}", session::admin_unsupported_line(&op))?;
-                }
-                Ok(Control::Sweep(op)) => {
-                    // Likewise: sweeps scatter across a gateway's shards,
-                    // so a single server rejects them inline.
-                    writeln!(output, "{}", session::sweep_unsupported_line(&op))?;
-                }
-                Ok(Control::Req(req)) => {
-                    let resp = self.submit(req);
-                    writeln!(output, "{}", resp.to_line())?;
-                }
-                Err(msg) => {
-                    summary.protocol_errors += 1;
-                    writeln!(output, "{}", session::protocol_error_line(msg, lineno))?;
-                }
-            }
-        }
-        output.flush()?;
-        Ok(summary)
+        session::serve_strict(self, input, output)
     }
 
     /// Run the JSON-lines protocol with **pipelined, out-of-order
@@ -873,112 +863,50 @@ impl Server {
     /// compile finishes — a fast request overtakes a slow one submitted
     /// before it. Clients correlate by the echoed `id`.
     ///
-    /// Control lines (`stats`, `shutdown`) are answered from the read
-    /// loop and may therefore interleave with in-flight responses.
-    /// Returns at EOF or after a `shutdown` op, once every dispatched
-    /// request has been answered.
+    /// The session's window is the pool's size: past it, reading pauses
+    /// until a response frees a slot. Control lines may interleave with
+    /// in-flight responses. Returns at EOF or after a `shutdown` op,
+    /// once every dispatched request has been answered.
     pub fn serve_pipelined<R, W>(&self, input: R, output: W) -> std::io::Result<ServeSummary>
     where
         R: BufRead,
         W: Write + Send,
     {
-        session::run_pipelined(self, input, output, None)
+        session::serve_windowed(self, input, output, self.threads())
+    }
+
+    /// The stats object `{"op":"stats"}` answers.
+    fn stats_json(&self) -> Json {
+        let mut v = self.inner.base_stats_json();
+        if let Json::Obj(fields) = &mut v {
+            self.inner.telemetry.push_stats_sections(fields);
+        }
+        v
     }
 }
 
 impl SessionHost for Server {
-    fn dispatch(&self, req: Request, respond: Box<dyn FnOnce(String) + Send>) {
+    fn dispatch(&self, req: Request, respond: Respond) {
         let inner = Arc::clone(&self.inner);
         let enqueued = Instant::now();
         self.inner.queue_depth.fetch_add(1, Ordering::Relaxed);
         self.pool.execute(move || {
             let queue_us = (enqueued.elapsed().as_nanos() / 1_000) as u64;
-            let resp = inner.handle_queued(&req, Some(queue_us));
-            respond(resp.to_line());
+            respond(inner.handle_queued(&req, Some(queue_us)).to_json());
         });
     }
 
-    fn dispatch_obj(&self, req: Request, respond: Box<dyn FnOnce(Json) + Send>) {
-        // The v1 hot path: hand the response object straight to the
-        // transport, skipping the emit-then-reparse of the default.
-        let inner = Arc::clone(&self.inner);
-        let enqueued = Instant::now();
-        self.inner.queue_depth.fetch_add(1, Ordering::Relaxed);
-        self.pool.execute(move || {
-            let queue_us = (enqueued.elapsed().as_nanos() / 1_000) as u64;
-            let resp = inner.handle_queued(&req, Some(queue_us));
-            respond(resp.to_json());
-        });
-    }
-
-    fn stats_json(&self) -> Json {
-        let mut v = self.inner.base_stats_json();
-        if let Json::Obj(fields) = &mut v {
-            if let Some(tsdb) = &self.telemetry.tsdb {
-                fields.push((
-                    "telemetry".to_string(),
-                    obs_json::tsdb_stats_to_json(&tsdb.stats()),
-                ));
-            }
-            if self.telemetry.engine.rule_count() > 0 {
-                fields.push((
-                    "alerts".to_string(),
-                    obj([
-                        (
-                            "rules",
-                            Json::Num(self.telemetry.engine.rule_count() as f64),
-                        ),
-                        ("firing", Json::Num(self.telemetry.engine.firing() as f64)),
-                    ]),
-                ));
-                fields.push((
-                    "alert_state".to_string(),
-                    obs_json::alert_states_to_json(&self.telemetry.engine.states()),
-                ));
-            }
-        }
-        v
-    }
-
-    fn trace_json(&self) -> Json {
-        obs_json::journal_to_json(&self.inner.journal)
-    }
-
-    fn slowlog_json(&self, since: u64) -> Json {
-        obs_json::slowlog_to_json(&self.inner.slowlog.snapshot_since(since))
-    }
-
-    fn health_json(&self) -> Json {
-        obj([
-            ("ok", Json::Bool(true)),
-            (
-                "trace_dropped",
-                Json::Num(self.inner.journal.dropped() as f64),
-            ),
-            (
-                "slowlog_dropped",
-                Json::Num(self.inner.slowlog.dropped() as f64),
-            ),
-            (
-                "alerts_firing",
-                Json::Num(self.telemetry.engine.firing() as f64),
-            ),
-        ])
-    }
-
-    fn history_json(&self, series: &str, since: u64, step: u64) -> Json {
-        let samples = match &self.telemetry.tsdb {
-            Some(tsdb) => obs_json::decode_samples(tsdb.scan_since(since)),
-            None => Vec::new(),
+    /// Every op reads local state, so it is answered on the calling
+    /// thread; admin ops and sweeps need a gateway and are refused.
+    fn control(&self, op: ControlOp, reply: Reply) {
+        let v = match op {
+            ControlOp::Stats => self.stats_json(),
+            ControlOp::Health => self.inner.telemetry.health(Vec::new()),
+            ControlOp::Admin(op) => session::admin_unsupported(&op),
+            ControlOp::Sweep(op) => session::sweep_unsupported(&op),
+            read => self.inner.telemetry.read(&read),
         };
-        obs_json::history_to_json(series, since, step, &samples)
-    }
-
-    fn alerts_json(&self, since: u64) -> Json {
-        obs_json::alertlog_to_json(
-            &self.telemetry.engine.snapshot_since(since),
-            &self.telemetry.engine.states(),
-        )
+        reply(v, true);
     }
 }
 
@@ -1141,7 +1069,7 @@ mod tests {
         let untraced = server.submit(Request::estimate("b", GOOD));
         assert!(untraced.trace.is_none());
         assert!(!untraced.to_line().contains("\"trace\""));
-        let journal = SessionHost::trace_json(&server);
+        let journal = query(&server, ControlOp::Trace);
         let Some(Json::Arr(entries)) = journal.get("entries") else {
             panic!("{journal:?}")
         };
@@ -1149,7 +1077,7 @@ mod tests {
         assert_eq!(entries[0].get("trace").and_then(Json::as_str), Some("t-x"));
 
         // The stats object grew a hist section beside the flat sums.
-        let stats = SessionHost::stats_json(&server);
+        let stats = query(&server, ControlOp::Stats);
         assert!(stats.get("latency_us").is_some(), "flat sum survives");
         let hist = stats.get("hist").expect("hist section");
         assert_eq!(
@@ -1177,7 +1105,7 @@ mod tests {
         assert!(resp.ok());
         assert!(resp.trace.is_none(), "no trace requested, none returned");
 
-        let log = SessionHost::slowlog_json(&server, 0);
+        let log = query(&server, ControlOp::Slowlog { since: 0 });
         assert_eq!(log.get("last_seq").and_then(Json::as_u64), Some(1));
         let Some(Json::Arr(entries)) = log.get("entries") else {
             panic!("{log:?}")
@@ -1193,14 +1121,14 @@ mod tests {
         assert!(!spans.is_empty(), "full span breakdown captured");
 
         // The cursor: polling from last_seq returns nothing new.
-        let tail = SessionHost::slowlog_json(&server, 1);
+        let tail = query(&server, ControlOp::Slowlog { since: 1 });
         let Some(Json::Arr(rest)) = tail.get("entries") else {
             panic!("{tail:?}")
         };
         assert!(rest.is_empty());
 
         // The trace journal stays reserved for client-requested traces.
-        let journal = SessionHost::trace_json(&server);
+        let journal = query(&server, ControlOp::Trace);
         let Some(Json::Arr(traced)) = journal.get("entries") else {
             panic!("{journal:?}")
         };
@@ -1214,7 +1142,7 @@ mod tests {
             Request::estimate("a", GOOD),
             Request::estimate("b", GOOD),
         ]);
-        let stats = SessionHost::stats_json(&server);
+        let stats = query(&server, ControlOp::Stats);
         let window = stats.get("window").expect("window section");
         assert_eq!(window.get("requests").and_then(Json::as_u64), Some(2));
         assert_eq!(window.get("errors").and_then(Json::as_u64), Some(0));
@@ -1234,7 +1162,7 @@ mod tests {
             Some(0)
         );
         // Health carries the same drop counters for alerting.
-        let health = SessionHost::health_json(&server);
+        let health = query(&server, ControlOp::Health);
         assert_eq!(health.get("ok"), Some(&Json::Bool(true)));
         assert!(health.get("trace_dropped").is_some());
         assert!(health.get("slowlog_dropped").is_some());
@@ -1256,7 +1184,14 @@ mod tests {
         // Wait for the sampler to snapshot the post-request state.
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
-            let h = SessionHost::history_json(&server, "requests", 0, 0);
+            let h = query(
+                &server,
+                ControlOp::History {
+                    series: "requests".into(),
+                    since: 0,
+                    step: 0,
+                },
+            );
             let Some(Json::Arr(points)) = h.get("points") else {
                 panic!("{h:?}")
             };
@@ -1275,7 +1210,7 @@ mod tests {
         }
 
         // Zero-duration rule: the request fired it on the same tick.
-        let alerts = SessionHost::alerts_json(&server, 0);
+        let alerts = query(&server, ControlOp::Alerts { since: 0 });
         let Some(Json::Arr(states)) = alerts.get("states") else {
             panic!("{alerts:?}")
         };
@@ -1290,7 +1225,7 @@ mod tests {
         );
 
         // Stats grew the telemetry sections; health counts firing rules.
-        let stats = SessionHost::stats_json(&server);
+        let stats = query(&server, ControlOp::Stats);
         assert!(
             stats
                 .get("telemetry")
@@ -1304,7 +1239,7 @@ mod tests {
         };
         assert_eq!(gauges.len(), 1);
         assert_eq!(
-            SessionHost::health_json(&server)
+            query(&server, ControlOp::Health)
                 .get("alerts_firing")
                 .and_then(Json::as_u64),
             Some(1)
@@ -1318,12 +1253,19 @@ mod tests {
             .telemetry_dir(&dir)
             .build()
             .unwrap();
-        let h = SessionHost::history_json(&reopened, "requests", 0, 0);
+        let h = query(
+            &reopened,
+            ControlOp::History {
+                series: "requests".into(),
+                since: 0,
+                step: 0,
+            },
+        );
         let Some(Json::Arr(points)) = h.get("points") else {
             panic!("{h:?}")
         };
         assert!(!points.is_empty(), "history empty after reopen");
-        let recovered = SessionHost::stats_json(&reopened)
+        let recovered = query(&reopened, ControlOp::Stats)
             .get("telemetry")
             .and_then(|t| t.get("recovered_records"))
             .and_then(Json::as_u64)

@@ -10,7 +10,7 @@
 //!   (histogram sections become real `_bucket`/`_sum`/`_count`
 //!   families) — one endpoint, two consumers, no new port.
 //! * `GET /healthz` — `200 OK` with a small liveness object (the
-//!   host's [`SessionHost::health_json`] shape plus process uptime).
+//!   host's answer to [`ControlOp::Health`] plus process uptime).
 //! * Anything else is a `404`; a request line with no parsable
 //!   `METHOD /path` is a `400`.
 //!
@@ -23,7 +23,7 @@
 //! the process: scrapers keep working while the protocol listener is
 //! draining a graceful shutdown.
 //!
-//! [`SessionHost::health_json`]: crate::SessionHost::health_json
+//! [`ControlOp::Health`]: crate::ControlOp::Health
 
 use std::io::{BufRead as _, BufReader, Write as _};
 use std::net::{TcpListener, TcpStream};

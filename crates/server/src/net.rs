@@ -2,11 +2,14 @@
 //! `dahliac gateway --listen <addr>`.
 //!
 //! A std-only **readiness-based reactor**: one thread multiplexes the
-//! listener and every live session over `poll(2)`, speaking the same
-//! pipelined protocol as the stdio mode — out-of-order, id-correlated
-//! responses — against a shared [`SessionHost`]. The host is the local
-//! [`Server`] for `serve` and the cluster router for `gateway`; the
-//! transport does not care.
+//! listener and every live connection over `poll(2)`. Each connection
+//! is one sans-IO [`Session`]; the reactor only moves bytes. It feeds
+//! what it reads into the session, hands the session's dispatches to a
+//! shared [`SessionHost`] (the local [`Server`] for `serve`, the
+//! cluster router for `gateway`), and writes what the session emits.
+//! Framing, the `hello` switch, the admission window and shedding,
+//! control replies, and protocol errors are all the session's — the
+//! same machine the stdio transport drives.
 //!
 //! ## Threading model
 //!
@@ -14,39 +17,32 @@
 //! sockets are non-blocking, and `poll` wakes it for readable input,
 //! writable backpressured output, new connections, and completed
 //! dispatches (via a self-wake pipe). Compile work runs on the host's
-//! worker pool; finished responses are posted to the reactor's
-//! completion mailbox and written from the reactor thread. Ten thousand
-//! idle sessions therefore cost ten thousand file descriptors and one
-//! thread — not ten thousand threads (the pre-v1 transport parked one
-//! blocking thread per connection).
+//! worker pool; finished replies are encoded on the worker, posted to
+//! the reactor's completion mailbox, and written from the reactor
+//! thread. Ten thousand idle sessions therefore cost ten thousand file
+//! descriptors and one thread.
 //!
 //! ## Wire versions
 //!
-//! Every session starts in the v0 JSON-lines protocol. A client may
-//! send `{"op":"hello","max_version":N}`; the reactor answers with the
-//! negotiated version (the minimum of the client's, the build's
-//! [`wire::WIRE_VERSION`], and [`NetConfig::max_wire`]) and, when that
-//! is ≥ 1, the session switches to v1 length-prefixed binary frames
-//! from the next byte on — see `docs/PROTOCOL.md` §5. Clients that
-//! never say hello stay on v0 byte-for-byte.
+//! Every session starts in the v0 JSON-lines protocol and may switch
+//! to v1 binary frames with `{"op":"hello","max_version":N}`, up to
+//! [`NetConfig::max_wire`] — see `docs/PROTOCOL.md` §5.
 //!
 //! ## Admission control
 //!
-//! Each connection has an admission window of [`NetConfig::max_inflight`]
-//! dispatched-but-unanswered requests. At the cap the reactor stops
-//! reading the socket (backpressure: the kernel buffer, then the
-//! client, fills up), and any requests *already buffered* past the cap
-//! are answered immediately with a structured `admission/overloaded`
-//! error carrying `retry_after_ms` — load is shed at the edge instead
-//! of queueing without bound.
+//! Each connection admits [`NetConfig::max_inflight`] dispatched-but-
+//! unanswered requests. At the cap the reactor stops reading the socket
+//! (backpressure: the kernel buffer, then the client, fills up), and
+//! requests *already read* past the cap are shed with a structured
+//! `admission/overloaded` error carrying `retry_after_ms`.
 //!
 //! ## Shutdown
 //!
 //! Any client may send `{"op":"shutdown"}`: the reactor acks, stops
-//! accepting, stops reading (discarding unparsed input), and **drains**
-//! — every dispatched request completes and flushes before its socket
-//! closes, so pipelined clients lose no responses. Idle sessions are
-//! closed immediately (the client sees EOF).
+//! accepting, stops reading every session (discarding unparsed input),
+//! and **drains** — every dispatched request completes and flushes
+//! before its socket closes, so pipelined clients lose no responses.
+//! Idle sessions are closed immediately (the client sees EOF).
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -57,8 +53,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::json::{obj, Json};
-use crate::protocol::Request;
-use crate::session::{self, Control, SessionHost};
+use crate::session::{Session, SessionConfig, SessionHost, Sink};
 use crate::wire;
 use crate::Server;
 
@@ -74,28 +69,28 @@ pub const RETRY_AFTER_MS: u64 = 50;
 pub struct NetSummary {
     /// Connections accepted.
     pub connections: u64,
-    /// Protocol lines (or v1 request/control frames) handled across all
-    /// connections.
+    /// Protocol lines (or v1 frames) handled across all connections,
+    /// blank lines excluded.
     pub lines: u64,
     /// Lines/frames that were not valid requests.
     pub protocol_errors: u64,
 }
 
-/// Transport-level counters, shared between the reactor and whoever
-/// exposes them (`{"op":"stats"}` gains a `transport` section, and the
-/// CLI merges the same object into `/metrics`). All monotonic except
-/// the session-mix pair, which tracks *accepted* sessions by the wire
-/// version they ended up on (a `hello` upgrade moves one count from v0
-/// to v1).
+/// Transport-level counters, shared between the reactor's sessions and
+/// whoever exposes them (`{"op":"stats"}` gains a `transport` section,
+/// and the CLI merges the same object into `/metrics`). All monotonic
+/// except the session-mix pair, which tracks *accepted* sessions by the
+/// wire version they ended up on (a `hello` upgrade moves one count
+/// from v0 to v1).
 #[derive(Debug, Default)]
 pub struct TransportStats {
-    sessions_v0: AtomicU64,
-    sessions_v1: AtomicU64,
-    frames_in: AtomicU64,
-    frames_out: AtomicU64,
-    wire_bytes_in: AtomicU64,
-    wire_bytes_out: AtomicU64,
-    requests_shed: AtomicU64,
+    pub(crate) sessions_v0: AtomicU64,
+    pub(crate) sessions_v1: AtomicU64,
+    pub(crate) frames_in: AtomicU64,
+    pub(crate) frames_out: AtomicU64,
+    pub(crate) wire_bytes_in: AtomicU64,
+    pub(crate) wire_bytes_out: AtomicU64,
+    pub(crate) requests_shed: AtomicU64,
 }
 
 impl TransportStats {
@@ -269,11 +264,9 @@ extern "C" {
 /// is ever coalesced away; normal operation wakes via the pipe.
 const POLL_TIMEOUT_MS: i32 = 200;
 
-/// Completed dispatches, posted from worker threads: encoded response
-/// bytes destined for one connection's write buffer. The flag marks
-/// entries that free one admission-window slot — every reply does,
-/// except the incremental lines of a streaming op (`sweep`), where only
-/// the final line releases the slot.
+/// Completed dispatches, posted from worker threads: encoded reply
+/// bytes destined for one connection's session, and whether the reply
+/// frees an admission-window slot.
 struct Mailbox {
     done: Mutex<Vec<(u64, Vec<u8>, bool)>>,
     wake: UnixStream,
@@ -290,39 +283,20 @@ impl Mailbox {
 
 struct Conn {
     stream: TcpStream,
-    rbuf: Vec<u8>,
+    session: Session,
+    /// Where this connection's replies go: the mailbox, tagged with
+    /// its id.
+    sink: Sink,
+    /// Output taken from the session, and how much of it is written.
     wbuf: Vec<u8>,
-    /// Bytes of `wbuf` already written.
     wpos: usize,
-    /// Negotiated wire version (0 = JSON lines, ≥1 = binary frames).
-    wire: u32,
-    /// Dispatched-but-unanswered ops (the admission window).
-    in_flight: usize,
-    /// Protocol lines/frames seen, for error line numbers.
-    lineno: u64,
-    /// Read half is done: client EOF, fatal read error, or draining.
-    eof: bool,
     /// Unrecoverable; reap without flushing.
     dead: bool,
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Conn {
-        Conn {
-            stream,
-            rbuf: Vec::new(),
-            wbuf: Vec::new(),
-            wpos: 0,
-            wire: 0,
-            in_flight: 0,
-            lineno: 0,
-            eof: false,
-            dead: false,
-        }
-    }
-
     fn has_output(&self) -> bool {
-        self.wpos < self.wbuf.len()
+        self.wpos < self.wbuf.len() || self.session.has_output()
     }
 }
 
@@ -360,7 +334,7 @@ impl<H: SessionHost + 'static> Reactor<H> {
             });
             for (&id, c) in &self.conns {
                 let mut events = 0i16;
-                if !c.eof && c.in_flight < self.cfg.max_inflight {
+                if c.session.wants_input() {
                     events |= POLLIN;
                 }
                 if c.has_output() {
@@ -406,13 +380,13 @@ impl<H: SessionHost + 'static> Reactor<H> {
                     self.read_conn(id);
                 }
                 if revents & POLLHUP != 0 {
+                    // Peer fully closed. Anything still buffered or in
+                    // flight gets a best-effort flush attempt; writes
+                    // to a closed peer fail fast and mark the conn dead.
                     if let Some(c) = self.conns.get_mut(&id) {
-                        // Peer fully closed. Anything still buffered or
-                        // in flight gets a best-effort flush attempt;
-                        // writes to a closed peer fail fast and mark
-                        // the conn dead.
-                        c.eof = true;
+                        c.session.finish_input();
                     }
+                    self.service(id);
                 }
             }
             // Late completions (posted while we were reading) plus an
@@ -431,12 +405,19 @@ impl<H: SessionHost + 'static> Reactor<H> {
         }
     }
 
-    /// Drop finished connections: dead ones outright, and cleanly
-    /// half-closed ones once every dispatched response has been written.
+    /// Drop finished connections: dead ones outright, and finished
+    /// sessions once everything they owe is written.
     fn reap(&mut self) {
+        let summary = &mut self.summary;
         self.conns.retain(|_, c| {
-            let flushed = c.eof && c.in_flight == 0 && !c.has_output();
-            !(c.dead || flushed)
+            let finished = c.session.is_done() && c.wpos == c.wbuf.len();
+            let keep = !(c.dead || finished);
+            if !keep {
+                let s = c.session.summary();
+                summary.lines += s.lines;
+                summary.protocol_errors += s.protocol_errors;
+            }
+            keep
         });
     }
 
@@ -445,12 +426,10 @@ impl<H: SessionHost + 'static> Reactor<H> {
             std::mem::take(&mut *self.mailbox.done.lock().unwrap());
         for (id, bytes, frees_slot) in done {
             // The connection may have died while its request was in
-            // flight; the response is simply dropped.
+            // flight; the reply is simply dropped.
             if let Some(c) = self.conns.get_mut(&id) {
-                if frees_slot {
-                    c.in_flight -= 1;
-                }
-                c.wbuf.extend_from_slice(&bytes);
+                c.session.complete(bytes, frees_slot);
+                self.service(id);
             }
         }
     }
@@ -473,11 +452,26 @@ impl<H: SessionHost + 'static> Reactor<H> {
                     let id = self.next_id;
                     self.next_id += 1;
                     self.summary.connections += 1;
-                    self.cfg
-                        .transport
-                        .sessions_v0
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.conns.insert(id, Conn::new(stream));
+                    let mailbox = Arc::clone(&self.mailbox);
+                    let session = Session::new(SessionConfig {
+                        max_wire: self.cfg.max_wire,
+                        window: self.cfg.max_inflight,
+                        shed: true,
+                        transport: Some(Arc::clone(&self.cfg.transport)),
+                    });
+                    self.conns.insert(
+                        id,
+                        Conn {
+                            stream,
+                            session,
+                            sink: Arc::new(move |bytes, frees_slot| {
+                                mailbox.post(id, bytes, frees_slot)
+                            }),
+                            wbuf: Vec::new(),
+                            wpos: 0,
+                            dead: false,
+                        },
+                    );
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -492,26 +486,25 @@ impl<H: SessionHost + 'static> Reactor<H> {
             let Some(c) = self.conns.get_mut(&id) else {
                 return;
             };
-            if c.eof || c.dead {
+            if c.dead || !c.session.wants_input() {
                 return;
             }
             match c.stream.read(&mut scratch) {
                 Ok(0) => {
-                    c.eof = true;
-                    self.process_input(id);
+                    c.session.finish_input();
+                    self.service(id);
                     return;
                 }
                 Ok(n) => {
-                    c.rbuf.extend_from_slice(&scratch[..n]);
                     self.cfg
                         .transport
                         .wire_bytes_in
                         .fetch_add(n as u64, Ordering::Relaxed);
-                    self.process_input(id);
-                    // Backpressure: at the admission cap, leave further
-                    // bytes in the kernel buffer.
-                    let Some(c) = self.conns.get(&id) else { return };
-                    if c.in_flight >= self.cfg.max_inflight || n < scratch.len() {
+                    c.session.feed(&scratch[..n]);
+                    self.service(id);
+                    // At the admission cap the session stops wanting
+                    // input: further bytes stay in the kernel buffer.
+                    if n < scratch.len() {
                         return;
                     }
                 }
@@ -525,340 +518,34 @@ impl<H: SessionHost + 'static> Reactor<H> {
         }
     }
 
-    /// Parse everything buffered on `id`: newline-delimited JSON on v0,
-    /// length-prefixed frames on v1.
-    fn process_input(&mut self, id: u64) {
-        loop {
-            let Some(c) = self.conns.get_mut(&id) else {
-                return;
-            };
-            if c.dead || self.draining {
-                return;
-            }
-            if c.wire == 0 {
-                let Some(pos) = c.rbuf.iter().position(|&b| b == b'\n') else {
-                    return;
-                };
-                let mut line: Vec<u8> = c.rbuf.drain(..=pos).collect();
-                line.pop();
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                // Invalid UTF-8 falls through to a bad-JSON protocol
-                // error, same as the blocking transport.
-                let text = String::from_utf8_lossy(&line).into_owned();
-                self.handle_line(id, &text);
-            } else {
-                match wire::split_frame(&c.rbuf) {
-                    Ok(None) => return,
-                    Ok(Some((tag, body, consumed))) => {
-                        let body = body.to_vec();
-                        c.rbuf.drain(..consumed);
-                        self.cfg.transport.frames_in.fetch_add(1, Ordering::Relaxed);
-                        self.handle_frame(id, tag, body);
-                    }
-                    Err(msg) => {
-                        // A corrupt length word leaves no way to
-                        // resync; fail the session after flushing what
-                        // is owed.
-                        self.summary.protocol_errors += 1;
-                        let lineno = c.lineno;
-                        self.queue_control_reply(
-                            id,
-                            &session::protocol_error_line(
-                                format!("unrecoverable framing error: {msg}"),
-                                lineno as usize,
-                            ),
-                        );
-                        if let Some(c) = self.conns.get_mut(&id) {
-                            c.eof = true;
-                            c.rbuf.clear();
-                        }
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
-    fn handle_line(&mut self, id: u64, text: &str) {
-        if text.trim().is_empty() {
-            return;
-        }
-        self.summary.lines += 1;
-        let lineno = {
-            let Some(c) = self.conns.get_mut(&id) else {
-                return;
-            };
-            let n = c.lineno;
-            c.lineno += 1;
-            n
-        };
-        match session::parse_control(text, lineno) {
-            Ok(ctl) => self.handle_control(id, ctl),
-            Err(msg) => {
-                self.summary.protocol_errors += 1;
-                self.queue_control_reply(id, &session::protocol_error_line(msg, lineno as usize));
-            }
-        }
-    }
-
-    fn handle_frame(&mut self, id: u64, tag: u8, body: Vec<u8>) {
-        match tag {
-            wire::FRAME_REQUEST => {
-                self.summary.lines += 1;
-                let lineno = {
-                    let Some(c) = self.conns.get_mut(&id) else {
-                        return;
-                    };
-                    let n = c.lineno;
-                    c.lineno += 1;
-                    n
-                };
-                let parsed = wire::from_bytes(&body)
-                    .ok_or_else(|| "undecodable binary request body".to_string())
-                    .and_then(|v| Request::from_json(&v, lineno));
-                match parsed {
-                    Ok(req) => self.dispatch_request(id, req),
-                    Err(msg) => {
-                        self.summary.protocol_errors += 1;
-                        self.queue_control_reply(
-                            id,
-                            &session::protocol_error_line(msg, lineno as usize),
-                        );
-                    }
-                }
-            }
-            wire::FRAME_CONTROL => match String::from_utf8(body) {
-                Ok(text) => self.handle_line(id, &text),
-                Err(_) => {
-                    self.summary.lines += 1;
-                    self.summary.protocol_errors += 1;
-                    let lineno = self.conns.get(&id).map_or(0, |c| c.lineno);
-                    self.queue_control_reply(
-                        id,
-                        &session::protocol_error_line(
-                            "control frame body is not UTF-8".into(),
-                            lineno as usize,
-                        ),
-                    );
-                }
-            },
-            other => {
-                self.summary.lines += 1;
-                self.summary.protocol_errors += 1;
-                let lineno = self.conns.get(&id).map_or(0, |c| c.lineno);
-                self.queue_control_reply(
-                    id,
-                    &session::protocol_error_line(
-                        format!("unexpected frame tag {other}"),
-                        lineno as usize,
-                    ),
-                );
-            }
-        }
-    }
-
-    fn handle_control(&mut self, id: u64, ctl: Control) {
-        match ctl {
-            Control::Hello { max_version } => {
-                let version = max_version.min(self.cfg.max_wire);
-                // The reply is encoded for the wire the session is on
-                // *now*; the switch applies from the next byte.
-                self.queue_control_reply(id, &session::hello_reply_line(version));
-                if let Some(c) = self.conns.get_mut(&id) {
-                    if version >= 1 && c.wire == 0 {
-                        c.wire = version;
-                        self.cfg
-                            .transport
-                            .sessions_v0
-                            .fetch_sub(1, Ordering::Relaxed);
-                        self.cfg
-                            .transport
-                            .sessions_v1
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            Control::Stats => {
-                let Some(c) = self.conns.get_mut(&id) else {
-                    return;
-                };
-                c.in_flight += 1;
-                let wire_v = c.wire;
-                let mailbox = Arc::clone(&self.mailbox);
-                let transport = Arc::clone(&self.cfg.transport);
-                self.host.dispatch_stats(Box::new(move |mut stats| {
-                    if let Json::Obj(fields) = &mut stats {
-                        fields.push(("transport".to_string(), transport.to_json()));
-                    }
-                    let line = obj([("stats", stats)]).emit();
-                    mailbox.post(
-                        id,
-                        encode_control_reply(wire_v, &line, Some(&transport)),
-                        true,
-                    );
-                }));
-            }
-            Control::Trace => {
-                let line = obj([("trace", self.host.trace_json())]).emit();
-                self.queue_control_reply(id, &line);
-            }
-            Control::Slowlog { since } => {
-                let line = obj([("slowlog", self.host.slowlog_json(since))]).emit();
-                self.queue_control_reply(id, &line);
-            }
-            Control::History {
-                series,
-                since,
-                step,
-            } => {
-                let line = obj([("history", self.host.history_json(&series, since, step))]).emit();
-                self.queue_control_reply(id, &line);
-            }
-            Control::Alerts { since } => {
-                let line = obj([("alerts", self.host.alerts_json(since))]).emit();
-                self.queue_control_reply(id, &line);
-            }
-            Control::Shutdown => {
-                self.queue_control_reply(id, &session::shutdown_ack_line());
-                self.begin_drain();
-            }
-            Control::Admin(op) => {
-                let Some(c) = self.conns.get_mut(&id) else {
-                    return;
-                };
-                c.in_flight += 1;
-                let wire_v = c.wire;
-                let mailbox = Arc::clone(&self.mailbox);
-                let transport = Arc::clone(&self.cfg.transport);
-                self.host.dispatch_admin(
-                    op,
-                    Box::new(move |line| {
-                        mailbox.post(
-                            id,
-                            encode_control_reply(wire_v, &line, Some(&transport)),
-                            true,
-                        );
-                    }),
-                );
-            }
-            Control::Sweep(op) => {
-                let Some(c) = self.conns.get_mut(&id) else {
-                    return;
-                };
-                // A sweep holds one admission slot for its whole
-                // lifetime: incremental front updates stream through
-                // without freeing it, and only the final summary line
-                // (`done: true`) releases the slot.
-                c.in_flight += 1;
-                let wire_v = c.wire;
-                let mailbox = Arc::clone(&self.mailbox);
-                let transport = Arc::clone(&self.cfg.transport);
-                self.host.dispatch_sweep(
-                    op,
-                    Box::new(move |line, fin| {
-                        mailbox.post(
-                            id,
-                            encode_control_reply(wire_v, &line, Some(&transport)),
-                            fin,
-                        );
-                    }),
-                );
-            }
-            Control::Req(req) => self.dispatch_request(id, req),
-        }
-    }
-
-    fn dispatch_request(&mut self, id: u64, req: Request) {
+    /// Hand `id`'s newly parsed ops to the host, and start the
+    /// server-wide drain if the session acknowledged a shutdown.
+    fn service(&mut self, id: u64) {
         let Some(c) = self.conns.get_mut(&id) else {
             return;
         };
-        if c.in_flight >= self.cfg.max_inflight {
-            // Admission window full and the request is already parsed
-            // (a burst outran the read pause): shed it with a retry
-            // hint rather than queueing without bound.
-            self.cfg
-                .transport
-                .requests_shed
-                .fetch_add(1, Ordering::Relaxed);
-            let resp = shed_response(&req.id);
-            self.queue_response(id, &resp);
-            return;
+        while let Some(d) = c.session.next_dispatch() {
+            d.run(&*self.host, &c.sink);
         }
-        c.in_flight += 1;
-        let wire_v = c.wire;
-        let mailbox = Arc::clone(&self.mailbox);
-        if wire_v == 0 {
-            self.host.dispatch(
-                req,
-                Box::new(move |line| {
-                    let mut bytes = line.into_bytes();
-                    bytes.push(b'\n');
-                    mailbox.post(id, bytes, true);
-                }),
-            );
-        } else {
-            // The binary hot path: the host hands back the response
-            // object and it goes straight to frame bytes — no JSON
-            // text in either direction.
-            let transport = Arc::clone(&self.cfg.transport);
-            self.host.dispatch_obj(
-                req,
-                Box::new(move |v| {
-                    transport.frames_out.fetch_add(1, Ordering::Relaxed);
-                    mailbox.post(id, wire::json_frame(wire::FRAME_RESPONSE, &v), true);
-                }),
-            );
-        }
-    }
-
-    /// Queue a response object on `id`'s write buffer, encoded for its
-    /// wire version.
-    fn queue_response(&mut self, id: u64, v: &Json) {
-        let Some(c) = self.conns.get_mut(&id) else {
-            return;
-        };
-        if c.wire == 0 {
-            c.wbuf.extend_from_slice(v.emit().as_bytes());
-            c.wbuf.push(b'\n');
-        } else {
-            self.cfg
-                .transport
-                .frames_out
-                .fetch_add(1, Ordering::Relaxed);
-            c.wbuf
-                .extend_from_slice(&wire::json_frame(wire::FRAME_RESPONSE, v));
-        }
-    }
-
-    /// Queue a control-plane reply line on `id`'s write buffer (JSON
-    /// text on v0, a control-reply frame on v1).
-    fn queue_control_reply(&mut self, id: u64, line: &str) {
-        let Some(c) = self.conns.get_mut(&id) else {
-            return;
-        };
-        let bytes = encode_control_reply(c.wire, line, Some(&self.cfg.transport));
-        c.wbuf.extend_from_slice(&bytes);
-    }
-
-    fn begin_drain(&mut self) {
-        self.draining = true;
-        for c in self.conns.values_mut() {
-            // Stop reading everywhere and discard unparsed input; each
-            // session closes once its dispatched responses flush.
-            c.eof = true;
-            c.rbuf.clear();
+        if c.session.shutdown_requested() && !self.draining {
+            self.draining = true;
+            for c in self.conns.values_mut() {
+                c.session.close_input();
+            }
         }
     }
 
     fn write_conn(&mut self, id: u64) {
+        let Some(c) = self.conns.get_mut(&id) else {
+            return;
+        };
         loop {
-            let Some(c) = self.conns.get_mut(&id) else {
-                return;
-            };
-            if c.dead || !c.has_output() {
-                break;
+            if c.wpos == c.wbuf.len() {
+                if !c.session.has_output() {
+                    return;
+                }
+                c.wbuf = c.session.take_output();
+                c.wpos = 0;
             }
             match c.stream.write(&c.wbuf[c.wpos..]) {
                 Ok(0) => {
@@ -880,52 +567,7 @@ impl<H: SessionHost + 'static> Reactor<H> {
                 }
             }
         }
-        if let Some(c) = self.conns.get_mut(&id) {
-            if c.wpos >= c.wbuf.len() {
-                c.wbuf.clear();
-                c.wpos = 0;
-            }
-        }
     }
-}
-
-/// Encode one control-plane reply for a wire version: the raw line plus
-/// newline on v0, a [`wire::FRAME_CONTROL_REPLY`] frame on v1.
-fn encode_control_reply(wire_v: u32, line: &str, transport: Option<&TransportStats>) -> Vec<u8> {
-    if wire_v == 0 {
-        let mut bytes = Vec::with_capacity(line.len() + 1);
-        bytes.extend_from_slice(line.as_bytes());
-        bytes.push(b'\n');
-        bytes
-    } else {
-        if let Some(t) = transport {
-            t.frames_out.fetch_add(1, Ordering::Relaxed);
-        }
-        wire::frame(wire::FRAME_CONTROL_REPLY, line.as_bytes())
-    }
-}
-
-/// The structured shed-load error: same shape as every other error
-/// response, `phase` `admission`, plus the `retry_after_ms` hint.
-fn shed_response(id: &str) -> Json {
-    obj([
-        ("id", Json::Str(id.to_string())),
-        ("ok", Json::Bool(false)),
-        (
-            "error",
-            obj([
-                ("phase", Json::Str("admission".into())),
-                ("code", Json::Str("admission/overloaded".into())),
-                (
-                    "message",
-                    Json::Str(
-                        "connection admission window is full; retry after the hinted delay".into(),
-                    ),
-                ),
-                ("retry_after_ms", Json::Num(RETRY_AFTER_MS as f64)),
-            ]),
-        ),
-    ])
 }
 
 #[cfg(test)]
@@ -1100,11 +742,32 @@ mod tests {
         handle.join().unwrap();
     }
 
+    /// Set in the child process of the idle-session test.
+    #[cfg(target_os = "linux")]
+    const IDLE_CHILD_ENV: &str = "DAHLIA_REACTOR_IDLE_CHILD";
+
+    /// The child half of the idle-session test: a lone reactor in its
+    /// own process, so its thread count is the reactor's alone. A no-op
+    /// when run as an ordinary test.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn idle_sessions_child() {
+        if std::env::var_os(IDLE_CHILD_ENV).is_none() {
+            return;
+        }
+        let (addr, handle) = spawn_server();
+        println!("reactor-child-addr {addr}");
+        handle.join().unwrap();
+    }
+
     #[cfg(target_os = "linux")]
     #[test]
     fn thousands_of_idle_sessions_hold_the_reactor_to_one_thread() {
-        fn thread_count() -> usize {
-            let status = std::fs::read_to_string("/proc/self/status").expect("proc status");
+        use std::io::BufRead as _;
+
+        fn thread_count(pid: u32) -> usize {
+            let status =
+                std::fs::read_to_string(format!("/proc/{pid}/status")).expect("proc status");
             status
                 .lines()
                 .find_map(|l| l.strip_prefix("Threads:"))
@@ -1112,14 +775,50 @@ mod tests {
                 .expect("Threads: line")
         }
 
-        let (addr, handle) = spawn_server();
+        /// Never leave the child serving if an assertion fails.
+        struct Reap(std::process::Child);
+        impl Drop for Reap {
+            fn drop(&mut self) {
+                let _ = self.0.kill();
+                let _ = self.0.wait();
+            }
+        }
+
+        // The reactor runs in a child process: this test binary runs
+        // other tests in parallel, so its own thread count says nothing.
+        let child = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([
+                "--exact",
+                "net::tests::idle_sessions_child",
+                "--nocapture",
+                "--test-threads",
+                "1",
+            ])
+            .env(IDLE_CHILD_ENV, "1")
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("spawn reactor child");
+        let mut child = Reap(child);
+        let pid = child.0.id();
+        let mut lines = std::io::BufReader::new(child.0.stdout.take().unwrap()).lines();
+        let addr: std::net::SocketAddr = lines
+            .by_ref()
+            .find_map(|l| {
+                // libtest may print the test name on the same line.
+                let l = l.ok()?;
+                let (_, rest) = l.split_once("reactor-child-addr ")?;
+                rest.split_whitespace().next()?.parse().ok()
+            })
+            .expect("child announced its address");
+
         // Warm one session so lazy per-process state is paid up front.
         let mut first = Client::connect_retry(addr, 20).expect("first session");
         first.send_line(r#"{"op":"stats"}"#).unwrap();
         first.recv_line().unwrap().expect("stats reply");
 
-        // Each idle session costs two fds (client + server end); leave
-        // generous headroom under the soft rlimit for everything else.
+        // Each idle session costs one fd here and one in the child;
+        // leave generous headroom under the soft rlimit.
         let mut limit = [0u64; 2];
         let rc = unsafe { getrlimit(RLIMIT_NOFILE, limit.as_mut_ptr()) };
         assert_eq!(rc, 0, "getrlimit");
@@ -1127,7 +826,7 @@ mod tests {
         let target = budget.min(2000);
         assert!(target >= 256, "fd rlimit too low to say anything useful");
 
-        let before = thread_count();
+        let before = thread_count(pid);
         let mut idle = Vec::with_capacity(target);
         for _ in 0..target {
             let s = std::net::TcpStream::connect(addr).expect("idle connect");
@@ -1142,7 +841,7 @@ mod tests {
             .unwrap();
         let resp = first.recv_line().unwrap().expect("live response");
         assert!(resp.contains(r#""ok":true"#), "{resp}");
-        let after = thread_count();
+        let after = thread_count(pid);
         assert_eq!(
             after, before,
             "{target} idle sessions spawned no threads ({before} before, {after} after)"
@@ -1151,7 +850,8 @@ mod tests {
         drop(idle);
         first.shutdown_server().unwrap().expect("ack");
         drop(first);
-        handle.join().unwrap();
+        for _ in lines {}
+        child.0.wait().expect("reactor child exits");
     }
 
     #[cfg(target_os = "linux")]

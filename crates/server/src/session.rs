@@ -1,30 +1,42 @@
-//! The pipelined JSON-lines session, generalized over its host.
+//! The protocol session: one sans-IO state machine behind every
+//! transport.
 //!
-//! PR 2 wired the pipelined session loop directly into [`Server`]; the
-//! cluster layer needs the *same* session semantics — out-of-order,
-//! id-correlated responses, `stats`/`shutdown` control ops, graceful
-//! drain — in front of a request **router** instead of a local compile
-//! pipeline. This module extracts the loop behind the [`SessionHost`]
-//! trait so both [`Server`] and `dahlia-gateway` speak one protocol from
-//! one implementation: every transport (stdio `--pipeline`, `serve
-//! --listen`, `gateway --listen`) is [`run_pipelined`] over a different
-//! host.
+//! A [`Session`] does no I/O. Its driver feeds it input bytes and takes
+//! back two things: [`Dispatch`]es to hand to a [`SessionHost`], and
+//! encoded output bytes to write. Everything about the protocol lives
+//! here, once:
 //!
-//! [`Server`]: crate::Server
+//! * line splitting (v0 JSON lines) and frame splitting (v1 binary
+//!   frames), and the `hello` switch between them;
+//! * the line counter behind protocol-error `line` numbers and default
+//!   `req-N` ids: every input line counts, blank ones included, and on
+//!   v1 every frame counts;
+//! * the admission window of dispatched-but-unanswered ops, and what
+//!   happens past it: a socket session **sheds** requests it already
+//!   parsed (`admission/overloaded`), a stdio session simply stops
+//!   parsing until a slot frees;
+//! * the control-reply envelopes (`{"stats":{...}}`, ...), protocol
+//!   errors, and the `shutdown` ack and drain.
+//!
+//! Two drivers feed it: the poll(2) reactor in [`crate::net`] (one
+//! machine per socket, `serve --listen` and `gateway --listen`) and the
+//! stdio driver here ([`crate::Server::serve`] with a window of 1, and
+//! [`crate::Server::serve_pipelined`] with the pool's window).
 
-use std::io::{BufRead, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
+use std::io::{self, BufRead, Write};
+use std::sync::atomic::Ordering;
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 
 use crate::json::{obj, Json};
+use crate::net::{TransportStats, RETRY_AFTER_MS};
 use crate::protocol::Request;
+use crate::wire;
 use crate::ServeSummary;
 
 /// A cluster-administration control op: `{"op":"drain",...}` and
 /// `{"op":"undrain",...}` lines. Admin ops steer a **gateway**'s
 /// topology; a plain server answers them with a
-/// `protocol/unsupported-op` error (the default
-/// [`SessionHost::dispatch_admin`]).
+/// `protocol/unsupported-op` error.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AdminOp {
     /// Mark a shard draining: new keys route past it, in-flight work
@@ -65,8 +77,7 @@ impl AdminOp {
 /// A `{"op":"sweep",...}` control line: a whole design-space exploration
 /// submitted as one op. The gateway scatters the rendered points across
 /// its shards and streams incremental front updates back; a plain server
-/// answers with a `protocol/unsupported-op` error (the default
-/// [`SessionHost::dispatch_sweep`]).
+/// answers with a `protocol/unsupported-op` error.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepOp {
     /// Client-chosen correlation id, echoed on every streamed line.
@@ -93,151 +104,106 @@ pub struct SweepOp {
     pub update_every: u64,
 }
 
-/// A service that can answer protocol sessions: the local [`Server`]
-/// compiles requests itself; a gateway routes them to shards. Either
-/// way the session loop only needs to hand a request off and receive a
-/// finished response line back.
-///
-/// [`Server`]: crate::Server
-pub trait SessionHost: Send + Sync {
-    /// Dispatch one compile request off the session thread. `respond`
-    /// must eventually be called with the finished response line —
-    /// typically from a worker-pool thread, so a slow request never
-    /// blocks the session's read loop.
-    fn dispatch(&self, req: Request, respond: Box<dyn FnOnce(String) + Send>);
+/// A control op a [`SessionHost`] answers. `hello` and `shutdown` are
+/// not here: the session machine answers those itself.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ControlOp {
+    /// `{"op":"stats"}`: the service statistics object.
+    Stats,
+    /// `{"op":"trace"}`: the trace journal.
+    Trace,
+    /// `{"op":"slowlog"}`: slow-request captures newer than `since`.
+    Slowlog {
+        /// Sequence-number cursor.
+        since: u64,
+    },
+    /// `{"op":"history"}`: downsampled bins of one stats series, read
+    /// back from the on-disk telemetry ring.
+    History {
+        /// Dotted stats path.
+        series: String,
+        /// Wall-clock cursor, milliseconds.
+        since: u64,
+        /// Bin width, milliseconds (0 = one bin per sample).
+        step: u64,
+    },
+    /// `{"op":"alerts"}`: rule states plus journal entries newer than
+    /// `since`.
+    Alerts {
+        /// Sequence-number cursor.
+        since: u64,
+    },
+    /// The liveness object `GET /healthz` serves. Never sent on the
+    /// wire.
+    Health,
+    /// `drain` / `undrain`.
+    Admin(AdminOp),
+    /// `sweep`: answered with a stream of lines.
+    Sweep(SweepOp),
+}
 
-    /// [`SessionHost::dispatch`], delivering the response as a [`Json`]
-    /// object instead of an emitted line. The v1 binary transport calls
-    /// this so responses go straight to frame bytes without a JSON-text
-    /// detour; the default wraps [`SessionHost::dispatch`] and re-parses
-    /// (correct for any host, but hosts on the hot path override it).
-    fn dispatch_obj(&self, req: Request, respond: Box<dyn FnOnce(Json) + Send>) {
-        self.dispatch(
-            req,
-            Box::new(move |line| {
-                respond(Json::parse(&line).unwrap_or(Json::Null));
-            }),
-        );
-    }
-
-    /// The stats object answered to `{"op":"stats"}` (the payload under
-    /// the `"stats"` envelope).
-    fn stats_json(&self) -> Json;
-
-    /// The trace-journal object answered to `{"op":"trace"}` (the
-    /// payload under the `"trace"` envelope): retention capacity,
-    /// lifetime drop count, and the retained traced requests. The
-    /// default is an empty journal for hosts that keep none.
-    fn trace_json(&self) -> Json {
-        obj([
-            ("capacity", Json::Num(0.0)),
-            ("dropped", Json::Num(0.0)),
-            ("entries", Json::Arr(Vec::new())),
-        ])
-    }
-
-    /// The slow-request log answered to `{"op":"slowlog"}` (the
-    /// payload under the `"slowlog"` envelope): retention capacity,
-    /// lifetime drop count, the newest capture's sequence number, and
-    /// the retained captures newer than the `since` cursor. The
-    /// default is an empty log for hosts that keep none.
-    fn slowlog_json(&self, since: u64) -> Json {
-        let _ = since;
-        obj([
-            ("capacity", Json::Num(0.0)),
-            ("dropped", Json::Num(0.0)),
-            ("last_seq", Json::Num(0.0)),
-            ("entries", Json::Arr(Vec::new())),
-        ])
-    }
-
-    /// The durable-telemetry history answered to `{"op":"history"}`
-    /// (the payload under the `"history"` envelope): downsampled
-    /// min/max/mean bins of the requested series, re-read from the
-    /// host's on-disk telemetry ring. The default is an empty history
-    /// for hosts running without `--telemetry-dir`.
-    fn history_json(&self, series: &str, since: u64, step: u64) -> Json {
-        obj([
-            ("series", Json::Str(series.into())),
-            ("since", Json::Num(since as f64)),
-            ("step", Json::Num(step as f64)),
-            ("samples", Json::Num(0.0)),
-            ("points", Json::Arr(Vec::new())),
-        ])
-    }
-
-    /// The alert journal answered to `{"op":"alerts"}` (the payload
-    /// under the `"alerts"` envelope): rule states plus the
-    /// firing/resolved transitions newer than the `since` cursor. The
-    /// default is an empty journal for hosts with no alert engine.
-    fn alerts_json(&self, since: u64) -> Json {
-        let _ = since;
-        obj([
-            ("capacity", Json::Num(0.0)),
-            ("dropped", Json::Num(0.0)),
-            ("last_seq", Json::Num(0.0)),
-            ("states", Json::Arr(Vec::new())),
-            ("entries", Json::Arr(Vec::new())),
-        ])
-    }
-
-    /// The liveness object served by `GET /healthz` (merged with the
-    /// transport's uptime field). A gateway overrides this to add its
-    /// live/draining/dead shard counts.
-    fn health_json(&self) -> Json {
-        obj([("ok", Json::Bool(true))])
-    }
-
-    /// Dispatch a stats request off the session thread. The default
-    /// answers inline, which is right when [`SessionHost::stats_json`]
-    /// only reads local counters; hosts whose stats involve I/O (a
-    /// gateway polls every shard) must override this to run on a
-    /// worker, or one slow backend stalls the whole session's read
-    /// loop.
-    fn dispatch_stats(&self, respond: Box<dyn FnOnce(Json) + Send>) {
-        respond(self.stats_json());
-    }
-
-    /// Dispatch an [`AdminOp`] off the session thread. The default
-    /// rejects the op with a `protocol/unsupported-op` error — the
-    /// right answer for a plain server, whose topology has nothing to
-    /// drain. A gateway overrides this to mutate its shard set.
-    fn dispatch_admin(&self, op: AdminOp, respond: Box<dyn FnOnce(String) + Send>) {
-        respond(admin_unsupported_line(&op));
-    }
-
-    /// Dispatch a [`SweepOp`] off the session thread. `emit` is called
-    /// once per streamed line; the `bool` is `true` on the **final**
-    /// line (the summary or a terminal error), after which no further
-    /// lines follow — transports use it to release admission state.
-    /// The default rejects the op with `protocol/unsupported-op`: only
-    /// a gateway has shards to scatter a sweep across.
-    fn dispatch_sweep(&self, op: SweepOp, emit: Box<dyn Fn(String, bool) + Send + Sync>) {
-        emit(sweep_unsupported_line(&op), true);
+impl ControlOp {
+    /// The key the session wraps the host's reply under
+    /// (`{"stats":{...}}`); `None` where the reply is the whole line.
+    fn envelope(&self) -> Option<&'static str> {
+        match self {
+            ControlOp::Stats => Some("stats"),
+            ControlOp::Trace => Some("trace"),
+            ControlOp::Slowlog { .. } => Some("slowlog"),
+            ControlOp::History { .. } => Some("history"),
+            ControlOp::Alerts { .. } => Some("alerts"),
+            ControlOp::Health | ControlOp::Admin(_) | ControlOp::Sweep(_) => None,
+        }
     }
 }
 
-/// One decoded protocol line: a control op or a compile request.
-pub(crate) enum Control {
-    Hello {
-        max_version: u32,
-    },
-    Stats,
-    Trace,
-    Slowlog {
-        since: u64,
-    },
-    History {
-        series: String,
-        since: u64,
-        step: u64,
-    },
-    Alerts {
-        since: u64,
-    },
+/// Delivers one compile response.
+pub type Respond = Box<dyn FnOnce(Json) + Send>;
+
+/// Delivers the replies to one control op. Most ops answer once; a
+/// sweep streams progress lines first. The `bool` marks the final
+/// reply, after which no more follow.
+pub type Reply = Box<dyn Fn(Json, bool) + Send + Sync>;
+
+/// A service that answers protocol sessions: the local [`Server`]
+/// compiles requests itself; a gateway routes them to shards. Either
+/// may answer on the calling thread or hand the work to a pool — the
+/// session does not care which.
+///
+/// [`Server`]: crate::Server
+pub trait SessionHost: Send + Sync {
+    /// Answer one compile request through `respond`, typically from a
+    /// worker thread so a slow compile never stalls the session.
+    fn dispatch(&self, req: Request, respond: Respond);
+
+    /// Answer one control op through `reply` (the session adds the
+    /// envelope). Ops that involve I/O — a gateway polling its shards
+    /// for stats, dialing a joining shard — must run off the calling
+    /// thread.
+    fn control(&self, op: ControlOp, reply: Reply);
+}
+
+/// Ask `host` one control op and block for its final reply: the
+/// synchronous path for `/metrics`, `/healthz`, and in-process callers.
+/// A host that drops the op without answering yields `null`.
+pub fn query<H: SessionHost + ?Sized>(host: &H, op: ControlOp) -> Json {
+    let (tx, rx) = mpsc::channel();
+    host.control(
+        op,
+        Box::new(move |v, last| {
+            if last {
+                let _ = tx.send(v);
+            }
+        }),
+    );
+    rx.recv().unwrap_or(Json::Null)
+}
+
+/// One decoded protocol line or frame.
+enum Control {
+    Hello { max_version: u32 },
     Shutdown,
-    Admin(AdminOp),
-    Sweep(SweepOp),
+    Op(ControlOp),
     Req(Request),
 }
 
@@ -262,18 +228,22 @@ fn parse_admin_shard(v: &Json, op: &str) -> Result<String, String> {
     }
 }
 
-pub(crate) fn parse_control(line: &str, lineno: u64) -> Result<Control, String> {
+fn parse_control(line: &str, lineno: u64) -> Result<Control, String> {
     let v = Json::parse(line).map_err(|e| format!("bad JSON: {e}"))?;
-    match v.get("op").and_then(Json::as_str) {
-        Some("hello") => Ok(Control::Hello {
-            max_version: parse_u64_field(&v, "max_version", "hello")?.min(crate::wire::WIRE_VERSION)
-                as u32,
-        }),
-        Some("stats") => Ok(Control::Stats),
-        Some("trace") => Ok(Control::Trace),
-        Some("slowlog") => Ok(Control::Slowlog {
+    let op = match v.get("op").and_then(Json::as_str) {
+        None => return Request::from_json(&v, lineno).map(Control::Req),
+        Some("hello") => {
+            return Ok(Control::Hello {
+                max_version: parse_u64_field(&v, "max_version", "hello")?.min(wire::WIRE_VERSION)
+                    as u32,
+            })
+        }
+        Some("shutdown") => return Ok(Control::Shutdown),
+        Some("stats") => ControlOp::Stats,
+        Some("trace") => ControlOp::Trace,
+        Some("slowlog") => ControlOp::Slowlog {
             since: parse_u64_field(&v, "since", "slowlog")?,
-        }),
+        },
         Some("history") => {
             let series = match v.get("series") {
                 Some(Json::Str(s)) if !s.is_empty() => s.clone(),
@@ -285,20 +255,19 @@ pub(crate) fn parse_control(line: &str, lineno: u64) -> Result<Control, String> 
                 }
                 None => return Err("history op needs a `series` path".into()),
             };
-            Ok(Control::History {
+            ControlOp::History {
                 series,
                 since: parse_u64_field(&v, "since", "history")?,
                 step: parse_u64_field(&v, "step", "history")?,
-            })
+            }
         }
-        Some("alerts") => Ok(Control::Alerts {
+        Some("alerts") => ControlOp::Alerts {
             since: parse_u64_field(&v, "since", "alerts")?,
-        }),
-        Some("sweep") => parse_sweep(&v).map(Control::Sweep),
-        Some("shutdown") => Ok(Control::Shutdown),
-        Some("drain") => Ok(Control::Admin(AdminOp::Drain {
+        },
+        Some("sweep") => ControlOp::Sweep(parse_sweep(&v)?),
+        Some("drain") => ControlOp::Admin(AdminOp::Drain {
             shard: parse_admin_shard(&v, "drain")?,
-        })),
+        }),
         Some("undrain") => {
             let weight = match v.get("weight") {
                 None => None,
@@ -310,14 +279,14 @@ pub(crate) fn parse_control(line: &str, lineno: u64) -> Result<Control, String> 
                     ))
                 }
             };
-            Ok(Control::Admin(AdminOp::Undrain {
+            ControlOp::Admin(AdminOp::Undrain {
                 shard: parse_admin_shard(&v, "undrain")?,
                 weight,
-            }))
+            })
         }
-        Some(other) => Err(format!("unknown op `{other}`")),
-        None => Request::from_json(&v, lineno).map(Control::Req),
-    }
+        Some(other) => return Err(format!("unknown op `{other}`")),
+    };
+    Ok(Control::Op(op))
 }
 
 /// Parse the body of a `{"op":"sweep",...}` line.
@@ -400,57 +369,65 @@ fn parse_sweep(v: &Json) -> Result<SweepOp, String> {
     })
 }
 
-/// The default sweep rejection: only a gateway can scatter a sweep.
-pub(crate) fn sweep_unsupported_line(op: &SweepOp) -> String {
+/// Decode one v1 frame into the line it stands for.
+fn decode_frame(tag: u8, body: &[u8], lineno: u64) -> Result<Control, String> {
+    match tag {
+        wire::FRAME_REQUEST => wire::from_bytes(body)
+            .ok_or_else(|| "undecodable binary request body".to_string())
+            .and_then(|v| Request::from_json(&v, lineno))
+            .map(Control::Req),
+        wire::FRAME_CONTROL => std::str::from_utf8(body)
+            .map_err(|_| "control frame body is not UTF-8".to_string())
+            .and_then(|text| parse_control(text, lineno)),
+        other => Err(format!("unexpected frame tag {other}")),
+    }
+}
+
+/// A plain server's answer to a `sweep`: only a gateway can scatter one.
+pub(crate) fn sweep_unsupported(op: &SweepOp) -> Json {
     obj([
         ("id", Json::Str(op.id.clone())),
         ("ok", Json::Bool(false)),
         ("done", Json::Bool(true)),
         (
             "error",
-            obj([
-                ("phase", Json::Str("protocol".into())),
-                ("code", Json::Str("protocol/unsupported-op".into())),
-                (
-                    "message",
-                    Json::Str(
-                        "`sweep` scatters a design-space exploration across a gateway's \
-                         shards; this endpoint is not a gateway"
-                            .into(),
-                    ),
-                ),
-            ]),
+            unsupported(
+                "`sweep` scatters a design-space exploration across a gateway's \
+                 shards; this endpoint is not a gateway"
+                    .into(),
+            ),
         ),
     ])
-    .emit()
 }
 
-/// The default admin-op rejection: this endpoint has no cluster
-/// topology to administer.
-pub(crate) fn admin_unsupported_line(op: &AdminOp) -> String {
+/// A plain server's answer to an admin op: it has no cluster topology
+/// to administer.
+pub(crate) fn admin_unsupported(op: &AdminOp) -> Json {
     obj([
         ("ok", Json::Bool(false)),
         ("op", Json::Str(op.name().into())),
         ("shard", Json::Str(op.shard().into())),
         (
             "error",
-            obj([
-                ("phase", Json::Str("protocol".into())),
-                ("code", Json::Str("protocol/unsupported-op".into())),
-                (
-                    "message",
-                    Json::Str(format!(
-                        "`{}` administers a gateway's shard topology; this endpoint is not a gateway",
-                        op.name()
-                    )),
-                ),
-            ]),
+            unsupported(format!(
+                "`{}` administers a gateway's shard topology; this endpoint is not a gateway",
+                op.name()
+            )),
         ),
     ])
-    .emit()
 }
 
-pub(crate) fn protocol_error_line(msg: String, lineno: usize) -> String {
+fn unsupported(message: String) -> Json {
+    obj([
+        ("phase", Json::Str("protocol".into())),
+        ("code", Json::Str("protocol/unsupported-op".into())),
+        ("message", Json::Str(message)),
+    ])
+}
+
+/// A protocol error for the 0-based input unit `lineno` (reported
+/// 1-based, as `docs/PROTOCOL.md` §8 defines `line`).
+fn protocol_error(msg: String, lineno: u64) -> Json {
     obj([
         ("id", Json::Null),
         ("ok", Json::Bool(false)),
@@ -464,163 +441,573 @@ pub(crate) fn protocol_error_line(msg: String, lineno: usize) -> String {
             ]),
         ),
     ])
-    .emit()
 }
 
-/// The `hello` negotiation reply: the wire version this transport will
-/// speak from the next line on. Always a v0 JSON line — the switch to
-/// binary frames (if any) happens *after* this reply is on the wire.
-pub(crate) fn hello_reply_line(version: u32) -> String {
-    obj([("hello", obj([("version", Json::Num(version as f64))]))]).emit()
-}
-
-pub(crate) fn shutdown_ack_line() -> String {
+/// The structured shed-load error: same shape as every other error
+/// response, `phase` `admission`, plus the `retry_after_ms` hint.
+fn shed_response(id: &str) -> Json {
     obj([
-        ("ok", Json::Bool(true)),
-        ("op", Json::Str("shutdown".into())),
+        ("id", Json::Str(id.to_string())),
+        ("ok", Json::Bool(false)),
+        (
+            "error",
+            obj([
+                ("phase", Json::Str("admission".into())),
+                ("code", Json::Str("admission/overloaded".into())),
+                (
+                    "message",
+                    Json::Str(
+                        "connection admission window is full; retry after the hinted delay".into(),
+                    ),
+                ),
+                ("retry_after_ms", Json::Num(RETRY_AFTER_MS as f64)),
+            ]),
+        ),
     ])
-    .emit()
 }
 
-/// Run one pipelined session over `input`/`output` against `host`:
-/// requests dispatch as they are read, responses are written as they
-/// complete (correlated by the echoed `id`), control lines are answered
-/// from the read loop. Returns at EOF or after a `shutdown` op (which
-/// also raises the optional `shutdown` flag — how a TCP session stops
-/// the whole listener), once every dispatched request has been answered.
-pub fn run_pipelined<H, R, W>(
+/// What a session is allowed to do with its wire and its window.
+#[derive(Clone)]
+pub struct SessionConfig {
+    /// Highest wire version `hello` may negotiate (0 keeps the session
+    /// on JSON lines).
+    pub max_wire: u32,
+    /// Admission window: dispatched-but-unanswered ops (at least 1).
+    pub window: usize,
+    /// What happens to requests parsed while the window is full:
+    /// `true` sheds them with `admission/overloaded` (a socket cannot
+    /// unread bytes it already took off the kernel buffer); `false`
+    /// stops parsing until a slot frees (a stdio driver simply stops
+    /// reading).
+    pub shed: bool,
+    /// Transport counters to maintain (session mix, frames, sheds) and
+    /// to append to `stats` replies; `None` on stdio.
+    pub transport: Option<Arc<TransportStats>>,
+}
+
+/// Where a driver collects the encoded replies to its dispatches:
+/// `(bytes, frees_slot)`. Called from whatever thread the host answers
+/// on.
+pub type Sink = Arc<dyn Fn(Vec<u8>, bool) + Send + Sync>;
+
+/// Encodes the replies to one dispatch for the wire the session was on
+/// when it dispatched.
+#[derive(Clone)]
+struct Encoder {
+    wire: u32,
+    kind: Kind,
+    transport: Option<Arc<TransportStats>>,
+}
+
+#[derive(Clone, Copy)]
+enum Kind {
+    /// A compile response (a response frame on v1).
+    Response,
+    /// A control reply (JSON text in a control-reply frame on v1),
+    /// wrapped under the key when there is one.
+    Control(Option<&'static str>),
+}
+
+impl Encoder {
+    fn encode(&self, v: Json) -> Vec<u8> {
+        let v = match self.kind {
+            Kind::Control(Some(key)) => {
+                let mut v = v;
+                if let (Some(t), "stats", Json::Obj(fields)) = (&self.transport, key, &mut v) {
+                    fields.push(("transport".to_string(), t.to_json()));
+                }
+                obj([(key, v)])
+            }
+            _ => v,
+        };
+        if self.wire == 0 {
+            let mut bytes = v.emit().into_bytes();
+            bytes.push(b'\n');
+            return bytes;
+        }
+        if let Some(t) = &self.transport {
+            t.frames_out.fetch_add(1, Ordering::Relaxed);
+        }
+        match self.kind {
+            Kind::Response => wire::json_frame(wire::FRAME_RESPONSE, &v),
+            Kind::Control(_) => wire::frame(wire::FRAME_CONTROL_REPLY, v.emit().as_bytes()),
+        }
+    }
+}
+
+/// One op a session hands its host.
+pub struct Dispatch {
+    work: Work,
+    encoder: Encoder,
+}
+
+enum Work {
+    Request(Request),
+    Control(ControlOp),
+}
+
+impl Dispatch {
+    /// Hand this op to `host`. Each reply is encoded for the session's
+    /// wire and reaches `sink`, which must feed it back through
+    /// [`Session::complete`].
+    pub fn run<H: SessionHost + ?Sized>(self, host: &H, sink: &Sink) {
+        let Dispatch { work, encoder } = self;
+        let sink = Arc::clone(sink);
+        match work {
+            Work::Request(req) => {
+                host.dispatch(req, Box::new(move |v| sink(encoder.encode(v), true)))
+            }
+            Work::Control(op) => {
+                host.control(op, Box::new(move |v, last| sink(encoder.encode(v), last)))
+            }
+        }
+    }
+}
+
+/// The sans-IO protocol session. See the module docs.
+pub struct Session {
+    cfg: SessionConfig,
+    /// Negotiated wire version (0 = JSON lines, ≥1 = binary frames).
+    wire: u32,
+    rbuf: Vec<u8>,
+    /// Bytes of `rbuf` already consumed.
+    rpos: usize,
+    /// Bytes past `rpos` already searched for a newline (v0), so a long
+    /// line arriving in small chunks is scanned once.
+    scanned: usize,
+    out: Vec<u8>,
+    /// Dispatched-but-unanswered ops.
+    in_flight: usize,
+    /// Input units (lines, blank ones included, or frames) seen so far.
+    lineno: u64,
+    /// The input ended: a final unterminated line still parses.
+    eof: bool,
+    /// Nothing more will be parsed.
+    closed: bool,
+    shutdown: bool,
+    /// The op the last parsed unit produced, not yet pulled.
+    ready: Option<Dispatch>,
+    summary: ServeSummary,
+}
+
+impl Session {
+    /// A fresh session on the v0 wire.
+    pub fn new(cfg: SessionConfig) -> Session {
+        if let Some(t) = &cfg.transport {
+            t.sessions_v0.fetch_add(1, Ordering::Relaxed);
+        }
+        Session {
+            cfg: SessionConfig {
+                window: cfg.window.max(1),
+                ..cfg
+            },
+            wire: 0,
+            rbuf: Vec::new(),
+            rpos: 0,
+            scanned: 0,
+            out: Vec::new(),
+            in_flight: 0,
+            lineno: 0,
+            eof: false,
+            closed: false,
+            shutdown: false,
+            ready: None,
+            summary: ServeSummary::default(),
+        }
+    }
+
+    /// Take input bytes. They parse as the driver pulls
+    /// [`Session::next_dispatch`].
+    pub fn feed(&mut self, bytes: &[u8]) {
+        if !self.closed {
+            self.rbuf.extend_from_slice(bytes);
+        }
+    }
+
+    /// The input ended. A final line without a newline still parses; a
+    /// truncated frame is dropped.
+    pub fn finish_input(&mut self) {
+        self.eof = true;
+    }
+
+    /// Stop parsing and discard buffered input: a server-wide shutdown
+    /// drains every session this way. Dispatched ops still complete.
+    pub fn close_input(&mut self) {
+        self.closed = true;
+        self.rbuf = Vec::new();
+        self.rpos = 0;
+        self.scanned = 0;
+    }
+
+    /// A reply to one of this session's dispatches arrived (from its
+    /// [`Sink`]). A reply that frees a window slot may let buffered
+    /// input parse on the next [`Session::next_dispatch`].
+    pub fn complete(&mut self, bytes: Vec<u8>, frees_slot: bool) {
+        if frees_slot {
+            self.in_flight = self.in_flight.saturating_sub(1);
+        }
+        self.push_out(bytes);
+    }
+
+    /// Parse buffered input up to the next op for the host, in input
+    /// order — so a driver hands each op off as soon as it is parsed.
+    /// `None` once nothing more can parse: the input ran out, the
+    /// window is full (when not shedding), or the input closed. Drivers
+    /// call this until `None` after every `feed`, `finish_input`, and
+    /// `complete`; lines answered by the session itself (protocol
+    /// errors, `hello`, `shutdown`) land in the output as they parse.
+    pub fn next_dispatch(&mut self) -> Option<Dispatch> {
+        loop {
+            if let Some(d) = self.ready.take() {
+                return Some(d);
+            }
+            let parsed = !self.closed
+                && (self.cfg.shed || self.in_flight < self.cfg.window)
+                && self.next_unit();
+            if !parsed {
+                if self.rpos > 0 {
+                    self.rbuf.drain(..self.rpos);
+                    self.rpos = 0;
+                }
+                return None;
+            }
+        }
+    }
+
+    /// Encoded output bytes ready to write, in order.
+    pub fn take_output(&mut self) -> Vec<u8> {
+        std::mem::take(&mut self.out)
+    }
+
+    /// Is there output to write?
+    pub fn has_output(&self) -> bool {
+        !self.out.is_empty()
+    }
+
+    /// Should the driver read more input? False while the window is
+    /// full (backpressure) and once the input is finished.
+    pub fn wants_input(&self) -> bool {
+        !self.closed && !self.eof && self.in_flight < self.cfg.window
+    }
+
+    /// Will nothing more be parsed?
+    pub fn input_closed(&self) -> bool {
+        self.closed
+    }
+
+    /// Input finished, every dispatched op answered, all output taken.
+    pub fn is_done(&self) -> bool {
+        self.closed && self.in_flight == 0 && self.out.is_empty()
+    }
+
+    /// Has a `{"op":"shutdown"}` been acknowledged on this session?
+    pub fn shutdown_requested(&self) -> bool {
+        self.shutdown
+    }
+
+    /// Lines handled and protocol errors so far.
+    pub fn summary(&self) -> ServeSummary {
+        self.summary
+    }
+
+    fn push_out(&mut self, bytes: Vec<u8>) {
+        if self.out.is_empty() {
+            self.out = bytes;
+        } else {
+            self.out.extend_from_slice(&bytes);
+        }
+    }
+
+    /// Parse one line or frame; false when none is complete.
+    fn next_unit(&mut self) -> bool {
+        let lineno = self.lineno;
+        let pending = &self.rbuf[self.rpos..];
+        // `None` for a blank line: it counts, but asks for nothing.
+        let (parsed, consumed) = if self.wire == 0 {
+            let newline = pending[self.scanned..]
+                .iter()
+                .position(|&b| b == b'\n')
+                .map(|i| self.scanned + i);
+            let (len, consumed) = match newline {
+                Some(i) => (i, i + 1),
+                None if self.eof && !pending.is_empty() => (pending.len(), pending.len()),
+                None => {
+                    self.scanned = pending.len();
+                    self.closed = self.eof;
+                    return false;
+                }
+            };
+            let line = pending[..len]
+                .strip_suffix(b"\r")
+                .unwrap_or(&pending[..len]);
+            // Invalid UTF-8 falls through to a bad-JSON protocol error.
+            let text = String::from_utf8_lossy(line);
+            let parsed = (!text.trim().is_empty()).then(|| parse_control(&text, lineno));
+            (parsed, consumed)
+        } else {
+            match wire::split_frame(pending) {
+                Ok(Some((tag, body, consumed))) => {
+                    if let Some(t) = &self.cfg.transport {
+                        t.frames_in.fetch_add(1, Ordering::Relaxed);
+                    }
+                    (Some(decode_frame(tag, body, lineno)), consumed)
+                }
+                Ok(None) => {
+                    self.closed = self.eof;
+                    return false;
+                }
+                Err(msg) => {
+                    // A corrupt length word leaves no way to resync:
+                    // answer what is owed, then stop reading.
+                    self.summary.protocol_errors += 1;
+                    let err = protocol_error(format!("unrecoverable framing error: {msg}"), lineno);
+                    self.write(Kind::Control(None), err);
+                    self.close_input();
+                    return false;
+                }
+            }
+        };
+        self.rpos += consumed;
+        self.scanned = 0;
+        self.lineno += 1;
+        if let Some(parsed) = parsed {
+            self.summary.lines += 1;
+            match parsed {
+                Ok(ctl) => self.apply(ctl),
+                Err(msg) => {
+                    self.summary.protocol_errors += 1;
+                    self.write(Kind::Control(None), protocol_error(msg, lineno));
+                }
+            }
+        }
+        true
+    }
+
+    fn apply(&mut self, ctl: Control) {
+        match ctl {
+            Control::Hello { max_version } => {
+                let version = max_version.min(self.cfg.max_wire);
+                // The reply goes out on the wire the session is on now;
+                // the switch applies from the next byte.
+                let reply = obj([("hello", obj([("version", Json::Num(version as f64))]))]);
+                self.write(Kind::Control(None), reply);
+                if version >= 1 && self.wire == 0 {
+                    self.wire = version;
+                    if let Some(t) = &self.cfg.transport {
+                        t.sessions_v0.fetch_sub(1, Ordering::Relaxed);
+                        t.sessions_v1.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            }
+            Control::Shutdown => {
+                let ack = obj([
+                    ("ok", Json::Bool(true)),
+                    ("op", Json::Str("shutdown".into())),
+                ]);
+                self.write(Kind::Control(None), ack);
+                self.shutdown = true;
+                self.close_input();
+            }
+            Control::Op(op) => self.dispatch(Work::Control(op)),
+            Control::Req(req) if self.cfg.shed && self.in_flight >= self.cfg.window => {
+                // A burst outran the read pause: shed with a retry hint
+                // rather than queue without bound.
+                if let Some(t) = &self.cfg.transport {
+                    t.requests_shed.fetch_add(1, Ordering::Relaxed);
+                }
+                self.write(Kind::Response, shed_response(&req.id));
+            }
+            Control::Req(req) => self.dispatch(Work::Request(req)),
+        }
+    }
+
+    fn encoder(&self, kind: Kind) -> Encoder {
+        Encoder {
+            wire: self.wire,
+            kind,
+            transport: self.cfg.transport.clone(),
+        }
+    }
+
+    fn write(&mut self, kind: Kind, v: Json) {
+        let bytes = self.encoder(kind).encode(v);
+        self.push_out(bytes);
+    }
+
+    fn dispatch(&mut self, work: Work) {
+        let kind = match &work {
+            Work::Request(_) => Kind::Response,
+            Work::Control(op) => Kind::Control(op.envelope()),
+        };
+        self.in_flight += 1;
+        let encoder = self.encoder(kind);
+        self.ready = Some(Dispatch { work, encoder });
+    }
+}
+
+/// A [`Session`] shared by the stdio driver's reader, the host's reply
+/// threads, and (pipelined) the writer thread.
+struct Stdio {
+    session: Mutex<Session>,
+    /// Signalled whenever the session changed: input fed, a reply
+    /// landed, or the writer gave up.
+    changed: Condvar,
+}
+
+impl Stdio {
+    fn new(window: usize) -> Arc<Stdio> {
+        Arc::new(Stdio {
+            session: Mutex::new(Session::new(SessionConfig {
+                max_wire: 0,
+                window,
+                shed: false,
+                transport: None,
+            })),
+            changed: Condvar::new(),
+        })
+    }
+
+    fn sink(self: &Arc<Self>) -> Sink {
+        let stdio = Arc::clone(self);
+        Arc::new(move |bytes, frees_slot| {
+            stdio.session.lock().unwrap().complete(bytes, frees_slot);
+            stdio.changed.notify_all();
+        })
+    }
+
+    /// The reader: feed input while the session wants it, run what it
+    /// parses, and — when `inline` is given — write its output on this
+    /// thread too, until the session is done. Without `inline`, return
+    /// once the input is closed and let the writer thread finish.
+    fn read<H, R>(
+        self: &Arc<Self>,
+        host: &H,
+        mut input: R,
+        mut inline: Option<&mut dyn Write>,
+    ) -> io::Result<()>
+    where
+        H: SessionHost + ?Sized,
+        R: BufRead,
+    {
+        let sink = self.sink();
+        let mut s = self.session.lock().unwrap();
+        loop {
+            let ready: Vec<Dispatch> = std::iter::from_fn(|| s.next_dispatch()).collect();
+            if !ready.is_empty() {
+                drop(s);
+                for d in ready {
+                    d.run(host, &sink);
+                }
+                s = self.session.lock().unwrap();
+                continue;
+            }
+            if let Some(w) = inline.as_mut().filter(|_| s.has_output()) {
+                let bytes = s.take_output();
+                drop(s);
+                write_flush(w, &bytes)?;
+                s = self.session.lock().unwrap();
+                continue;
+            }
+            if s.is_done() || (inline.is_none() && s.input_closed()) {
+                return Ok(());
+            }
+            if s.wants_input() {
+                drop(s);
+                let chunk = input.fill_buf()?;
+                let n = chunk.len();
+                s = self.session.lock().unwrap();
+                if n == 0 {
+                    s.finish_input();
+                } else {
+                    s.feed(chunk);
+                    input.consume(n);
+                }
+                self.changed.notify_all();
+                continue;
+            }
+            s = self.changed.wait(s).unwrap();
+        }
+    }
+
+    /// The pipelined writer: write output as it lands, so replies reach
+    /// the client while the reader blocks for more input.
+    fn write<W: Write>(&self, mut output: W) -> io::Result<()> {
+        let mut s = self.session.lock().unwrap();
+        loop {
+            if s.has_output() {
+                let bytes = s.take_output();
+                drop(s);
+                if let Err(e) = write_flush(&mut output, &bytes) {
+                    // The client is gone: stop reading too.
+                    self.session.lock().unwrap().close_input();
+                    self.changed.notify_all();
+                    return Err(e);
+                }
+                s = self.session.lock().unwrap();
+            } else if s.is_done() {
+                return Ok(());
+            } else {
+                s = self.changed.wait(s).unwrap();
+            }
+        }
+    }
+
+    fn summary(&self) -> ServeSummary {
+        self.session.lock().unwrap().summary()
+    }
+}
+
+fn write_flush(w: &mut (impl Write + ?Sized), bytes: &[u8]) -> io::Result<()> {
+    w.write_all(bytes)?;
+    w.flush()
+}
+
+/// A vanished client (broken pipe) ends a stdio session without
+/// failing it; other I/O errors surface.
+fn tolerate_hangup(r: io::Result<()>) -> io::Result<()> {
+    match r {
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(()),
+        other => other,
+    }
+}
+
+/// Serve one stdio session with a window of one: each line is answered
+/// before the next is parsed, all on the calling thread.
+pub(crate) fn serve_strict<H, R, W>(host: &H, input: R, mut output: W) -> io::Result<ServeSummary>
+where
+    H: SessionHost + ?Sized,
+    R: BufRead,
+    W: Write,
+{
+    let stdio = Stdio::new(1);
+    tolerate_hangup(stdio.read(host, input, Some(&mut output)))?;
+    Ok(stdio.summary())
+}
+
+/// Serve one stdio session with `window` ops in flight. The calling
+/// thread reads; a second thread writes each reply as it lands.
+pub(crate) fn serve_windowed<H, R, W>(
     host: &H,
     input: R,
-    mut output: W,
-    shutdown: Option<&AtomicBool>,
-) -> std::io::Result<ServeSummary>
+    output: W,
+    window: usize,
+) -> io::Result<ServeSummary>
 where
     H: SessionHost + ?Sized,
     R: BufRead,
     W: Write + Send,
 {
-    let (tx, rx) = mpsc::channel::<String>();
-    let mut summary = ServeSummary::default();
-    let mut read_err: Option<std::io::Error> = None;
-    let writer_result: std::io::Result<()> = std::thread::scope(|s| {
-        let writer = s.spawn(move || -> std::io::Result<()> {
-            // Flush per line: pipelined sessions are interactive and
-            // a buffered fast response would defeat the point.
-            for line in rx {
-                writeln!(output, "{line}")?;
-                output.flush()?;
-            }
-            Ok(())
-        });
-        for (lineno, line) in input.lines().enumerate() {
-            let line = match line {
-                Ok(l) => l,
-                Err(e) => {
-                    read_err = Some(e);
-                    break;
-                }
-            };
-            if line.trim().is_empty() {
-                continue;
-            }
-            summary.lines += 1;
-            let sent = match parse_control(&line, lineno as u64) {
-                Ok(Control::Hello { .. }) => {
-                    // The stdio transport has no frame mode: negotiation
-                    // always lands on v0, and the session carries on in
-                    // JSON lines. (The TCP reactor handles `hello`
-                    // itself and can actually switch.)
-                    tx.send(hello_reply_line(0))
-                }
-                Ok(Control::Stats) => {
-                    let tx = tx.clone();
-                    host.dispatch_stats(Box::new(move |stats| {
-                        let _ = tx.send(obj([("stats", stats)]).emit());
-                    }));
-                    Ok(())
-                }
-                Ok(Control::Trace) => {
-                    // The journal is in-process state; answering inline
-                    // (like stats' default) never blocks on I/O.
-                    tx.send(obj([("trace", host.trace_json())]).emit())
-                }
-                Ok(Control::Slowlog { since }) => {
-                    // In-process state too: answered inline like trace.
-                    tx.send(obj([("slowlog", host.slowlog_json(since))]).emit())
-                }
-                Ok(Control::History {
-                    series,
-                    since,
-                    step,
-                }) => {
-                    // Re-reads the bounded on-disk ring; small and local,
-                    // so inline like trace/slowlog.
-                    tx.send(obj([("history", host.history_json(&series, since, step))]).emit())
-                }
-                Ok(Control::Alerts { since }) => {
-                    tx.send(obj([("alerts", host.alerts_json(since))]).emit())
-                }
-                Ok(Control::Shutdown) => {
-                    if let Some(flag) = shutdown {
-                        flag.store(true, Ordering::SeqCst);
-                    }
-                    let _ = tx.send(shutdown_ack_line());
-                    break;
-                }
-                Ok(Control::Admin(op)) => {
-                    let tx = tx.clone();
-                    host.dispatch_admin(
-                        op,
-                        Box::new(move |line| {
-                            let _ = tx.send(line);
-                        }),
-                    );
-                    Ok(())
-                }
-                Ok(Control::Sweep(op)) => {
-                    // Streamed lines forward as they arrive; the final
-                    // marker only matters to bounded transports (the
-                    // TCP reactor's admission window), not stdio.
-                    let tx = tx.clone();
-                    host.dispatch_sweep(
-                        op,
-                        Box::new(move |line, _final| {
-                            let _ = tx.send(line);
-                        }),
-                    );
-                    Ok(())
-                }
-                Ok(Control::Req(req)) => {
-                    let tx = tx.clone();
-                    host.dispatch(
-                        req,
-                        Box::new(move |line| {
-                            let _ = tx.send(line);
-                        }),
-                    );
-                    Ok(())
-                }
-                Err(msg) => {
-                    summary.protocol_errors += 1;
-                    tx.send(protocol_error_line(msg, lineno))
-                }
-            };
-            if sent.is_err() {
-                // The writer died (client hung up mid-session);
-                // there is nobody left to answer.
-                break;
-            }
+    let stdio = Stdio::new(window);
+    std::thread::scope(|s| {
+        let writer = s.spawn(|| stdio.write(output));
+        let read = stdio.read(host, input, None);
+        if read.is_err() {
+            // Stop the writer waiting on replies nobody will read for.
+            stdio.session.lock().unwrap().close_input();
+            stdio.changed.notify_all();
         }
-        drop(tx);
-        writer.join().expect("writer thread")
-    });
-    if let Some(e) = read_err {
-        return Err(e);
-    }
-    // A vanished client (broken pipe) ends the session without
-    // failing it; real I/O errors surface.
-    match writer_result {
-        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(e),
-        _ => Ok(summary),
-    }
+        let written = writer.join().expect("stdio writer thread");
+        read.and(tolerate_hangup(written))
+    })?;
+    Ok(stdio.summary())
 }
