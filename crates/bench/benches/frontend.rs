@@ -2,14 +2,17 @@
 //!
 //! Measures parse/check/desugar/lower per MachSuite kernel plus a cold
 //! gemm-blocked DSE sweep (see [`dahlia_bench::frontend`]), prints the
-//! per-stage numbers, and updates `BENCH_frontend.json` at the
-//! repository root: the first ever run pins the `baseline` block, later
-//! runs rewrite `current` and the derived `speedup` ratios.
+//! per-stage numbers, and (full runs only) updates `BENCH_frontend.json`
+//! at the root of the checkout it runs in: the first ever run pins the
+//! `baseline` block, later runs rewrite `current` and the derived
+//! `speedup` ratios.
 //!
 //! Flags (after `--`):
 //!   `--quick`  coarse sweep stride and few samples (the CI smoke mode);
+//!              prints only — a quick run is not comparable to the
+//!              full-mode trajectory, so it never writes it;
 //!   `--test`   passed by `cargo test` to harness-less benches: runs
-//!              quick and skips the trajectory-file write.
+//!              quick.
 
 use dahlia_bench::frontend::{self, Effort};
 use dahlia_server::json::Json;
@@ -40,8 +43,8 @@ fn main() {
         report.sweep_accepted, report.lower_warm_ns
     );
 
-    if test_mode {
-        println!("test-mode: skipping BENCH_frontend.json update");
+    if quick {
+        println!("quick mode: not comparable to full runs; BENCH_frontend.json left unchanged");
         return;
     }
 

@@ -242,10 +242,18 @@ pub fn merge_into_trajectory(existing: Option<&Json>, current: &FrontendReport) 
     ])
 }
 
-/// The trajectory file lives at the repository root, next to
-/// `ROADMAP.md`, regardless of the invocation directory.
+/// The trajectory file of the checkout the bench runs in: the nearest
+/// `BENCH_frontend.json` at or above the working directory (cargo runs
+/// a bench from its package directory, two levels below the root), or
+/// one in the working directory when there is none yet. Resolved at run
+/// time, so a bench binary built in one checkout never writes another's.
 pub fn trajectory_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_frontend.json")
+    const FILE: &str = "BENCH_frontend.json";
+    let cwd = std::env::current_dir().unwrap_or_default();
+    cwd.ancestors()
+        .map(|dir| dir.join(FILE))
+        .find(|path| path.is_file())
+        .unwrap_or_else(|| cwd.join(FILE))
 }
 
 #[cfg(test)]

@@ -54,11 +54,12 @@ use std::time::Instant;
 
 use dahlia_backend::{emit_cpp, lower};
 use dahlia_core::{interp, parse, typecheck, Error};
-use dahlia_gateway::GatewayConfig;
+use dahlia_gateway::{Gateway, GatewayConfig};
+use dahlia_obs::Snapshot;
 use dahlia_server::json::{obj, Json};
 use dahlia_server::{
     metrics, query, serve_sessions_with, Client, ControlOp, NetConfig, Request, Server,
-    ServerConfig, SessionHost, Stage, TransportStats,
+    ServerConfig, SessionHost, Stage,
 };
 
 /// Runtime failure (interpreter, failed batch item).
@@ -641,13 +642,13 @@ impl ServiceOpts {
 
 /// Bind and start the `--metrics` HTTP endpoint, announcing its
 /// resolved address on stderr (scripts read it like the listen line).
-/// When the process also runs a socket transport, its shared
-/// [`TransportStats`] ride along so `/metrics` exports the session
-/// mix, frame counters, and shed totals beside the host's own stats.
-fn start_metrics(
+/// `/metrics` serves the host's `snapshot` — which carries the socket
+/// transport's session mix, frame counters, and shed totals once the
+/// reactor serves the host.
+fn start_metrics<H: SessionHost + 'static>(
     addr: &str,
-    host: std::sync::Arc<impl SessionHost + 'static>,
-    transport: Option<std::sync::Arc<TransportStats>>,
+    host: std::sync::Arc<H>,
+    snapshot: fn(&H) -> Snapshot,
 ) -> Result<(), ExitCode> {
     let listener = std::net::TcpListener::bind(addr).map_err(|e| {
         eprintln!("dahliac: cannot bind metrics endpoint `{addr}`: {e}");
@@ -660,14 +661,7 @@ fn start_metrics(
     let stats_host = std::sync::Arc::clone(&host);
     metrics::spawn(
         listener,
-        std::sync::Arc::new(move || {
-            let mut stats = query(&*stats_host, ControlOp::Stats);
-            if let (Some(t), Json::Obj(fields)) = (&transport, &mut stats) {
-                fields.retain(|(k, _)| k != "transport");
-                fields.push(("transport".to_string(), t.to_json()));
-            }
-            stats
-        }),
+        std::sync::Arc::new(move || snapshot(&stats_host)),
         std::sync::Arc::new(move || query(&*host, ControlOp::Health)),
     )
     .map_err(|e| {
@@ -746,10 +740,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         net = net.max_wire(w);
     }
     if let Some(addr) = &metrics_addr {
-        let transport = listen
-            .as_ref()
-            .map(|_| std::sync::Arc::clone(&net.transport));
-        if let Err(code) = start_metrics(addr, std::sync::Arc::clone(&server), transport) {
+        if let Err(code) = start_metrics(addr, std::sync::Arc::clone(&server), Server::snapshot) {
             return code;
         }
     }
@@ -1077,8 +1068,7 @@ fn cmd_gateway(args: &[String]) -> ExitCode {
         net = net.max_wire(w);
     }
     if let Some(addr) = &metrics_addr {
-        let transport = std::sync::Arc::clone(&net.transport);
-        if let Err(code) = start_metrics(addr, std::sync::Arc::clone(&gateway), Some(transport)) {
+        if let Err(code) = start_metrics(addr, std::sync::Arc::clone(&gateway), Gateway::snapshot) {
             shutdown_workers(&mut workers);
             return code;
         }
@@ -2147,7 +2137,7 @@ fn cmd_batch(args: &[String]) -> ExitCode {
         repeat,
         programs.len(),
         &round_walls,
-        server.stats().to_json(),
+        query(&server, ControlOp::Stats),
     );
     if traced {
         // The journal dump, in the same envelope the wire op answers

@@ -67,23 +67,28 @@
 
 #![warn(missing_docs)]
 
+mod fifo;
 pub mod hash;
 mod ledger;
 mod sweep;
 
-use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
-use dahlia_obs::{Clock, Sampler, Span, TraceEntry, Tsdb, WallClock, Window};
+use dahlia_obs::{
+    Clock, Counter, Gauge, Registry, Row, Sampler, Snapshot, Span, Table, TraceEntry, Tsdb, Value,
+    WallClock, Window,
+};
 use dahlia_server::json::{obj, Json};
 use dahlia_server::{
-    obs_json, parse_alert_rules, query, source_digest, AdminOp, ControlOp, PipelinedClient, Pool,
-    Reply, Request, Respond, Server, SessionHost, Stage, Telemetry, DEFAULT_SLOW_THRESHOLD_MS,
-    DEFAULT_TELEMETRY_INTERVAL_MS, TRACE_JOURNAL_CAP,
+    obs_json, parse_alert_rules, source_digest, stats_schema, AdminOp, ControlOp, PipelinedClient,
+    Pool, Reply, Request, Respond, Server, SessionHost, Stage, Telemetry, TransportStats,
+    DEFAULT_SLOW_THRESHOLD_MS, DEFAULT_TELEMETRY_INTERVAL_MS, TRACE_JOURNAL_CAP,
 };
+
+use fifo::Fifo;
 
 /// Bound on the per-shard warm-key ledger the drain migrator walks.
 /// Oldest entries fall off first; a dropped entry costs one recompute
@@ -285,8 +290,8 @@ impl GatewayConfig {
         let threads = self
             .threads
             .unwrap_or_else(|| (self.shards.len() * 4).clamp(4, 32));
-        let inner = Arc::new(GwInner {
-            topology: RwLock::new(
+        let mut inner = GwInner {
+            topology: Arc::new(RwLock::new(
                 self.shards
                     .iter()
                     .map(|(addr, weight)| {
@@ -298,20 +303,29 @@ impl GatewayConfig {
                         ))
                     })
                     .collect(),
-            ),
+            )),
             replication: self.replication,
             connect_timeout: self.connect_timeout,
             io_timeout: self.io_timeout,
-            admission: Mutex::new(AdmissionCache::new(self.admission_cache)),
-            admission_hits: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
-            rerouted: AtomicU64::new(0),
-            replica_writes: AtomicU64::new(0),
-            replica_failures: AtomicU64::new(0),
-            local_fallbacks: AtomicU64::new(0),
-            telemetry: Telemetry::new(self.trace_journal, tsdb, rules, Arc::clone(&clock)),
-            window: Window::with_default_clock(),
-            in_flight: AtomicU64::new(0),
+            admission: Arc::new(Mutex::new(Fifo::new(
+                self.admission_cache,
+                ADMISSION_CACHE_MAX_BYTES,
+                |resp: &Json| resp.emit().len(),
+            ))),
+            admission_hits: Counter::new(),
+            requests: Counter::new(),
+            rerouted: Counter::new(),
+            replica_writes: Counter::new(),
+            replica_failures: Counter::new(),
+            local_fallbacks: Counter::new(),
+            telemetry: Arc::new(Telemetry::new(
+                self.trace_journal,
+                tsdb,
+                rules,
+                Arc::clone(&clock),
+            )),
+            window: Arc::new(Window::with_default_clock()),
+            in_flight: Counter::new(),
             slow_threshold_us: self.slow_threshold_ms.saturating_mul(1_000),
             local: OnceLock::new(),
             pool: Pool::new(threads),
@@ -320,7 +334,11 @@ impl GatewayConfig {
             ledger_path,
             telemetry_dir: self.telemetry_dir.clone(),
             sweeps: sweep::SweepCounters::default(),
-        });
+            transport: Arc::new(TransportStats::new()),
+            metrics: Registry::new(),
+        };
+        inner.metrics = inner.register();
+        let inner = Arc::new(inner);
         // Rehydrate the warm-key ledger from the last checkpoint (an
         // unreadable file reads as empty) so drains after a gateway
         // restart still know where the heat lives.
@@ -380,63 +398,19 @@ impl GatewayConfig {
 }
 
 /// The warm-key ledger of one shard: every source this gateway routed
-/// there, so a drain can re-home the shard's working set. Bounded FIFO
-/// by entry count ([`WARM_KEY_CAP`]) *and* by retained source bytes
+/// there, so a drain can re-home the shard's working set. Bounded by
+/// entry count ([`WARM_KEY_CAP`]) *and* by retained source bytes
 /// ([`WARM_KEY_MAX_BYTES`]) — large-program workloads must not turn
 /// drain bookkeeping into a memory leak.
-struct WarmKeys {
-    map: HashMap<u128, Request>,
-    order: VecDeque<u128>,
-    bytes: usize,
-}
+type WarmKeys = Fifo<u128, Request>;
 
-impl WarmKeys {
-    fn new() -> WarmKeys {
-        WarmKeys {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-            bytes: 0,
-        }
-    }
-
-    fn record(&mut self, key: u128, req: &Request) {
-        // Migration replays are bookkeeping, not client traffic: strip
-        // the trace id so a drain walk doesn't flood shard journals.
-        let mut stored = req.clone();
-        stored.trace = None;
-        if self.map.insert(key, stored).is_none() {
-            self.order.push_back(key);
-            self.bytes += req.source.len();
-            while self.order.len() > WARM_KEY_CAP || self.bytes > WARM_KEY_MAX_BYTES {
-                let Some(old) = self.order.pop_front() else {
-                    break;
-                };
-                if let Some(dropped) = self.map.remove(&old) {
-                    self.bytes -= dropped.source.len();
-                }
-            }
-        }
-    }
-
-    fn take_all(&mut self) -> Vec<Request> {
-        self.order.clear();
-        self.bytes = 0;
-        self.map.drain().map(|(_, req)| req).collect()
-    }
-
-    /// A snapshot of the retained requests in insertion order, for the
-    /// on-disk ledger checkpoint.
-    fn entries(&self) -> Vec<Request> {
-        self.order
-            .iter()
-            .filter_map(|k| self.map.get(k).cloned())
-            .collect()
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-}
+/// The gateway's hot-source admission cache: successful (or
+/// deterministically rejected — see [`admission_cacheable`]), untraced
+/// responses keyed by the same `(source, stage, options)` digest
+/// triple the shards' own stores use, bounded by entry count and by
+/// retained response bytes. A hit is re-stamped with the caller's id
+/// and `cached: true`, the same shape a shard-side warm hit has.
+type AdmissionCache = Fifo<(u128, Stage, u128), Json>;
 
 /// Whether a routed response may be retained by the admission cache:
 /// success, or a deterministic front-end rejection — the same source
@@ -456,98 +430,45 @@ fn admission_cacheable(resp: &Json) -> bool {
     }
 }
 
-/// The gateway's hot-source admission cache: successful (or
-/// deterministically rejected — see [`admission_cacheable`]), untraced
-/// responses keyed by the same `(source, stage, options)` digest
-/// triple the shards' own stores use. Bounded FIFO by entry count and
-/// by retained response bytes; a hit is re-stamped with the caller's
-/// id and `cached: true`, the same shape a shard-side warm hit has.
-struct AdmissionCache {
-    cap: usize,
-    map: HashMap<(u128, Stage, u128), (Json, usize)>,
-    order: VecDeque<(u128, Stage, u128)>,
-    bytes: usize,
-}
-
-impl AdmissionCache {
-    fn new(cap: usize) -> AdmissionCache {
-        AdmissionCache {
-            cap,
-            map: HashMap::new(),
-            order: VecDeque::new(),
-            bytes: 0,
-        }
-    }
-
-    fn get(&self, key: &(u128, Stage, u128)) -> Option<Json> {
-        self.map.get(key).map(|(resp, _)| resp.clone())
-    }
-
-    fn insert(&mut self, key: (u128, Stage, u128), resp: &Json) {
-        if self.cap == 0 {
-            return;
-        }
-        let size = resp.emit().len();
-        match self.map.insert(key, (resp.clone(), size)) {
-            None => {
-                self.order.push_back(key);
-                self.bytes += size;
-                while self.order.len() > self.cap || self.bytes > ADMISSION_CACHE_MAX_BYTES {
-                    let Some(old) = self.order.pop_front() else {
-                        break;
-                    };
-                    if let Some((_, dropped)) = self.map.remove(&old) {
-                        self.bytes -= dropped;
-                    }
-                }
-            }
-            // Same key re-inserted (two concurrent cold misses): keep
-            // the order entry, swap the byte accounting.
-            Some((_, old_size)) => self.bytes = self.bytes - old_size + size,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-}
-
 /// One backend shard: its address, rendezvous weight, pooled
 /// connection, drain state, and routing counters.
 struct Shard {
     addr: String,
-    /// Rendezvous weight, as f64 bits — atomic so `undrain` can
-    /// re-weight a live shard without a topology write lock.
-    weight: AtomicU64,
+    /// Rendezvous weight — atomic so `undrain` can re-weight a live
+    /// shard without a topology write lock.
+    weight: Gauge,
     connect_timeout: Duration,
     io_timeout: Duration,
     client: Mutex<Option<Arc<PipelinedClient>>>,
     /// Draining shards receive no new keys; in-flight work completes.
     draining: AtomicBool,
+    /// Did the last stats poll succeed?
+    alive: AtomicBool,
     /// Requests dispatched to this shard (including ones that failed).
-    routed: AtomicU64,
+    routed: Counter,
     /// Dispatches that failed here (connection died mid-call).
-    failed: AtomicU64,
+    failed: Counter,
     /// Dispatches that landed here after failing on a preferred shard.
-    retried: AtomicU64,
+    retried: Counter,
     /// Replication fan-out calls dispatched *to* this shard.
-    replicated: AtomicU64,
+    replicated: Counter,
     /// Warm keys migrated *off* this shard by drain ops.
-    drained_keys: AtomicU64,
+    drained_keys: Counter,
     /// Health-check failures since the last successful check. Reset to
     /// zero on every pass the shard answers; crossing
     /// `auto_drain_after` triggers the auto-drain remediation.
-    consecutive_failures: AtomicU64,
+    consecutive_failures: Counter,
     /// Times the auto-drain remediation drained this shard.
-    auto_drained: AtomicU64,
+    auto_drained: Counter,
     /// Sliding window over the gateway-observed round trips to this
     /// shard: dispatch rate, failure rate, and windowed round-trip
     /// latency percentiles as *this* gateway saw them (network
     /// included), beside the shard's own self-reported window.
     window: Window,
-    /// Last stats object successfully polled from this shard; dead
-    /// shards keep contributing their final snapshot to the aggregate.
-    last_stats: Mutex<Option<Json>>,
+    /// Last stats object successfully polled from this shard, as sent
+    /// and as decoded; dead shards keep contributing their final
+    /// snapshot to the aggregate.
+    last_stats: Mutex<Option<(Json, Snapshot)>>,
     /// Sources this gateway routed here, for drain migration.
     warm_keys: Mutex<WarmKeys>,
 }
@@ -556,30 +477,39 @@ impl Shard {
     fn new(addr: String, weight: f64, connect_timeout: Duration, io_timeout: Duration) -> Shard {
         Shard {
             addr,
-            weight: AtomicU64::new(weight.to_bits()),
+            weight: Gauge::new(weight),
             connect_timeout,
             io_timeout,
             client: Mutex::new(None),
             draining: AtomicBool::new(false),
-            routed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            retried: AtomicU64::new(0),
-            replicated: AtomicU64::new(0),
-            drained_keys: AtomicU64::new(0),
-            consecutive_failures: AtomicU64::new(0),
-            auto_drained: AtomicU64::new(0),
+            alive: AtomicBool::new(false),
+            routed: Counter::new(),
+            failed: Counter::new(),
+            retried: Counter::new(),
+            replicated: Counter::new(),
+            drained_keys: Counter::new(),
+            consecutive_failures: Counter::new(),
+            auto_drained: Counter::new(),
             window: Window::with_default_clock(),
             last_stats: Mutex::new(None),
-            warm_keys: Mutex::new(WarmKeys::new()),
+            warm_keys: Mutex::new(Fifo::new(
+                WARM_KEY_CAP,
+                WARM_KEY_MAX_BYTES,
+                |req: &Request| req.source.len(),
+            )),
         }
     }
 
     fn weight(&self) -> f64 {
-        f64::from_bits(self.weight.load(Ordering::Relaxed))
+        self.weight.get()
     }
 
     fn set_weight(&self, w: f64) {
-        self.weight.store(w.to_bits(), Ordering::Relaxed);
+        self.weight.set(w);
+    }
+
+    fn is_alive(&self) -> bool {
+        self.alive.load(Ordering::Relaxed)
     }
 
     fn is_draining(&self) -> bool {
@@ -593,7 +523,12 @@ impl Shard {
     fn record_warm(&self, key: u128, req: &Request) {
         let mut ledger = self.warm_keys.lock().unwrap();
         if !self.is_draining() {
-            ledger.record(key, req);
+            // Migration replays are bookkeeping, not client traffic:
+            // strip the trace id so a drain walk doesn't flood shard
+            // journals.
+            let mut stored = req.clone();
+            stored.trace = None;
+            ledger.insert(key, stored);
         }
     }
 
@@ -637,16 +572,55 @@ impl Shard {
         }
     }
 
-    /// Ping a live shard for stats, refreshing the snapshot. `None`
+    /// Ping a live shard for stats, refreshing the snapshot (decoded
+    /// against a server's stats schema) and the liveness flag. `None`
     /// when the shard is down (the failed call poisons the client).
     fn poll_stats(&self) -> Option<Json> {
-        let client = self.live()?;
-        match client.stats() {
-            Ok(s) => {
-                *self.last_stats.lock().unwrap() = Some(s.clone());
-                Some(s)
-            }
-            Err(_) => None,
+        let polled = self.live().and_then(|client| client.stats().ok());
+        self.alive.store(polled.is_some(), Ordering::Relaxed);
+        if let Some(s) = &polled {
+            let snap = obs_json::snapshot_from_json(s, stats_schema());
+            *self.last_stats.lock().unwrap() = Some((s.clone(), snap));
+        }
+        polled
+    }
+
+    /// This shard's row of the `gateway.shards` table: its routing
+    /// counters, the round trips as this gateway saw them (network
+    /// included), and the shard's own self-reported levels.
+    fn row(&self) -> Row {
+        let w = self.window.snapshot();
+        let level = |name: &str| {
+            let last = self.last_stats.lock().unwrap();
+            last.as_ref()
+                .and_then(|(_, s)| s.value(name))
+                .unwrap_or(0.0)
+        };
+        let count = |c: &Counter| Value::Counter(c.get());
+        Row {
+            label: self.addr.clone(),
+            fields: vec![
+                ("alive", Value::Flag(self.is_alive())),
+                ("draining", Value::Flag(self.is_draining())),
+                ("weight", Value::Gauge(self.weight())),
+                ("routed", count(&self.routed)),
+                ("failed", count(&self.failed)),
+                ("retried", count(&self.retried)),
+                ("replicated", count(&self.replicated)),
+                ("drained_keys", count(&self.drained_keys)),
+                ("auto_drained", count(&self.auto_drained)),
+                ("consecutive_failures", count(&self.consecutive_failures)),
+                (
+                    "warm_keys",
+                    Value::Counter(self.warm_keys.lock().unwrap().len() as u64),
+                ),
+                ("window_routed", Value::Counter(w.requests)),
+                ("window_rate", Value::Gauge(w.rate_per_s())),
+                ("window_error_rate", Value::Gauge(w.error_rate_per_s())),
+                ("window_p99_us", Value::Gauge(w.hist.quantile(0.99))),
+                ("in_flight", Value::Gauge(level("window.in_flight"))),
+                ("queue_depth", Value::Gauge(level("window.queue_depth"))),
+            ],
         }
     }
 }
@@ -655,33 +629,33 @@ struct GwInner {
     /// The shard set, in configuration order. Guarded by a `RwLock` so
     /// `undrain` can **join** new shards while traffic flows; routing
     /// takes brief read locks and clones `Arc`s out.
-    topology: RwLock<Vec<Arc<Shard>>>,
+    topology: Arc<RwLock<Vec<Arc<Shard>>>>,
     /// Replication factor: newly computed artifacts fan out to this
     /// many shards in rendezvous order.
     replication: usize,
     connect_timeout: Duration,
     io_timeout: Duration,
     /// Hot-source response cache checked before any shard dispatch.
-    admission: Mutex<AdmissionCache>,
+    admission: Arc<Mutex<AdmissionCache>>,
     /// Requests answered straight out of the admission cache.
-    admission_hits: AtomicU64,
-    requests: AtomicU64,
+    admission_hits: Counter,
+    requests: Counter,
     /// Requests that failed on at least one shard and were re-routed.
-    rerouted: AtomicU64,
+    rerouted: Counter,
     /// Replication fan-out calls dispatched (across all shards).
-    replica_writes: AtomicU64,
+    replica_writes: Counter,
     /// Replica fan-outs that could not be delivered (replica dead at
     /// dispatch, or the call failed): the key is singly-held until its
     /// next cold touch or a drain re-homes it.
-    replica_failures: AtomicU64,
+    replica_failures: Counter,
     /// Requests answered by the embedded local server.
-    local_fallbacks: AtomicU64,
+    local_fallbacks: Counter,
     /// Sliding window over every routed request (client traffic and
     /// drain migrations alike): live cluster throughput, error rate,
     /// and windowed end-to-end latency as the gateway observed it.
-    window: Window,
+    window: Arc<Window>,
     /// Requests currently inside [`GwInner::route`].
-    in_flight: AtomicU64,
+    in_flight: Counter,
     slow_threshold_us: u64,
     local: OnceLock<Server>,
     /// Dispatch pool: session requests, stats polls, replication
@@ -693,7 +667,7 @@ struct GwInner {
     /// [`GwInner::slow_threshold_us`]), the on-disk sample ring the
     /// sampler feeds, and the alert engine evaluated on every sampler
     /// tick — with zero rules just the auto-drain journal.
-    telemetry: Telemetry,
+    telemetry: Arc<Telemetry>,
     /// Wall clock shared by the sample ring and the alert journal.
     clock: Arc<dyn Clock>,
     /// Consecutive health-check failures before a shard is auto-
@@ -706,9 +680,81 @@ struct GwInner {
     telemetry_dir: Option<PathBuf>,
     /// Lifetime counters for the cluster `sweep` op.
     sweeps: sweep::SweepCounters,
+    /// The front door's transport counters.
+    transport: Arc<TransportStats>,
+    /// The gateway's own metrics (everything but the shard-merged
+    /// server sections), filled once by [`GwInner::register`].
+    metrics: Registry,
 }
 
 impl GwInner {
+    /// The gateway's metrics, in stats order: the `gateway` section
+    /// (routing counters, admission cache, shard states, its own
+    /// window and journals, sweeps, the shard table), then the
+    /// telemetry sections and the front door's `transport`.
+    fn register(&self) -> Registry {
+        let mut reg = Registry::new();
+        for (name, c) in [
+            ("gateway.requests", &self.requests),
+            ("gateway.rerouted", &self.rerouted),
+            ("gateway.replica_writes", &self.replica_writes),
+            ("gateway.replica_failures", &self.replica_failures),
+            ("gateway.local_fallbacks", &self.local_fallbacks),
+        ] {
+            reg.counter(name, c);
+        }
+        let (replication, hits) = (self.replication as u64, self.admission_hits.clone());
+        let admission = Arc::clone(&self.admission);
+        let topology = Arc::clone(&self.topology);
+        let auto_drain_after = self.auto_drain_after;
+        reg.collect(move |s| {
+            s.counter("gateway.replication", replication);
+            s.counter("gateway.admission_cache_hits", hits.get());
+            let (entries, cap) = {
+                let adm = admission.lock().unwrap();
+                (adm.len(), adm.cap())
+            };
+            s.counter("gateway.admission_cache_entries", entries as u64);
+            s.counter("gateway.admission_cache_cap", cap as u64);
+            let shards = topology.read().unwrap().clone();
+            let count = |f: &dyn Fn(&Shard) -> bool| shards.iter().filter(|s| f(s)).count() as u64;
+            s.counter("gateway.shards_live", count(&|s| s.is_alive()));
+            s.counter("gateway.shards_draining", count(&|s| s.is_draining()));
+            s.counter(
+                "gateway.shards_dead",
+                count(&|s| !s.is_draining() && !s.is_alive()),
+            );
+            s.counter("gateway.auto_drain_after", auto_drain_after);
+        });
+        // End-to-end latency as clients saw it, fail-overs included —
+        // beside the shard-merged `window` at the top level.
+        reg.window(
+            "gateway.window",
+            &self.window,
+            &self.in_flight,
+            &Counter::new(),
+        );
+        self.telemetry
+            .register_journals(&mut reg, "gateway.journals");
+        self.sweeps.register(&mut reg);
+        let topology = Arc::clone(&self.topology);
+        reg.collect(move |s| {
+            let rows = topology.read().unwrap().iter().map(|sh| sh.row()).collect();
+            s.push(
+                "gateway.shards",
+                Value::Table(Table {
+                    key: "addr",
+                    label: "shard",
+                    export: None,
+                    rows,
+                }),
+            );
+        });
+        self.telemetry.register_sections(&mut reg);
+        self.transport.register(&mut reg);
+        reg
+    }
+
     fn local(&self) -> &Server {
         // Lazy: a healthy cluster never pays for the fallback pool.
         self.local.get_or_init(Server::new)
@@ -727,9 +773,9 @@ impl GwInner {
                 shard.connect()
             };
             if healthy {
-                shard.consecutive_failures.store(0, Ordering::Relaxed);
+                shard.consecutive_failures.set(0);
             } else {
-                let fails = shard.consecutive_failures.fetch_add(1, Ordering::Relaxed) + 1;
+                let fails = shard.consecutive_failures.inc();
                 if self.auto_drain_after > 0 && fails == self.auto_drain_after {
                     self.auto_drain(&shard, "auto_drain", fails as f64);
                 }
@@ -754,7 +800,7 @@ impl GwInner {
         if survivors == 0 {
             return;
         }
-        shard.auto_drained.fetch_add(1, Ordering::Relaxed);
+        shard.auto_drained.inc();
         self.telemetry
             .engine
             .record_event(rule, "auto_drain", value, &shard.addr);
@@ -766,14 +812,7 @@ impl GwInner {
     /// newly fired rule bound to the `drain` action drains the
     /// unhealthiest shard), and checkpoint the warm-key ledger.
     fn telemetry_tick(self: &Arc<Self>) {
-        let stats = self.stats_json();
-        if let Some(tsdb) = &self.telemetry.tsdb {
-            tsdb.append(self.clock.now_ms(), stats.emit().as_bytes());
-        }
-        let fired = self
-            .telemetry
-            .engine
-            .eval(&|path| obs_json::resolve_series(&stats, path).and_then(Json::as_f64));
+        let fired = self.telemetry.tick(self.clock.now_ms(), &self.snapshot());
         for rule in fired {
             if rule.action.as_deref() == Some("drain") {
                 // The rule names a cluster condition, not a shard; aim
@@ -783,9 +822,9 @@ impl GwInner {
                     .shards()
                     .into_iter()
                     .filter(|s| !s.is_draining())
-                    .max_by_key(|s| s.consecutive_failures.load(Ordering::Relaxed));
+                    .max_by_key(|s| s.consecutive_failures.get());
                 if let Some(shard) = worst {
-                    let fails = shard.consecutive_failures.load(Ordering::Relaxed);
+                    let fails = shard.consecutive_failures.get();
                     if fails > 0 {
                         self.auto_drain(&shard, &rule.text, fails as f64);
                     }
@@ -803,8 +842,8 @@ impl GwInner {
         };
         let mut entries = Vec::new();
         for shard in self.shards() {
-            for req in shard.warm_keys.lock().unwrap().entries() {
-                entries.push((shard.addr.clone(), req));
+            for req in shard.warm_keys.lock().unwrap().values() {
+                entries.push((shard.addr.clone(), req.clone()));
             }
         }
         let _ = ledger::save(path, &entries);
@@ -825,16 +864,16 @@ impl GwInner {
     }
 
     fn submit(self: &Arc<Self>, req: &Request) -> Json {
-        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.requests.inc();
         let t_submit = Instant::now();
         let key = (source_digest(&req.source), req.stage, req.options.digest());
         // Admission control, stage one: answer hot repeats at the
         // gateway. Traced requests always route — the caller asked for
         // the span breakdown a cache hit cannot produce.
         if req.trace.is_none() {
-            let hit = self.admission.lock().unwrap().get(&key);
+            let hit = self.admission.lock().unwrap().get(&key).cloned();
             if let Some(mut resp) = hit {
-                self.admission_hits.fetch_add(1, Ordering::Relaxed);
+                self.admission_hits.inc();
                 set_field(&mut resp, "id", Json::Str(req.id.clone()));
                 set_field(&mut resp, "cached", Json::Bool(true));
                 self.window
@@ -844,7 +883,7 @@ impl GwInner {
         }
         let resp = self.route(req, true);
         if req.trace.is_none() && admission_cacheable(&resp) {
-            self.admission.lock().unwrap().insert(key, &resp);
+            self.admission.lock().unwrap().insert(key, resp.clone());
         }
         resp
     }
@@ -861,14 +900,14 @@ impl GwInner {
     /// the request crosses the threshold, and the fast path simply
     /// drops them.
     fn route(self: &Arc<Self>, req: &Request, fan_out: bool) -> Json {
-        self.in_flight.fetch_add(1, Ordering::Relaxed);
+        self.in_flight.inc();
         let t_route = Instant::now();
         let mut gw_spans: Vec<Span> = Vec::new();
         let mut resp = self.route_attempts(req, fan_out, &mut gw_spans);
         let wall_us = (t_route.elapsed().as_nanos() / 1_000) as u64;
         let ok = resp.get("ok").and_then(Json::as_bool).unwrap_or(false);
         self.window.record(wall_us, ok);
-        self.in_flight.fetch_sub(1, Ordering::Relaxed);
+        self.in_flight.sub(1);
         if req.trace.is_some() {
             self.finish_trace(req, &mut resp, gw_spans.clone(), t_route);
         }
@@ -906,9 +945,9 @@ impl GwInner {
         let mut failed_before = false;
         for (i, shard) in candidates.iter().enumerate() {
             let Some(client) = shard.live() else { continue };
-            shard.routed.fetch_add(1, Ordering::Relaxed);
+            shard.routed.inc();
             if failed_before {
-                shard.retried.fetch_add(1, Ordering::Relaxed);
+                shard.retried.inc();
             }
             let t_attempt = Instant::now();
             match client.call(req) {
@@ -919,7 +958,7 @@ impl GwInner {
                         resp.get("ok").and_then(Json::as_bool) == Some(true),
                     );
                     if failed_before {
-                        self.rerouted.fetch_add(1, Ordering::Relaxed);
+                        self.rerouted.inc();
                     }
                     shard.record_warm(key, req);
                     let fanned = if fan_out {
@@ -949,7 +988,7 @@ impl GwInner {
                     // other key this shard owned).
                     let attempt_us = (t_attempt.elapsed().as_nanos() / 1_000) as u64;
                     shard.window.record(attempt_us, false);
-                    shard.failed.fetch_add(1, Ordering::Relaxed);
+                    shard.failed.inc();
                     failed_before = true;
                     gw_spans.push(Span::with_detail(
                         format!("shard:{}", shard.addr),
@@ -959,9 +998,9 @@ impl GwInner {
                 }
             }
         }
-        self.local_fallbacks.fetch_add(1, Ordering::Relaxed);
+        self.local_fallbacks.inc();
         if failed_before {
-            self.rerouted.fetch_add(1, Ordering::Relaxed);
+            self.rerouted.inc();
         }
         let t_local = Instant::now();
         let resp = self.local().submit(req.clone()).to_json();
@@ -1025,11 +1064,11 @@ impl GwInner {
                 continue;
             }
             let Some(client) = shard.live() else {
-                self.replica_failures.fetch_add(1, Ordering::Relaxed);
+                self.replica_failures.inc();
                 continue;
             };
-            shard.replicated.fetch_add(1, Ordering::Relaxed);
-            self.replica_writes.fetch_add(1, Ordering::Relaxed);
+            shard.replicated.inc();
+            self.replica_writes.inc();
             dispatched += 1;
             let inner = Arc::clone(self);
             let shard = Arc::clone(shard);
@@ -1040,7 +1079,7 @@ impl GwInner {
             self.pool.execute(move || match client.call(&req) {
                 Ok(_) => shard.record_warm(key, &req),
                 Err(_) => {
-                    inner.replica_failures.fetch_add(1, Ordering::Relaxed);
+                    inner.replica_failures.inc();
                 }
             });
         }
@@ -1074,7 +1113,7 @@ impl GwInner {
                         // draining shard is already out of the
                         // candidate set.
                         inner.route(&req, true);
-                        t_shard.drained_keys.fetch_add(1, Ordering::Relaxed);
+                        t_shard.drained_keys.inc();
                     }
                 });
             if spawned.is_err() {
@@ -1096,15 +1135,7 @@ impl GwInner {
                 shard.set_weight(w);
             }
             shard.draining.store(false, Ordering::SeqCst);
-            let alive = shard.connect();
-            return obj([
-                ("ok", Json::Bool(true)),
-                ("op", Json::Str("undrain".into())),
-                ("shard", Json::Str(addr.into())),
-                ("joined", Json::Bool(false)),
-                ("alive", Json::Bool(alive)),
-                ("weight", Json::Num(shard.weight())),
-            ]);
+            return undrain_ack(addr, false, &shard);
         }
         let shard = {
             let mut topo = self.topology.write().unwrap();
@@ -1130,15 +1161,7 @@ impl GwInner {
                 }
             }
         };
-        let alive = shard.connect();
-        obj([
-            ("ok", Json::Bool(true)),
-            ("op", Json::Str("undrain".into())),
-            ("shard", Json::Str(addr.into())),
-            ("joined", Json::Bool(true)),
-            ("alive", Json::Bool(alive)),
-            ("weight", Json::Num(shard.weight())),
-        ])
+        undrain_ack(addr, true, &shard)
     }
 
     fn find(&self, addr: &str) -> Option<Arc<Shard>> {
@@ -1150,165 +1173,31 @@ impl GwInner {
             .cloned()
     }
 
-    /// The cluster-wide stats object: the numeric sum of every shard's
-    /// stats (live shards are polled; dead ones contribute their last
-    /// snapshot) plus the embedded local server's, with a `gateway`
-    /// section carrying routing state. Shaped like a single server's
-    /// stats, so existing clients (`dahliac batch`) read it unchanged.
-    fn stats_json(&self) -> Json {
-        // Snapshot the admission cache up front: lock guards created
-        // inside the big `obj([...])` below would live to the end of
-        // the whole expression and deadlock against each other.
-        let (adm_entries, adm_cap) = {
-            let adm = self.admission.lock().unwrap();
-            (adm.len(), adm.cap)
-        };
-        let mut agg = Json::Obj(Vec::new());
-        let mut shard_objs = Vec::new();
-        let mut live = 0u64;
-        let mut draining = 0u64;
-        let mut dead = 0u64;
+    /// The cluster-wide snapshot: every shard's server metrics (live
+    /// shards are polled; dead ones contribute their last snapshot) and
+    /// the embedded local server's, merged — shaped like a single
+    /// server's, so existing clients (`dahliac batch`) read it unchanged
+    /// — followed by the gateway's own metrics. Shard-side telemetry
+    /// and transport sections are not part of a server's schema, so
+    /// they stay on each shard's own stats.
+    fn snapshot(&self) -> Snapshot {
+        let mut merged = Snapshot::new();
         for shard in self.shards() {
-            let polled = shard.poll_stats();
-            let alive = polled.is_some();
-            if alive {
-                live += 1;
+            shard.poll_stats();
+            if let Some((_, snap)) = &*shard.last_stats.lock().unwrap() {
+                merged.merge(snap);
             }
-            if shard.is_draining() {
-                draining += 1;
-            } else if !alive {
-                dead += 1;
-            }
-            let snapshot = polled.or_else(|| shard.last_stats.lock().unwrap().clone());
-            if let Some(s) = &snapshot {
-                merge_sum(&mut agg, s);
-            }
-            let w = shard.window.snapshot();
-            shard_objs.push(obj([
-                ("addr", Json::Str(shard.addr.clone())),
-                ("alive", Json::Bool(alive)),
-                ("draining", Json::Bool(shard.is_draining())),
-                ("weight", Json::Num(shard.weight())),
-                (
-                    "routed",
-                    Json::Num(shard.routed.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "failed",
-                    Json::Num(shard.failed.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "retried",
-                    Json::Num(shard.retried.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "replicated",
-                    Json::Num(shard.replicated.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "drained_keys",
-                    Json::Num(shard.drained_keys.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "auto_drained",
-                    Json::Num(shard.auto_drained.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "consecutive_failures",
-                    Json::Num(shard.consecutive_failures.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "warm_keys",
-                    Json::Num(shard.warm_keys.lock().unwrap().len() as f64),
-                ),
-                // Windowed round trips as this gateway observed them
-                // (scalar fields only: the shards array renders as
-                // per-shard labelled Prometheus gauges).
-                ("window_routed", Json::Num(w.requests as f64)),
-                ("window_rate", Json::Num(w.rate_per_s())),
-                ("window_error_rate", Json::Num(w.error_rate_per_s())),
-                ("window_p99_us", Json::Num(w.hist.quantile(0.99))),
-                // The shard's own self-reported gauges, lifted out of
-                // its last stats snapshot (zero when never polled) so
-                // consoles see per-shard queue pressure, not just the
-                // cluster-merged sums.
-                (
-                    "in_flight",
-                    Json::Num(shard_window_gauge(&snapshot, "in_flight")),
-                ),
-                (
-                    "queue_depth",
-                    Json::Num(shard_window_gauge(&snapshot, "queue_depth")),
-                ),
-            ]));
         }
         if let Some(local) = self.local.get() {
-            // The stats op's object carries the `hist` section beside
-            // the flat counters, same as a shard's stats line.
-            merge_sum(&mut agg, &query(local, ControlOp::Stats));
+            merged.merge(&local.snapshot());
         }
-        // Bucket counts summed correctly across shards; percentile
-        // fields did not. Re-derive them from the merged buckets.
-        obs_json::fix_percentiles(&mut agg);
-        let gateway = obj([
-            (
-                "requests",
-                Json::Num(self.requests.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "rerouted",
-                Json::Num(self.rerouted.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "replica_writes",
-                Json::Num(self.replica_writes.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "replica_failures",
-                Json::Num(self.replica_failures.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "local_fallbacks",
-                Json::Num(self.local_fallbacks.load(Ordering::Relaxed) as f64),
-            ),
-            ("replication", Json::Num(self.replication as f64)),
-            (
-                "admission_cache_hits",
-                Json::Num(self.admission_hits.load(Ordering::Relaxed) as f64),
-            ),
-            ("admission_cache_entries", Json::Num(adm_entries as f64)),
-            ("admission_cache_cap", Json::Num(adm_cap as f64)),
-            ("shards_live", Json::Num(live as f64)),
-            ("shards_draining", Json::Num(draining as f64)),
-            ("shards_dead", Json::Num(dead as f64)),
-            ("auto_drain_after", Json::Num(self.auto_drain_after as f64)),
-            // The gateway's *own* live window — end-to-end latency as
-            // clients saw it, fail-overs included — beside the
-            // shard-merged `window` at the top level.
-            (
-                "window",
-                obs_json::window_to_json(
-                    &self.window.snapshot(),
-                    self.in_flight.load(Ordering::Relaxed),
-                    0,
-                ),
-            ),
-            ("journals", self.telemetry.journals_json()),
-            ("sweeps", self.sweeps.to_json()),
-            ("shards", Json::Arr(shard_objs)),
-        ]);
-        if let Json::Obj(fields) = &mut agg {
-            // Shard-side telemetry sections would sum meaninglessly
-            // across the cluster and collide with the gateway's own:
-            // drop them, then attach the gateway's at the root (the
-            // same layout a single server exposes, so the
-            // `dahlia_alert_state{rule=...}` gauge family renders
-            // identically from either).
-            fields.retain(|(k, _)| k != "telemetry" && k != "alerts" && k != "alert_state");
-            fields.push(("gateway".to_string(), gateway));
-            self.telemetry.push_stats_sections(fields);
-        }
-        agg
+        merged.extend(self.metrics.snapshot());
+        merged
+    }
+
+    /// The stats object `{"op":"stats"}` answers.
+    fn stats_json(&self) -> Json {
+        obs_json::snapshot_to_json(&self.snapshot())
     }
 
     /// The liveness object: shard counts by state beside the
@@ -1342,15 +1231,17 @@ fn set_field(resp: &mut Json, key: &str, val: Json) {
     }
 }
 
-/// A gauge from the `window` section of a shard's self-reported stats
-/// snapshot, defaulting to 0 for never-polled (or pre-window) shards.
-fn shard_window_gauge(snapshot: &Option<Json>, key: &str) -> f64 {
-    snapshot
-        .as_ref()
-        .and_then(|s| s.get("window"))
-        .and_then(|w| w.get(key))
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0)
+/// Dial `shard` and acknowledge an undrain (`joined`: a new shard).
+fn undrain_ack(addr: &str, joined: bool, shard: &Shard) -> Json {
+    let alive = shard.connect();
+    obj([
+        ("ok", Json::Bool(true)),
+        ("op", Json::Str("undrain".into())),
+        ("shard", Json::Str(addr.into())),
+        ("joined", Json::Bool(joined)),
+        ("alive", Json::Bool(alive)),
+        ("weight", Json::Num(shard.weight())),
+    ])
 }
 
 fn drain_ack(addr: &str, already: bool, scheduled: usize) -> Json {
@@ -1377,25 +1268,6 @@ fn admin_error(op: &str, shard: &str, message: String) -> Json {
             ]),
         ),
     ])
-}
-
-/// Numeric deep-merge: numbers add, objects merge recursively (keys
-/// the accumulator lacks are appended in the contributor's order), and
-/// everything else keeps the accumulator's value. Summing per-shard
-/// stats this way survives counter additions without a schema here.
-fn merge_sum(acc: &mut Json, add: &Json) {
-    match (acc, add) {
-        (Json::Num(a), Json::Num(b)) => *a += *b,
-        (Json::Obj(af), Json::Obj(bf)) => {
-            for (k, v) in bf {
-                match af.iter_mut().find(|(ak, _)| ak == k) {
-                    Some((_, slot)) => merge_sum(slot, v),
-                    None => af.push((k.clone(), v.clone())),
-                }
-            }
-        }
-        _ => {}
-    }
 }
 
 /// A point-in-time view of one shard, for tests, benches, and the CLI
@@ -1441,12 +1313,6 @@ impl Gateway {
         self.inner.submit(req)
     }
 
-    /// Run one synchronous health pass (what the background checker
-    /// does every interval): poll live shards, re-dial dead ones.
-    pub fn check_now(&self) {
-        self.inner.health_pass();
-    }
-
     /// Mark `addr` draining: new keys route past it, in-flight work
     /// completes, and a background task migrates its warm keys to the
     /// surviving replica set. Returns the ack object (`keys_scheduled`
@@ -1485,34 +1351,28 @@ impl Gateway {
 
     /// Requests routed so far (including local fallbacks).
     pub fn requests(&self) -> u64 {
-        self.inner.requests.load(Ordering::Relaxed)
+        self.inner.requests.get()
     }
 
     /// Requests that failed on some shard and were re-routed.
     pub fn rerouted(&self) -> u64 {
-        self.inner.rerouted.load(Ordering::Relaxed)
+        self.inner.rerouted.get()
     }
 
     /// Replication fan-out calls dispatched so far.
     pub fn replica_writes(&self) -> u64 {
-        self.inner.replica_writes.load(Ordering::Relaxed)
-    }
-
-    /// Replica fan-outs that could not be delivered (dead replica or
-    /// failed call) — nonzero means some keys are singly-held.
-    pub fn replica_failures(&self) -> u64 {
-        self.inner.replica_failures.load(Ordering::Relaxed)
+        self.inner.replica_writes.get()
     }
 
     /// Requests answered by the embedded local server.
     pub fn local_fallbacks(&self) -> u64 {
-        self.inner.local_fallbacks.load(Ordering::Relaxed)
+        self.inner.local_fallbacks.get()
     }
 
     /// Requests answered straight out of the admission cache, without
     /// touching a shard.
     pub fn admission_cache_hits(&self) -> u64 {
-        self.inner.admission_hits.load(Ordering::Relaxed)
+        self.inner.admission_hits.get()
     }
 
     /// Per-shard state, refreshing each live shard's stats snapshot.
@@ -1527,12 +1387,15 @@ impl Gateway {
                     alive: polled.is_some(),
                     draining: s.is_draining(),
                     weight: s.weight(),
-                    routed: s.routed.load(Ordering::Relaxed),
-                    failed: s.failed.load(Ordering::Relaxed),
-                    retried: s.retried.load(Ordering::Relaxed),
-                    replicated: s.replicated.load(Ordering::Relaxed),
-                    drained_keys: s.drained_keys.load(Ordering::Relaxed),
-                    stats: polled.or_else(|| s.last_stats.lock().unwrap().clone()),
+                    routed: s.routed.get(),
+                    failed: s.failed.get(),
+                    retried: s.retried.get(),
+                    replicated: s.replicated.get(),
+                    drained_keys: s.drained_keys.get(),
+                    stats: polled.or_else(|| {
+                        let last = s.last_stats.lock().unwrap();
+                        last.as_ref().map(|(json, _)| json.clone())
+                    }),
                 }
             })
             .collect()
@@ -1541,6 +1404,12 @@ impl Gateway {
     /// The aggregated stats object `{"op":"stats"}` answers.
     pub fn stats_json(&self) -> Json {
         self.inner.stats_json()
+    }
+
+    /// The cluster-wide metrics snapshot the stats object encodes (see
+    /// [`Gateway::stats_json`]); `/metrics` renders it as Prometheus.
+    pub fn snapshot(&self) -> Snapshot {
+        self.inner.snapshot()
     }
 }
 
@@ -1579,8 +1448,22 @@ impl SessionHost for Gateway {
                     .spawn(move || sweep::run_sweep(&inner, op, &*reply));
             }
             ControlOp::Health => reply(self.inner.health_json(), true),
-            read => reply(self.inner.telemetry.read(&read), true),
+            // A history series' kind comes from the schemas, not from a
+            // cluster poll: this runs on the transport thread.
+            read => {
+                let sample = |series: &str| {
+                    stats_schema()
+                        .get(series)
+                        .cloned()
+                        .or_else(|| inner.metrics.snapshot().get(series).cloned())
+                };
+                reply(self.inner.telemetry.read(&read, sample), true)
+            }
         }
+    }
+
+    fn transport(&self) -> Arc<TransportStats> {
+        Arc::clone(&self.inner.transport)
     }
 }
 
@@ -1602,7 +1485,7 @@ impl Drop for Gateway {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dahlia_server::Stage;
+    use dahlia_server::{query, Stage};
 
     const GOOD: &str = "let A: float[8 bank 4];\nfor (let i = 0..8) unroll 4 { A[i] := 1.0; }";
 
@@ -1837,15 +1720,5 @@ mod tests {
         // The whole object stays machine-parseable (no NaN leaks from
         // the empty windowed histogram).
         assert!(Json::parse(&stats.emit()).is_ok());
-    }
-
-    #[test]
-    fn merge_sum_adds_numbers_and_unions_objects() {
-        let mut acc = Json::parse(r#"{"a":1,"nested":{"x":2}}"#).unwrap();
-        merge_sum(
-            &mut acc,
-            &Json::parse(r#"{"a":10,"nested":{"x":5,"y":7},"b":3}"#).unwrap(),
-        );
-        assert_eq!(acc.emit(), r#"{"a":11,"nested":{"x":7,"y":7},"b":3}"#);
     }
 }

@@ -33,84 +33,55 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use dahlia_dse::{point_digest, render, ParetoFront, SweepSpec};
-use dahlia_obs::{Tsdb, TsdbOptions};
+use dahlia_obs::{Counter, Gauge, Registry, Tsdb, TsdbOptions};
 use dahlia_server::json::{obj, Json};
 use dahlia_server::{Request, Stage};
 
 use crate::GwInner;
 
-/// Lifetime sweep counters, surfaced as the `gateway.sweeps` stats
+/// Lifetime sweep counters, registered as the `gateway.sweeps` stats
 /// section (and thus `/metrics` and `dahliac top`).
 #[derive(Default)]
 pub(crate) struct SweepCounters {
     /// Sweep ops accepted (including ones that later failed).
-    started: AtomicU64,
+    started: Counter,
     /// Sweeps that emitted their final summary.
-    completed: AtomicU64,
+    completed: Counter,
     /// Sweeps that ran with `"resume":true`.
-    resumed: AtomicU64,
+    resumed: Counter,
     /// Points across all sweeps (after striding).
-    points_total: AtomicU64,
+    points_total: Counter,
     /// Points actually evaluated (dispatched through the router).
-    points_done: AtomicU64,
+    points_done: Counter,
     /// Points answered from the journal on resume — never dispatched.
-    points_skipped: AtomicU64,
+    points_skipped: Counter,
     /// Points skipped by dominance pruning.
-    points_pruned: AtomicU64,
+    points_pruned: Counter,
     /// Evaluated points answered warm (admission cache or shard cache).
-    cache_hits: AtomicU64,
+    cache_hits: Counter,
     /// Evaluated points whose compile was rejected (no objectives).
-    point_failures: AtomicU64,
-    /// Most recent sweep's completion rate, f64 bits.
-    last_points_per_s: AtomicU64,
+    point_failures: Counter,
+    /// Most recent sweep's completion rate.
+    last_points_per_s: Gauge,
 }
 
 impl SweepCounters {
-    pub(crate) fn to_json(&self) -> Json {
-        obj([
-            (
-                "started",
-                Json::Num(self.started.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "completed",
-                Json::Num(self.completed.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "resumed",
-                Json::Num(self.resumed.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "points_total",
-                Json::Num(self.points_total.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "points_done",
-                Json::Num(self.points_done.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "points_skipped",
-                Json::Num(self.points_skipped.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "points_pruned",
-                Json::Num(self.points_pruned.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "cache_hits",
-                Json::Num(self.cache_hits.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "point_failures",
-                Json::Num(self.point_failures.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "last_points_per_s",
-                Json::Num(f64::from_bits(
-                    self.last_points_per_s.load(Ordering::Relaxed),
-                )),
-            ),
-        ])
+    pub(crate) fn register(&self, reg: &mut Registry) {
+        for (name, c) in [
+            ("gateway.sweeps.started", &self.started),
+            ("gateway.sweeps.completed", &self.completed),
+            ("gateway.sweeps.resumed", &self.resumed),
+            ("gateway.sweeps.points_total", &self.points_total),
+            ("gateway.sweeps.points_done", &self.points_done),
+            ("gateway.sweeps.points_skipped", &self.points_skipped),
+            ("gateway.sweeps.points_pruned", &self.points_pruned),
+            ("gateway.sweeps.cache_hits", &self.cache_hits),
+            ("gateway.sweeps.point_failures", &self.point_failures),
+        ] {
+            reg.counter(name, c);
+        }
+        let pps = self.last_points_per_s.clone();
+        reg.collect(move |s| s.gauge("gateway.sweeps.last_points_per_s", pps.get()));
     }
 }
 
@@ -156,9 +127,9 @@ struct SweepState<'a> {
 /// `"done":false` progress lines and exactly one final line.
 pub(crate) fn run_sweep(inner: &Arc<GwInner>, op: dahlia_server::SweepOp, emit: &EmitFn) {
     let t0 = Instant::now();
-    inner.sweeps.started.fetch_add(1, Ordering::Relaxed);
+    inner.sweeps.started.inc();
     if op.resume {
-        inner.sweeps.resumed.fetch_add(1, Ordering::Relaxed);
+        inner.sweeps.resumed.inc();
     }
     let spec = SweepSpec {
         name: op.name.clone(),
@@ -324,14 +295,14 @@ pub(crate) fn run_sweep(inner: &Arc<GwInner>, op: dahlia_server::SweepOp, emit: 
         done as f64
     };
     let g = &inner.sweeps;
-    g.completed.fetch_add(1, Ordering::Relaxed);
-    g.points_total.fetch_add(state.total, Ordering::Relaxed);
-    g.points_done.fetch_add(done, Ordering::Relaxed);
-    g.points_skipped.fetch_add(skipped, Ordering::Relaxed);
-    g.points_pruned.fetch_add(pruned, Ordering::Relaxed);
-    g.cache_hits.fetch_add(cache_hits, Ordering::Relaxed);
-    g.point_failures.fetch_add(failures, Ordering::Relaxed);
-    g.last_points_per_s.store(pps.to_bits(), Ordering::Relaxed);
+    g.completed.inc();
+    g.points_total.add(state.total);
+    g.points_done.add(done);
+    g.points_skipped.add(skipped);
+    g.points_pruned.add(pruned);
+    g.cache_hits.add(cache_hits);
+    g.point_failures.add(failures);
+    g.last_points_per_s.set(pps);
 
     let mean_point_ms = if done > 0 {
         elapsed_ms as f64 / done as f64

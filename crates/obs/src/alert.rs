@@ -35,9 +35,9 @@
 //! `{"op":"alerts","since":N}`, and eviction is observable through the
 //! `dropped` counter rather than silent.
 
-use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
+use crate::ring::{Ring, RingSnapshot};
 use crate::window::Clock;
 
 /// Comparison operator of a [`Rule`].
@@ -204,11 +204,10 @@ impl AlertState {
 }
 
 /// One journal entry: a firing/resolved transition, or a host-emitted
-/// remediation event (e.g. the gateway's `auto_drain`).
+/// remediation event (e.g. the gateway's `auto_drain`). Its sequence
+/// number is the journal [`Ring`]'s.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AlertEvent {
-    /// Monotonic sequence number, starting at 1.
-    pub seq: u64,
     /// Clock timestamp of the transition.
     pub t_ms: u64,
     /// The rule's `text`, or the emitting subsystem for host events.
@@ -219,20 +218,6 @@ pub struct AlertEvent {
     pub value: f64,
     /// Optional free-form detail (e.g. the drained shard address).
     pub detail: String,
-}
-
-/// Cursor-addressed view of the journal, as answered to
-/// `{"op":"alerts"}`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AlertLogSnapshot {
-    /// The journal's retention bound.
-    pub capacity: usize,
-    /// Entries evicted over the journal's lifetime.
-    pub dropped: u64,
-    /// The newest sequence number ever assigned (0 when empty).
-    pub last_seq: u64,
-    /// Retained entries with `seq > since`, oldest first.
-    pub entries: Vec<AlertEvent>,
 }
 
 /// A rule's live evaluation state, as reported by
@@ -255,13 +240,6 @@ struct RuleSlot {
     value: f64,
 }
 
-struct EngineInner {
-    slots: Vec<RuleSlot>,
-    journal: VecDeque<AlertEvent>,
-    dropped: u64,
-    last_seq: u64,
-}
-
 /// The rule engine. Evaluation is driven externally (the telemetry
 /// sampler calls [`AlertEngine::eval`] once per tick); the journal can
 /// additionally record host-side remediation events directly via
@@ -269,8 +247,8 @@ struct EngineInner {
 /// even for actions that do not originate from a rule.
 pub struct AlertEngine {
     clock: Arc<dyn Clock>,
-    cap: usize,
-    inner: Mutex<EngineInner>,
+    slots: Mutex<Vec<RuleSlot>>,
+    journal: Ring<AlertEvent>,
 }
 
 impl AlertEngine {
@@ -280,9 +258,8 @@ impl AlertEngine {
     pub fn new(rules: Vec<Rule>, clock: Arc<dyn Clock>, cap: usize) -> Self {
         AlertEngine {
             clock,
-            cap: cap.max(1),
-            inner: Mutex::new(EngineInner {
-                slots: rules
+            slots: Mutex::new(
+                rules
                     .into_iter()
                     .map(|rule| RuleSlot {
                         rule,
@@ -291,23 +268,21 @@ impl AlertEngine {
                         value: 0.0,
                     })
                     .collect(),
-                journal: VecDeque::new(),
-                dropped: 0,
-                last_seq: 0,
-            }),
+            ),
+            journal: Ring::new(cap),
         }
     }
 
     /// Number of configured rules.
     pub fn rule_count(&self) -> usize {
-        self.inner.lock().unwrap().slots.len()
+        self.slots.lock().unwrap().len()
     }
 
     /// Number of rules currently firing.
     pub fn firing(&self) -> usize {
-        let inner = self.inner.lock().unwrap();
-        inner
-            .slots
+        self.slots
+            .lock()
+            .unwrap()
             .iter()
             .filter(|s| s.state == AlertState::Firing)
             .count()
@@ -321,9 +296,9 @@ impl AlertEngine {
     pub fn eval(&self, sample: &dyn Fn(&str) -> Option<f64>) -> Vec<Rule> {
         let now = self.clock.now_ms();
         let mut fired = Vec::new();
-        let mut inner = self.inner.lock().unwrap();
+        let mut slots = self.slots.lock().unwrap();
         let mut events = Vec::new();
-        for slot in &mut inner.slots {
+        for slot in slots.iter_mut() {
             let value = sample(&slot.rule.series);
             if let Some(v) = value {
                 slot.value = v;
@@ -360,7 +335,13 @@ impl AlertEngine {
             }
         }
         for (rule, event, value) in events {
-            push_event(&mut inner, self.cap, now, rule, event.into(), value, None);
+            self.journal.push(AlertEvent {
+                t_ms: now,
+                rule,
+                event: event.into(),
+                value,
+                detail: String::new(),
+            });
         }
         fired
     }
@@ -368,24 +349,20 @@ impl AlertEngine {
     /// Journal a host-side event (e.g. an auto-drain) outside any
     /// rule evaluation. Returns the assigned sequence number.
     pub fn record_event(&self, rule: &str, event: &str, value: f64, detail: &str) -> u64 {
-        let now = self.clock.now_ms();
-        let mut inner = self.inner.lock().unwrap();
-        push_event(
-            &mut inner,
-            self.cap,
-            now,
-            rule.to_string(),
-            event.to_string(),
+        self.journal.push(AlertEvent {
+            t_ms: self.clock.now_ms(),
+            rule: rule.to_string(),
+            event: event.to_string(),
             value,
-            Some(detail.to_string()),
-        )
+            detail: detail.to_string(),
+        })
     }
 
     /// Every rule's current state and last value, in rule order.
     pub fn states(&self) -> Vec<RuleState> {
-        let inner = self.inner.lock().unwrap();
-        inner
-            .slots
+        self.slots
+            .lock()
+            .unwrap()
             .iter()
             .map(|s| RuleState {
                 rule: s.rule.text.clone(),
@@ -397,46 +374,9 @@ impl AlertEngine {
 
     /// The journal entries newer than the `since` cursor (0 dumps
     /// everything retained), oldest first, plus the journal counters.
-    pub fn snapshot_since(&self, since: u64) -> AlertLogSnapshot {
-        let inner = self.inner.lock().unwrap();
-        AlertLogSnapshot {
-            capacity: self.cap,
-            dropped: inner.dropped,
-            last_seq: inner.last_seq,
-            entries: inner
-                .journal
-                .iter()
-                .filter(|e| e.seq > since)
-                .cloned()
-                .collect(),
-        }
+    pub fn snapshot_since(&self, since: u64) -> RingSnapshot<AlertEvent> {
+        self.journal.since(since)
     }
-}
-
-fn push_event(
-    inner: &mut EngineInner,
-    cap: usize,
-    t_ms: u64,
-    rule: String,
-    event: String,
-    value: f64,
-    detail: Option<String>,
-) -> u64 {
-    inner.last_seq += 1;
-    let seq = inner.last_seq;
-    if inner.journal.len() == cap {
-        inner.journal.pop_front();
-        inner.dropped += 1;
-    }
-    inner.journal.push_back(AlertEvent {
-        seq,
-        t_ms,
-        rule,
-        event,
-        value,
-        detail: detail.unwrap_or_default(),
-    });
-    seq
 }
 
 #[cfg(test)]
@@ -519,10 +459,10 @@ mod tests {
         assert!(eng.eval(&low).is_empty());
         assert_eq!(eng.states()[0].state, AlertState::Ok);
         let snap = eng.snapshot_since(0);
-        let kinds: Vec<&str> = snap.entries.iter().map(|e| e.event.as_str()).collect();
+        let kinds: Vec<&str> = snap.entries.iter().map(|(_, e)| e.event.as_str()).collect();
         assert_eq!(kinds, vec!["firing", "resolved"]);
-        assert_eq!(snap.entries[0].value, 0.9);
-        assert_eq!(snap.entries[1].value, 0.1);
+        assert_eq!(snap.entries[0].1.value, 0.9);
+        assert_eq!(snap.entries[1].1.value, 0.1);
     }
 
     #[test]
@@ -540,7 +480,7 @@ mod tests {
             .snapshot_since(0)
             .entries
             .iter()
-            .map(|e| e.event.clone())
+            .map(|(_, e)| e.event.clone())
             .collect();
         assert_eq!(kinds, vec!["firing", "resolved"]);
     }
@@ -558,7 +498,7 @@ mod tests {
         assert_eq!(snap.dropped, 3);
         assert_eq!(snap.last_seq, 5);
         assert_eq!(
-            snap.entries.iter().map(|e| e.seq).collect::<Vec<_>>(),
+            snap.entries.iter().map(|(seq, _)| *seq).collect::<Vec<_>>(),
             vec![4, 5]
         );
         assert_eq!(eng.snapshot_since(4).entries.len(), 1);
@@ -603,16 +543,16 @@ mod tests {
                 // Eviction may drop the front of the sequence, so only
                 // alternation between retained neighbours is asserted.
                 for pair in snap.entries.windows(2) {
-                    prop_assert_ne!(&pair[0].event, &pair[1].event);
+                    prop_assert_ne!(&pair[0].1.event, &pair[1].1.event);
                 }
                 if snap.dropped == 0 {
-                    if let Some(first) = snap.entries.first() {
+                    if let Some((_, first)) = snap.entries.first() {
                         prop_assert_eq!(first.event.as_str(), "firing");
                     }
                 }
                 let state = eng.states()[0].state;
                 match snap.entries.last() {
-                    Some(e) if e.event == "firing" => {
+                    Some((_, e)) if e.event == "firing" => {
                         prop_assert_eq!(state, AlertState::Firing)
                     }
                     Some(_) | None => prop_assert!(state != AlertState::Firing),

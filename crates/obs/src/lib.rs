@@ -1,47 +1,33 @@
-//! Observability primitives for the Dahlia compile cluster.
+//! Observability primitives for the Dahlia compile cluster,
+//! dependency-free and `std`-only like the rest of the workspace:
 //!
-//! The serving stack's original statistics were flat sums — one
-//! cumulative `latency_us`, one `compute_nanos` total per stage —
-//! which answer "how much work happened" but not "how is it
-//! distributed" or "where did *this* request go". This crate supplies
-//! the three missing primitives, dependency-free and `std`-only like
-//! the rest of the workspace:
-//!
+//! * [`Registry`] / [`Snapshot`] — the one typed metrics model. Each
+//!   host registers its counters, histograms, windows, and collectors
+//!   once; every export (stats JSON, Prometheus, history, alert rules)
+//!   reads the same ordered [`Snapshot`], and snapshots merge across a
+//!   cluster without ever summing a percentile.
 //! * [`Histogram`] — a lock-free, log-bucketed (power-of-two bounds)
-//!   latency/cost histogram with p50/p95/p99 extraction. Recording is
-//!   a couple of relaxed atomic adds, cheap enough for every request
-//!   and every pipeline stage. Snapshots ([`HistSnapshot`]) are plain
-//!   data: they merge across shards and re-derive percentiles after
-//!   the merge, which is the only sound order (percentiles do not
-//!   sum; bucket counts do).
-//! * [`Span`] / [`TraceEntry`] / [`Journal`] — request-scoped trace
-//!   spans (queue wait, per-stage compute, cache tier, re-route hops,
-//!   replication fan-out) and a bounded in-process ring buffer that
-//!   retains the most recent traced requests for the `{"op":"trace"}`
-//!   control line.
-//! * [`prom`] — Prometheus text-exposition rendering (metric-name and
-//!   label validation, sample and histogram lines) so `/metrics` can
-//!   speak the standard scrape format as well as JSON.
+//!   latency/cost histogram: a couple of relaxed atomic adds per
+//!   observation. Its snapshots ([`HistSnapshot`]) merge by adding
+//!   buckets; percentiles come after the merge, never before.
 //! * [`Window`] — a sliding window (ring of fixed-duration buckets of
-//!   counters + histograms, rotated by a pluggable [`Clock`]) that
-//!   turns the lifetime aggregates into live signals: windowed
-//!   throughput, error rate, and p50/p95/p99 over the last couple of
+//!   counters + histograms, rotated by a pluggable [`Clock`]): windowed
+//!   throughput, error rate, and percentiles over the last couple of
 //!   minutes instead of since process start.
-//! * [`SlowLog`] — a cursor-addressable bounded journal of requests
-//!   that exceeded a latency threshold, captured retroactively from
-//!   always-on span recording so nobody has to have asked for a trace
-//!   before the regression happened.
+//! * [`Ring`] — the bounded, sequence-numbered ring behind the trace
+//!   [`Journal`] (client-traced requests and their [`Span`]s), the
+//!   [`SlowLog`] (requests over a latency threshold, captured
+//!   retroactively from always-on spans), and the alert journal.
+//! * [`prom`] — Prometheus text exposition of a [`Snapshot`].
 //! * [`Tsdb`] / [`Sampler`] — durable telemetry: a crash-safe,
 //!   append-only on-disk ring of periodic stats snapshots (checksummed
 //!   records, byte-bounded segment rotation, torn-tail recovery after
 //!   SIGKILL) fed by a fixed-interval sampler thread, plus
-//!   [`downsample`] for turning the recovered series into the bounded
-//!   min/max/mean bins the `{"op":"history"}` control line answers.
+//!   [`downsample`] for the bins the `{"op":"history"}` op answers.
 //! * [`AlertEngine`] — declarative threshold rules
 //!   (`window.error_rate > 0.05 for 30s`) with for-duration
-//!   hysteresis, a bounded sequence-numbered transition journal read
-//!   via `{"op":"alerts"}`, and optional remediation-action bindings
-//!   (the gateway binds `drain`).
+//!   hysteresis, a transition journal read via `{"op":"alerts"}`, and
+//!   optional remediation-action bindings (the gateway binds `drain`).
 //!
 //! This crate deliberately knows nothing about JSON or the wire
 //! protocol: `dahlia-server` depends on it (never the reverse) and
@@ -53,14 +39,18 @@
 mod alert;
 mod hist;
 pub mod prom;
+mod registry;
+mod ring;
 mod slowlog;
 mod trace;
 mod tsdb;
 mod window;
 
-pub use alert::{AlertEngine, AlertEvent, AlertLogSnapshot, AlertState, Cmp, Rule, RuleState};
+pub use alert::{AlertEngine, AlertEvent, AlertState, Cmp, Rule, RuleState};
 pub use hist::{bucket_upper_bound, HistSnapshot, Histogram, BUCKETS};
-pub use slowlog::{SlowEntry, SlowLog, SlowLogSnapshot};
+pub use registry::{Counter, Gauge, Registry, Row, Snapshot, Table, Value};
+pub use ring::{Ring, RingSnapshot};
+pub use slowlog::SlowLog;
 pub use trace::{next_trace_id, Journal, Span, Tier, TraceEntry};
 pub use tsdb::{
     downsample, Bin, Sampler, Tsdb, TsdbOptions, TsdbStats, DEFAULT_RETAIN_BYTES,

@@ -9,6 +9,7 @@
 //! would reject.
 
 use crate::hist::HistSnapshot;
+use crate::registry::{Snapshot, Value};
 use std::fmt::Write as _;
 
 /// Is `s` a valid Prometheus metric name (`[a-zA-Z_:][a-zA-Z0-9_:]*`)?
@@ -159,10 +160,51 @@ impl PromWriter {
     }
 }
 
+/// Render a snapshot as exposition text, every family under the
+/// `dahlia` prefix. A sample's name is its dotted path joined with `_`
+/// (each segment sanitized); counters and gauges are `gauge` samples,
+/// flags `0`/`1` gauges, histograms full histogram families, and a
+/// table's rows samples labelled with their label value (see
+/// [`crate::Table::export`] for which fields export).
+pub fn render(snapshot: &Snapshot) -> String {
+    let mut w = PromWriter::new();
+    for (name, value) in snapshot.iter() {
+        let family = name.split('.').fold(String::from("dahlia"), |acc, seg| {
+            acc + "_" + &sanitize_name(seg)
+        });
+        match value {
+            Value::Histogram(h) => w.histogram(&family, &[], h),
+            Value::Table(t) => {
+                for row in &t.rows {
+                    let labels = [(t.label, row.label.as_str())];
+                    for (field, v) in &row.fields {
+                        let Some(x) = v.as_f64() else { continue };
+                        match t.export {
+                            Some(f) if f == *field => w.sample(&family, "gauge", &labels, x),
+                            Some(_) => {}
+                            None => {
+                                let name = format!("{family}_{}", sanitize_name(field));
+                                w.sample(&name, "gauge", &labels, x);
+                            }
+                        }
+                    }
+                }
+            }
+            v => {
+                if let Some(x) = v.as_f64() {
+                    w.sample(&family, "gauge", &[], x);
+                }
+            }
+        }
+    }
+    w.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hist::Histogram;
+    use crate::registry::{Row, Table};
 
     #[test]
     fn name_validation() {
@@ -218,5 +260,40 @@ mod tests {
         assert!(text.contains("dahlia_latency_us_bucket{le=\"+Inf\"} 4\n"));
         assert!(text.contains("dahlia_latency_us_sum 106\n"));
         assert!(text.contains("dahlia_latency_us_count 4\n"));
+    }
+
+    #[test]
+    fn render_names_families_by_path_and_labels_table_rows() {
+        let mut s = Snapshot::new();
+        s.counter("disk.hits", 3);
+        s.push("up", Value::Flag(true));
+        let row = |label: &str, v: f64| Row {
+            label: label.to_string(),
+            fields: vec![("state", Value::Gauge(v)), ("value", Value::Gauge(9.5))],
+        };
+        s.push(
+            "alert_state",
+            Value::Table(Table {
+                key: "rule",
+                label: "rule",
+                export: Some("state"),
+                rows: vec![row("a > 1", 2.0)],
+            }),
+        );
+        s.push(
+            "gateway.shards",
+            Value::Table(Table {
+                key: "addr",
+                label: "shard",
+                export: None,
+                rows: vec![row("127.0.0.1:1", 0.0)],
+            }),
+        );
+        let text = render(&s);
+        assert!(text.contains("# TYPE dahlia_disk_hits gauge\ndahlia_disk_hits 3\n"));
+        assert!(text.contains("dahlia_up 1\n"));
+        assert!(text.contains("dahlia_alert_state{rule=\"a > 1\"} 2\n"));
+        assert!(!text.contains("alert_state_value"), "{text}");
+        assert!(text.contains("dahlia_gateway_shards_value{shard=\"127.0.0.1:1\"} 9.5\n"));
     }
 }

@@ -11,103 +11,13 @@
 //! "everything after cursor N" (`{"op":"slowlog","since":N}`) without
 //! re-downloading the whole ring every poll.
 
-use std::collections::VecDeque;
-use std::sync::Mutex;
-
+use crate::ring::Ring;
 use crate::trace::TraceEntry;
 
-/// One captured slow request: its assigned cursor and the same
-/// breakdown a traced request would have produced.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SlowEntry {
-    /// Monotonic capture sequence number, starting at 1.
-    pub seq: u64,
-    /// The request's outcome and span breakdown. `trace` holds the
-    /// client's trace id when the request happened to be traced, and
-    /// is empty for the (typical) untraced capture.
-    pub entry: TraceEntry,
-}
-
-/// A bounded ring of the most recent [`SlowEntry`]s. Pushing beyond
-/// capacity evicts the oldest entry and counts it as dropped; sequence
-/// numbers keep advancing regardless, so a poller can tell eviction
-/// ("my cursor is older than the oldest retained seq") from idleness.
-#[derive(Debug)]
-pub struct SlowLog {
-    cap: usize,
-    inner: Mutex<SlowLogInner>,
-}
-
-#[derive(Debug, Default)]
-struct SlowLogInner {
-    entries: VecDeque<SlowEntry>,
-    dropped: u64,
-    last_seq: u64,
-}
-
-/// A snapshot of the slow log, as answered to `{"op":"slowlog"}`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SlowLogSnapshot {
-    /// The retention bound.
-    pub capacity: usize,
-    /// Entries evicted over the log's lifetime.
-    pub dropped: u64,
-    /// The newest sequence number ever assigned (0 when nothing has
-    /// been captured) — the poller's next `since` cursor.
-    pub last_seq: u64,
-    /// Retained entries with `seq > since`, oldest first.
-    pub entries: Vec<SlowEntry>,
-}
-
-impl SlowLog {
-    /// A log retaining at most `cap` entries (clamped to at least 1).
-    pub fn new(cap: usize) -> Self {
-        SlowLog {
-            cap: cap.max(1),
-            inner: Mutex::new(SlowLogInner::default()),
-        }
-    }
-
-    /// The retention bound.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Entries evicted over the log's lifetime.
-    pub fn dropped(&self) -> u64 {
-        self.inner.lock().unwrap().dropped
-    }
-
-    /// Capture one slow request; returns its assigned sequence number.
-    pub fn push(&self, entry: TraceEntry) -> u64 {
-        let mut inner = self.inner.lock().unwrap();
-        inner.last_seq += 1;
-        let seq = inner.last_seq;
-        if inner.entries.len() == self.cap {
-            inner.entries.pop_front();
-            inner.dropped += 1;
-        }
-        inner.entries.push_back(SlowEntry { seq, entry });
-        seq
-    }
-
-    /// The retained entries newer than the `since` cursor (0 dumps
-    /// everything retained), oldest first, plus the log's counters.
-    pub fn snapshot_since(&self, since: u64) -> SlowLogSnapshot {
-        let inner = self.inner.lock().unwrap();
-        SlowLogSnapshot {
-            capacity: self.cap,
-            dropped: inner.dropped,
-            last_seq: inner.last_seq,
-            entries: inner
-                .entries
-                .iter()
-                .filter(|e| e.seq > since)
-                .cloned()
-                .collect(),
-        }
-    }
-}
+/// The slow-request log: a [`Ring`] of captures. An entry's `trace`
+/// holds the client's trace id when the request happened to be traced,
+/// and is empty for the (typical) untraced capture.
+pub type SlowLog = Ring<TraceEntry>;
 
 #[cfg(test)]
 mod tests {
@@ -124,21 +34,21 @@ mod tests {
         }
     }
 
+    fn seqs(log: &SlowLog, since: u64) -> Vec<u64> {
+        log.since(since).entries.iter().map(|(s, _)| *s).collect()
+    }
+
     #[test]
     fn sequences_advance_and_cursors_filter() {
         let log = SlowLog::new(10);
         for n in 1..=5 {
             assert_eq!(log.push(entry(n)), n);
         }
-        let all = log.snapshot_since(0);
+        let all = log.since(0);
         assert_eq!(all.last_seq, 5);
         assert_eq!(all.entries.len(), 5);
-        let tail = log.snapshot_since(3);
-        assert_eq!(
-            tail.entries.iter().map(|e| e.seq).collect::<Vec<_>>(),
-            vec![4, 5]
-        );
-        assert!(log.snapshot_since(5).entries.is_empty());
+        assert_eq!(seqs(&log, 3), vec![4, 5]);
+        assert!(log.since(5).entries.is_empty());
     }
 
     #[test]
@@ -147,14 +57,10 @@ mod tests {
         for n in 1..=5 {
             log.push(entry(n));
         }
-        let snap = log.snapshot_since(0);
+        let snap = log.since(0);
         assert_eq!(snap.dropped, 3);
         assert_eq!(snap.last_seq, 5);
-        assert_eq!(
-            snap.entries.iter().map(|e| e.seq).collect::<Vec<_>>(),
-            vec![4, 5],
-            "only the newest two retained"
-        );
+        assert_eq!(seqs(&log, 0), vec![4, 5], "only the newest two retained");
         assert_eq!(log.capacity(), 2);
         assert_eq!(log.dropped(), 3);
     }

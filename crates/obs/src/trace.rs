@@ -4,13 +4,13 @@
 //! one pipeline stage, one shard attempt. A *trace entry* is the
 //! finished request: its trace id, outcome, wall latency, and span
 //! list. Hosts keep the most recent entries in a [`Journal`] — a
-//! fixed-capacity ring buffer — so an operator can ask "what did the
+//! fixed-capacity [`Ring`] — so an operator can ask "what did the
 //! last N traced requests actually do" without any external
 //! collector.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+
+use crate::ring::Ring;
 
 /// Which cache tier answered an artifact lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,60 +93,9 @@ pub struct TraceEntry {
     pub spans: Vec<Span>,
 }
 
-/// A bounded ring buffer of the most recent [`TraceEntry`]s. Pushing
-/// beyond capacity evicts the oldest entry and counts it as dropped,
-/// so the journal's memory is a hard constant regardless of traffic.
-#[derive(Debug)]
-pub struct Journal {
-    cap: usize,
-    inner: Mutex<JournalInner>,
-}
-
-#[derive(Debug, Default)]
-struct JournalInner {
-    entries: VecDeque<TraceEntry>,
-    dropped: u64,
-}
-
-impl Journal {
-    /// A journal retaining at most `cap` entries (`cap` is clamped to
-    /// at least 1).
-    pub fn new(cap: usize) -> Self {
-        Journal {
-            cap: cap.max(1),
-            inner: Mutex::new(JournalInner::default()),
-        }
-    }
-
-    /// The retention bound.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Append an entry, evicting the oldest beyond capacity.
-    pub fn push(&self, entry: TraceEntry) {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.entries.len() == self.cap {
-            inner.entries.pop_front();
-            inner.dropped += 1;
-        }
-        inner.entries.push_back(entry);
-    }
-
-    /// The retained entries (oldest first) and how many older entries
-    /// have been evicted over the journal's lifetime.
-    pub fn snapshot(&self) -> (Vec<TraceEntry>, u64) {
-        let inner = self.inner.lock().unwrap();
-        (inner.entries.iter().cloned().collect(), inner.dropped)
-    }
-
-    /// How many entries have been evicted over the journal's lifetime,
-    /// without cloning the retained entries — cheap enough for every
-    /// stats poll and health probe.
-    pub fn dropped(&self) -> u64 {
-        self.inner.lock().unwrap().dropped
-    }
-}
+/// The bounded journal of the most recent traced requests, oldest
+/// evicted first (and counted) beyond its capacity.
+pub type Journal = Ring<TraceEntry>;
 
 /// Mint a process-unique trace id (`t1`, `t2`, …). Used when a client
 /// asks for tracing (`"trace":true`) without supplying its own id.
@@ -176,10 +125,13 @@ mod tests {
         for n in 1..=5 {
             j.push(entry(n));
         }
-        let (entries, dropped) = j.snapshot();
-        assert_eq!(dropped, 2);
+        let snap = j.since(0);
+        assert_eq!(snap.dropped, 2);
         assert_eq!(
-            entries.iter().map(|e| e.wall_us).collect::<Vec<_>>(),
+            snap.entries
+                .iter()
+                .map(|(_, e)| e.wall_us)
+                .collect::<Vec<_>>(),
             vec![3, 4, 5]
         );
         assert_eq!(j.capacity(), 3);

@@ -688,18 +688,6 @@ pub fn program_to_json(p: &Program) -> Json {
     ])
 }
 
-/// Encode a whole program into the compact binary form shared with the
-/// v1 wire format ([`crate::wire::to_bytes`] over [`program_to_json`]).
-pub fn program_to_bytes(p: &Program) -> Vec<u8> {
-    crate::wire::to_bytes(&program_to_json(p))
-}
-
-/// Decode a binary-encoded program (`None` on any corruption; never
-/// panics).
-pub fn program_from_bytes(bytes: &[u8]) -> Option<Program> {
-    program_from_json(&crate::wire::from_bytes(bytes)?)
-}
-
 /// Decode a whole program (`None` on any structural mismatch; never
 /// panics).
 pub fn program_from_json(v: &Json) -> Option<Program> {

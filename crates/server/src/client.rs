@@ -501,34 +501,6 @@ impl PipelinedClient {
         self.control(r#"{"op":"shutdown"}"#)
     }
 
-    /// Ask a gateway to drain `shard` (see
-    /// [`crate::AdminOp::Drain`]); returns the ack object. A plain
-    /// server answers with a `protocol/unsupported-op` error (`ok:
-    /// false`), not an I/O failure.
-    pub fn drain_shard(&self, shard: &str) -> io::Result<Json> {
-        self.control(
-            &obj([
-                ("op", Json::Str("drain".into())),
-                ("shard", Json::Str(shard.into())),
-            ])
-            .emit(),
-        )
-    }
-
-    /// Ask a gateway to undrain `shard` — or join it as a new shard
-    /// with the given rendezvous weight (see
-    /// [`crate::AdminOp::Undrain`]); returns the ack object.
-    pub fn undrain_shard(&self, shard: &str, weight: Option<f64>) -> io::Result<Json> {
-        let mut fields = vec![
-            ("op", Json::Str("undrain".into())),
-            ("shard", Json::Str(shard.into())),
-        ];
-        if let Some(w) = weight {
-            fields.push(("weight", Json::Num(w)));
-        }
-        self.control(&obj(fields).emit())
-    }
-
     /// Poison and unblock everything: waiters error out, the reader
     /// thread sees EOF and exits.
     fn poison(&self) {

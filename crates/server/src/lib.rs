@@ -119,14 +119,13 @@ pub mod wire;
 
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use dahlia_dse::{EstimateProvider, PointOutcome, ProviderStats};
 use dahlia_obs::{
-    AlertEngine, Clock, Histogram, Journal, Rule, Sampler, SlowLog, Span, TraceEntry, Tsdb,
-    WallClock, Window,
+    AlertEngine, Clock, Counter, Histogram, Journal, Registry, Rule, Sampler, SlowLog, Snapshot,
+    Span, TraceEntry, Tsdb, Value, WallClock, Window,
 };
 
 use json::{obj, Json};
@@ -217,23 +216,24 @@ impl Telemetry {
     }
 
     /// Answer an op that only reads these rings: `trace`, `slowlog`,
-    /// `history`, or `alerts`. Any other op answers `null`.
-    pub fn read(&self, op: &ControlOp) -> Json {
+    /// `history`, or `alerts`. `sample` looks a history series up in
+    /// the host's metrics, for its kind (a series the host does not
+    /// know reads as a scalar). Any other op answers `null`.
+    pub fn read(&self, op: &ControlOp, sample: impl FnOnce(&str) -> Option<Value>) -> Json {
         match op {
             ControlOp::Trace => obs_json::journal_to_json(&self.journal),
-            ControlOp::Slowlog { since } => {
-                obs_json::slowlog_to_json(&self.slowlog.snapshot_since(*since))
-            }
+            ControlOp::Slowlog { since } => obs_json::slowlog_to_json(&self.slowlog.since(*since)),
             ControlOp::History {
                 series,
                 since,
                 step,
             } => {
+                let kind = sample(series).unwrap_or(Value::Gauge(0.0));
                 let samples = match &self.tsdb {
                     Some(tsdb) => obs_json::decode_samples(tsdb.scan_since(*since)),
                     None => Vec::new(),
                 };
-                obs_json::history_to_json(series, *since, *step, &samples)
+                obs_json::history_to_json(series, &kind, *since, *step, &samples)
             }
             ControlOp::Alerts { since } => obs_json::alertlog_to_json(
                 &self.engine.snapshot_since(*since),
@@ -256,58 +256,122 @@ impl Telemetry {
         obj(fields)
     }
 
-    /// The `journals` stats section: lifetime eviction counts of the
-    /// bounded rings, surfaced so silent overflow is alertable.
-    pub fn journals_json(&self) -> Json {
-        obj([
-            ("trace_dropped", Json::Num(self.journal.dropped() as f64)),
-            ("slowlog_dropped", Json::Num(self.slowlog.dropped() as f64)),
-        ])
+    /// Register the `<prefix>.trace_dropped` / `.slowlog_dropped`
+    /// counters: lifetime evictions of the bounded rings, surfaced so
+    /// silent overflow is alertable.
+    pub fn register_journals(self: &Arc<Self>, reg: &mut Registry, prefix: &'static str) {
+        let t = Arc::clone(self);
+        reg.collect(move |s| {
+            s.counter(format!("{prefix}.trace_dropped"), t.journal.dropped());
+            s.counter(format!("{prefix}.slowlog_dropped"), t.slowlog.dropped());
+        });
     }
 
-    /// Append the `telemetry`, `alerts`, and `alert_state` stats
-    /// sections (each only when there is something to report).
-    pub fn push_stats_sections(&self, fields: &mut Vec<(String, Json)>) {
+    /// Register the `telemetry` section (with an on-disk ring) and the
+    /// `alerts` and `alert_state` sections (with rules).
+    pub fn register_sections(self: &Arc<Self>, reg: &mut Registry) {
         if let Some(tsdb) = &self.tsdb {
-            fields.push((
-                "telemetry".to_string(),
-                obs_json::tsdb_stats_to_json(&tsdb.stats()),
-            ));
+            let tsdb = Arc::clone(tsdb);
+            reg.collect(move |s| {
+                let st = tsdb.stats();
+                for (name, n) in [
+                    ("telemetry.segments", st.segments),
+                    ("telemetry.bytes", st.bytes),
+                    ("telemetry.recovered_records", st.recovered_records),
+                    ("telemetry.torn_records", st.torn_records),
+                    ("telemetry.appended", st.appended),
+                    ("telemetry.write_errors", st.write_errors),
+                    ("telemetry.dropped_segments", st.dropped_segments),
+                ] {
+                    s.counter(name, n);
+                }
+            });
         }
         if self.engine.rule_count() > 0 {
-            fields.push((
-                "alerts".to_string(),
-                obj([
-                    ("rules", Json::Num(self.engine.rule_count() as f64)),
-                    ("firing", Json::Num(self.engine.firing() as f64)),
-                ]),
-            ));
-            fields.push((
-                "alert_state".to_string(),
-                obs_json::alert_states_to_json(&self.engine.states()),
-            ));
+            let engine = Arc::clone(&self.engine);
+            reg.collect(move |s| {
+                s.counter("alerts.rules", engine.rule_count() as u64);
+                s.counter("alerts.firing", engine.firing() as u64);
+                s.push(
+                    "alert_state",
+                    Value::Table(obs_json::alert_states_table(&engine.states())),
+                );
+            });
         }
+    }
+
+    /// One sampler tick: append `snap` to the on-disk ring (encoded as
+    /// the stats object) and evaluate the alert rules against it.
+    /// Returns the rules that started firing.
+    pub fn tick(&self, now_ms: u64, snap: &Snapshot) -> Vec<Rule> {
+        if let Some(tsdb) = &self.tsdb {
+            tsdb.append(now_ms, obs_json::snapshot_to_json(snap).emit().as_bytes());
+        }
+        self.engine.eval(&|series| snap.value(series))
     }
 }
 
 struct Inner {
     pipeline: Pipeline,
-    requests: AtomicU64,
-    latency_us: AtomicU64,
-    latency_hist: Histogram,
-    queue_hist: Histogram,
-    telemetry: Telemetry,
+    requests: Counter,
+    latency_us: Counter,
+    latency_hist: Arc<Histogram>,
+    queue_hist: Arc<Histogram>,
+    telemetry: Arc<Telemetry>,
     /// Live sliding window over finished requests (throughput, error
     /// rate, windowed latency percentiles).
-    window: Window,
+    window: Arc<Window>,
     /// Requests currently executing a pipeline lookup.
-    in_flight: AtomicU64,
+    in_flight: Counter,
     /// Requests dispatched to the pool but not yet picked up.
-    queue_depth: AtomicU64,
+    queue_depth: Counter,
     slow_threshold_us: u64,
 }
 
 impl Inner {
+    fn new(pipeline: Pipeline, telemetry: Telemetry, slow_threshold_ms: u64) -> Inner {
+        Inner {
+            pipeline,
+            requests: Counter::new(),
+            latency_us: Counter::new(),
+            latency_hist: Arc::new(Histogram::new()),
+            queue_hist: Arc::new(Histogram::new()),
+            telemetry: Arc::new(telemetry),
+            window: Arc::new(Window::with_default_clock()),
+            in_flight: Counter::new(),
+            queue_depth: Counter::new(),
+            slow_threshold_us: slow_threshold_ms.saturating_mul(1_000),
+        }
+    }
+
+    /// The server's metrics, in stats order: request and store
+    /// counters, the `hist`, `window`, and `journals` sections, the
+    /// telemetry sections, and `transport` once a reactor serves it.
+    fn register(self: &Arc<Self>, transport: &Arc<TransportStats>) -> Registry {
+        let mut reg = Registry::new();
+        reg.counter("requests", &self.requests);
+        reg.counter("latency_us", &self.latency_us);
+        let inner = Arc::clone(self);
+        reg.collect(move |s| store_samples(s, &inner.pipeline.stats()));
+        reg.histogram("hist.latency_us", &self.latency_hist);
+        reg.histogram("hist.queue_us", &self.queue_hist);
+        let inner = Arc::clone(self);
+        reg.collect(move |s| {
+            let hists = inner.pipeline.compute_hists();
+            for st in Stage::ALL {
+                s.push(
+                    format!("hist.compute_us.{}", st.name()),
+                    Value::Histogram(hists[st.index()].clone()),
+                );
+            }
+        });
+        reg.window("window", &self.window, &self.in_flight, &self.queue_depth);
+        self.telemetry.register_journals(&mut reg, "journals");
+        self.telemetry.register_sections(&mut reg);
+        transport.register(&mut reg);
+        reg
+    }
+
     fn handle(&self, req: &Request) -> Response {
         self.handle_queued(req, None)
     }
@@ -317,11 +381,11 @@ impl Inner {
     /// the dispatched paths; direct `submit` calls never queue).
     fn handle_queued(&self, req: &Request, queue_us: Option<u64>) -> Response {
         let t0 = Instant::now();
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        self.in_flight.fetch_add(1, Ordering::Relaxed);
+        self.requests.inc();
+        self.in_flight.inc();
         if let Some(q) = queue_us {
             // The request left the pool queue for this worker thread.
-            self.queue_depth.fetch_sub(1, Ordering::Relaxed);
+            self.queue_depth.sub(1);
             self.queue_hist.record(q);
         }
         // Spans are recorded for *every* request — the traced path
@@ -339,10 +403,10 @@ impl Inner {
         // Floor division on every span and on the wall clock keeps the
         // invariant "stage spans sum ≤ wall latency" exact.
         let latency_us = (t0.elapsed().as_nanos() / 1_000) as u64;
-        self.latency_us.fetch_add(latency_us, Ordering::Relaxed);
+        self.latency_us.add(latency_us);
         self.latency_hist.record(latency_us);
         self.window.record(latency_us, value.is_ok());
-        self.in_flight.fetch_sub(1, Ordering::Relaxed);
+        self.in_flight.sub(1);
         if latency_us > self.slow_threshold_us {
             self.telemetry.slowlog.push(TraceEntry {
                 trace: req.trace.clone().unwrap_or_default(),
@@ -373,65 +437,60 @@ impl Inner {
             trace,
         }
     }
+}
 
-    /// The `hist` section of the stats object: request-latency, pool
-    /// queue-wait, and per-stage compute-cost distributions, beside
-    /// (never replacing) the flat sums.
-    fn hist_json(&self) -> Json {
-        obj([
-            (
-                "latency_us",
-                obs_json::hist_to_json(&self.latency_hist.snapshot()),
-            ),
-            (
-                "queue_us",
-                obs_json::hist_to_json(&self.queue_hist.snapshot()),
-            ),
-            ("compute_us", {
-                let hists = self.pipeline.compute_hists();
-                Json::Obj(
-                    Stage::ALL
-                        .iter()
-                        .map(|s| {
-                            (
-                                s.name().to_string(),
-                                obs_json::hist_to_json(&hists[s.index()]),
-                            )
-                        })
-                        .collect(),
-                )
-            }),
-        ])
-    }
-
-    /// The `window` section of the stats object: live (sliding-window)
-    /// throughput, error rate, windowed latency percentiles, and the
-    /// instantaneous in-flight/queue-depth gauges.
-    fn window_json(&self) -> Json {
-        obs_json::window_to_json(
-            &self.window.snapshot(),
-            self.in_flight.load(Ordering::Relaxed),
-            self.queue_depth.load(Ordering::Relaxed),
-        )
-    }
-
-    /// The stats object minus the telemetry-layer sections. The sampler
-    /// thread snapshots exactly this shape, so alert series paths and on-disk history records
-    /// resolve against the same field layout `{"op":"stats"}` serves.
-    fn base_stats_json(&self) -> Json {
-        let stats = ServerStats {
-            requests: self.requests.load(Ordering::Relaxed),
-            latency_us: self.latency_us.load(Ordering::Relaxed),
-            store: self.pipeline.stats(),
-        };
-        let mut v = stats.to_json();
-        if let Json::Obj(fields) = &mut v {
-            fields.push(("hist".to_string(), self.hist_json()));
-            fields.push(("window".to_string(), self.window_json()));
-            fields.push(("journals".to_string(), self.telemetry.journals_json()));
+/// The store's counters as stats samples: hits, misses, and joins, the
+/// per-stage counts, intern-table occupancy, and the memory and disk
+/// tiers.
+fn store_samples(s: &mut Snapshot, st: &StoreStats) {
+    s.counter("hits", st.hits);
+    s.counter("misses", st.misses);
+    s.counter("joins", st.joins);
+    for (section, xs) in [
+        ("joins_by_stage", &st.joins_by_stage),
+        ("executions", &st.executions),
+        ("compute_nanos", &st.compute_nanos),
+    ] {
+        for stage in Stage::ALL {
+            s.counter(format!("{section}.{}", stage.name()), xs[stage.index()]);
         }
-        v
     }
+    // Global intern-table occupancy: interned identifiers are never
+    // reclaimed, so this is the one counter the memory bounds
+    // (--max-entries/--max-bytes, disk GC) cannot touch — surfaced so
+    // operators can watch it grow. Gateway stats sum shard values: the
+    // total across the cluster.
+    let i = dahlia_core::intern::stats();
+    s.counter("intern.symbols", i.symbols as u64);
+    s.counter("intern.bytes", i.bytes as u64);
+    let (e, d) = (&st.evict, &st.disk);
+    for (name, n) in [
+        ("evict.evictions", e.evictions),
+        ("evict.evicted_bytes", e.evicted_bytes),
+        ("evict.resident_entries", e.resident_entries),
+        ("evict.resident_bytes", e.resident_bytes),
+        ("disk.hits", d.hits),
+        ("disk.misses", d.misses),
+        ("disk.corrupt", d.corrupt),
+        ("disk.writes", d.writes),
+        ("disk.write_errors", d.write_errors),
+        ("disk.pruned_files", d.pruned_files),
+        ("disk.pruned_bytes", d.pruned_bytes),
+    ] {
+        s.counter(name, n);
+    }
+}
+
+/// A fresh plain server's snapshot (no telemetry sections, no
+/// transport): the names and kinds a gateway decodes its shards' stats
+/// replies against before merging them.
+pub fn stats_schema() -> &'static Snapshot {
+    static SCHEMA: OnceLock<Snapshot> = OnceLock::new();
+    SCHEMA.get_or_init(|| {
+        let telemetry = Telemetry::new(1, None, Vec::new(), Arc::new(WallClock::new()));
+        let inner = Arc::new(Inner::new(Pipeline::new(), telemetry, 0));
+        inner.register(&Arc::new(TransportStats::new())).snapshot()
+    })
 }
 
 /// Service-level statistics: request accounting plus store counters.
@@ -443,81 +502,6 @@ pub struct ServerStats {
     pub latency_us: u64,
     /// Cache/single-flight/eviction/disk counters.
     pub store: StoreStats,
-}
-
-impl ServerStats {
-    /// Encode as a JSON object with stable field order.
-    pub fn to_json(&self) -> Json {
-        let per_stage = |xs: &[u64; pipeline::STAGE_COUNT]| {
-            Json::Obj(
-                Stage::ALL
-                    .iter()
-                    .map(|s| (s.name().to_string(), Json::Num(xs[s.index()] as f64)))
-                    .collect(),
-            )
-        };
-        obj([
-            ("requests", Json::Num(self.requests as f64)),
-            ("latency_us", Json::Num(self.latency_us as f64)),
-            ("hits", Json::Num(self.store.hits as f64)),
-            ("misses", Json::Num(self.store.misses as f64)),
-            ("joins", Json::Num(self.store.joins as f64)),
-            ("joins_by_stage", per_stage(&self.store.joins_by_stage)),
-            ("executions", per_stage(&self.store.executions)),
-            ("compute_nanos", per_stage(&self.store.compute_nanos)),
-            // Global intern-table occupancy: interned identifiers are
-            // never reclaimed, so this is the one counter the memory
-            // bounds (--max-entries/--max-bytes, disk GC) cannot touch —
-            // surfaced so operators can watch it grow. Gateway stats sum
-            // shard values: the total across the cluster.
-            ("intern", {
-                let i = dahlia_core::intern::stats();
-                obj([
-                    ("symbols", Json::Num(i.symbols as f64)),
-                    ("bytes", Json::Num(i.bytes as f64)),
-                ])
-            }),
-            (
-                "evict",
-                obj([
-                    ("evictions", Json::Num(self.store.evict.evictions as f64)),
-                    (
-                        "evicted_bytes",
-                        Json::Num(self.store.evict.evicted_bytes as f64),
-                    ),
-                    (
-                        "resident_entries",
-                        Json::Num(self.store.evict.resident_entries as f64),
-                    ),
-                    (
-                        "resident_bytes",
-                        Json::Num(self.store.evict.resident_bytes as f64),
-                    ),
-                ]),
-            ),
-            (
-                "disk",
-                obj([
-                    ("hits", Json::Num(self.store.disk.hits as f64)),
-                    ("misses", Json::Num(self.store.disk.misses as f64)),
-                    ("corrupt", Json::Num(self.store.disk.corrupt as f64)),
-                    ("writes", Json::Num(self.store.disk.writes as f64)),
-                    (
-                        "write_errors",
-                        Json::Num(self.store.disk.write_errors as f64),
-                    ),
-                    (
-                        "pruned_files",
-                        Json::Num(self.store.disk.pruned_files as f64),
-                    ),
-                    (
-                        "pruned_bytes",
-                        Json::Num(self.store.disk.pruned_bytes as f64),
-                    ),
-                ]),
-            ),
-        ])
-    }
 }
 
 impl std::fmt::Display for ServerStats {
@@ -697,6 +681,10 @@ impl ServerConfig {
 pub struct Server {
     inner: Arc<Inner>,
     pool: Pool,
+    /// Every metric the server exports, read once per stats answer.
+    metrics: Arc<Registry>,
+    /// The counters a socket reactor serving this server maintains.
+    transport: Arc<TransportStats>,
     /// The sampler thread feeding the on-disk ring and the alert rules;
     /// dropping the server stops it (its `Drop` joins).
     _sampler: Option<Sampler>,
@@ -750,36 +738,25 @@ impl Server {
         // clock so history `since` cursors stay meaningful across
         // restarts (a per-process monotonic origin would restart at 0).
         let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
-        let inner = Arc::new(Inner {
-            pipeline,
-            requests: AtomicU64::new(0),
-            latency_us: AtomicU64::new(0),
-            latency_hist: Histogram::new(),
-            queue_hist: Histogram::new(),
-            telemetry: Telemetry::new(journal_cap, tsdb, rules, Arc::clone(&clock)),
-            window: Window::with_default_clock(),
-            in_flight: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
-            slow_threshold_us: slow_threshold_ms.saturating_mul(1_000),
-        });
+        let telemetry = Telemetry::new(journal_cap, tsdb, rules, Arc::clone(&clock));
+        let inner = Arc::new(Inner::new(pipeline, telemetry, slow_threshold_ms));
+        let transport = Arc::new(TransportStats::new());
+        let metrics = Arc::new(inner.register(&transport));
         let t = &inner.telemetry;
         let sampler = (t.tsdb.is_some() || t.engine.rule_count() > 0).then(|| {
-            let inner = Arc::clone(&inner);
+            let telemetry = Arc::clone(t);
+            let metrics = Arc::clone(&metrics);
+            // A plain server has no remediation actions to bind; the
+            // transitions still land in the alert journal.
             Sampler::spawn(telemetry_interval_ms.max(1), move || {
-                let stats = inner.base_stats_json();
-                let t = &inner.telemetry;
-                if let Some(tsdb) = &t.tsdb {
-                    tsdb.append(clock.now_ms(), stats.emit().as_bytes());
-                }
-                // A plain server has no remediation actions to bind;
-                // the transitions still land in the alert journal.
-                t.engine
-                    .eval(&|path| obs_json::resolve_series(&stats, path).and_then(Json::as_f64));
+                telemetry.tick(clock.now_ms(), &metrics.snapshot());
             })
         });
         Server {
             inner,
             pool,
+            metrics,
+            transport,
             _sampler: sampler,
         }
     }
@@ -801,9 +778,7 @@ impl Server {
     pub fn submit_batch(&self, reqs: Vec<Request>) -> Vec<Response> {
         let inner = Arc::clone(&self.inner);
         let enqueued = Instant::now();
-        self.inner
-            .queue_depth
-            .fetch_add(reqs.len() as u64, Ordering::Relaxed);
+        self.inner.queue_depth.add(reqs.len() as u64);
         self.pool.map(reqs, move |req| {
             let queue_us = (enqueued.elapsed().as_nanos() / 1_000) as u64;
             inner.handle_queued(&req, Some(queue_us))
@@ -813,10 +788,16 @@ impl Server {
     /// Service statistics so far.
     pub fn stats(&self) -> ServerStats {
         ServerStats {
-            requests: self.inner.requests.load(Ordering::Relaxed),
-            latency_us: self.inner.latency_us.load(Ordering::Relaxed),
+            requests: self.inner.requests.get(),
+            latency_us: self.inner.latency_us.get(),
             store: self.inner.pipeline.stats(),
         }
+    }
+
+    /// Every metric, as the typed snapshot the stats object, `/metrics`,
+    /// history, and alert rules all read.
+    pub fn snapshot(&self) -> Snapshot {
+        self.metrics.snapshot()
     }
 
     /// Number of artifacts currently cached in memory.
@@ -874,22 +855,13 @@ impl Server {
     {
         session::serve_windowed(self, input, output, self.threads())
     }
-
-    /// The stats object `{"op":"stats"}` answers.
-    fn stats_json(&self) -> Json {
-        let mut v = self.inner.base_stats_json();
-        if let Json::Obj(fields) = &mut v {
-            self.inner.telemetry.push_stats_sections(fields);
-        }
-        v
-    }
 }
 
 impl SessionHost for Server {
     fn dispatch(&self, req: Request, respond: Respond) {
         let inner = Arc::clone(&self.inner);
         let enqueued = Instant::now();
-        self.inner.queue_depth.fetch_add(1, Ordering::Relaxed);
+        self.inner.queue_depth.inc();
         self.pool.execute(move || {
             let queue_us = (enqueued.elapsed().as_nanos() / 1_000) as u64;
             respond(inner.handle_queued(&req, Some(queue_us)).to_json());
@@ -900,13 +872,20 @@ impl SessionHost for Server {
     /// thread; admin ops and sweeps need a gateway and are refused.
     fn control(&self, op: ControlOp, reply: Reply) {
         let v = match op {
-            ControlOp::Stats => self.stats_json(),
+            ControlOp::Stats => obs_json::snapshot_to_json(&self.snapshot()),
             ControlOp::Health => self.inner.telemetry.health(Vec::new()),
             ControlOp::Admin(op) => session::admin_unsupported(&op),
             ControlOp::Sweep(op) => session::sweep_unsupported(&op),
-            read => self.inner.telemetry.read(&read),
+            read => self
+                .inner
+                .telemetry
+                .read(&read, |series| self.snapshot().get(series).cloned()),
         };
         reply(v, true);
+    }
+
+    fn transport(&self) -> Arc<TransportStats> {
+        Arc::clone(&self.transport)
     }
 }
 
@@ -1272,6 +1251,58 @@ mod tests {
             .unwrap_or(0);
         assert!(recovered >= 1, "no records recovered");
         drop(reopened);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The socket transport's counters reach the sampler like every
+    /// other metric: a rule on a `transport` series fires, and the
+    /// series has history.
+    #[test]
+    fn transport_series_feed_alert_rules_and_history() {
+        let dir = std::env::temp_dir().join(format!("dahlia-srv-transport-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = Arc::new(
+            ServerConfig::new()
+                .threads(1)
+                .telemetry_dir(&dir)
+                .telemetry_interval_ms(5)
+                .alert_rule("transport.requests_shed >= 0")
+                .build()
+                .unwrap(),
+        );
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let host = Arc::clone(&server);
+        let reactor = std::thread::spawn(move || serve_sessions(host, listener).unwrap());
+
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let state = || {
+            let alerts = query(&*server, ControlOp::Alerts { since: 0 });
+            let Some(Json::Arr(states)) = alerts.get("states") else {
+                panic!("{alerts:?}")
+            };
+            states[0].get("state").and_then(Json::as_u64)
+        };
+        while state() != Some(2) {
+            assert!(Instant::now() < deadline, "transport rule never fired");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let h = query(
+            &*server,
+            ControlOp::History {
+                series: "transport.requests_shed".into(),
+                since: 0,
+                step: 0,
+            },
+        );
+        let Some(Json::Arr(points)) = h.get("points") else {
+            panic!("{h:?}")
+        };
+        assert!(!points.is_empty(), "{h:?}");
+
+        Client::connect(addr).unwrap().shutdown_server().unwrap();
+        reactor.join().unwrap();
+        drop(server);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -6,8 +6,8 @@
 //! * `GET /metrics` — the same stats object the protocol's
 //!   `{"op":"stats"}` control line returns, as JSON by default. With
 //!   `?format=prometheus` or an `Accept:` header naming `text/plain`,
-//!   the same counters render as Prometheus text exposition instead
-//!   (histogram sections become real `_bucket`/`_sum`/`_count`
+//!   the same metrics snapshot renders as Prometheus text exposition
+//!   instead (histograms become real `_bucket`/`_sum`/`_count`
 //!   families) — one endpoint, two consumers, no new port.
 //! * `GET /healthz` — `200 OK` with a small liveness object (the
 //!   host's answer to [`ControlOp::Health`] plus process uptime).
@@ -30,17 +30,21 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use dahlia_obs::Snapshot;
+
 use crate::json::Json;
 use crate::obs_json;
 
-/// The stats source: called once per scrape. Also the liveness
-/// source's type (`/healthz` calls it once per probe).
-pub type StatsFn = Arc<dyn Fn() -> Json + Send + Sync>;
+/// The metrics source: the host's snapshot, read once per scrape.
+pub type SnapshotFn = Arc<dyn Fn() -> Snapshot + Send + Sync>;
+
+/// The liveness source: called once per `/healthz` probe.
+pub type HealthFn = Arc<dyn Fn() -> Json + Send + Sync>;
 
 /// Serve the HTTP endpoint on `listener` from a detached background
 /// thread, for the life of the process. `stats` answers `/metrics`;
 /// `health` answers `/healthz` (uptime is stamped on here).
-pub fn spawn(listener: TcpListener, stats: StatsFn, health: StatsFn) -> std::io::Result<()> {
+pub fn spawn(listener: TcpListener, stats: SnapshotFn, health: HealthFn) -> std::io::Result<()> {
     let start = Instant::now();
     std::thread::Builder::new()
         .name("dahlia-metrics".into())
@@ -64,8 +68,8 @@ pub fn spawn(listener: TcpListener, stats: StatsFn, health: StatsFn) -> std::io:
 
 fn handle(
     stream: TcpStream,
-    stats: &StatsFn,
-    health: &StatsFn,
+    stats: &SnapshotFn,
+    health: &HealthFn,
     start: Instant,
 ) -> std::io::Result<()> {
     // A silent peer (port scanner, wedged scraper) must not park this
@@ -114,7 +118,7 @@ fn handle(
             let wants_prometheus = query.split('&').any(|kv| kv == "format=prometheus")
                 || accept.contains("text/plain");
             if wants_prometheus {
-                let body = obs_json::stats_to_prometheus(&stats());
+                let body = dahlia_obs::prom::render(&stats());
                 respond(
                     &mut out,
                     "200 OK",
@@ -122,7 +126,7 @@ fn handle(
                     &body,
                 )
             } else {
-                let body = format!("{}\n", stats().emit());
+                let body = format!("{}\n", obs_json::snapshot_to_json(&stats()).emit());
                 respond(&mut out, "200 OK", "application/json", &body)
             }
         }
@@ -180,13 +184,16 @@ mod tests {
             hist.record(v);
         }
         let snap = hist.snapshot();
-        let stats: StatsFn = Arc::new(move || {
-            obj([
-                ("requests", Json::Num(7.0)),
-                ("hist", obj([("latency_us", obs_json::hist_to_json(&snap))])),
-            ])
+        let stats: SnapshotFn = Arc::new(move || {
+            let mut s = Snapshot::new();
+            s.counter("requests", 7);
+            s.push(
+                "hist.latency_us",
+                dahlia_obs::Value::Histogram(snap.clone()),
+            );
+            s
         });
-        let health: StatsFn = Arc::new(|| obj([("ok", Json::Bool(true))]));
+        let health: HealthFn = Arc::new(|| obj([("ok", Json::Bool(true))]));
         spawn(listener, stats, health).unwrap();
         addr
     }

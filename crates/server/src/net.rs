@@ -49,10 +49,11 @@ use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::json::{obj, Json};
+use dahlia_obs::{Counter, Registry};
+
 use crate::session::{Session, SessionConfig, SessionHost, Sink};
 use crate::wire;
 use crate::Server;
@@ -76,21 +77,31 @@ pub struct NetSummary {
     pub protocol_errors: u64,
 }
 
-/// Transport-level counters, shared between the reactor's sessions and
-/// whoever exposes them (`{"op":"stats"}` gains a `transport` section,
-/// and the CLI merges the same object into `/metrics`). All monotonic
-/// except the session-mix pair, which tracks *accepted* sessions by the
-/// wire version they ended up on (a `hello` upgrade moves one count
-/// from v0 to v1).
+/// Transport-level counters: registry handles the host owns and every
+/// reactor serving that host increments. All monotonic except the
+/// session-mix pair, which tracks *accepted* sessions by the wire
+/// version they ended up on (a `hello` upgrade moves one count from v0
+/// to v1). They appear in the host's stats — and so in `/metrics`,
+/// history, and alert series — as the `transport` section, once a
+/// reactor serves the host.
 #[derive(Debug, Default)]
 pub struct TransportStats {
-    pub(crate) sessions_v0: AtomicU64,
-    pub(crate) sessions_v1: AtomicU64,
-    pub(crate) frames_in: AtomicU64,
-    pub(crate) frames_out: AtomicU64,
-    pub(crate) wire_bytes_in: AtomicU64,
-    pub(crate) wire_bytes_out: AtomicU64,
-    pub(crate) requests_shed: AtomicU64,
+    /// Sessions currently accounted to the v0 JSON-lines protocol.
+    pub sessions_v0: Counter,
+    /// Sessions that negotiated v1 binary framing.
+    pub sessions_v1: Counter,
+    /// v1 frames read off the wire.
+    pub frames_in: Counter,
+    /// v1 frames written to the wire.
+    pub frames_out: Counter,
+    /// Bytes read across every session (both wire versions).
+    pub wire_bytes_in: Counter,
+    /// Bytes written across every session (both wire versions).
+    pub wire_bytes_out: Counter,
+    /// Requests answered with `admission/overloaded` instead of being
+    /// dispatched.
+    pub requests_shed: Counter,
+    served: AtomicBool,
 }
 
 impl TransportStats {
@@ -99,53 +110,25 @@ impl TransportStats {
         TransportStats::default()
     }
 
-    /// Sessions currently accounted to the v0 JSON-lines protocol.
-    pub fn sessions_v0(&self) -> u64 {
-        self.sessions_v0.load(Ordering::Relaxed)
-    }
-
-    /// Sessions that negotiated v1 binary framing.
-    pub fn sessions_v1(&self) -> u64 {
-        self.sessions_v1.load(Ordering::Relaxed)
-    }
-
-    /// v1 frames read off the wire.
-    pub fn frames_in(&self) -> u64 {
-        self.frames_in.load(Ordering::Relaxed)
-    }
-
-    /// v1 frames written to the wire.
-    pub fn frames_out(&self) -> u64 {
-        self.frames_out.load(Ordering::Relaxed)
-    }
-
-    /// Bytes read across every session (both wire versions).
-    pub fn wire_bytes_in(&self) -> u64 {
-        self.wire_bytes_in.load(Ordering::Relaxed)
-    }
-
-    /// Bytes written across every session (both wire versions).
-    pub fn wire_bytes_out(&self) -> u64 {
-        self.wire_bytes_out.load(Ordering::Relaxed)
-    }
-
-    /// Requests answered with `admission/overloaded` instead of being
-    /// dispatched.
-    pub fn requests_shed(&self) -> u64 {
-        self.requests_shed.load(Ordering::Relaxed)
-    }
-
-    /// The `transport` stats section.
-    pub fn to_json(&self) -> Json {
-        obj([
-            ("sessions_v0", Json::Num(self.sessions_v0() as f64)),
-            ("sessions_v1", Json::Num(self.sessions_v1() as f64)),
-            ("frames_in", Json::Num(self.frames_in() as f64)),
-            ("frames_out", Json::Num(self.frames_out() as f64)),
-            ("wire_bytes_in", Json::Num(self.wire_bytes_in() as f64)),
-            ("wire_bytes_out", Json::Num(self.wire_bytes_out() as f64)),
-            ("requests_shed", Json::Num(self.requests_shed() as f64)),
-        ])
+    /// Register the `transport` section; it reports nothing until a
+    /// reactor serves the host.
+    pub fn register(self: &Arc<Self>, reg: &mut Registry) {
+        let t = Arc::clone(self);
+        reg.collect(move |s| {
+            if t.served.load(Ordering::Relaxed) {
+                for (name, c) in [
+                    ("transport.sessions_v0", &t.sessions_v0),
+                    ("transport.sessions_v1", &t.sessions_v1),
+                    ("transport.frames_in", &t.frames_in),
+                    ("transport.frames_out", &t.frames_out),
+                    ("transport.wire_bytes_in", &t.wire_bytes_in),
+                    ("transport.wire_bytes_out", &t.wire_bytes_out),
+                    ("transport.requests_shed", &t.requests_shed),
+                ] {
+                    s.counter(name, c.get());
+                }
+            }
+        });
     }
 }
 
@@ -159,9 +142,6 @@ pub struct NetConfig {
     /// Highest wire version `hello` may negotiate (0 pins every session
     /// to JSON lines; clamped to [`wire::WIRE_VERSION`]).
     pub max_wire: u32,
-    /// Shared transport counters; hand the same `Arc` to the metrics
-    /// endpoint to surface them there.
-    pub transport: Arc<TransportStats>,
 }
 
 impl Default for NetConfig {
@@ -169,7 +149,6 @@ impl Default for NetConfig {
         NetConfig {
             max_inflight: DEFAULT_MAX_INFLIGHT,
             max_wire: wire::WIRE_VERSION as u32,
-            transport: Arc::new(TransportStats::new()),
         }
     }
 }
@@ -221,9 +200,12 @@ where
     let (wake_rx, wake_tx) = UnixStream::pair()?;
     wake_rx.set_nonblocking(true)?;
     wake_tx.set_nonblocking(true)?;
+    let transport = host.transport();
+    transport.served.store(true, Ordering::Relaxed);
     let mut reactor = Reactor {
         host,
         cfg,
+        transport,
         mailbox: Arc::new(Mailbox {
             done: Mutex::new(Vec::new()),
             wake: wake_tx,
@@ -303,6 +285,8 @@ impl Conn {
 struct Reactor<H: SessionHost + 'static> {
     host: Arc<H>,
     cfg: NetConfig,
+    /// The host's transport counters.
+    transport: Arc<TransportStats>,
     mailbox: Arc<Mailbox>,
     wake_rx: UnixStream,
     conns: HashMap<u64, Conn>,
@@ -457,7 +441,7 @@ impl<H: SessionHost + 'static> Reactor<H> {
                         max_wire: self.cfg.max_wire,
                         window: self.cfg.max_inflight,
                         shed: true,
-                        transport: Some(Arc::clone(&self.cfg.transport)),
+                        transport: Some(Arc::clone(&self.transport)),
                     });
                     self.conns.insert(
                         id,
@@ -496,10 +480,7 @@ impl<H: SessionHost + 'static> Reactor<H> {
                     return;
                 }
                 Ok(n) => {
-                    self.cfg
-                        .transport
-                        .wire_bytes_in
-                        .fetch_add(n as u64, Ordering::Relaxed);
+                    self.transport.wire_bytes_in.add(n as u64);
                     c.session.feed(&scratch[..n]);
                     self.service(id);
                     // At the admission cap the session stops wanting
@@ -554,10 +535,7 @@ impl<H: SessionHost + 'static> Reactor<H> {
                 }
                 Ok(n) => {
                     c.wpos += n;
-                    self.cfg
-                        .transport
-                        .wire_bytes_out
-                        .fetch_add(n as u64, Ordering::Relaxed);
+                    self.transport.wire_bytes_out.add(n as u64);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -688,7 +666,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = Arc::new(Server::with_threads(2));
         let cfg = NetConfig::new().max_inflight(1);
-        let transport = Arc::clone(&cfg.transport);
+        let transport = server.transport();
         let handle =
             std::thread::spawn(move || serve_sessions_with(server, listener, cfg).expect("serve"));
 
@@ -733,7 +711,7 @@ mod tests {
         }
         assert_eq!(answered + shed, n, "every request got exactly one answer");
         assert!(shed >= 1, "the burst outran a window of one");
-        assert_eq!(transport.requests_shed.load(Ordering::Relaxed), shed as u64);
+        assert_eq!(transport.requests_shed.get(), shed as u64);
 
         let mut driver = Client::connect(addr).expect("driver");
         driver.shutdown_server().unwrap().expect("ack");

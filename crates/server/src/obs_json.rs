@@ -4,26 +4,28 @@
 //! mapping between its plain-data types and the protocol's [`Json`]
 //! values:
 //!
+//! * a metrics [`Snapshot`] encodes as the stats object
+//!   ([`snapshot_to_json`]): dotted sample names become nested objects,
+//!   tables become arrays of row objects. [`snapshot_from_json`] reads
+//!   one back against a schema (a snapshot naming each sample and its
+//!   kind) — how a gateway decodes its shards' stats replies before
+//!   merging them;
 //! * histograms encode as `{"count","sum","p50","p95","p99","buckets"}`
-//!   where `buckets` is an object keyed by decimal upper bounds — a
-//!   shape chosen so the gateway's recursive sum-merge of shard stats
-//!   adds bucket counts correctly. Percentiles do **not** sum, so after
-//!   merging the gateway calls [`fix_percentiles`] to re-derive them
-//!   from the merged buckets;
+//!   where `buckets` is an object keyed by decimal upper bounds. The
+//!   percentiles are derived at encode time from the buckets, so a
+//!   merged snapshot encodes cluster percentiles correctly;
 //! * spans and trace entries encode as the `trace` objects riding
 //!   responses and the `{"op":"trace"}` journal dump.
 
 use crate::json::{obj, Json};
-use dahlia_obs::prom::{sanitize_name, PromWriter};
 use dahlia_obs::{
-    AlertEvent, AlertLogSnapshot, HistSnapshot, Journal, RuleState, SlowEntry, SlowLogSnapshot,
-    Span, TraceEntry, TsdbStats, WindowSnapshot,
+    AlertEvent, HistSnapshot, Journal, RingSnapshot, Row, RuleState, Snapshot, Span, Table,
+    TraceEntry, Value,
 };
 
 /// Encode a histogram snapshot. Bucket counts become an object keyed by
 /// the decimal upper bound (`{"1023": 7, ...}`); `p50`/`p95`/`p99` are
-/// pre-computed for direct consumption but must be recomputed after any
-/// merge ([`fix_percentiles`]).
+/// computed here, from the buckets.
 pub fn hist_to_json(snap: &HistSnapshot) -> Json {
     let (p50, p95, p99) = snap.percentiles();
     obj([
@@ -44,9 +46,12 @@ pub fn hist_to_json(snap: &HistSnapshot) -> Json {
     ])
 }
 
-/// Decode a histogram object produced by [`hist_to_json`] (possibly
-/// after sum-merging several of them). Returns `None` unless the value
-/// has the histogram shape (`count`, `sum`, and a `buckets` object).
+/// Decode a histogram object produced by [`hist_to_json`]. Returns
+/// `None` unless the value has the histogram shape (`count`, `sum`, and
+/// a `buckets` object). The wire does not carry the observed max, so
+/// the top bucket's bound stands in for it: a bound no observation
+/// exceeds, so percentiles derive from the buckets alone — and a merge
+/// with an in-process snapshot can only clamp them to a true bound.
 pub fn hist_from_json(v: &Json) -> Option<HistSnapshot> {
     let sum = v.get("sum")?.as_u64()?;
     v.get("count")?.as_u64()?;
@@ -56,97 +61,93 @@ pub fn hist_from_json(v: &Json) -> Option<HistSnapshot> {
     let pairs = buckets
         .iter()
         .filter_map(|(bound, count)| Some((bound.parse::<u64>().ok()?, count.as_u64()?)));
-    Some(HistSnapshot::from_buckets(pairs, sum))
+    let mut snap = HistSnapshot::from_buckets(pairs, sum);
+    snap.max = snap.buckets.last().map_or(0, |&(bound, _)| bound);
+    Some(snap)
 }
 
-/// Walk a (possibly merged) stats value and rewrite the `p50`/`p95`/
-/// `p99` and `count` fields of every histogram-shaped object from its
-/// `buckets` — the only sound way to aggregate percentiles. The gateway
-/// calls this after sum-merging shard stats, where the bucket counts
-/// added correctly but the percentile fields added nonsense.
-pub fn fix_percentiles(v: &mut Json) {
-    if let Some(snap) = hist_from_json(v) {
-        let (p50, p95, p99) = snap.percentiles();
-        if let Json::Obj(fields) = v {
-            for (k, val) in fields.iter_mut() {
-                match k.as_str() {
-                    "count" => *val = Json::Num(snap.count as f64),
-                    "p50" => *val = Json::Num(p50),
-                    "p95" => *val = Json::Num(p95),
-                    "p99" => *val = Json::Num(p99),
-                    _ => {}
-                }
-            }
-        }
-        return;
-    }
-    if let Json::Obj(fields) = v {
-        for (_, val) in fields.iter_mut() {
-            fix_percentiles(val);
-        }
-    }
-}
-
-/// Render a stats object as Prometheus text exposition (0.0.4).
-///
-/// Scalar leaves become `dahlia_*`-prefixed gauges (booleans as 0/1),
-/// histogram-shaped objects become full histogram families
-/// (`_bucket`/`_sum`/`_count`), and arrays of address-labelled objects
-/// (the gateway's `shards`) become per-shard samples with a `shard`
-/// label. Strings and anything else unrenderable are skipped — a
-/// scrape never fails on an unexpected stats shape.
-pub fn stats_to_prometheus(stats: &Json) -> String {
-    let mut w = PromWriter::new();
-    walk_prom(&mut w, "dahlia", stats);
-    w.finish()
-}
-
-fn walk_prom(w: &mut PromWriter, prefix: &str, v: &Json) {
+/// Encode one sample value.
+fn value_to_json(v: &Value) -> Json {
     match v {
-        Json::Num(n) => w.sample(prefix, "gauge", &[], *n),
-        Json::Bool(b) => w.sample(prefix, "gauge", &[], if *b { 1.0 } else { 0.0 }),
-        Json::Obj(fields) => {
-            if let Some(snap) = hist_from_json(v) {
-                w.histogram(prefix, &[], &snap);
-                return;
-            }
-            for (k, val) in fields {
-                walk_prom(w, &format!("{prefix}_{}", sanitize_name(k)), val);
-            }
-        }
-        Json::Arr(items) => {
-            for item in items {
-                // Rule-keyed items (the alert-state array) export one
-                // gauge per rule: `<prefix>{rule="..."} <state>`.
-                if let Some(rule) = item.get("rule").and_then(Json::as_str) {
-                    if let Some(state) = item.get("state").and_then(Json::as_f64) {
-                        w.sample(prefix, "gauge", &[("rule", rule)], state);
-                    }
-                    continue;
-                }
-                let Some(addr) = item.get("addr").and_then(Json::as_str) else {
-                    continue;
-                };
-                let Json::Obj(fields) = item else { continue };
-                for (k, val) in fields {
-                    let value = match val {
-                        Json::Num(n) => *n,
-                        Json::Bool(b) => {
-                            if *b {
-                                1.0
-                            } else {
-                                0.0
-                            }
-                        }
-                        _ => continue,
-                    };
-                    let name = format!("{prefix}_{}", sanitize_name(k));
-                    w.sample(&name, "gauge", &[("shard", addr)], value);
-                }
-            }
-        }
-        _ => {}
+        Value::Counter(n) => Json::Num(*n as f64),
+        Value::Gauge(x) => Json::Num(*x),
+        Value::Flag(b) => Json::Bool(*b),
+        Value::Histogram(h) => hist_to_json(h),
+        Value::Table(t) => Json::Arr(
+            t.rows
+                .iter()
+                .map(|row| {
+                    let mut fields = vec![(t.key.to_string(), Json::Str(row.label.clone()))];
+                    fields.extend(
+                        row.fields
+                            .iter()
+                            .map(|(k, v)| (k.to_string(), value_to_json(v))),
+                    );
+                    Json::Obj(fields)
+                })
+                .collect(),
+        ),
     }
+}
+
+/// Encode a snapshot as the stats object: each dotted sample name
+/// becomes a path of nested objects, in sample order.
+pub fn snapshot_to_json(s: &Snapshot) -> Json {
+    let mut root = Vec::new();
+    for (name, value) in s.iter() {
+        let mut fields = &mut root;
+        let mut segs = name.split('.').peekable();
+        while let Some(seg) = segs.next() {
+            if segs.peek().is_none() {
+                fields.push((seg.to_string(), value_to_json(value)));
+                break;
+            }
+            let at = match fields.iter().position(|(k, _)| k == seg) {
+                Some(i) => i,
+                None => {
+                    fields.push((seg.to_string(), Json::Obj(Vec::new())));
+                    fields.len() - 1
+                }
+            };
+            let Json::Obj(inner) = &mut fields[at].1 else {
+                break;
+            };
+            fields = inner;
+        }
+    }
+    Json::Obj(root)
+}
+
+/// Resolve a dotted path inside an encoded stats object.
+fn at_path<'a>(v: &'a Json, path: &str) -> Option<&'a Json> {
+    path.split('.').try_fold(v, |at, seg| at.get(seg))
+}
+
+/// Decode one sample of the same kind as `kind`; `None` when the
+/// encoding does not hold that kind.
+fn value_from_json(v: &Json, kind: &Value) -> Option<Value> {
+    Some(match kind {
+        Value::Counter(_) => Value::Counter(v.as_f64()? as u64),
+        Value::Gauge(_) => Value::Gauge(v.as_f64()?),
+        Value::Flag(_) => Value::Flag(v.as_bool()?),
+        Value::Histogram(_) => Value::Histogram(hist_from_json(v)?),
+        Value::Table(_) => return None,
+    })
+}
+
+/// Read an encoded stats object back into a snapshot, sample by sample
+/// in `schema` order: each of the schema's samples names a path and
+/// the kind to read there (the encoder's own registry, snapshotted).
+/// Paths the object lacks are skipped, and so is everything the schema
+/// does not name.
+pub fn snapshot_from_json(v: &Json, schema: &Snapshot) -> Snapshot {
+    let mut s = Snapshot::new();
+    for (name, kind) in schema.iter() {
+        if let Some(value) = at_path(v, name).and_then(|x| value_from_json(x, kind)) {
+            s.push(name, value);
+        }
+    }
+    s
 }
 
 /// Encode one span as `{"name","us"[,"detail"]}`.
@@ -182,112 +183,67 @@ pub fn trace_field(trace_id: &str, spans: &[Span]) -> Json {
     ])
 }
 
-/// Encode one journal entry for the `{"op":"trace"}` dump.
-pub fn trace_entry_to_json(entry: &TraceEntry) -> Json {
-    obj([
-        ("trace", Json::Str(entry.trace.clone())),
-        ("id", Json::Str(entry.id.clone())),
-        ("stage", Json::Str(entry.stage.clone())),
-        ("ok", Json::Bool(entry.ok)),
-        ("wall_us", Json::Num(entry.wall_us as f64)),
-        (
-            "spans",
-            Json::Arr(entry.spans.iter().map(span_to_json).collect()),
-        ),
-    ])
-}
-
-/// Encode a whole journal: retention bound, lifetime eviction count,
-/// and the retained entries oldest-first.
-pub fn journal_to_json(journal: &Journal) -> Json {
-    let (entries, dropped) = journal.snapshot();
-    obj([
-        ("capacity", Json::Num(journal.capacity() as f64)),
-        ("dropped", Json::Num(dropped as f64)),
-        (
-            "entries",
-            Json::Arr(entries.iter().map(trace_entry_to_json).collect()),
-        ),
-    ])
-}
-
-/// Encode a window snapshot plus the host's instantaneous gauges as
-/// the `window` section of a stats object. Every field is chosen to
-/// aggregate correctly under the gateway's recursive sum-merge:
-/// counts, rates (per-shard rates sum to the cluster rate), and
-/// gauges add, and the embedded histogram merges bucket-wise with its
-/// percentiles re-derived by [`fix_percentiles`]. The window's
-/// `covered_ms` is deliberately **not** encoded — coverage does not
-/// sum across shards.
-pub fn window_to_json(snap: &WindowSnapshot, in_flight: u64, queue_depth: u64) -> Json {
-    obj([
-        ("requests", Json::Num(snap.requests as f64)),
-        ("errors", Json::Num(snap.errors as f64)),
-        ("rate", Json::Num(snap.rate_per_s())),
-        ("error_rate", Json::Num(snap.error_rate_per_s())),
-        ("in_flight", Json::Num(in_flight as f64)),
-        ("queue_depth", Json::Num(queue_depth as f64)),
-        ("latency_us", hist_to_json(&snap.hist)),
-    ])
-}
-
-/// Encode one slow-log capture: its cursor, then the same fields as a
-/// trace-journal entry. The `trace` field appears only when the slow
-/// request also happened to be traced by its client.
-pub fn slow_entry_to_json(e: &SlowEntry) -> Json {
-    let mut fields = vec![("seq".to_string(), Json::Num(e.seq as f64))];
-    if !e.entry.trace.is_empty() {
-        fields.push(("trace".to_string(), Json::Str(e.entry.trace.clone())));
+/// Encode one trace entry: for a slow-log capture its cursor first,
+/// then the `trace` id when there is one (a slow capture of an
+/// untraced request has none), outcome, wall time, and spans.
+pub fn trace_entry_to_json(seq: Option<u64>, e: &TraceEntry) -> Json {
+    let mut fields = Vec::new();
+    fields.extend(seq.map(|seq| ("seq", Json::Num(seq as f64))));
+    if !e.trace.is_empty() {
+        fields.push(("trace", Json::Str(e.trace.clone())));
     }
     fields.extend([
-        ("id".to_string(), Json::Str(e.entry.id.clone())),
-        ("stage".to_string(), Json::Str(e.entry.stage.clone())),
-        ("ok".to_string(), Json::Bool(e.entry.ok)),
-        ("wall_us".to_string(), Json::Num(e.entry.wall_us as f64)),
+        ("id", Json::Str(e.id.clone())),
+        ("stage", Json::Str(e.stage.clone())),
+        ("ok", Json::Bool(e.ok)),
+        ("wall_us", Json::Num(e.wall_us as f64)),
         (
-            "spans".to_string(),
-            Json::Arr(e.entry.spans.iter().map(span_to_json).collect()),
+            "spans",
+            Json::Arr(e.spans.iter().map(span_to_json).collect()),
         ),
     ]);
-    Json::Obj(fields)
+    obj(fields)
 }
 
-/// Encode a slow-log snapshot for the `{"op":"slowlog"}` answer:
-/// retention bound, lifetime eviction count, the newest capture's
-/// sequence number (the poller's next `since` cursor), and the
-/// retained captures oldest-first.
-pub fn slowlog_to_json(snap: &SlowLogSnapshot) -> Json {
-    obj([
+/// Encode a ring read: retention bound, lifetime eviction count, the
+/// newest sequence number when the ring is polled by cursor (the next
+/// `since`), any `extra` field, and the retained entries oldest-first.
+fn ring_to_json<T>(
+    snap: &RingSnapshot<T>,
+    cursor: bool,
+    extra: Option<(&'static str, Json)>,
+    entry: impl Fn(u64, &T) -> Json,
+) -> Json {
+    let mut fields = vec![
         ("capacity", Json::Num(snap.capacity as f64)),
         ("dropped", Json::Num(snap.dropped as f64)),
-        ("last_seq", Json::Num(snap.last_seq as f64)),
-        (
-            "entries",
-            Json::Arr(snap.entries.iter().map(slow_entry_to_json).collect()),
-        ),
-    ])
+    ];
+    if cursor {
+        fields.push(("last_seq", Json::Num(snap.last_seq as f64)));
+    }
+    fields.extend(extra);
+    let entries = snap.entries.iter().map(|(seq, e)| entry(*seq, e));
+    fields.push(("entries", Json::Arr(entries.collect())));
+    obj(fields)
 }
 
-/// Encode the telemetry ring's counters as the `telemetry` stats
-/// section — `recovered_records` is the crash-recovery acceptance
-/// signal.
-pub fn tsdb_stats_to_json(s: &TsdbStats) -> Json {
-    obj([
-        ("segments", Json::Num(s.segments as f64)),
-        ("bytes", Json::Num(s.bytes as f64)),
-        ("recovered_records", Json::Num(s.recovered_records as f64)),
-        ("torn_records", Json::Num(s.torn_records as f64)),
-        ("appended", Json::Num(s.appended as f64)),
-        ("write_errors", Json::Num(s.write_errors as f64)),
-        ("dropped_segments", Json::Num(s.dropped_segments as f64)),
-    ])
+/// The `{"op":"trace"}` answer: the whole journal.
+pub fn journal_to_json(journal: &Journal) -> Json {
+    ring_to_json(&journal.since(0), false, None, |_, e| {
+        trace_entry_to_json(None, e)
+    })
+}
+
+/// The `{"op":"slowlog"}` answer: the captures past the poller's cursor.
+pub fn slowlog_to_json(snap: &RingSnapshot<TraceEntry>) -> Json {
+    ring_to_json(snap, true, None, |seq, e| trace_entry_to_json(Some(seq), e))
 }
 
 /// Encode one alert-journal entry. `detail` appears only when the
 /// emitting host attached one (e.g. the drained shard's address).
-pub fn alert_event_to_json(e: &AlertEvent) -> Json {
+pub fn alert_event_to_json(seq: u64, e: &AlertEvent) -> Json {
     let mut fields = vec![
-        ("seq".to_string(), Json::Num(e.seq as f64)),
+        ("seq".to_string(), Json::Num(seq as f64)),
         ("t_ms".to_string(), Json::Num(e.t_ms as f64)),
         ("rule".to_string(), Json::Str(e.rule.clone())),
         ("event".to_string(), Json::Str(e.event.clone())),
@@ -299,39 +255,33 @@ pub fn alert_event_to_json(e: &AlertEvent) -> Json {
     Json::Obj(fields)
 }
 
-/// Encode the per-rule state array exported as the
-/// `dahlia_alert_state{rule=...}` Prometheus gauges: each item carries
-/// the rule's text, its gauge value (0 ok / 1 pending / 2 firing), and
-/// the last observed series value.
-pub fn alert_states_to_json(states: &[RuleState]) -> Json {
-    Json::Arr(
-        states
+/// The per-rule state table: each row is a rule's text with its gauge
+/// value (0 ok / 1 pending / 2 firing) and the last observed series
+/// value. The `alert_state` stats section, exported to Prometheus as
+/// `dahlia_alert_state{rule=...}` gauges of the state alone.
+pub fn alert_states_table(states: &[RuleState]) -> Table {
+    Table {
+        key: "rule",
+        label: "rule",
+        export: Some("state"),
+        rows: states
             .iter()
-            .map(|s| {
-                obj([
-                    ("rule", Json::Str(s.rule.clone())),
-                    ("state", Json::Num(s.state.gauge() as f64)),
-                    ("value", Json::Num(s.value)),
-                ])
+            .map(|s| Row {
+                label: s.rule.clone(),
+                fields: vec![
+                    ("state", Value::Counter(s.state.gauge())),
+                    ("value", Value::Gauge(s.value)),
+                ],
             })
             .collect(),
-    )
+    }
 }
 
-/// Encode the `{"op":"alerts"}` answer: journal counters, the per-rule
-/// state array, and the retained transitions newer than the poller's
-/// cursor, oldest first.
-pub fn alertlog_to_json(snap: &AlertLogSnapshot, states: &[RuleState]) -> Json {
-    obj([
-        ("capacity", Json::Num(snap.capacity as f64)),
-        ("dropped", Json::Num(snap.dropped as f64)),
-        ("last_seq", Json::Num(snap.last_seq as f64)),
-        ("states", alert_states_to_json(states)),
-        (
-            "entries",
-            Json::Arr(snap.entries.iter().map(alert_event_to_json).collect()),
-        ),
-    ])
+/// The `{"op":"alerts"}` answer: the per-rule state array, then the
+/// transitions past the poller's cursor.
+pub fn alertlog_to_json(snap: &RingSnapshot<AlertEvent>, states: &[RuleState]) -> Json {
+    let states = value_to_json(&Value::Table(alert_states_table(states)));
+    ring_to_json(snap, true, Some(("states", states)), alert_event_to_json)
 }
 
 /// Decode raw telemetry-ring records back into `(t_ms, stats)` JSON
@@ -347,36 +297,32 @@ pub fn decode_samples(raw: Vec<(u64, Vec<u8>)>) -> Vec<(u64, Json)> {
         .collect()
 }
 
-/// Resolve a dotted series path (`window.error_rate`) inside a stats
-/// document.
-pub fn resolve_series<'a>(stats: &'a Json, path: &str) -> Option<&'a Json> {
-    let mut at = stats;
-    for seg in path.split('.') {
-        at = at.get(seg)?;
-    }
-    Some(at)
-}
-
 /// Build the `{"op":"history"}` answer from the raw `(t_ms, stats)`
 /// samples recovered off the telemetry ring.
 ///
-/// Scalar series downsample to per-`step` bins of min/max/mean
-/// ([`dahlia_obs::downsample`]); histogram-shaped series merge their
-/// buckets per bin and re-derive p50/p95/p99 from the merged counts —
-/// the same merge-then-quantile discipline as [`fix_percentiles`],
-/// because percentiles do not average across samples any more than
-/// they sum across shards.
-pub fn history_to_json(series: &str, since: u64, step: u64, samples: &[(u64, Json)]) -> Json {
+/// `kind` is a sample of the series' kind in the host's own registry
+/// (records written before the series existed simply lack it). Scalar
+/// series
+/// downsample to per-`step` bins of min/max/mean
+/// ([`dahlia_obs::downsample`]); histogram series merge their buckets
+/// per bin and derive p50/p95/p99 from the merged counts — the same
+/// merge-then-quantile discipline as the cluster merge, because
+/// percentiles do not average across samples any more than they sum
+/// across shards.
+pub fn history_to_json(
+    series: &str,
+    kind: &Value,
+    since: u64,
+    step: u64,
+    samples: &[(u64, Json)],
+) -> Json {
     let mut scalar: Vec<(u64, f64)> = Vec::new();
     let mut hists: Vec<(u64, HistSnapshot)> = Vec::new();
     for (t, stats) in samples {
-        let Some(v) = resolve_series(stats, series) else {
-            continue;
-        };
-        if let Some(n) = v.as_f64() {
-            scalar.push((*t, n));
-        } else if let Some(h) = hist_from_json(v) {
-            hists.push((*t, h));
+        match at_path(stats, series).and_then(|v| value_from_json(v, kind)) {
+            Some(Value::Histogram(h)) => hists.push((*t, h)),
+            Some(v) => scalar.extend(v.as_f64().map(|n| (*t, n))),
+            None => {}
         }
     }
     let points: Vec<Json> = if !scalar.is_empty() {
@@ -462,7 +408,7 @@ mod tests {
     use dahlia_obs::Histogram;
 
     #[test]
-    fn hist_roundtrips_and_merges_through_json() {
+    fn hist_roundtrips_through_json() {
         let h = Histogram::new();
         for v in [1u64, 2, 3, 500, 501] {
             h.record(v);
@@ -473,46 +419,32 @@ mod tests {
         assert_eq!(back.buckets, snap.buckets);
         assert_eq!(back.count, snap.count);
         assert_eq!(back.sum, snap.sum);
+        let unclamped = HistSnapshot::from_buckets(snap.buckets.iter().copied(), snap.sum);
+        assert_eq!(back.percentiles(), unclamped.percentiles(), "buckets alone");
+    }
 
-        // Sum-merging two encoded histograms (what the gateway's
-        // merge_sum does) adds bucket counts; fix_percentiles then
-        // repairs the percentile fields in place.
-        let mut merged = v.clone();
-        if let (Json::Obj(a), Json::Obj(b)) = (&mut merged, &v) {
-            for (k, val) in a.iter_mut() {
-                if let (Json::Num(x), Some(Json::Num(y))) = (
-                    &mut *val,
-                    b.iter().find(|(bk, _)| bk == k).map(|(_, bv)| bv),
-                ) {
-                    *x += y;
-                } else if let (Json::Obj(xb), Some(Json::Obj(yb))) = (
-                    &mut *val,
-                    b.iter().find(|(bk, _)| bk == k).map(|(_, bv)| bv),
-                ) {
-                    for (bk, bv) in xb.iter_mut() {
-                        if let (Json::Num(x), Some(Json::Num(y))) = (
-                            &mut *bv,
-                            yb.iter().find(|(k2, _)| k2 == bk).map(|(_, v2)| v2),
-                        ) {
-                            *x += y;
-                        }
-                    }
-                }
-            }
-        }
-        fix_percentiles(&mut merged);
-        let fixed = hist_from_json(&merged).unwrap();
-        assert_eq!(fixed.count, snap.count * 2);
-        assert_eq!(fixed.sum, snap.sum * 2);
-        // Expected percentile: the bucket-doubled snapshot *as rebuilt
-        // from the wire* (max unknown, like the real merge path).
-        let doubled =
-            HistSnapshot::from_buckets(snap.buckets.iter().map(|&(b, c)| (b, c * 2)), snap.sum * 2);
+    #[test]
+    fn snapshots_encode_nested_and_decode_against_their_schema() {
+        let h = Histogram::new();
+        h.record(90);
+        let mut s = Snapshot::new();
+        s.counter("requests", 3);
+        s.gauge("window.rate", 0.5);
+        s.push("window.latency_us", Value::Histogram(h.snapshot()));
+        s.push("up", Value::Flag(true));
+        let v = snapshot_to_json(&s);
         assert_eq!(
-            merged.get("p99").and_then(Json::as_f64).unwrap(),
-            doubled.quantile(0.99),
-            "percentiles re-derived from merged buckets"
+            v.emit(),
+            r#"{"requests":3,"window":{"rate":0.5,"latency_us":{"count":1,"sum":90,"p50":90,"p95":90,"p99":90,"buckets":{"127":1}}},"up":true}"#
         );
+        let back = snapshot_from_json(&v, &s);
+        let names = |s: &Snapshot| s.iter().map(|(n, _)| n.to_string()).collect::<Vec<_>>();
+        assert_eq!(names(&back), names(&s));
+        assert_eq!(back.value("requests"), Some(3.0));
+        // The schema decides what is read: unnamed paths are skipped.
+        let mut schema = Snapshot::new();
+        schema.counter("requests", 0);
+        assert_eq!(snapshot_from_json(&v, &schema).iter().count(), 1);
     }
 
     #[test]
@@ -551,14 +483,78 @@ mod tests {
         );
     }
 
-    #[test]
-    fn fix_percentiles_leaves_non_histograms_alone() {
-        let mut v = obj([
-            ("requests", Json::Num(3.0)),
-            ("nested", obj([("p99", Json::Num(123.0))])),
-        ]);
-        let before = v.emit();
-        fix_percentiles(&mut v);
-        assert_eq!(v.emit(), before, "no histogram shape, no rewrites");
+    mod properties {
+        use super::*;
+        use dahlia_obs::{Counter, Gauge, Registry};
+        use proptest::prelude::*;
+        use std::sync::Arc;
+
+        /// One host's worth of metrics: a counter, a gauge, and a
+        /// histogram, registered the way hosts register them.
+        fn host() -> (Registry, Counter, Gauge, Arc<Histogram>) {
+            let mut reg = Registry::new();
+            let (c, g, h) = (Counter::new(), Gauge::new(0.0), Arc::new(Histogram::new()));
+            reg.counter("requests", &c);
+            let gauge = g.clone();
+            reg.collect(move |s| s.gauge("window.rate", gauge.get()));
+            reg.histogram("hist.latency_us", &h);
+            (reg, c, g, h)
+        }
+
+        /// Record `obs` split across `k` hosts and into one host that
+        /// sees everything.
+        fn record(obs: &[(usize, u64, u64)], k: usize) -> (Vec<Snapshot>, Snapshot) {
+            let parts: Vec<_> = (0..k).map(|_| host()).collect();
+            let all = host();
+            for &(i, v, n) in obs {
+                for (_, c, g, h) in [&parts[i % k], &all] {
+                    c.add(n);
+                    g.set(g.get() + n as f64);
+                    h.record(v);
+                }
+            }
+            let snaps = parts.iter().map(|(reg, ..)| reg.snapshot()).collect();
+            (snaps, all.0.snapshot())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// k registries' snapshots, merged and encoded, equal the
+            /// one registry that recorded every observation: counts,
+            /// sums, buckets, and p50/p95/p99.
+            #[test]
+            fn merged_snapshots_encode_like_one_registry(
+                obs in prop::collection::vec((0usize..8, 0u64..1_000_000, 0u64..1000), 0..200),
+                k in 1usize..5,
+            ) {
+                let (parts, all) = record(&obs, k);
+                let mut merged = Snapshot::new();
+                for s in &parts {
+                    merged.merge(s);
+                }
+                prop_assert_eq!(snapshot_to_json(&merged).emit(), snapshot_to_json(&all).emit());
+            }
+
+            /// The same through the wire, as a gateway merges its
+            /// shards: decode each encoded part against the schema,
+            /// merge, encode — equal to the whole decoded the same way.
+            #[test]
+            fn decoded_snapshots_merge_like_one_registry(
+                obs in prop::collection::vec((0usize..8, 0u64..1_000_000, 0u64..1000), 0..200),
+                k in 1usize..5,
+            ) {
+                let (parts, all) = record(&obs, k);
+                let wire = |s: &Snapshot| snapshot_from_json(&snapshot_to_json(s), &all);
+                let mut merged = Snapshot::new();
+                for s in &parts {
+                    merged.merge(&wire(s));
+                }
+                prop_assert_eq!(
+                    snapshot_to_json(&merged).emit(),
+                    snapshot_to_json(&wire(&all)).emit()
+                );
+            }
+        }
     }
 }

@@ -24,7 +24,6 @@
 //! [`crate::Server::serve_pipelined`] with the pool's window).
 
 use std::io::{self, BufRead, Write};
-use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 
 use crate::json::{obj, Json};
@@ -181,6 +180,14 @@ pub trait SessionHost: Send + Sync {
     /// for stats, dialing a joining shard — must run off the calling
     /// thread.
     fn control(&self, op: ControlOp, reply: Reply);
+
+    /// The transport counters a socket reactor serving this host
+    /// maintains. Hosts return the ones registered in their metrics, so
+    /// the `transport` stats section reports their own front door; the
+    /// default is a fresh set nobody reports.
+    fn transport(&self) -> Arc<TransportStats> {
+        Arc::new(TransportStats::new())
+    }
 }
 
 /// Ask `host` one control op and block for its final reply: the
@@ -480,8 +487,8 @@ pub struct SessionConfig {
     /// stops parsing until a slot frees (a stdio driver simply stops
     /// reading).
     pub shed: bool,
-    /// Transport counters to maintain (session mix, frames, sheds) and
-    /// to append to `stats` replies; `None` on stdio.
+    /// Transport counters to maintain (session mix, frames, sheds);
+    /// `None` on stdio.
     pub transport: Option<Arc<TransportStats>>,
 }
 
@@ -511,13 +518,7 @@ enum Kind {
 impl Encoder {
     fn encode(&self, v: Json) -> Vec<u8> {
         let v = match self.kind {
-            Kind::Control(Some(key)) => {
-                let mut v = v;
-                if let (Some(t), "stats", Json::Obj(fields)) = (&self.transport, key, &mut v) {
-                    fields.push(("transport".to_string(), t.to_json()));
-                }
-                obj([(key, v)])
-            }
+            Kind::Control(Some(key)) => obj([(key, v)]),
             _ => v,
         };
         if self.wire == 0 {
@@ -526,7 +527,7 @@ impl Encoder {
             return bytes;
         }
         if let Some(t) = &self.transport {
-            t.frames_out.fetch_add(1, Ordering::Relaxed);
+            t.frames_out.inc();
         }
         match self.kind {
             Kind::Response => wire::json_frame(wire::FRAME_RESPONSE, &v),
@@ -594,7 +595,7 @@ impl Session {
     /// A fresh session on the v0 wire.
     pub fn new(cfg: SessionConfig) -> Session {
         if let Some(t) = &cfg.transport {
-            t.sessions_v0.fetch_add(1, Ordering::Relaxed);
+            t.sessions_v0.inc();
         }
         Session {
             cfg: SessionConfig {
@@ -748,7 +749,7 @@ impl Session {
             match wire::split_frame(pending) {
                 Ok(Some((tag, body, consumed))) => {
                     if let Some(t) = &self.cfg.transport {
-                        t.frames_in.fetch_add(1, Ordering::Relaxed);
+                        t.frames_in.inc();
                     }
                     (Some(decode_frame(tag, body, lineno)), consumed)
                 }
@@ -794,8 +795,8 @@ impl Session {
                 if version >= 1 && self.wire == 0 {
                     self.wire = version;
                     if let Some(t) = &self.cfg.transport {
-                        t.sessions_v0.fetch_sub(1, Ordering::Relaxed);
-                        t.sessions_v1.fetch_add(1, Ordering::Relaxed);
+                        t.sessions_v0.sub(1);
+                        t.sessions_v1.inc();
                     }
                 }
             }
@@ -813,7 +814,7 @@ impl Session {
                 // A burst outran the read pause: shed with a retry hint
                 // rather than queue without bound.
                 if let Some(t) = &self.cfg.transport {
-                    t.requests_shed.fetch_add(1, Ordering::Relaxed);
+                    t.requests_shed.inc();
                 }
                 self.write(Kind::Response, shed_response(&req.id));
             }
