@@ -18,14 +18,12 @@
 //! benchmark of the whole serving stack lives in `perfbench/`.
 
 pub mod ablation;
-pub mod cluster;
 pub mod fig11;
 pub mod fig4;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod frontend;
-pub mod serve;
 
 /// Parse figure-driver arguments into sweep strides (default `[1]`,
 /// the full sweep). Shared by the `fig7` and `fig8` binaries, which

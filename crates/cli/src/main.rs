@@ -47,9 +47,10 @@
 //! | 4 | affine type error |
 //! | 5 | network error (connect/serve failures over the socket transport) |
 
-use std::collections::HashMap;
 use std::io::{BufRead as _, Read as _, Write as _};
+use std::net::TcpListener;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Instant;
 
 use dahlia_backend::{emit_cpp, lower};
@@ -59,7 +60,7 @@ use dahlia_obs::Snapshot;
 use dahlia_server::json::{obj, Json};
 use dahlia_server::{
     metrics, query, serve_sessions_with, Client, ControlOp, NetConfig, Request, Server,
-    ServerConfig, SessionHost, Stage,
+    ServerConfig, SessionHost, Stage, TelemetryConfig,
 };
 
 /// Runtime failure (interpreter, failed batch item).
@@ -81,62 +82,32 @@ const USAGE: &str = "usage: dahliac <command> [args]
   dahliac run    <file.fuse>          interpret (checked semantics)
   dahliac est    <file.fuse> [name]   estimate area/latency via hls-sim
   dahliac lower  <file.fuse>          dump the lowered kernel IR
-  dahliac serve  [--listen ADDR] [--pipeline] [--threads N]
-                 [--cache-dir DIR] [--max-entries N] [--max-bytes N]
-                 [--cache-gc-max-bytes N] [--metrics ADDR]
-                 [--trace-journal N] [--slow-threshold-ms MS]
-                 [--telemetry-dir DIR] [--telemetry-interval-ms MS]
-                 [--alert-rule RULE]... [--alert-rules FILE]
-                 [--wire v0|v1] [--max-inflight N]
+  dahliac serve  [--listen ADDR] [--pipeline] [store flags] [host flags]
                                       JSON-lines compile service: stdio by
                                       default (strict order), `--pipeline`
                                       for out-of-order stdio responses,
                                       `--listen` for a pipelined TCP server
-                                      (stop it with {\"op\":\"shutdown\"});
-                                      sockets negotiate the v1 binary frame
-                                      wire via {\"op\":\"hello\"} unless
-                                      --wire v0 pins JSON lines, and shed
-                                      work past --max-inflight unanswered
-                                      requests per connection (default 256)
-                                      with an `admission/overloaded` error;
-                                      --metrics serves GET /metrics (JSON,
-                                      or Prometheus text with
-                                      ?format=prometheus) and GET /healthz;
-                                      --trace-journal bounds the trace ring
-                                      buffer; requests slower than
-                                      --slow-threshold-ms land in the slow
-                                      log ({\"op\":\"slowlog\"}) with spans;
-                                      --telemetry-dir samples stats to a
-                                      crash-safe on-disk ring every
-                                      --telemetry-interval-ms (default
-                                      1000), served by {\"op\":\"history\"};
-                                      --alert-rule arms a threshold alert
-                                      (e.g. \"window.error_rate > 0.05
-                                      for 30s\"; repeatable, or one per
-                                      line from --alert-rules FILE)
-  dahliac batch  [--kernels] [--repeat N] [--threads N] [--stage S]
-                 [--cache-dir DIR] [--connect ADDR] [--shutdown]
-                 [--verbose] [--trace] [--slowlog] [--wire v0|v1]
-                 [files...]
+                                      (stop it with {\"op\":\"shutdown\"})
+  dahliac batch  [--kernels] [--repeat N] [--stage S] [--connect ADDR]
+                 [--shutdown] [--verbose] [--trace] [--slowlog]
+                 [store flags] [host flags] [files...]
                                       compile a batch through the service
-                                      (in-process by default; --connect
-                                      drives a remote `serve --listen`;
-                                      --wire v1 offers the binary frame
-                                      wire in a `hello` exchange, falling
-                                      back to v0 JSON lines on old servers;
-                                      --shutdown with no inputs just stops
-                                      the remote); --trace requests a span
-                                      breakdown per response and dumps the
-                                      trace journal after the batch;
-                                      --slowlog dumps the slow-request log
-                                      as the last output line
+                                      (in-process by default, configured by
+                                      the store and host flags; --connect
+                                      drives a remote `serve --listen`, and
+                                      then only --wire applies: v1 offers
+                                      the binary frame wire in a `hello`
+                                      exchange, falling back to v0 JSON
+                                      lines on old servers; --shutdown with
+                                      no inputs just stops the remote);
+                                      --trace requests a span breakdown per
+                                      response and dumps the trace journal
+                                      after the batch; --slowlog dumps the
+                                      slow-request log as the last output
+                                      line
   dahliac gateway --listen ADDR [--shards a1[=W],a2,...] [--spawn-workers N]
-                 [--replication N] [--threads N] [--metrics ADDR]
-                 [--trace-journal N] [--slow-threshold-ms MS]
-                 [--telemetry-dir DIR] [--telemetry-interval-ms MS]
-                 [--alert-rule RULE]... [--alert-rules FILE]
-                 [--auto-drain-after N] [--wire v0|v1]
-                 [--max-inflight N] [--admission-cache N]
+                 [--replication N] [--auto-drain-after N]
+                 [--admission-cache N] [host flags]
                                       cluster front-end: routes requests
                                       across `serve --listen` shards by
                                       source digest (weighted rendezvous
@@ -148,9 +119,6 @@ const USAGE: &str = "usage: dahliac <command> [args]
                                       shards so failover serves them warm;
                                       --spawn-workers forks N local shard
                                       processes on ephemeral ports;
-                                      --trace-journal / --slow-threshold-ms
-                                      configure the gateway's own journal
-                                      and slow-request capture;
                                       --telemetry-dir also persists the
                                       warm-key ledger across restarts;
                                       alert rules may bind remediation
@@ -158,14 +126,11 @@ const USAGE: &str = "usage: dahliac <command> [args]
                                       --auto-drain-after N drains a shard
                                       after N consecutive health-check
                                       failures (never the last live one;
-                                      0 = off, the default); --wire v0
-                                      pins the client listener to JSON
-                                      lines (the shard hop is always
-                                      binary v1); --max-inflight bounds
-                                      unanswered requests per connection;
-                                      --admission-cache N caches hot
-                                      untraced responses at the front door
-                                      (default 2048 entries, 0 = off)
+                                      0 = off, the default); the shard hop
+                                      is always binary v1; --admission-cache
+                                      N caches hot untraced responses at
+                                      the front door (default 2048 entries,
+                                      0 = off)
   dahliac top    --connect ADDR [--interval-ms N] [--once]
                                       live cluster console: polls the
                                       windowed stats of a server or gateway
@@ -231,9 +196,38 @@ const USAGE: &str = "usage: dahliac <command> [args]
                                       writes the final summary line to a
                                       file
 
+  host flags (serve, batch, gateway):
+    --threads N                       worker pool size (a gateway's dispatch
+                                      pool; also each --spawn-workers shard)
+    --trace-journal N                 bound the trace ring buffer
+    --slow-threshold-ms MS            requests slower than this land in the
+                                      slow log ({\"op\":\"slowlog\"}) with spans
+    --telemetry-dir DIR               sample stats to a crash-safe on-disk
+                                      ring, served by {\"op\":\"history\"}
+    --telemetry-interval-ms MS        sampling interval (default 1000)
+    --alert-rule RULE...              arm a threshold alert (e.g.
+                                      \"window.error_rate > 0.05 for 30s\";
+                                      repeatable)
+    --alert-rules FILE                one alert rule per line
+    --wire v0|v1                      protocol ceiling: a listener (serve,
+                                      gateway) negotiates the v1 binary
+                                      frame wire via {\"op\":\"hello\"} unless
+                                      v0 pins JSON lines
+  listener flags (serve, gateway):
+    --metrics ADDR                    serve GET /metrics (JSON, or Prometheus
+                                      text with ?format=prometheus) and
+                                      GET /healthz
+    --max-inflight N                  shed work past N unanswered requests
+                                      per connection (default 256) with an
+                                      `admission/overloaded` error
+  store flags (serve, batch):
+    --cache-dir DIR                   persist artifacts across processes
+                                      (default DAHLIA_CACHE_DIR)
+    --max-entries N, --max-bytes N    bound the memory tier
+    --cache-gc-max-bytes N            prune the oldest artifacts past the
+                                      budget
+
   <file.fuse> may be `-` for stdin.
-  --cache-dir (or DAHLIA_CACHE_DIR) persists artifacts across processes;
-  --cache-gc-max-bytes prunes the oldest artifacts past the budget.
   exit codes: 0 ok, 1 runtime, 2 usage/io, 3 parse, 4 type, 5 network";
 
 fn main() -> ExitCode {
@@ -242,57 +236,75 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(EXIT_USAGE);
     };
-    match cmd.as_str() {
-        "serve" => cmd_serve(&args[1..]),
-        "batch" => cmd_batch(&args[1..]),
-        "gateway" => cmd_gateway(&args[1..]),
-        "gateway-admin" => cmd_gateway_admin(&args[1..]),
-        "top" => cmd_top(&args[1..]),
-        "history" => cmd_history(&args[1..]),
-        "alerts" => cmd_alerts(&args[1..]),
-        "sweep" => cmd_sweep(&args[1..]),
-        "check" | "cpp" | "run" | "est" | "lower" => cmd_compile(cmd, &args[1..]),
+    let rest = &args[1..];
+    let outcome = match cmd.as_str() {
+        "serve" => cmd_serve(rest),
+        "batch" => cmd_batch(rest),
+        "gateway" => cmd_gateway(rest),
+        "gateway-admin" => cmd_gateway_admin(rest),
+        "top" => cmd_top(rest),
+        "history" => cmd_history(rest),
+        "alerts" => cmd_alerts(rest),
+        "sweep" => cmd_sweep(rest),
+        "check" | "cpp" | "run" | "est" | "lower" => cmd_compile(cmd, rest),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        other => {
-            eprintln!("dahliac: unknown command `{other}`\n{USAGE}");
-            ExitCode::from(EXIT_USAGE)
-        }
-    }
-}
-
-/// Read a source file, `-` meaning stdin.
-fn read_source(path: &str) -> Result<String, ExitCode> {
-    if path == "-" {
-        let mut src = String::new();
-        if let Err(e) = std::io::stdin().read_to_string(&mut src) {
-            eprintln!("dahliac: cannot read stdin: {e}");
-            return Err(ExitCode::from(EXIT_USAGE));
-        }
-        return Ok(src);
-    }
-    std::fs::read_to_string(path).map_err(|e| {
-        eprintln!("dahliac: cannot read `{path}`: {e}");
-        ExitCode::from(EXIT_USAGE)
+        other => Err(usage(format!("unknown command `{other}`\n{USAGE}"))),
+    };
+    // Every early stop is reported here, in one format.
+    outcome.unwrap_or_else(|Fail(code, msg)| {
+        eprintln!("dahliac: {msg}");
+        ExitCode::from(code)
     })
 }
 
-/// Exit code for a front-end error, by phase.
-fn error_exit(e: &Error) -> ExitCode {
-    match e {
-        Error::Lex { .. } | Error::Parse { .. } => ExitCode::from(EXIT_PARSE),
-        Error::Type(_) => ExitCode::from(EXIT_TYPE),
-        Error::Interp { .. } => ExitCode::from(EXIT_RUNTIME),
+/// Why a command stopped early: its exit code, and the message `main`
+/// prints after `dahliac: `.
+struct Fail(u8, String);
+
+/// A command's result: its exit code, or the failure `main` reports.
+type Outcome = Result<ExitCode, Fail>;
+
+/// A usage or local I/O failure (exit 2).
+fn usage(msg: impl Into<String>) -> Fail {
+    Fail(EXIT_USAGE, msg.into())
+}
+
+/// A flag error from [`take_flag`] is a usage error.
+impl From<String> for Fail {
+    fn from(msg: String) -> Fail {
+        usage(msg)
     }
 }
 
+/// A front-end error, exit code by phase.
+fn front_end(e: Error) -> Fail {
+    let code = match e {
+        Error::Lex { .. } | Error::Parse { .. } => EXIT_PARSE,
+        Error::Type(_) => EXIT_TYPE,
+        Error::Interp { .. } => EXIT_RUNTIME,
+    };
+    Fail(code, e.to_string())
+}
+
+/// Read a source file, `-` meaning stdin.
+fn read_source(path: &str) -> Result<String, Fail> {
+    if path == "-" {
+        let mut src = String::new();
+        std::io::stdin()
+            .read_to_string(&mut src)
+            .map_err(|e| usage(format!("cannot read stdin: {e}")))?;
+        return Ok(src);
+    }
+    std::fs::read_to_string(path).map_err(|e| usage(format!("cannot read `{path}`: {e}")))
+}
+
 /// The classic one-shot commands.
-fn cmd_compile(cmd: &str, args: &[String]) -> ExitCode {
+fn cmd_compile(cmd: &str, args: &[String]) -> Outcome {
     let Some(path) = args.first() else {
-        eprintln!("dahliac: `{cmd}` needs an input file\n{USAGE}");
-        return ExitCode::from(EXIT_USAGE);
+        return Err(usage(format!("`{cmd}` needs an input file\n{USAGE}")));
     };
     let name = args.get(1).cloned().unwrap_or_else(|| {
         if path == "-" {
@@ -305,75 +317,39 @@ fn cmd_compile(cmd: &str, args: &[String]) -> ExitCode {
         }
     });
 
-    let src = match read_source(path) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
-
-    let prog = match parse(&src) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("dahliac: {e}");
-            return error_exit(&e);
-        }
-    };
-
+    let src = read_source(path)?;
+    let prog = parse(&src).map_err(front_end)?;
+    let report = typecheck(&prog).map_err(front_end);
     match cmd {
-        "check" => match typecheck(&prog) {
-            Ok(r) => {
-                println!(
-                    "ok: {} memories, {} views, {} accesses, {} functions, max unroll {}",
-                    r.memories, r.views, r.accesses, r.functions, r.max_unroll
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("dahliac: {e}");
-                error_exit(&e)
-            }
-        },
+        "check" => {
+            let r = report?;
+            println!(
+                "ok: {} memories, {} views, {} accesses, {} functions, max unroll {}",
+                r.memories, r.views, r.accesses, r.functions, r.max_unroll
+            );
+        }
         "cpp" => {
-            if let Err(e) = typecheck(&prog) {
-                eprintln!("dahliac: {e}");
-                return error_exit(&e);
-            }
+            report?;
             print!("{}", emit_cpp(&prog, &name));
-            ExitCode::SUCCESS
         }
         "run" => {
-            if let Err(e) = typecheck(&prog) {
-                eprintln!("dahliac: {e}");
-                return error_exit(&e);
-            }
-            match interp::interpret_with(&prog, &interp::InterpOptions::default(), &HashMap::new())
-            {
-                Ok(out) => {
-                    let mut names: Vec<&String> = out.mems.keys().collect();
-                    names.sort();
-                    for n in names {
-                        let mem = &out.mems[n];
-                        let shown: Vec<String> =
-                            mem.iter().take(8).map(|v| format!("{v:?}")).collect();
-                        println!(
-                            "{n}[{}] = [{}{}]",
-                            mem.len(),
-                            shown.join(", "),
-                            if mem.len() > 8 { ", …" } else { "" }
-                        );
-                    }
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("dahliac: {e}");
-                    ExitCode::from(EXIT_RUNTIME)
-                }
+            report?;
+            let out = interp::interpret(&prog).map_err(|e| Fail(EXIT_RUNTIME, e.to_string()))?;
+            let mut names: Vec<&String> = out.mems.keys().collect();
+            names.sort();
+            for n in names {
+                let mem = &out.mems[n];
+                let shown: Vec<String> = mem.iter().take(8).map(|v| format!("{v:?}")).collect();
+                println!(
+                    "{n}[{}] = [{}{}]",
+                    mem.len(),
+                    shown.join(", "),
+                    if mem.len() > 8 { ", …" } else { "" }
+                );
             }
         }
         "est" => {
-            if let Err(e) = typecheck(&prog) {
-                eprintln!("dahliac: {e}");
-                return error_exit(&e);
-            }
+            report?;
             let est = hls_sim::estimate(&lower(&prog, &name));
             println!("kernel:   {}", est.name);
             println!("cycles:   {}", est.cycles);
@@ -387,14 +363,11 @@ fn cmd_compile(cmd: &str, args: &[String]) -> ExitCode {
             for n in &est.notes {
                 println!("note:     {n}");
             }
-            ExitCode::SUCCESS
         }
-        "lower" => {
-            println!("{:#?}", lower(&prog, &name));
-            ExitCode::SUCCESS
-        }
+        "lower" => println!("{:#?}", lower(&prog, &name)),
         _ => unreachable!("dispatched in main"),
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Extract a `--flag value` option from `args`, leaving positionals in
@@ -414,6 +387,18 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, Strin
     }
 }
 
+/// [`take_flag`] for each of `flags`, in order.
+fn take_flags<const N: usize>(
+    args: &mut Vec<String>,
+    flags: [&str; N],
+) -> Result<[Option<String>; N], Fail> {
+    let mut values = [const { None }; N];
+    for (flag, value) in flags.iter().zip(&mut values) {
+        *value = take_flag(args, flag)?;
+    }
+    Ok(values)
+}
+
 fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
     if let Some(i) = args.iter().position(|a| a == flag) {
         args.remove(i);
@@ -423,44 +408,42 @@ fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
     }
 }
 
-fn parse_positive(flag: &str, raw: Option<String>) -> Result<Option<usize>, ExitCode> {
-    match raw {
-        None => Ok(None),
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n > 0 => Ok(Some(n)),
-            _ => {
-                eprintln!("dahliac: {flag} needs a positive integer, got `{v}`");
-                Err(ExitCode::from(EXIT_USAGE))
-            }
-        },
+/// Refuse leftover arguments: `cmd` takes none.
+fn no_positionals(cmd: &str, args: &[String]) -> Result<(), Fail> {
+    if args.is_empty() {
+        Ok(())
+    } else {
+        Err(usage(format!(
+            "{cmd} takes no positional arguments (got {args:?})\n{USAGE}"
+        )))
     }
+}
+
+fn parse_positive(flag: &str, raw: Option<String>) -> Result<Option<usize>, Fail> {
+    raw.map(|v| match v.parse::<usize>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(usage(format!("{flag} needs a positive integer, got `{v}`"))),
+    })
+    .transpose()
 }
 
 /// Like [`parse_positive`] but zero is legal — for thresholds where 0
 /// means "capture everything" (`--slow-threshold-ms 0`).
-fn parse_nonneg(flag: &str, raw: Option<String>) -> Result<Option<u64>, ExitCode> {
-    match raw {
-        None => Ok(None),
-        Some(v) => match v.parse::<u64>() {
-            Ok(n) => Ok(Some(n)),
-            _ => {
-                eprintln!("dahliac: {flag} needs a non-negative integer, got `{v}`");
-                Err(ExitCode::from(EXIT_USAGE))
-            }
-        },
-    }
+fn parse_nonneg(flag: &str, raw: Option<String>) -> Result<Option<u64>, Fail> {
+    raw.map(|v| {
+        v.parse::<u64>()
+            .map_err(|_| usage(format!("{flag} needs a non-negative integer, got `{v}`")))
+    })
+    .transpose()
 }
 
 /// Parse a `--wire v0|v1` protocol ceiling (bare digits accepted).
-fn parse_wire(flag: &str, raw: Option<String>) -> Result<Option<u32>, ExitCode> {
+fn parse_wire(flag: &str, raw: Option<String>) -> Result<Option<u32>, Fail> {
     match raw.as_deref() {
         None => Ok(None),
         Some("v0") | Some("0") => Ok(Some(0)),
         Some("v1") | Some("1") => Ok(Some(1)),
-        Some(v) => {
-            eprintln!("dahliac: {flag} must be v0 or v1, got `{v}`");
-            Err(ExitCode::from(EXIT_USAGE))
-        }
+        Some(v) => Err(usage(format!("{flag} must be v0 or v1, got `{v}`"))),
     }
 }
 
@@ -468,30 +451,14 @@ fn parse_wire(flag: &str, raw: Option<String>) -> Result<Option<u32>, ExitCode> 
 /// optional `--alert-rules FILE` (one rule per line; blank lines and
 /// `#` comments skipped). Rule *syntax* is validated by the service
 /// build, which reports the offending rule text.
-fn take_alert_rules(args: &mut Vec<String>) -> Result<Vec<String>, ExitCode> {
+fn take_alert_rules(args: &mut Vec<String>) -> Result<Vec<String>, Fail> {
     let mut rules = Vec::new();
-    loop {
-        match take_flag(args, "--alert-rule") {
-            Ok(Some(r)) => rules.push(r),
-            Ok(None) => break,
-            Err(e) => {
-                eprintln!("dahliac: {e}");
-                return Err(ExitCode::from(EXIT_USAGE));
-            }
-        }
+    while let Some(r) = take_flag(args, "--alert-rule")? {
+        rules.push(r);
     }
-    let file = match take_flag(args, "--alert-rules") {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("dahliac: {e}");
-            return Err(ExitCode::from(EXIT_USAGE));
-        }
-    };
-    if let Some(path) = file {
-        let text = std::fs::read_to_string(&path).map_err(|e| {
-            eprintln!("dahliac: cannot read alert rules file `{path}`: {e}");
-            ExitCode::from(EXIT_USAGE)
-        })?;
+    if let Some(path) = take_flag(args, "--alert-rules")? {
+        let text = std::fs::read_to_string(&path)
+            .map_err(|e| usage(format!("cannot read alert rules file `{path}`: {e}")))?;
         rules.extend(
             text.lines()
                 .map(str::trim)
@@ -502,101 +469,123 @@ fn take_alert_rules(args: &mut Vec<String>) -> Result<Vec<String>, ExitCode> {
     Ok(rules)
 }
 
-/// Service-facing options shared by `serve` and `batch`.
-struct ServiceOpts {
+/// The host commands, by which of the shared flag groups they take.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Host {
+    /// An in-process server behind stdio or a listener.
+    Serve,
+    /// An in-process server (or `--connect` to a remote one).
+    Batch,
+    /// A gateway behind a listener.
+    Gateway,
+}
+
+/// The flags `serve`, `batch` and `gateway` share, each parsed here
+/// once: the pool size and telemetry of every host, the store bounds of
+/// an in-process server (`serve`, `batch`), the listener's endpoints
+/// and transport limits (`serve`, `gateway`), and the wire ceiling.
+struct HostOpts {
     threads: Option<usize>,
+    telemetry: TelemetryConfig,
     /// `--cache-dir` as given on the command line (env fallback is
-    /// resolved in [`ServiceOpts::build`], so callers can tell an
+    /// resolved in [`HostOpts::server`], so callers can tell an
     /// explicit flag from ambient environment).
     cache_dir_flag: Option<String>,
     max_entries: Option<usize>,
     max_bytes: Option<usize>,
     cache_gc_max_bytes: Option<usize>,
-    trace_journal: Option<usize>,
-    slow_threshold_ms: Option<u64>,
-    telemetry_dir: Option<String>,
-    telemetry_interval_ms: Option<usize>,
-    alert_rules: Vec<String>,
+    listen: Option<String>,
+    metrics: Option<String>,
+    max_inflight: Option<usize>,
+    wire: Option<u32>,
+    /// The in-process-service flags present, in usage order — these
+    /// configure a local server, so `batch --connect` refuses them.
+    local_flags: Vec<&'static str>,
 }
 
-impl ServiceOpts {
-    /// Pull the shared flags out of `args`.
-    fn take(args: &mut Vec<String>) -> Result<ServiceOpts, ExitCode> {
-        let mut flags = Vec::new();
-        for f in [
-            "--threads",
-            "--cache-dir",
-            "--max-entries",
-            "--max-bytes",
-            "--cache-gc-max-bytes",
-            "--trace-journal",
-            "--slow-threshold-ms",
-            "--telemetry-dir",
-            "--telemetry-interval-ms",
-        ] {
-            match take_flag(args, f) {
-                Ok(v) => flags.push(v),
-                Err(e) => {
-                    eprintln!("dahliac: {e}");
-                    return Err(ExitCode::from(EXIT_USAGE));
-                }
+impl HostOpts {
+    /// Pull the flags `host` takes out of `args`.
+    fn take(args: &mut Vec<String>, host: Host) -> Result<HostOpts, Fail> {
+        let store = host != Host::Gateway;
+        let listens = host != Host::Batch;
+        // (flag, taken by this host, configures the in-process service)
+        let flags = [
+            ("--threads", true, true),
+            ("--cache-dir", store, true),
+            ("--max-entries", store, true),
+            ("--max-bytes", store, true),
+            ("--cache-gc-max-bytes", store, true),
+            ("--trace-journal", true, true),
+            ("--slow-threshold-ms", true, true),
+            ("--telemetry-dir", true, true),
+            ("--telemetry-interval-ms", true, true),
+            ("--listen", listens, false),
+            ("--metrics", listens, false),
+            ("--max-inflight", listens, false),
+            ("--wire", true, false),
+        ];
+        let mut local_flags = Vec::new();
+        let mut values = Vec::new();
+        for (flag, taken, local) in flags {
+            let value = if taken { take_flag(args, flag)? } else { None };
+            if local && value.is_some() {
+                local_flags.push(flag);
             }
+            values.push(value);
         }
-        let [threads, cache_dir, max_entries, max_bytes, gc_max, journal, slow_ms, tele_dir, tele_ms] =
-            flags.try_into().unwrap();
+        let [threads, cache_dir, max_entries, max_bytes, gc_max, journal, slow_ms, tele_dir, tele_ms, listen, metrics, inflight, wire] =
+            values.try_into().expect("one value per flag");
         let alert_rules = take_alert_rules(args)?;
-        Ok(ServiceOpts {
-            threads: parse_positive("--threads", threads)?,
+        if !alert_rules.is_empty() {
+            local_flags.push("--alert-rule");
+        }
+        let threads = parse_positive("--threads", threads)?;
+        let max_entries = parse_positive("--max-entries", max_entries)?;
+        let max_bytes = parse_positive("--max-bytes", max_bytes)?;
+        let cache_gc_max_bytes = parse_positive("--cache-gc-max-bytes", gc_max)?;
+        let mut telemetry = TelemetryConfig::new();
+        // A zero-capacity journal would silently drop every trace;
+        // reject it as usage rather than clamping behind the operator's
+        // back.
+        if let Some(n) = parse_positive("--trace-journal", journal)? {
+            telemetry = telemetry.trace_journal(n);
+        }
+        if let Some(ms) = parse_nonneg("--slow-threshold-ms", slow_ms)? {
+            telemetry = telemetry.slow_threshold_ms(ms);
+        }
+        if let Some(dir) = tele_dir {
+            telemetry = telemetry.dir(dir);
+        }
+        // A zero sampling interval would spin the sampler thread; usage
+        // error, same policy as the journal capacity.
+        if let Some(ms) = parse_positive("--telemetry-interval-ms", tele_ms)? {
+            telemetry = telemetry.interval_ms(ms as u64);
+        }
+        for rule in alert_rules {
+            telemetry = telemetry.alert_rule(rule);
+        }
+        Ok(HostOpts {
+            threads,
+            telemetry,
             cache_dir_flag: cache_dir,
-            max_entries: parse_positive("--max-entries", max_entries)?,
-            max_bytes: parse_positive("--max-bytes", max_bytes)?,
-            cache_gc_max_bytes: parse_positive("--cache-gc-max-bytes", gc_max)?,
-            // A zero-capacity journal would silently drop every trace;
-            // reject it as usage rather than clamping behind the
-            // operator's back.
-            trace_journal: parse_positive("--trace-journal", journal)?,
-            slow_threshold_ms: parse_nonneg("--slow-threshold-ms", slow_ms)?,
-            telemetry_dir: tele_dir,
-            // A zero sampling interval would spin the sampler thread;
-            // usage error, same policy as the journal capacity.
-            telemetry_interval_ms: parse_positive("--telemetry-interval-ms", tele_ms)?,
-            alert_rules,
+            max_entries,
+            max_bytes,
+            cache_gc_max_bytes,
+            listen,
+            metrics,
+            max_inflight: parse_positive("--max-inflight", inflight)?,
+            // On a listener, `--wire v0` pins the client-facing side to
+            // JSON lines (a gateway's shard hop is always binary v1).
+            wire: parse_wire("--wire", wire)?,
+            local_flags,
         })
     }
 
-    /// The first local-server flag present, if any — these configure an
-    /// in-process server and are meaningless (so refused) with
-    /// `--connect`, where the remote server owns its own configuration.
-    fn local_only_flag(&self) -> Option<&'static str> {
-        if self.threads.is_some() {
-            Some("--threads")
-        } else if self.cache_dir_flag.is_some() {
-            Some("--cache-dir")
-        } else if self.max_entries.is_some() {
-            Some("--max-entries")
-        } else if self.max_bytes.is_some() {
-            Some("--max-bytes")
-        } else if self.cache_gc_max_bytes.is_some() {
-            Some("--cache-gc-max-bytes")
-        } else if self.trace_journal.is_some() {
-            Some("--trace-journal")
-        } else if self.slow_threshold_ms.is_some() {
-            Some("--slow-threshold-ms")
-        } else if self.telemetry_dir.is_some() {
-            Some("--telemetry-dir")
-        } else if self.telemetry_interval_ms.is_some() {
-            Some("--telemetry-interval-ms")
-        } else if !self.alert_rules.is_empty() {
-            Some("--alert-rule")
-        } else {
-            None
-        }
-    }
-
-    /// Build a server from these options. `--cache-dir` falls back to
-    /// the `DAHLIA_CACHE_DIR` environment variable.
-    fn build(&self) -> Result<Server, ExitCode> {
-        let mut cfg = ServerConfig::new();
+    /// Build the in-process server these options describe.
+    /// `--cache-dir` falls back to the `DAHLIA_CACHE_DIR` environment
+    /// variable.
+    fn server(&self) -> Result<Server, Fail> {
+        let mut cfg = ServerConfig::new().telemetry(self.telemetry.clone());
         if let Some(n) = self.threads {
             cfg = cfg.threads(n);
         }
@@ -616,165 +605,108 @@ impl ServiceOpts {
         if let Some(n) = self.cache_gc_max_bytes {
             cfg = cfg.cache_gc_max_bytes(n as u64);
         }
-        if let Some(n) = self.trace_journal {
-            cfg = cfg.trace_journal(n);
-        }
-        if let Some(ms) = self.slow_threshold_ms {
-            cfg = cfg.slow_threshold_ms(ms);
-        }
-        if let Some(dir) = &self.telemetry_dir {
-            cfg = cfg.telemetry_dir(dir);
-        }
-        if let Some(ms) = self.telemetry_interval_ms {
-            cfg = cfg.telemetry_interval_ms(ms as u64);
-        }
-        for rule in &self.alert_rules {
-            cfg = cfg.alert_rule(rule);
-        }
         // Build failures are all operator input: an unopenable cache or
         // telemetry directory, or an alert rule that does not parse.
-        cfg.build().map_err(|e| {
-            eprintln!("dahliac: cannot start service: {e}");
-            ExitCode::from(EXIT_USAGE)
-        })
+        cfg.build()
+            .map_err(|e| usage(format!("cannot start service: {e}")))
+    }
+
+    /// Start the `--metrics` HTTP endpoint for `host` (if asked),
+    /// announcing its resolved address on stderr (scripts read it like
+    /// the listen line), and return the listener's transport config.
+    /// `/metrics` serves the host's `snapshot` — which carries the
+    /// socket transport's session mix, frame counters, and shed totals
+    /// once the reactor serves the host.
+    fn start_metrics<H: SessionHost + 'static>(
+        &self,
+        host: &Arc<H>,
+        snapshot: fn(&H) -> Snapshot,
+    ) -> Result<NetConfig, Fail> {
+        if let Some(addr) = &self.metrics {
+            let listener = TcpListener::bind(addr)
+                .map_err(|e| usage(format!("cannot bind metrics endpoint `{addr}`: {e}")))?;
+            let local = listener
+                .local_addr()
+                .map(|a| a.to_string())
+                .unwrap_or_else(|_| addr.to_string());
+            let (stats_host, health_host) = (Arc::clone(host), Arc::clone(host));
+            metrics::spawn(
+                listener,
+                Arc::new(move || snapshot(&stats_host)),
+                Arc::new(move || query(&*health_host, ControlOp::Health)),
+            )
+            .map_err(|e| usage(format!("cannot start metrics thread: {e}")))?;
+            eprintln!("dahliac: metrics on {local}");
+        }
+        let mut net = NetConfig::new();
+        if let Some(n) = self.max_inflight {
+            net = net.max_inflight(n);
+        }
+        if let Some(w) = self.wire {
+            net = net.max_wire(w);
+        }
+        Ok(net)
     }
 }
 
-/// Bind and start the `--metrics` HTTP endpoint, announcing its
-/// resolved address on stderr (scripts read it like the listen line).
-/// `/metrics` serves the host's `snapshot` — which carries the socket
-/// transport's session mix, frame counters, and shed totals once the
-/// reactor serves the host.
-fn start_metrics<H: SessionHost + 'static>(
-    addr: &str,
-    host: std::sync::Arc<H>,
-    snapshot: fn(&H) -> Snapshot,
-) -> Result<(), ExitCode> {
-    let listener = std::net::TcpListener::bind(addr).map_err(|e| {
-        eprintln!("dahliac: cannot bind metrics endpoint `{addr}`: {e}");
-        ExitCode::from(EXIT_USAGE)
-    })?;
+/// Bind `addr`, returning the listener and its resolved address.
+fn bind(addr: &str) -> Result<(TcpListener, String), Fail> {
+    let listener =
+        TcpListener::bind(addr).map_err(|e| usage(format!("cannot listen on `{addr}`: {e}")))?;
     let local = listener
         .local_addr()
         .map(|a| a.to_string())
         .unwrap_or_else(|_| addr.to_string());
-    let stats_host = std::sync::Arc::clone(&host);
-    metrics::spawn(
-        listener,
-        std::sync::Arc::new(move || snapshot(&stats_host)),
-        std::sync::Arc::new(move || query(&*host, ControlOp::Health)),
-    )
-    .map_err(|e| {
-        eprintln!("dahliac: cannot start metrics thread: {e}");
-        ExitCode::from(EXIT_USAGE)
-    })?;
-    eprintln!("dahliac: metrics on {local}");
-    Ok(())
+    Ok((listener, local))
 }
 
 /// `dahliac serve`: the JSON-lines protocol over stdio or TCP.
-fn cmd_serve(args: &[String]) -> ExitCode {
+fn cmd_serve(args: &[String]) -> Outcome {
     let mut args = args.to_vec();
-    let (listen, metrics_addr, inflight_raw, wire_raw) = match (
-        take_flag(&mut args, "--listen"),
-        take_flag(&mut args, "--metrics"),
-        take_flag(&mut args, "--max-inflight"),
-        take_flag(&mut args, "--wire"),
-    ) {
-        (Ok(l), Ok(m), Ok(i), Ok(w)) => (l, m, i, w),
-        (Err(e), ..) | (_, Err(e), ..) | (_, _, Err(e), _) | (_, _, _, Err(e)) => {
-            eprintln!("dahliac: {e}");
-            return ExitCode::from(EXIT_USAGE);
-        }
-    };
+    let mut opts = HostOpts::take(&mut args, Host::Serve)?;
     let pipeline = take_switch(&mut args, "--pipeline");
-    let max_inflight = match parse_positive("--max-inflight", inflight_raw) {
-        Ok(n) => n,
-        Err(code) => return code,
-    };
-    let wire_max = match parse_wire("--wire", wire_raw) {
-        Ok(w) => w,
-        Err(code) => return code,
-    };
-    if listen.is_none() && (max_inflight.is_some() || wire_max.is_some()) {
-        eprintln!(
-            "dahliac: --max-inflight and --wire shape the socket transport; they need --listen"
-        );
-        return ExitCode::from(EXIT_USAGE);
+    if opts.listen.is_none() && (opts.max_inflight.is_some() || opts.wire.is_some()) {
+        return Err(usage(
+            "--max-inflight and --wire shape the socket transport; they need --listen",
+        ));
     }
-    let opts = match ServiceOpts::take(&mut args) {
-        Ok(o) => o,
-        Err(code) => return code,
-    };
-    if !args.is_empty() {
-        eprintln!("dahliac: serve takes no positional arguments (got {args:?})\n{USAGE}");
-        return ExitCode::from(EXIT_USAGE);
-    }
-    if listen.is_none() && !pipeline && opts.threads.is_some() {
-        eprintln!(
-            "dahliac: plain stdio serve answers requests in order on one \
-             thread; --threads needs --pipeline or --listen"
-        );
-        return ExitCode::from(EXIT_USAGE);
-    }
-
-    // Plain stdio serve has one request in flight at a time, so one
-    // pool worker suffices; pipelined modes want real parallelism.
-    let opts = if listen.is_none() && !pipeline {
-        ServiceOpts {
-            threads: Some(1),
-            ..opts
+    no_positionals("serve", &args)?;
+    if opts.listen.is_none() && !pipeline {
+        if opts.threads.is_some() {
+            return Err(usage(
+                "plain stdio serve answers requests in order on one \
+                 thread; --threads needs --pipeline or --listen",
+            ));
         }
-    } else {
-        opts
-    };
-    let server = match opts.build() {
-        Ok(s) => std::sync::Arc::new(s),
-        Err(code) => return code,
-    };
-    let mut net = NetConfig::new();
-    if let Some(n) = max_inflight {
-        net = net.max_inflight(n);
+        // Plain stdio serve has one request in flight at a time, so one
+        // pool worker suffices; pipelined modes want real parallelism.
+        opts.threads = Some(1);
     }
-    if let Some(w) = wire_max {
-        net = net.max_wire(w);
-    }
-    if let Some(addr) = &metrics_addr {
-        if let Err(code) = start_metrics(addr, std::sync::Arc::clone(&server), Server::snapshot) {
-            return code;
-        }
-    }
+    let server = Arc::new(opts.server()?);
+    let net = opts.start_metrics(&server, Server::snapshot)?;
 
-    if let Some(addr) = listen {
-        let listener = match std::net::TcpListener::bind(&addr) {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("dahliac: cannot listen on `{addr}`: {e}");
-                return ExitCode::from(EXIT_USAGE);
-            }
-        };
-        let local = listener.local_addr().map(|a| a.to_string());
-        eprintln!(
-            "dahliac serve: listening on {}",
-            local.as_deref().unwrap_or(&addr)
+    if let Some(addr) = &opts.listen {
+        let (listener, local) = bind(addr)?;
+        eprintln!("dahliac serve: listening on {local}");
+        return Ok(
+            match serve_sessions_with(Arc::clone(&server), listener, net) {
+                Ok(summary) => {
+                    server.flush();
+                    eprintln!(
+                        "dahliac serve: {} connections, {} lines, {} protocol errors, {}",
+                        summary.connections,
+                        summary.lines,
+                        summary.protocol_errors,
+                        server.stats()
+                    );
+                    ExitCode::SUCCESS
+                }
+                Err(e) => {
+                    eprintln!("dahliac serve: I/O error: {e}");
+                    ExitCode::from(EXIT_NET)
+                }
+            },
         );
-        return match serve_sessions_with(std::sync::Arc::clone(&server), listener, net) {
-            Ok(summary) => {
-                server.flush();
-                eprintln!(
-                    "dahliac serve: {} connections, {} lines, {} protocol errors, {}",
-                    summary.connections,
-                    summary.lines,
-                    summary.protocol_errors,
-                    server.stats()
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("dahliac serve: I/O error: {e}");
-                ExitCode::from(EXIT_NET)
-            }
-        };
     }
 
     let stdin = std::io::stdin();
@@ -786,7 +718,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         let stdout = std::io::stdout();
         server.serve(stdin.lock(), stdout.lock())
     };
-    match served {
+    Ok(match served {
         Ok(summary) => {
             server.flush();
             eprintln!(
@@ -801,7 +733,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             eprintln!("dahliac serve: I/O error: {e}");
             ExitCode::from(EXIT_USAGE)
         }
-    }
+    })
 }
 
 /// A `dahliac serve` child forked by `gateway --spawn-workers`.
@@ -810,30 +742,54 @@ struct SpawnedWorker {
     addr: String,
 }
 
+/// The forked shard processes of one gateway; dropping the set stops
+/// every worker — graceful protocol shutdown first, a kill for anything
+/// that does not wind down in time.
+struct Workers(Vec<SpawnedWorker>);
+
+impl Drop for Workers {
+    fn drop(&mut self) {
+        for w in &self.0 {
+            if let Ok(mut c) = Client::connect_retry(w.addr.as_str(), 3) {
+                let _ = c.shutdown_server();
+            }
+        }
+        for w in &mut self.0 {
+            let mut stopped = false;
+            for _ in 0..50 {
+                if matches!(w.child.try_wait(), Ok(Some(_))) {
+                    stopped = true;
+                    break;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(100));
+            }
+            if !stopped {
+                let _ = w.child.kill();
+                let _ = w.child.wait();
+            }
+        }
+    }
+}
+
 /// Fork `n` local shard processes (`dahliac serve --listen 127.0.0.1:0`)
-/// and learn each one's ephemeral address from its announce line.
-fn spawn_local_workers(n: usize, threads: Option<usize>) -> Result<Vec<SpawnedWorker>, ExitCode> {
+/// and learn each one's ephemeral address from its announce line. On
+/// failure the workers already forked are stopped.
+fn spawn_local_workers(n: usize, threads: Option<usize>) -> Result<Workers, Fail> {
     use std::process::{Command, Stdio};
-    let exe = std::env::current_exe().map_err(|e| {
-        eprintln!("dahliac: cannot locate own binary to fork workers: {e}");
-        ExitCode::from(EXIT_USAGE)
-    })?;
-    let mut workers = Vec::new();
+    let exe = std::env::current_exe()
+        .map_err(|e| usage(format!("cannot locate own binary to fork workers: {e}")))?;
+    let mut workers = Workers(Vec::new());
     for i in 0..n {
         let mut cmd = Command::new(&exe);
         cmd.args(["serve", "--listen", "127.0.0.1:0"]);
         if let Some(t) = threads {
             cmd.args(["--threads", &t.to_string()]);
         }
-        let spawned = cmd.stdin(Stdio::null()).stderr(Stdio::piped()).spawn();
-        let mut child = match spawned {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("dahliac: cannot spawn worker {i}: {e}");
-                shutdown_workers(&mut workers);
-                return Err(ExitCode::from(EXIT_USAGE));
-            }
-        };
+        let mut child = cmd
+            .stdin(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .map_err(|e| usage(format!("cannot spawn worker {i}: {e}")))?;
         // Scan the worker's stderr for its announce line on a helper
         // thread with a deadline: a worker wedged before binding (e.g.
         // an unreachable inherited DAHLIA_CACHE_DIR) must fail gateway
@@ -869,180 +825,68 @@ fn spawn_local_workers(n: usize, threads: Option<usize>) -> Result<Vec<SpawnedWo
             .ok()
             .filter(|a| !a.is_empty());
         let Some(addr) = addr else {
-            eprintln!("dahliac: worker {i} failed to announce its address in time");
             let _ = child.kill();
             let _ = child.wait();
-            shutdown_workers(&mut workers);
-            return Err(ExitCode::from(EXIT_USAGE));
+            return Err(usage(format!(
+                "worker {i} failed to announce its address in time"
+            )));
         };
         eprintln!("dahliac gateway: worker {i} on {addr} (pid {})", child.id());
-        workers.push(SpawnedWorker { child, addr });
+        workers.0.push(SpawnedWorker { child, addr });
     }
     Ok(workers)
 }
 
-/// Stop every spawned worker: graceful protocol shutdown first, a kill
-/// for anything that does not wind down in time.
-fn shutdown_workers(workers: &mut Vec<SpawnedWorker>) {
-    for w in workers.iter_mut() {
-        if let Ok(mut c) = Client::connect_retry(w.addr.as_str(), 3) {
-            let _ = c.shutdown_server();
-        }
-    }
-    for w in workers.iter_mut() {
-        let mut stopped = false;
-        for _ in 0..50 {
-            if matches!(w.child.try_wait(), Ok(Some(_))) {
-                stopped = true;
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(100));
-        }
-        if !stopped {
-            let _ = w.child.kill();
-            let _ = w.child.wait();
-        }
-    }
-    workers.clear();
-}
-
 /// `dahliac gateway`: the sharded cluster front-end.
-fn cmd_gateway(args: &[String]) -> ExitCode {
+fn cmd_gateway(args: &[String]) -> Outcome {
     let mut args = args.to_vec();
-    let mut flags = Vec::new();
-    for f in [
-        "--listen",
-        "--shards",
-        "--spawn-workers",
-        "--replication",
-        "--threads",
-        "--metrics",
-        "--trace-journal",
-        "--slow-threshold-ms",
-        "--telemetry-dir",
-        "--telemetry-interval-ms",
-        "--auto-drain-after",
-        "--max-inflight",
-        "--wire",
-        "--admission-cache",
-    ] {
-        match take_flag(&mut args, f) {
-            Ok(v) => flags.push(v),
-            Err(e) => {
-                eprintln!("dahliac: {e}");
-                return ExitCode::from(EXIT_USAGE);
-            }
-        }
-    }
-    let [listen, shards_flag, spawn_raw, replication_raw, threads_raw, metrics_addr, journal_raw, slow_raw, tele_dir, tele_ms_raw, drain_after_raw, inflight_raw, wire_raw, adm_cache_raw] =
-        flags.try_into().unwrap();
-    let alert_rules = match take_alert_rules(&mut args) {
-        Ok(r) => r,
-        Err(code) => return code,
+    let opts = HostOpts::take(&mut args, Host::Gateway)?;
+    let [shards_flag, spawn_raw, replication_raw, drain_after_raw, adm_cache_raw] = take_flags(
+        &mut args,
+        [
+            "--shards",
+            "--spawn-workers",
+            "--replication",
+            "--auto-drain-after",
+            "--admission-cache",
+        ],
+    )?;
+    no_positionals("gateway", &args)?;
+    let Some(listen) = &opts.listen else {
+        return Err(usage(format!("gateway needs --listen\n{USAGE}")));
     };
-    if !args.is_empty() {
-        eprintln!("dahliac: gateway takes no positional arguments (got {args:?})\n{USAGE}");
-        return ExitCode::from(EXIT_USAGE);
-    }
-    let Some(listen) = listen else {
-        eprintln!("dahliac: gateway needs --listen\n{USAGE}");
-        return ExitCode::from(EXIT_USAGE);
-    };
-    let threads = match parse_positive("--threads", threads_raw) {
-        Ok(t) => t,
-        Err(code) => return code,
-    };
-    let replication = match parse_positive("--replication", replication_raw) {
-        Ok(r) => r,
-        Err(code) => return code,
-    };
-    let spawn_workers = match parse_positive("--spawn-workers", spawn_raw) {
-        Ok(n) => n,
-        Err(code) => return code,
-    };
-    let trace_journal = match parse_positive("--trace-journal", journal_raw) {
-        Ok(n) => n,
-        Err(code) => return code,
-    };
-    let slow_threshold_ms = match parse_nonneg("--slow-threshold-ms", slow_raw) {
-        Ok(n) => n,
-        Err(code) => return code,
-    };
-    let telemetry_interval_ms = match parse_positive("--telemetry-interval-ms", tele_ms_raw) {
-        Ok(n) => n,
-        Err(code) => return code,
-    };
+    let replication = parse_positive("--replication", replication_raw)?;
+    let spawn_workers = parse_positive("--spawn-workers", spawn_raw)?;
     // Zero is the documented "off" value, so non-negative.
-    let auto_drain_after = match parse_nonneg("--auto-drain-after", drain_after_raw) {
-        Ok(n) => n,
-        Err(code) => return code,
-    };
-    let max_inflight = match parse_positive("--max-inflight", inflight_raw) {
-        Ok(n) => n,
-        Err(code) => return code,
-    };
-    // `--wire v0` pins the client-facing listener to JSON lines; the
-    // shard hop always speaks the v1 binary wire.
-    let wire_max = match parse_wire("--wire", wire_raw) {
-        Ok(w) => w,
-        Err(code) => return code,
-    };
+    let auto_drain_after = parse_nonneg("--auto-drain-after", drain_after_raw)?;
     // Zero disables the admission cache, so non-negative.
-    let admission_cache = match parse_nonneg("--admission-cache", adm_cache_raw) {
-        Ok(n) => n,
-        Err(code) => return code,
-    };
+    let admission_cache = parse_nonneg("--admission-cache", adm_cache_raw)?;
 
     // `--shards a1=2,a2,…`: each entry is an address with an optional
     // rendezvous weight (see `dahlia_gateway::hash::parse_weighted`).
     let mut shard_addrs: Vec<(String, f64)> = Vec::new();
     if let Some(s) = shards_flag {
         for entry in s.split(',').map(str::trim).filter(|a| !a.is_empty()) {
-            match dahlia_gateway::hash::parse_weighted(entry) {
-                Ok(pair) => shard_addrs.push(pair),
-                Err(e) => {
-                    eprintln!("dahliac: {e}");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            }
+            shard_addrs.push(dahlia_gateway::hash::parse_weighted(entry).map_err(usage)?);
         }
     }
-    let mut workers = Vec::new();
-    if let Some(n) = spawn_workers {
-        match spawn_local_workers(n, threads) {
-            Ok(ws) => {
-                shard_addrs.extend(ws.iter().map(|w| (w.addr.clone(), 1.0)));
-                workers = ws;
-            }
-            Err(code) => return code,
-        }
-    }
+    let workers = match spawn_workers {
+        Some(n) => spawn_local_workers(n, opts.threads)?,
+        None => Workers(Vec::new()),
+    };
+    shard_addrs.extend(workers.0.iter().map(|w| (w.addr.clone(), 1.0)));
     if shard_addrs.is_empty() {
-        eprintln!("dahliac: gateway needs shards (--shards and/or --spawn-workers)\n{USAGE}");
-        return ExitCode::from(EXIT_USAGE);
+        return Err(usage(format!(
+            "gateway needs shards (--shards and/or --spawn-workers)\n{USAGE}"
+        )));
     }
 
-    let mut cfg = GatewayConfig::new_weighted(shard_addrs);
+    let mut cfg = GatewayConfig::new_weighted(shard_addrs).telemetry(opts.telemetry.clone());
     if let Some(r) = replication {
         cfg = cfg.replication(r);
     }
-    if let Some(t) = threads {
+    if let Some(t) = opts.threads {
         cfg = cfg.threads(t);
-    }
-    if let Some(n) = trace_journal {
-        cfg = cfg.trace_journal(n);
-    }
-    if let Some(ms) = slow_threshold_ms {
-        cfg = cfg.slow_threshold_ms(ms);
-    }
-    if let Some(dir) = &tele_dir {
-        cfg = cfg.telemetry_dir(dir);
-    }
-    if let Some(ms) = telemetry_interval_ms {
-        cfg = cfg.telemetry_interval_ms(ms as u64);
-    }
-    for rule in &alert_rules {
-        cfg = cfg.alert_rule(rule);
     }
     if let Some(n) = auto_drain_after {
         cfg = cfg.auto_drain_after(n);
@@ -1052,49 +896,24 @@ fn cmd_gateway(args: &[String]) -> ExitCode {
     }
     // `try_build` surfaces telemetry-directory and alert-rule problems
     // as startup usage errors instead of panicking mid-flight.
-    let gateway = match cfg.try_build() {
-        Ok(g) => std::sync::Arc::new(g),
-        Err(e) => {
-            eprintln!("dahliac: cannot start gateway: {e}");
-            shutdown_workers(&mut workers);
-            return ExitCode::from(EXIT_USAGE);
-        }
-    };
-    let mut net = NetConfig::new();
-    if let Some(n) = max_inflight {
-        net = net.max_inflight(n);
-    }
-    if let Some(w) = wire_max {
-        net = net.max_wire(w);
-    }
-    if let Some(addr) = &metrics_addr {
-        if let Err(code) = start_metrics(addr, std::sync::Arc::clone(&gateway), Gateway::snapshot) {
-            shutdown_workers(&mut workers);
-            return code;
-        }
-    }
-    let listener = match std::net::TcpListener::bind(&listen) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("dahliac: cannot listen on `{listen}`: {e}");
-            shutdown_workers(&mut workers);
-            return ExitCode::from(EXIT_USAGE);
-        }
-    };
-    let local = listener.local_addr().map(|a| a.to_string());
+    let gateway = Arc::new(
+        cfg.try_build()
+            .map_err(|e| usage(format!("cannot start gateway: {e}")))?,
+    );
+    let net = opts.start_metrics(&gateway, Gateway::snapshot)?;
+    let (listener, local) = bind(listen)?;
     eprintln!(
-        "dahliac gateway: listening on {} ({} shards, {} live)",
-        local.as_deref().unwrap_or(&listen),
+        "dahliac gateway: listening on {local} ({} shards, {} live)",
         gateway.shard_count(),
         gateway.live_shards(),
     );
 
-    let served = serve_sessions_with(std::sync::Arc::clone(&gateway), listener, net);
+    let served = serve_sessions_with(Arc::clone(&gateway), listener, net);
     // Snapshot shard state before stopping spawned workers, so the
     // summary reflects the serving run, not the teardown.
     let snapshots = gateway.shard_snapshots();
-    shutdown_workers(&mut workers);
-    match served {
+    drop(workers);
+    Ok(match served {
         Ok(summary) => {
             eprintln!(
                 "dahliac gateway: {} connections, {} lines, {} protocol errors; \
@@ -1127,55 +946,44 @@ fn cmd_gateway(args: &[String]) -> ExitCode {
             eprintln!("dahliac gateway: I/O error: {e}");
             ExitCode::from(EXIT_NET)
         }
-    }
+    })
 }
 
 /// `dahliac gateway-admin`: drive a live gateway's drain/undrain ops
 /// over the wire protocol. Prints the gateway's ack object on stdout;
 /// exit 0 when the gateway accepted the op, 1 when it refused (e.g.
 /// unknown shard), 5 when the gateway is unreachable.
-fn cmd_gateway_admin(args: &[String]) -> ExitCode {
+fn cmd_gateway_admin(args: &[String]) -> Outcome {
     let mut args = args.to_vec();
-    let (connect, weight_raw) = match (
-        take_flag(&mut args, "--connect"),
-        take_flag(&mut args, "--weight"),
-    ) {
-        (Ok(c), Ok(w)) => (c, w),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("dahliac: {e}");
-            return ExitCode::from(EXIT_USAGE);
-        }
-    };
+    let [connect, weight_raw] = take_flags(&mut args, ["--connect", "--weight"])?;
     let (op, shard) = match args.as_slice() {
         [op, shard] if op == "drain" || op == "undrain" => (op.clone(), shard.clone()),
         [op, ..] if op != "drain" && op != "undrain" => {
-            eprintln!(
-                "dahliac: gateway-admin op must be `drain` or `undrain`, got `{op}`\n{USAGE}"
-            );
-            return ExitCode::from(EXIT_USAGE);
+            return Err(usage(format!(
+                "gateway-admin op must be `drain` or `undrain`, got `{op}`\n{USAGE}"
+            )));
         }
         _ => {
-            eprintln!("dahliac: gateway-admin needs an op and a shard address\n{USAGE}");
-            return ExitCode::from(EXIT_USAGE);
+            return Err(usage(format!(
+                "gateway-admin needs an op and a shard address\n{USAGE}"
+            )));
         }
     };
     let Some(addr) = connect else {
-        eprintln!("dahliac: gateway-admin needs --connect\n{USAGE}");
-        return ExitCode::from(EXIT_USAGE);
+        return Err(usage(format!("gateway-admin needs --connect\n{USAGE}")));
     };
-    let weight = match weight_raw {
-        None => None,
-        Some(w) => match w.parse::<f64>() {
-            Ok(v) if v.is_finite() && v > 0.0 => Some(v),
-            _ => {
-                eprintln!("dahliac: --weight needs a positive number, got `{w}`");
-                return ExitCode::from(EXIT_USAGE);
-            }
-        },
-    };
+    let weight = weight_raw
+        .map(|w| match w.parse::<f64>() {
+            Ok(v) if v.is_finite() && v > 0.0 => Ok(v),
+            _ => Err(usage(format!(
+                "--weight needs a positive number, got `{w}`"
+            ))),
+        })
+        .transpose()?;
     if weight.is_some() && op == "drain" {
-        eprintln!("dahliac: --weight only makes sense with `undrain` (joining a shard)");
-        return ExitCode::from(EXIT_USAGE);
+        return Err(usage(
+            "--weight only makes sense with `undrain` (joining a shard)",
+        ));
     }
 
     let mut fields = vec![("op", Json::Str(op)), ("shard", Json::Str(shard))];
@@ -1194,27 +1002,27 @@ fn cmd_gateway_admin(args: &[String]) -> ExitCode {
                 .ok()
                 .and_then(|v| v.get("ok").and_then(Json::as_bool))
                 .unwrap_or(false);
-            if ok {
+            Ok(if ok {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::from(EXIT_RUNTIME)
-            }
+            })
         }
-        Ok(None) => {
-            eprintln!("dahliac: `{addr}` closed the connection without answering");
-            ExitCode::from(EXIT_NET)
-        }
-        Err(e) => {
-            eprintln!("dahliac: cannot reach gateway `{addr}`: {e}");
-            ExitCode::from(EXIT_NET)
-        }
+        Ok(None) => Err(Fail(
+            EXIT_NET,
+            format!("`{addr}` closed the connection without answering"),
+        )),
+        Err(e) => Err(Fail(
+            EXIT_NET,
+            format!("cannot reach gateway `{addr}`: {e}"),
+        )),
     }
 }
 
 /// Send one control line to a live server or gateway and print its
 /// answer verbatim (the canonical compact envelope, one line, ready
 /// for `jq`). Shared by `history` and `alerts`.
-fn control_round_trip(addr: &str, line: &str) -> ExitCode {
+fn control_round_trip(addr: &str, line: &str) -> Outcome {
     let sent = Client::connect_retry(addr, 50).and_then(|mut c| {
         c.send_line(line)?;
         c.recv_line()
@@ -1222,16 +1030,13 @@ fn control_round_trip(addr: &str, line: &str) -> ExitCode {
     match sent {
         Ok(Some(answer)) => {
             println!("{answer}");
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        Ok(None) => {
-            eprintln!("dahliac: `{addr}` closed the connection without answering");
-            ExitCode::from(EXIT_NET)
-        }
-        Err(e) => {
-            eprintln!("dahliac: cannot reach `{addr}`: {e}");
-            ExitCode::from(EXIT_NET)
-        }
+        Ok(None) => Err(Fail(
+            EXIT_NET,
+            format!("`{addr}` closed the connection without answering"),
+        )),
+        Err(e) => Err(Fail(EXIT_NET, format!("cannot reach `{addr}`: {e}"))),
     }
 }
 
@@ -1253,89 +1058,50 @@ fn gemm_blocked_space() -> Vec<(String, Vec<u64>)> {
 
 /// `dahliac sweep`: scatter a templated design-space exploration
 /// across a live gateway's shards and stream the Pareto front back.
-fn cmd_sweep(args: &[String]) -> ExitCode {
+fn cmd_sweep(args: &[String]) -> Outcome {
     let mut args = args.to_vec();
-    let mut flags: HashMap<&str, Option<String>> = HashMap::new();
-    for f in [
-        "--connect",
-        "--template",
-        "--kernel",
-        "--name",
-        "--stage",
-        "--stride",
-        "--update-every",
-        "--out",
-        "--n",
-        "--block",
-    ] {
-        match take_flag(&mut args, f) {
-            Ok(v) => {
-                flags.insert(f, v);
-            }
-            Err(e) => {
-                eprintln!("dahliac: {e}");
-                return ExitCode::from(EXIT_USAGE);
-            }
-        }
-    }
+    let [connect, template_file, kernel, name, stage, stride, update_every, out, n, block] =
+        take_flags(
+            &mut args,
+            [
+                "--connect",
+                "--template",
+                "--kernel",
+                "--name",
+                "--stage",
+                "--stride",
+                "--update-every",
+                "--out",
+                "--n",
+                "--block",
+            ],
+        )?;
     let resume = take_switch(&mut args, "--resume");
     let prune = take_switch(&mut args, "--prune");
     let mut param_flags = Vec::new();
-    loop {
-        match take_flag(&mut args, "--param") {
-            Ok(Some(v)) => param_flags.push(v),
-            Ok(None) => break,
-            Err(e) => {
-                eprintln!("dahliac: {e}");
-                return ExitCode::from(EXIT_USAGE);
-            }
-        }
+    while let Some(v) = take_flag(&mut args, "--param")? {
+        param_flags.push(v);
     }
-    if !args.is_empty() {
-        eprintln!("dahliac: sweep takes no positional arguments (got {args:?})\n{USAGE}");
-        return ExitCode::from(EXIT_USAGE);
-    }
-    let Some(addr) = flags.remove("--connect").flatten() else {
-        eprintln!("dahliac: sweep needs --connect\n{USAGE}");
-        return ExitCode::from(EXIT_USAGE);
+    no_positionals("sweep", &args)?;
+    let Some(addr) = connect else {
+        return Err(usage(format!("sweep needs --connect\n{USAGE}")));
     };
-    let stride = match parse_positive("--stride", flags.remove("--stride").flatten()) {
-        Ok(n) => n.unwrap_or(1) as u64,
-        Err(code) => return code,
-    };
-    let update_every =
-        match parse_nonneg("--update-every", flags.remove("--update-every").flatten()) {
-            Ok(n) => n.unwrap_or(0),
-            Err(code) => return code,
-        };
-    let template_file = flags.remove("--template").flatten();
-    let kernel = flags.remove("--kernel").flatten();
+    let stride = parse_positive("--stride", stride)?.unwrap_or(1) as u64;
+    let update_every = parse_nonneg("--update-every", update_every)?.unwrap_or(0);
     let (template, mut params, default_name) = match (template_file, kernel.as_deref()) {
         (Some(_), Some(_)) => {
-            eprintln!("dahliac: --template and --kernel are mutually exclusive");
-            return ExitCode::from(EXIT_USAGE);
+            return Err(usage("--template and --kernel are mutually exclusive"));
         }
-        (Some(path), None) => {
-            let text = match read_source(&path) {
-                Ok(t) => t,
-                Err(code) => return code,
-            };
-            (text, Vec::new(), "sweep".to_string())
-        }
+        (Some(path), None) => (read_source(&path)?, Vec::new(), "sweep".to_string()),
         (None, kernel) => {
             let kernel = kernel.unwrap_or("gemm-blocked");
             if kernel != "gemm-blocked" {
-                eprintln!("dahliac: unknown sweep kernel `{kernel}` (try gemm-blocked)");
-                return ExitCode::from(EXIT_USAGE);
+                return Err(usage(format!(
+                    "unknown sweep kernel `{kernel}` (try gemm-blocked)"
+                )));
             }
-            let n = match parse_positive("--n", flags.remove("--n").flatten()) {
-                Ok(v) => v.unwrap_or(128) as u64,
-                Err(code) => return code,
-            };
-            let block = match parse_positive("--block", flags.remove("--block").flatten()) {
-                Ok(v) => v.unwrap_or(8) as u64,
-                Err(code) => return code,
-            };
+            let n = parse_positive("--n", n)?.unwrap_or(128) as u64;
+            let block = parse_positive("--block", block)?.unwrap_or(8) as u64;
             (
                 dahlia_kernels::gemm::gemm_blocked_template(n, block),
                 gemm_blocked_space(),
@@ -1347,13 +1113,13 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
     // template-file sweeps, defines the space from scratch).
     for raw in param_flags {
         let Some((name, values)) = raw.split_once('=') else {
-            eprintln!("dahliac: --param needs name=v1,v2,... (got `{raw}`)");
-            return ExitCode::from(EXIT_USAGE);
+            return Err(usage(format!("--param needs name=v1,v2,... (got `{raw}`)")));
         };
         let parsed: Result<Vec<u64>, _> = values.split(',').map(str::parse::<u64>).collect();
         let Ok(vs) = parsed else {
-            eprintln!("dahliac: --param {name} values must be integers (got `{values}`)");
-            return ExitCode::from(EXIT_USAGE);
+            return Err(usage(format!(
+                "--param {name} values must be integers (got `{values}`)"
+            )));
         };
         match params.iter_mut().find(|(k, _)| k == name) {
             Some((_, slot)) => *slot = vs,
@@ -1361,15 +1127,12 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
         }
     }
     if params.is_empty() {
-        eprintln!("dahliac: sweep needs at least one --param axis\n{USAGE}");
-        return ExitCode::from(EXIT_USAGE);
+        return Err(usage(format!(
+            "sweep needs at least one --param axis\n{USAGE}"
+        )));
     }
-    let name = flags.remove("--name").flatten().unwrap_or(default_name);
-    let stage = flags
-        .remove("--stage")
-        .flatten()
-        .unwrap_or_else(|| "est".to_string());
-    let out = flags.remove("--out").flatten();
+    let name = name.unwrap_or(default_name);
+    let stage = stage.unwrap_or_else(|| "est".to_string());
 
     let params_json = Json::Obj(
         params
@@ -1396,45 +1159,40 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
     ])
     .emit();
 
-    let mut client = match Client::connect_retry(addr.as_str(), 50) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("dahliac: cannot connect to `{addr}`: {e}");
-            return ExitCode::from(EXIT_NET);
-        }
-    };
-    if let Err(e) = client.send_line(&op_line) {
-        eprintln!("dahliac: cannot send to `{addr}`: {e}");
-        return ExitCode::from(EXIT_NET);
-    }
+    let mut client = Client::connect_retry(addr.as_str(), 50)
+        .map_err(|e| Fail(EXIT_NET, format!("cannot connect to `{addr}`: {e}")))?;
+    client
+        .send_line(&op_line)
+        .map_err(|e| Fail(EXIT_NET, format!("cannot send to `{addr}`: {e}")))?;
     // One line per incremental update, one final `"done":true` line.
     loop {
-        match client.recv_line() {
-            Ok(Some(line)) => {
-                println!("{line}");
-                let v = Json::parse(&line).unwrap_or(Json::Null);
-                if v.get("done").and_then(Json::as_bool) == Some(true) {
-                    if let Some(path) = &out {
-                        if let Err(e) = std::fs::write(path, format!("{line}\n")) {
-                            eprintln!("dahliac: cannot write `{path}`: {e}");
-                            return ExitCode::from(EXIT_USAGE);
-                        }
-                    }
-                    return if v.get("ok").and_then(Json::as_bool) == Some(true) {
-                        ExitCode::SUCCESS
-                    } else {
-                        ExitCode::from(EXIT_RUNTIME)
-                    };
-                }
-            }
+        let line = match client.recv_line() {
+            Ok(Some(line)) => line,
             Ok(None) => {
-                eprintln!("dahliac: `{addr}` closed the connection mid-sweep");
-                return ExitCode::from(EXIT_NET);
+                return Err(Fail(
+                    EXIT_NET,
+                    format!("`{addr}` closed the connection mid-sweep"),
+                ))
             }
             Err(e) => {
-                eprintln!("dahliac: network error talking to `{addr}`: {e}");
-                return ExitCode::from(EXIT_NET);
+                return Err(Fail(
+                    EXIT_NET,
+                    format!("network error talking to `{addr}`: {e}"),
+                ))
             }
+        };
+        println!("{line}");
+        let v = Json::parse(&line).unwrap_or(Json::Null);
+        if v.get("done").and_then(Json::as_bool) == Some(true) {
+            if let Some(path) = &out {
+                std::fs::write(path, format!("{line}\n"))
+                    .map_err(|e| usage(format!("cannot write `{path}`: {e}")))?;
+            }
+            return Ok(if v.get("ok").and_then(Json::as_bool) == Some(true) {
+                ExitCode::SUCCESS
+            } else {
+                ExitCode::from(EXIT_RUNTIME)
+            });
         }
     }
 }
@@ -1442,39 +1200,21 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
 /// `dahliac history`: query a remote's durable telemetry ring for one
 /// series, downsampled into `--step`-sized bins since a wall-clock
 /// millisecond cursor.
-fn cmd_history(args: &[String]) -> ExitCode {
+fn cmd_history(args: &[String]) -> Outcome {
     let mut args = args.to_vec();
-    let mut flags = Vec::new();
-    for f in ["--connect", "--series", "--since", "--step"] {
-        match take_flag(&mut args, f) {
-            Ok(v) => flags.push(v),
-            Err(e) => {
-                eprintln!("dahliac: {e}");
-                return ExitCode::from(EXIT_USAGE);
-            }
-        }
-    }
-    let [connect, series, since_raw, step_raw] = flags.try_into().unwrap();
-    if !args.is_empty() {
-        eprintln!("dahliac: history takes no positional arguments (got {args:?})\n{USAGE}");
-        return ExitCode::from(EXIT_USAGE);
-    }
+    let [connect, series, since, step] =
+        take_flags(&mut args, ["--connect", "--series", "--since", "--step"])?;
+    no_positionals("history", &args)?;
     let Some(addr) = connect else {
-        eprintln!("dahliac: history needs --connect\n{USAGE}");
-        return ExitCode::from(EXIT_USAGE);
+        return Err(usage(format!("history needs --connect\n{USAGE}")));
     };
     let Some(series) = series else {
-        eprintln!("dahliac: history needs --series (e.g. window.error_rate)\n{USAGE}");
-        return ExitCode::from(EXIT_USAGE);
+        return Err(usage(format!(
+            "history needs --series (e.g. window.error_rate)\n{USAGE}"
+        )));
     };
-    let since = match parse_nonneg("--since", since_raw) {
-        Ok(n) => n.unwrap_or(0),
-        Err(code) => return code,
-    };
-    let step = match parse_nonneg("--step", step_raw) {
-        Ok(n) => n.unwrap_or(0),
-        Err(code) => return code,
-    };
+    let since = parse_nonneg("--since", since)?.unwrap_or(0);
+    let step = parse_nonneg("--step", step)?.unwrap_or(0);
     let line = obj([
         ("op", Json::Str("history".to_string())),
         ("series", Json::Str(series)),
@@ -1487,30 +1227,14 @@ fn cmd_history(args: &[String]) -> ExitCode {
 
 /// `dahliac alerts`: dump a remote's alert rule states and transition
 /// journal (optionally only entries past a `--since` sequence cursor).
-fn cmd_alerts(args: &[String]) -> ExitCode {
+fn cmd_alerts(args: &[String]) -> Outcome {
     let mut args = args.to_vec();
-    let (connect, since_raw) = match (
-        take_flag(&mut args, "--connect"),
-        take_flag(&mut args, "--since"),
-    ) {
-        (Ok(c), Ok(s)) => (c, s),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("dahliac: {e}");
-            return ExitCode::from(EXIT_USAGE);
-        }
-    };
-    if !args.is_empty() {
-        eprintln!("dahliac: alerts takes no positional arguments (got {args:?})\n{USAGE}");
-        return ExitCode::from(EXIT_USAGE);
-    }
+    let [connect, since] = take_flags(&mut args, ["--connect", "--since"])?;
+    no_positionals("alerts", &args)?;
     let Some(addr) = connect else {
-        eprintln!("dahliac: alerts needs --connect\n{USAGE}");
-        return ExitCode::from(EXIT_USAGE);
+        return Err(usage(format!("alerts needs --connect\n{USAGE}")));
     };
-    let since = match parse_nonneg("--since", since_raw) {
-        Ok(n) => n.unwrap_or(0),
-        Err(code) => return code,
-    };
+    let since = parse_nonneg("--since", since)?.unwrap_or(0);
     let line = obj([
         ("op", Json::Str("alerts".to_string())),
         ("since", Json::Num(since as f64)),
@@ -1846,60 +1570,28 @@ impl TopSnapshot {
 /// `dahliac top`: a live load console over a server or gateway's wire
 /// protocol. Redraws every `--interval-ms` until interrupted; `--once`
 /// prints a single machine-readable snapshot and exits.
-fn cmd_top(args: &[String]) -> ExitCode {
+fn cmd_top(args: &[String]) -> Outcome {
     let mut args = args.to_vec();
-    let (connect, interval_raw) = match (
-        take_flag(&mut args, "--connect"),
-        take_flag(&mut args, "--interval-ms"),
-    ) {
-        (Ok(c), Ok(i)) => (c, i),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("dahliac: {e}");
-            return ExitCode::from(EXIT_USAGE);
-        }
-    };
+    let [connect, interval] = take_flags(&mut args, ["--connect", "--interval-ms"])?;
     let once = take_switch(&mut args, "--once");
-    if !args.is_empty() {
-        eprintln!("dahliac: top takes no positional arguments (got {args:?})\n{USAGE}");
-        return ExitCode::from(EXIT_USAGE);
-    }
+    no_positionals("top", &args)?;
     let Some(addr) = connect else {
-        eprintln!("dahliac: top needs --connect\n{USAGE}");
-        return ExitCode::from(EXIT_USAGE);
+        return Err(usage(format!("top needs --connect\n{USAGE}")));
     };
-    let interval = match parse_positive("--interval-ms", interval_raw) {
-        Ok(n) => n.unwrap_or(2000) as u64,
-        Err(code) => return code,
-    };
+    let interval = parse_positive("--interval-ms", interval)?.unwrap_or(2000) as u64;
 
-    let mut client = match Client::connect_retry(addr.as_str(), 50) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("dahliac: cannot connect to `{addr}`: {e}");
-            return ExitCode::from(EXIT_NET);
-        }
-    };
+    let net_error =
+        |e: std::io::Error| Fail(EXIT_NET, format!("network error talking to `{addr}`: {e}"));
+    let mut client = Client::connect_retry(addr.as_str(), 50)
+        .map_err(|e| Fail(EXIT_NET, format!("cannot connect to `{addr}`: {e}")))?;
     let t0 = Instant::now();
     loop {
-        let stats = match fetch_remote_stats(&mut client) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("dahliac: network error talking to `{addr}`: {e}");
-                return ExitCode::from(EXIT_NET);
-            }
-        };
-        let snap = TopSnapshot::from_stats(&stats);
+        let snap = TopSnapshot::from_stats(&fetch_remote_stats(&mut client).map_err(net_error)?);
         if once {
             println!("{}", snap.to_json(&addr).emit());
-            return ExitCode::SUCCESS;
+            return Ok(ExitCode::SUCCESS);
         }
-        let sparks = match fetch_top_sparks(&mut client) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("dahliac: network error talking to `{addr}`: {e}");
-                return ExitCode::from(EXIT_NET);
-            }
-        };
+        let sparks = fetch_top_sparks(&mut client).map_err(net_error)?;
         // ANSI clear + home: a real terminal redraw, not a scroll.
         print!(
             "\x1b[2J\x1b[H{}",
@@ -1911,7 +1603,7 @@ fn cmd_top(args: &[String]) -> ExitCode {
 }
 
 /// The request set for one batch invocation.
-fn batch_programs(use_kernels: bool, files: &[String]) -> Result<Vec<(String, String)>, ExitCode> {
+fn batch_programs(use_kernels: bool, files: &[String]) -> Result<Vec<(String, String)>, Fail> {
     let mut programs: Vec<(String, String)> = Vec::new();
     if use_kernels {
         for b in dahlia_kernels::all_benches() {
@@ -1931,8 +1623,9 @@ fn batch_programs(use_kernels: bool, files: &[String]) -> Result<Vec<(String, St
         programs.push((name, src));
     }
     if programs.is_empty() {
-        eprintln!("dahliac: batch needs input programs (--kernels and/or files)\n{USAGE}");
-        return Err(ExitCode::from(EXIT_USAGE));
+        return Err(usage(format!(
+            "batch needs input programs (--kernels and/or files)\n{USAGE}"
+        )));
     }
     Ok(programs)
 }
@@ -1994,51 +1687,34 @@ fn print_batch_summary(repeat: u32, programs: usize, round_walls: &[u64], stats:
 /// `dahliac batch`: compile many programs through the service (local or
 /// remote), optionally several rounds, and report per-round wall time
 /// plus cache stats.
-fn cmd_batch(args: &[String]) -> ExitCode {
+fn cmd_batch(args: &[String]) -> Outcome {
     let mut args = args.to_vec();
-    let (repeat_raw, stage_raw, connect, wire_raw) = match (
-        take_flag(&mut args, "--repeat"),
-        take_flag(&mut args, "--stage"),
-        take_flag(&mut args, "--connect"),
-        take_flag(&mut args, "--wire"),
-    ) {
-        (Ok(r), Ok(s), Ok(c), Ok(w)) => (r, s, c, w),
-        (Err(e), ..) | (_, Err(e), ..) | (_, _, Err(e), _) | (.., Err(e)) => {
-            eprintln!("dahliac: {e}");
-            return ExitCode::from(EXIT_USAGE);
-        }
-    };
-    let wire_max = match parse_wire("--wire", wire_raw) {
-        Ok(w) => w,
-        Err(code) => return code,
-    };
-    if wire_max.is_some() && connect.is_none() {
-        eprintln!("dahliac: --wire picks the socket protocol; it needs --connect");
-        return ExitCode::from(EXIT_USAGE);
+    let [repeat_raw, stage_raw, connect] =
+        take_flags(&mut args, ["--repeat", "--stage", "--connect"])?;
+    let opts = HostOpts::take(&mut args, Host::Batch)?;
+    if opts.wire.is_some() && connect.is_none() {
+        return Err(usage(
+            "--wire picks the socket protocol; it needs --connect",
+        ));
     }
-    let opts = match ServiceOpts::take(&mut args) {
-        Ok(o) => o,
-        Err(code) => return code,
-    };
     let repeat = match repeat_raw {
         None => 2,
         Some(r) => match r.parse::<u32>() {
             Ok(n) if n > 0 => n,
             _ => {
-                eprintln!("dahliac: --repeat needs a positive integer, got `{r}`");
-                return ExitCode::from(EXIT_USAGE);
+                return Err(usage(format!(
+                    "--repeat needs a positive integer, got `{r}`"
+                )))
             }
         },
     };
     let stage = match stage_raw {
         None => Stage::Estimate,
-        Some(s) => match Stage::from_name(&s) {
-            Some(st) => st,
-            None => {
-                eprintln!("dahliac: unknown stage `{s}` (parse|check|desugar|lower|cpp|est)");
-                return ExitCode::from(EXIT_USAGE);
-            }
-        },
+        Some(s) => Stage::from_name(&s).ok_or_else(|| {
+            usage(format!(
+                "unknown stage `{s}` (parse|check|desugar|lower|cpp|est)"
+            ))
+        })?,
     };
     let use_kernels = take_switch(&mut args, "--kernels");
     let verbose = take_switch(&mut args, "--verbose");
@@ -2046,38 +1722,26 @@ fn cmd_batch(args: &[String]) -> ExitCode {
     let slowlog = take_switch(&mut args, "--slowlog");
     let shutdown = take_switch(&mut args, "--shutdown");
     if shutdown && connect.is_none() {
-        eprintln!("dahliac: --shutdown only makes sense with --connect");
-        return ExitCode::from(EXIT_USAGE);
+        return Err(usage("--shutdown only makes sense with --connect"));
     }
-    if connect.is_some() {
-        if let Some(flag) = opts.local_only_flag() {
-            eprintln!(
-                "dahliac: {flag} configures an in-process server and is \
-                 ignored by the remote one; drop it or drop --connect"
-            );
-            return ExitCode::from(EXIT_USAGE);
-        }
+    if let (Some(_), Some(flag)) = (&connect, opts.local_flags.first()) {
+        return Err(usage(format!(
+            "{flag} configures an in-process server and is \
+             ignored by the remote one; drop it or drop --connect"
+        )));
     }
 
     // `--shutdown` with no inputs is a pure control action: stop the
     // remote (server or gateway) without compiling anything.
     if shutdown && !use_kernels && args.is_empty() {
         let addr = connect.expect("checked above");
-        return match Client::connect_retry(addr.as_str(), 50).and_then(|mut c| c.shutdown_server())
-        {
-            Ok(_) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("dahliac: cannot shut down `{addr}`: {e}");
-                ExitCode::from(EXIT_NET)
-            }
-        };
+        Client::connect_retry(addr.as_str(), 50)
+            .and_then(|mut c| c.shutdown_server())
+            .map_err(|e| Fail(EXIT_NET, format!("cannot shut down `{addr}`: {e}")))?;
+        return Ok(ExitCode::SUCCESS);
     }
 
-    let programs = match batch_programs(use_kernels, &args) {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
-
+    let programs = batch_programs(use_kernels, &args)?;
     if let Some(addr) = connect {
         return batch_over_tcp(
             &addr,
@@ -2088,14 +1752,10 @@ fn cmd_batch(args: &[String]) -> ExitCode {
             traced,
             slowlog,
             shutdown,
-            wire_max.unwrap_or(0),
+            opts.wire.unwrap_or(0),
         );
     }
-
-    let server = match opts.build() {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
+    let server = opts.server()?;
 
     let mut round_walls: Vec<u64> = Vec::new();
     let mut any_failed = false;
@@ -2156,11 +1816,11 @@ fn cmd_batch(args: &[String]) -> ExitCode {
         );
     }
 
-    if any_failed {
+    Ok(if any_failed {
         ExitCode::from(EXIT_RUNTIME)
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
 /// Drive a remote `dahliac serve --listen` over the socket transport.
@@ -2177,14 +1837,9 @@ fn batch_over_tcp(
     slowlog: bool,
     shutdown: bool,
     wire_max: u32,
-) -> ExitCode {
-    let mut client = match Client::connect_retry_wire(addr, 50, wire_max) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("dahliac: cannot connect to `{addr}`: {e}");
-            return ExitCode::from(EXIT_NET);
-        }
-    };
+) -> Outcome {
+    let mut client = Client::connect_retry_wire(addr, 50, wire_max)
+        .map_err(|e| Fail(EXIT_NET, format!("cannot connect to `{addr}`: {e}")))?;
     if wire_max > 0 {
         eprintln!(
             "dahliac batch: negotiated wire v{} with `{addr}`",
@@ -2192,7 +1847,7 @@ fn batch_over_tcp(
         );
     }
 
-    let run = |client: &mut Client| -> std::io::Result<ExitCode> {
+    let run = |client: &mut Client| -> std::io::Result<Outcome> {
         // Saturating: another client may reset nothing (counters are
         // monotonic), but a defensive delta never underflows.
         let counter =
@@ -2214,8 +1869,10 @@ fn batch_over_tcp(
             let mut ok = 0usize;
             for _ in 0..n {
                 let Some(line) = client.recv_line()? else {
-                    eprintln!("dahliac: server closed the connection mid-round");
-                    return Ok(ExitCode::from(EXIT_NET));
+                    return Ok(Err(Fail(
+                        EXIT_NET,
+                        "server closed the connection mid-round".into(),
+                    )));
                 };
                 if verbose {
                     println!("{line}");
@@ -2271,18 +1928,17 @@ fn batch_over_tcp(
         if shutdown {
             client.shutdown_server()?;
         }
-        Ok(if any_failed {
+        Ok(Ok(if any_failed {
             ExitCode::from(EXIT_RUNTIME)
         } else {
             ExitCode::SUCCESS
-        })
+        }))
     };
 
-    match run(&mut client) {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("dahliac: network error talking to `{addr}`: {e}");
-            ExitCode::from(EXIT_NET)
-        }
-    }
+    run(&mut client).unwrap_or_else(|e| {
+        Err(Fail(
+            EXIT_NET,
+            format!("network error talking to `{addr}`: {e}"),
+        ))
+    })
 }

@@ -77,15 +77,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
-use dahlia_obs::{
-    Clock, Counter, Gauge, Registry, Row, Sampler, Snapshot, Span, Table, TraceEntry, Tsdb, Value,
-    WallClock, Window,
-};
+use dahlia_obs::{Counter, Gauge, Registry, Row, Sampler, Snapshot, Span, Table, Value, Window};
 use dahlia_server::json::{obj, Json};
 use dahlia_server::{
-    obs_json, parse_alert_rules, source_digest, stats_schema, AdminOp, ControlOp, PipelinedClient,
-    Pool, Reply, Request, Respond, Server, SessionHost, Stage, Telemetry, TransportStats,
-    DEFAULT_SLOW_THRESHOLD_MS, DEFAULT_TELEMETRY_INTERVAL_MS, TRACE_JOURNAL_CAP,
+    obs_json, source_digest, stats_schema, AdminOp, ControlOp, PipelinedClient, Pool, Reply,
+    Request, Respond, Server, SessionHost, Stage, Telemetry, TelemetryConfig, TransportStats,
 };
 
 use fifo::Fifo;
@@ -116,11 +112,7 @@ pub struct GatewayConfig {
     health_interval: Duration,
     connect_timeout: Duration,
     io_timeout: Duration,
-    trace_journal: usize,
-    slow_threshold_ms: u64,
-    telemetry_dir: Option<PathBuf>,
-    telemetry_interval_ms: u64,
-    alert_rules: Vec<String>,
+    telemetry: TelemetryConfig,
     auto_drain_after: u64,
     admission_cache: usize,
 }
@@ -145,11 +137,7 @@ impl GatewayConfig {
             health_interval: Duration::from_millis(250),
             connect_timeout: Duration::from_millis(1000),
             io_timeout: Duration::from_secs(30),
-            trace_journal: TRACE_JOURNAL_CAP,
-            slow_threshold_ms: DEFAULT_SLOW_THRESHOLD_MS,
-            telemetry_dir: None,
-            telemetry_interval_ms: DEFAULT_TELEMETRY_INTERVAL_MS,
-            alert_rules: Vec::new(),
+            telemetry: TelemetryConfig::new(),
             auto_drain_after: 0,
             admission_cache: DEFAULT_ADMISSION_CACHE,
         }
@@ -186,25 +174,6 @@ impl GatewayConfig {
         self
     }
 
-    /// Retention of the gateway's own trace journal (the `{"op":
-    /// "trace"}` ring buffer of combined gateway + shard span lists).
-    /// Clamped to at least 1.
-    pub fn trace_journal(mut self, cap: usize) -> GatewayConfig {
-        self.trace_journal = cap.max(1);
-        self
-    }
-
-    /// Slow-request capture threshold, milliseconds: a routed request
-    /// whose gateway-observed wall latency exceeds this lands in the
-    /// gateway's slow log with its span breakdown (shard attempts,
-    /// fail-overs, local fallback — plus the shard's own stage spans
-    /// when the request was traced). Zero captures everything
-    /// measurable, which is what benches and tests want.
-    pub fn slow_threshold_ms(mut self, ms: u64) -> GatewayConfig {
-        self.slow_threshold_ms = ms;
-        self
-    }
-
     /// Bound on each in-flight shard call: a shard that stops
     /// answering (stopped process, silent partition — its TCP session
     /// stays up) is declared dead after this long, releasing its
@@ -215,30 +184,14 @@ impl GatewayConfig {
         self
     }
 
-    /// Persist cluster telemetry under `dir` (created on demand): the
-    /// crash-safe on-disk sample ring the `{"op":"history"}` control
-    /// line answers from, plus the warm-key ledger checkpoint that
-    /// lets a restarted gateway keep routing hot keys to warm shards.
-    pub fn telemetry_dir(mut self, dir: impl Into<PathBuf>) -> GatewayConfig {
-        self.telemetry_dir = Some(dir.into());
-        self
-    }
-
-    /// Sample (and evaluate alert rules) every `ms` milliseconds
-    /// instead of the default [`DEFAULT_TELEMETRY_INTERVAL_MS`].
-    /// Clamped to at least 1ms.
-    pub fn telemetry_interval_ms(mut self, ms: u64) -> GatewayConfig {
-        self.telemetry_interval_ms = ms;
-        self
-    }
-
-    /// Add a declarative alert rule (`gateway.shards_dead >= 1 for 5s
-    /// -> drain`). Repeatable; bad grammar fails
-    /// [`GatewayConfig::try_build`] with `InvalidInput`. A rule whose
-    /// action is `drain` additionally triggers the auto-drain
-    /// remediation when it fires.
-    pub fn alert_rule(mut self, rule: impl Into<String>) -> GatewayConfig {
-        self.alert_rules.push(rule.into());
+    /// The gateway's own telemetry: its trace journal (gateway hops
+    /// plus the shards' spans), the slow threshold routed requests are
+    /// captured past, the durable directory (sample ring, warm-key
+    /// ledger, sweep journals), and alert rules. A rule whose action is
+    /// `drain` additionally triggers the auto-drain remediation when it
+    /// fires; bad grammar fails [`GatewayConfig::try_build`].
+    pub fn telemetry(mut self, telemetry: TelemetryConfig) -> GatewayConfig {
+        self.telemetry = telemetry;
         self
     }
 
@@ -274,19 +227,11 @@ impl GatewayConfig {
     /// [`GatewayConfig::build`], with telemetry/alert configuration
     /// errors reported instead of panicking.
     pub fn try_build(self) -> std::io::Result<Gateway> {
-        let rules = parse_alert_rules(&self.alert_rules)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-        let tsdb = match &self.telemetry_dir {
-            Some(dir) => Some(Arc::new(Tsdb::open(dir)?)),
-            None => None,
-        };
-        let ledger_path = self
-            .telemetry_dir
+        let telemetry = self.telemetry.open()?;
+        let ledger_path = telemetry
+            .dir
             .as_ref()
             .map(|dir| dir.join(ledger::LEDGER_FILE));
-        // Alert timestamps and on-disk sample timestamps share a wall
-        // clock so history cursors stay meaningful across restarts.
-        let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
         let threads = self
             .threads
             .unwrap_or_else(|| (self.shards.len() * 4).clamp(4, 32));
@@ -318,21 +263,13 @@ impl GatewayConfig {
             replica_writes: Counter::new(),
             replica_failures: Counter::new(),
             local_fallbacks: Counter::new(),
-            telemetry: Arc::new(Telemetry::new(
-                self.trace_journal,
-                tsdb,
-                rules,
-                Arc::clone(&clock),
-            )),
+            telemetry: Arc::new(telemetry),
             window: Arc::new(Window::with_default_clock()),
             in_flight: Counter::new(),
-            slow_threshold_us: self.slow_threshold_ms.saturating_mul(1_000),
             local: OnceLock::new(),
             pool: Pool::new(threads),
-            clock,
             auto_drain_after: self.auto_drain_after,
             ledger_path,
-            telemetry_dir: self.telemetry_dir.clone(),
             sweeps: sweep::SweepCounters::default(),
             transport: Arc::new(TransportStats::new()),
             metrics: Registry::new(),
@@ -381,13 +318,10 @@ impl GatewayConfig {
                 t_inner.health_pass();
             })
             .ok();
-        let t = &inner.telemetry;
-        let sampler = (t.tsdb.is_some() || t.engine.rule_count() > 0).then(|| {
-            let t_inner = Arc::clone(&inner);
-            Sampler::spawn(self.telemetry_interval_ms.max(1), move || {
-                t_inner.telemetry_tick()
-            })
-        });
+        let t_inner = Arc::clone(&inner);
+        let sampler = inner
+            .telemetry
+            .spawn_sampler(move || t_inner.telemetry_tick());
         Ok(Gateway {
             inner,
             stop,
@@ -656,28 +590,22 @@ struct GwInner {
     window: Arc<Window>,
     /// Requests currently inside [`GwInner::route`].
     in_flight: Counter,
-    slow_threshold_us: u64,
     local: OnceLock<Server>,
     /// Dispatch pool: session requests, stats polls, replication
     /// fan-out, and admin ops all run here, never on a session's read
     /// loop.
     pool: Pool,
     /// The trace journal (gateway hops plus shard-reported spans), the
-    /// slow-request log (routed requests slower than
-    /// [`GwInner::slow_threshold_us`]), the on-disk sample ring the
-    /// sampler feeds, and the alert engine evaluated on every sampler
-    /// tick — with zero rules just the auto-drain journal.
+    /// slow-request log (routed requests past the threshold), the
+    /// on-disk sample ring the sampler feeds, and the alert engine
+    /// evaluated on every sampler tick — with zero rules just the
+    /// auto-drain journal.
     telemetry: Arc<Telemetry>,
-    /// Wall clock shared by the sample ring and the alert journal.
-    clock: Arc<dyn Clock>,
     /// Consecutive health-check failures before a shard is auto-
     /// drained; 0 disables the remediation.
     auto_drain_after: u64,
     /// Warm-key ledger checkpoint path (under the telemetry dir).
     ledger_path: Option<PathBuf>,
-    /// Root of durable state (`--telemetry-dir`); sweep journals live
-    /// in per-sweep subdirectories here.
-    telemetry_dir: Option<PathBuf>,
     /// Lifetime counters for the cluster `sweep` op.
     sweeps: sweep::SweepCounters,
     /// The front door's transport counters.
@@ -812,7 +740,7 @@ impl GwInner {
     /// newly fired rule bound to the `drain` action drains the
     /// unhealthiest shard), and checkpoint the warm-key ledger.
     fn telemetry_tick(self: &Arc<Self>) {
-        let fired = self.telemetry.tick(self.clock.now_ms(), &self.snapshot());
+        let fired = self.telemetry.tick(&self.snapshot());
         for rule in fired {
             if rule.action.as_deref() == Some("drain") {
                 // The rule names a cluster condition, not a shard; aim
@@ -908,27 +836,21 @@ impl GwInner {
         let ok = resp.get("ok").and_then(Json::as_bool).unwrap_or(false);
         self.window.record(wall_us, ok);
         self.in_flight.sub(1);
-        if req.trace.is_some() {
-            self.finish_trace(req, &mut resp, gw_spans.clone(), t_route);
-        }
-        if wall_us > self.slow_threshold_us {
-            // Traced responses carry the combined gateway + shard span
-            // list by now — capture that; otherwise the gateway hops.
-            let spans = match resp.get("trace").and_then(|t| t.get("spans")) {
-                Some(Json::Arr(items)) => {
-                    items.iter().filter_map(obs_json::span_from_json).collect()
+        // A traced response carries the gateway hops in front of the
+        // shard's own spans; the combined list is what gets recorded.
+        let spans = match &req.trace {
+            Some(trace_id) => {
+                obs_json::prepend_trace_spans(&mut resp, trace_id, &gw_spans);
+                match resp.get("trace").and_then(|t| t.get("spans")) {
+                    Some(Json::Arr(items)) => {
+                        items.iter().filter_map(obs_json::span_from_json).collect()
+                    }
+                    _ => gw_spans,
                 }
-                _ => gw_spans,
-            };
-            self.telemetry.slowlog.push(TraceEntry {
-                trace: req.trace.clone().unwrap_or_default(),
-                id: req.id.clone(),
-                stage: req.stage.name().to_string(),
-                ok,
-                wall_us,
-                spans,
-            });
-        }
+            }
+            None => gw_spans,
+        };
+        self.telemetry.record(req, ok, wall_us, spans);
         resp
     }
 
@@ -1010,26 +932,6 @@ impl GwInner {
             "fallback",
         ));
         resp
-    }
-
-    /// Stamp the gateway-side spans onto a traced response (in front of
-    /// whatever the shard reported) and record the combined span list
-    /// in the gateway's own journal.
-    fn finish_trace(&self, req: &Request, resp: &mut Json, spans: Vec<Span>, t0: Instant) {
-        let Some(trace_id) = &req.trace else { return };
-        obs_json::prepend_trace_spans(resp, trace_id, &spans);
-        let combined = match resp.get("trace").and_then(|t| t.get("spans")) {
-            Some(Json::Arr(items)) => items.iter().filter_map(obs_json::span_from_json).collect(),
-            _ => spans,
-        };
-        self.telemetry.journal.push(TraceEntry {
-            trace: trace_id.clone(),
-            id: req.id.clone(),
-            stage: req.stage.name().to_string(),
-            ok: resp.get("ok").and_then(Json::as_bool).unwrap_or(false),
-            wall_us: (t0.elapsed().as_nanos() / 1_000) as u64,
-            spans: combined,
-        });
     }
 
     /// Fan a **newly computed** artifact out to the remaining members
@@ -1485,7 +1387,7 @@ impl Drop for Gateway {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dahlia_server::{query, Stage};
+    use dahlia_server::{query, Stage, TelemetryConfig};
 
     const GOOD: &str = "let A: float[8 bank 4];\nfor (let i = 0..8) unroll 4 { A[i] := 1.0; }";
 
@@ -1641,7 +1543,7 @@ mod tests {
     #[test]
     fn windows_and_slowlog_capture_untraced_routed_work() {
         let gw = GatewayConfig::new(Vec::<String>::new())
-            .slow_threshold_ms(0)
+            .telemetry(TelemetryConfig::new().slow_threshold_ms(0))
             .build();
         let resp = gw.submit(&Request::new("r1", Stage::Estimate, GOOD, "k"));
         assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));

@@ -403,7 +403,7 @@ fn evaluate(state: &SweepState<'_>, pts: &[Point], emit: &EmitFn) {
                 let objectives = if ok { objectives_of(&resp) } else { None };
                 if let Some(tsdb) = &state.journal {
                     let record = journal_record(p.digest, &p.key, objectives.as_deref());
-                    tsdb.append(state.inner.clock.now_ms(), record.as_bytes());
+                    tsdb.append(state.inner.telemetry.clock.now_ms(), record.as_bytes());
                 }
                 match objectives {
                     Some(o) => {
@@ -510,7 +510,7 @@ fn open_journal(
     spec: &SweepSpec,
     resume: bool,
 ) -> std::io::Result<(Option<Tsdb>, Vec<Replayed>)> {
-    let Some(root) = &inner.telemetry_dir else {
+    let Some(root) = &inner.telemetry.dir else {
         return Ok((None, Vec::new()));
     };
     let dir = root.join(format!("sweep-{:032x}", spec.digest()));
@@ -571,6 +571,7 @@ fn open_journal(
 mod tests {
     use super::*;
     use crate::GatewayConfig;
+    use dahlia_server::TelemetryConfig;
     use std::sync::mpsc;
 
     /// A small two-parameter space over a bank/unroll template; every
@@ -645,7 +646,7 @@ mod tests {
         // Run 1: full sweep, journaling along the way.
         let front_a = {
             let gw = GatewayConfig::new(Vec::<String>::new())
-                .telemetry_dir(&dir)
+                .telemetry(TelemetryConfig::new().dir(&dir))
                 .build();
             let lines = run(&gw, small_op("s1", false, 0));
             let v = Json::parse(&lines.last().unwrap().0).unwrap();
@@ -656,7 +657,7 @@ mod tests {
         // back byte-identical, and nothing touches the router.
         {
             let gw = GatewayConfig::new(Vec::<String>::new())
-                .telemetry_dir(&dir)
+                .telemetry(TelemetryConfig::new().dir(&dir))
                 .build();
             let before = gw.requests();
             let lines = run(&gw, small_op("s2", true, 0));

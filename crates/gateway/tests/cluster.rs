@@ -22,7 +22,7 @@ use std::time::Duration;
 
 use dahlia_gateway::GatewayConfig;
 use dahlia_server::json::Json;
-use dahlia_server::{Client, NetConfig, NetSummary, Request, Server, Stage};
+use dahlia_server::{Client, NetConfig, NetSummary, Request, Server, Stage, TelemetryConfig};
 
 /// Spawn a real TCP shard around `server`; returns its address and the
 /// listener thread's handle.
@@ -151,6 +151,47 @@ fn gateway_matches_direct_and_pins_sources() {
     shutdown_shard(&addr_b);
     join_a.join().unwrap();
     join_b.join().unwrap();
+
+    // Pinning holds at every cluster width, not just two shards.
+    for width in [1, 4] {
+        assert_warm_pass_pinned(width, &requests);
+    }
+}
+
+/// Route `requests` cold, then warm, through a `width`-shard gateway
+/// with admission caching off: the warm pass adds zero misses on any
+/// shard, and every request reaches a shard.
+fn assert_warm_pass_pinned(width: usize, requests: &[Request]) {
+    let shards: Vec<_> = (0..width)
+        .map(|_| spawn_shard(Server::with_threads(1)))
+        .collect();
+    let gw = GatewayConfig::new(shards.iter().map(|(addr, _)| addr.clone()))
+        .admission_cache(0)
+        .build();
+    let misses = || -> u64 {
+        gw.shard_snapshots()
+            .iter()
+            .map(|s| shard_counter(&s.stats, "misses"))
+            .sum()
+    };
+    for req in requests {
+        gw.submit(req);
+    }
+    let cold = misses();
+    assert!(cold > 0, "cold pass computed somewhere at width {width}");
+    for req in requests {
+        let resp = gw.submit(req);
+        assert_eq!(resp.get("cached").and_then(Json::as_bool), Some(true));
+    }
+    assert_eq!(misses(), cold, "warm pass recompiled at width {width}");
+    let routed: u64 = gw.shard_snapshots().iter().map(|s| s.routed).sum();
+    assert_eq!(routed, 2 * requests.len() as u64, "width {width}");
+    assert_eq!(gw.local_fallbacks(), 0, "width {width}");
+    drop(gw);
+    for (addr, join) in shards {
+        shutdown_shard(&addr);
+        join.join().unwrap();
+    }
 }
 
 /// Admission control, stage one: a hot source's repeat is answered at
@@ -786,8 +827,7 @@ fn auto_drain_and_durable_telemetry_survive_a_gateway_restart() {
     let gw = GatewayConfig::new([addr_a.clone(), addr_b.clone()])
         .health_interval(Duration::from_millis(20))
         .connect_timeout(Duration::from_millis(200))
-        .telemetry_dir(&dir)
-        .telemetry_interval_ms(20)
+        .telemetry(TelemetryConfig::new().dir(&dir).interval_ms(20))
         .auto_drain_after(2)
         .build();
     for req in machsuite_requests() {
@@ -843,8 +883,7 @@ fn auto_drain_and_durable_telemetry_survive_a_gateway_restart() {
     let gw2 = GatewayConfig::new([addr_a.clone(), addr_b.clone()])
         .health_interval(Duration::from_millis(20))
         .connect_timeout(Duration::from_millis(200))
-        .telemetry_dir(&dir)
-        .telemetry_interval_ms(20)
+        .telemetry(TelemetryConfig::new().dir(&dir).interval_ms(20))
         .auto_drain_after(2)
         .build();
 

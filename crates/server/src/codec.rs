@@ -92,7 +92,8 @@ pub fn decode(v: &Json) -> Option<CacheValue> {
 
 // ------------------------------------------------------------- reports
 
-fn check_to_json(r: &CheckReport) -> Json {
+/// A check report as JSON: the wire payload and the disk encoding alike.
+pub(crate) fn check_to_json(r: &CheckReport) -> Json {
     obj([
         ("memories", Json::Num(r.memories as f64)),
         ("views", Json::Num(r.views as f64)),
@@ -112,7 +113,8 @@ fn check_from_json(v: &Json) -> Option<CheckReport> {
     })
 }
 
-fn estimate_to_json(e: &Estimate) -> Json {
+/// An estimate as JSON: the wire payload and the disk encoding alike.
+pub(crate) fn estimate_to_json(e: &Estimate) -> Json {
     obj([
         ("name", Json::Str(e.name.clone())),
         ("cycles", Json::Num(e.cycles as f64)),

@@ -115,6 +115,7 @@ pub mod pool;
 pub mod protocol;
 pub mod session;
 pub mod store;
+pub mod telemetry;
 pub mod wire;
 
 use std::io::{BufRead, Write};
@@ -123,12 +124,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use dahlia_dse::{EstimateProvider, PointOutcome, ProviderStats};
-use dahlia_obs::{
-    AlertEngine, Clock, Counter, Histogram, Journal, Registry, Rule, Sampler, SlowLog, Snapshot,
-    Span, TraceEntry, Tsdb, Value, WallClock, Window,
-};
-
-use json::{obj, Json};
+use dahlia_obs::{Counter, Histogram, Registry, Sampler, Snapshot, Span, Value, Window};
 
 pub use client::{Client, PipelinedClient};
 pub use disk::{DiskStats, DiskStore};
@@ -144,172 +140,10 @@ pub use session::{
     SweepOp,
 };
 pub use store::{ArtifactTier, CacheValue, Key, Store, StoreConfig, StoreStats};
-
-/// Default trace-journal retention (ring buffer; pushing beyond this
-/// evicts the oldest entry). Shared by the server and the gateway so
-/// `{"op":"trace"}` answers are comparably sized across the cluster;
-/// override with `--trace-journal` ([`ServerConfig::trace_journal`]).
-pub const TRACE_JOURNAL_CAP: usize = 256;
-
-/// Slow-request log retention: captures beyond this evict the oldest
-/// (counted in `dropped`; sequence numbers keep advancing).
-pub const SLOWLOG_CAP: usize = 256;
-
-/// Default slow-request capture threshold, milliseconds: a request
-/// whose wall latency exceeds this lands in the slow log with its full
-/// span breakdown, traced by the client or not. Override with
-/// `--slow-threshold-ms` ([`ServerConfig::slow_threshold_ms`]).
-pub const DEFAULT_SLOW_THRESHOLD_MS: u64 = 1_000;
-
-/// Default telemetry sampling interval, milliseconds: how often the
-/// sampler thread snapshots the stats object into the on-disk ring and
-/// evaluates the alert rules. Override with `--telemetry-interval-ms`
-/// ([`ServerConfig::telemetry_interval_ms`]).
-pub const DEFAULT_TELEMETRY_INTERVAL_MS: u64 = 1_000;
-
-/// Alert-journal retention: firing/resolved transitions beyond this
-/// evict the oldest (counted in `dropped`; sequence numbers keep
-/// advancing), mirroring the slow log's cursor contract.
-pub const ALERT_JOURNAL_CAP: usize = 256;
-
-/// Parse a batch of alert-rule strings (`<series> <cmp> <threshold>
-/// [for <dur>] [-> <action>]`), reporting the first bad one.
-///
-/// Shared by the server and gateway builders so `--alert-rule` and
-/// `--alert-rules FILE` fail identically on both.
-pub fn parse_alert_rules(texts: &[String]) -> Result<Vec<Rule>, String> {
-    texts.iter().map(|t| Rule::parse(t)).collect()
-}
-
-/// The observability state every host keeps — the trace journal, the
-/// slow-request log, the optional on-disk sample ring, and the alert
-/// engine — and the control ops answered straight from it. The server
-/// and the gateway both carry one, so `trace`, `slowlog`, `history`,
-/// `alerts`, and `/healthz` answer identically from either.
-pub struct Telemetry {
-    /// Client-traced requests with their span breakdowns.
-    pub journal: Journal,
-    /// Requests slower than the host's threshold, traced or not.
-    pub slowlog: SlowLog,
-    /// The on-disk sample ring (`--telemetry-dir`), if any.
-    pub tsdb: Option<Arc<Tsdb>>,
-    /// Alert rules and their event journal (with zero rules, just the
-    /// journal).
-    pub engine: Arc<AlertEngine>,
-}
-
-impl Telemetry {
-    /// A journal of `journal_cap` entries, a default-sized slow log,
-    /// and an alert engine over `rules` timed by `clock`.
-    pub fn new(
-        journal_cap: usize,
-        tsdb: Option<Arc<Tsdb>>,
-        rules: Vec<Rule>,
-        clock: Arc<dyn Clock>,
-    ) -> Telemetry {
-        Telemetry {
-            journal: Journal::new(journal_cap),
-            slowlog: SlowLog::new(SLOWLOG_CAP),
-            tsdb,
-            engine: Arc::new(AlertEngine::new(rules, clock, ALERT_JOURNAL_CAP)),
-        }
-    }
-
-    /// Answer an op that only reads these rings: `trace`, `slowlog`,
-    /// `history`, or `alerts`. `sample` looks a history series up in
-    /// the host's metrics, for its kind (a series the host does not
-    /// know reads as a scalar). Any other op answers `null`.
-    pub fn read(&self, op: &ControlOp, sample: impl FnOnce(&str) -> Option<Value>) -> Json {
-        match op {
-            ControlOp::Trace => obs_json::journal_to_json(&self.journal),
-            ControlOp::Slowlog { since } => obs_json::slowlog_to_json(&self.slowlog.since(*since)),
-            ControlOp::History {
-                series,
-                since,
-                step,
-            } => {
-                let kind = sample(series).unwrap_or(Value::Gauge(0.0));
-                let samples = match &self.tsdb {
-                    Some(tsdb) => obs_json::decode_samples(tsdb.scan_since(*since)),
-                    None => Vec::new(),
-                };
-                obs_json::history_to_json(series, &kind, *since, *step, &samples)
-            }
-            ControlOp::Alerts { since } => obs_json::alertlog_to_json(
-                &self.engine.snapshot_since(*since),
-                &self.engine.states(),
-            ),
-            _ => Json::Null,
-        }
-    }
-
-    /// The liveness object `/healthz` serves: `ok`, the host's `extra`
-    /// fields, then the rings' drop counters and the firing-rule count.
-    pub fn health(&self, extra: Vec<(&'static str, Json)>) -> Json {
-        let mut fields = vec![("ok", Json::Bool(true))];
-        fields.extend(extra);
-        fields.extend([
-            ("trace_dropped", Json::Num(self.journal.dropped() as f64)),
-            ("slowlog_dropped", Json::Num(self.slowlog.dropped() as f64)),
-            ("alerts_firing", Json::Num(self.engine.firing() as f64)),
-        ]);
-        obj(fields)
-    }
-
-    /// Register the `<prefix>.trace_dropped` / `.slowlog_dropped`
-    /// counters: lifetime evictions of the bounded rings, surfaced so
-    /// silent overflow is alertable.
-    pub fn register_journals(self: &Arc<Self>, reg: &mut Registry, prefix: &'static str) {
-        let t = Arc::clone(self);
-        reg.collect(move |s| {
-            s.counter(format!("{prefix}.trace_dropped"), t.journal.dropped());
-            s.counter(format!("{prefix}.slowlog_dropped"), t.slowlog.dropped());
-        });
-    }
-
-    /// Register the `telemetry` section (with an on-disk ring) and the
-    /// `alerts` and `alert_state` sections (with rules).
-    pub fn register_sections(self: &Arc<Self>, reg: &mut Registry) {
-        if let Some(tsdb) = &self.tsdb {
-            let tsdb = Arc::clone(tsdb);
-            reg.collect(move |s| {
-                let st = tsdb.stats();
-                for (name, n) in [
-                    ("telemetry.segments", st.segments),
-                    ("telemetry.bytes", st.bytes),
-                    ("telemetry.recovered_records", st.recovered_records),
-                    ("telemetry.torn_records", st.torn_records),
-                    ("telemetry.appended", st.appended),
-                    ("telemetry.write_errors", st.write_errors),
-                    ("telemetry.dropped_segments", st.dropped_segments),
-                ] {
-                    s.counter(name, n);
-                }
-            });
-        }
-        if self.engine.rule_count() > 0 {
-            let engine = Arc::clone(&self.engine);
-            reg.collect(move |s| {
-                s.counter("alerts.rules", engine.rule_count() as u64);
-                s.counter("alerts.firing", engine.firing() as u64);
-                s.push(
-                    "alert_state",
-                    Value::Table(obs_json::alert_states_table(&engine.states())),
-                );
-            });
-        }
-    }
-
-    /// One sampler tick: append `snap` to the on-disk ring (encoded as
-    /// the stats object) and evaluate the alert rules against it.
-    /// Returns the rules that started firing.
-    pub fn tick(&self, now_ms: u64, snap: &Snapshot) -> Vec<Rule> {
-        if let Some(tsdb) = &self.tsdb {
-            tsdb.append(now_ms, obs_json::snapshot_to_json(snap).emit().as_bytes());
-        }
-        self.engine.eval(&|series| snap.value(series))
-    }
-}
+pub use telemetry::{
+    Telemetry, TelemetryConfig, ALERT_JOURNAL_CAP, DEFAULT_SLOW_THRESHOLD_MS,
+    DEFAULT_TELEMETRY_INTERVAL_MS, SLOWLOG_CAP, TRACE_JOURNAL_CAP,
+};
 
 struct Inner {
     pipeline: Pipeline,
@@ -325,11 +159,10 @@ struct Inner {
     in_flight: Counter,
     /// Requests dispatched to the pool but not yet picked up.
     queue_depth: Counter,
-    slow_threshold_us: u64,
 }
 
 impl Inner {
-    fn new(pipeline: Pipeline, telemetry: Telemetry, slow_threshold_ms: u64) -> Inner {
+    fn new(pipeline: Pipeline, telemetry: Telemetry) -> Inner {
         Inner {
             pipeline,
             requests: Counter::new(),
@@ -340,7 +173,6 @@ impl Inner {
             window: Arc::new(Window::with_default_clock()),
             in_flight: Counter::new(),
             queue_depth: Counter::new(),
-            slow_threshold_us: slow_threshold_ms.saturating_mul(1_000),
         }
     }
 
@@ -405,29 +237,14 @@ impl Inner {
         let latency_us = (t0.elapsed().as_nanos() / 1_000) as u64;
         self.latency_us.add(latency_us);
         self.latency_hist.record(latency_us);
-        self.window.record(latency_us, value.is_ok());
+        let ok = value.is_ok();
+        self.window.record(latency_us, ok);
         self.in_flight.sub(1);
-        if latency_us > self.slow_threshold_us {
-            self.telemetry.slowlog.push(TraceEntry {
-                trace: req.trace.clone().unwrap_or_default(),
-                id: req.id.clone(),
-                stage: req.stage.name().to_string(),
-                ok: value.is_ok(),
-                wall_us: latency_us,
-                spans: spans.clone(),
-            });
-        }
-        let trace = req.trace.as_ref().map(|trace_id| {
-            self.telemetry.journal.push(TraceEntry {
-                trace: trace_id.clone(),
-                id: req.id.clone(),
-                stage: req.stage.name().to_string(),
-                ok: value.is_ok(),
-                wall_us: latency_us,
-                spans: spans.clone(),
-            });
-            obs_json::trace_field(trace_id, &spans)
-        });
+        let trace = req
+            .trace
+            .as_ref()
+            .map(|trace_id| obs_json::trace_field(trace_id, &spans));
+        self.telemetry.record(req, ok, latency_us, spans);
         Response {
             id: req.id.clone(),
             stage: req.stage,
@@ -481,14 +298,20 @@ fn store_samples(s: &mut Snapshot, st: &StoreStats) {
     }
 }
 
+/// Default telemetry: no directory and no rules, so nothing to open.
+fn default_telemetry() -> Telemetry {
+    TelemetryConfig::default()
+        .open()
+        .expect("default telemetry opens no files")
+}
+
 /// A fresh plain server's snapshot (no telemetry sections, no
 /// transport): the names and kinds a gateway decodes its shards' stats
 /// replies against before merging them.
 pub fn stats_schema() -> &'static Snapshot {
     static SCHEMA: OnceLock<Snapshot> = OnceLock::new();
     SCHEMA.get_or_init(|| {
-        let telemetry = Telemetry::new(1, None, Vec::new(), Arc::new(WallClock::new()));
-        let inner = Arc::new(Inner::new(Pipeline::new(), telemetry, 0));
+        let inner = Arc::new(Inner::new(Pipeline::new(), default_telemetry()));
         inner.register(&Arc::new(TransportStats::new())).snapshot()
     })
 }
@@ -532,7 +355,7 @@ pub struct ServeSummary {
 }
 
 /// Configuration for a [`Server`]: worker pool size, memory-tier
-/// bounds, and the persistent cache directory.
+/// bounds, the persistent cache directory, and telemetry.
 #[derive(Debug, Clone, Default)]
 pub struct ServerConfig {
     threads: Option<usize>,
@@ -540,11 +363,7 @@ pub struct ServerConfig {
     evict: EvictConfig,
     cache_dir: Option<PathBuf>,
     cache_gc_max_bytes: Option<u64>,
-    trace_journal: Option<usize>,
-    slow_threshold_ms: Option<u64>,
-    telemetry_dir: Option<PathBuf>,
-    telemetry_interval_ms: Option<u64>,
-    alert_rules: Vec<String>,
+    telemetry: TelemetryConfig,
 }
 
 impl ServerConfig {
@@ -593,56 +412,17 @@ impl ServerConfig {
         self
     }
 
-    /// Retain `cap` entries in the trace journal instead of the
-    /// default [`TRACE_JOURNAL_CAP`]. `cap` is clamped to at least 1
-    /// here; the CLI rejects `--trace-journal 0` with a usage error.
-    pub fn trace_journal(mut self, cap: usize) -> ServerConfig {
-        self.trace_journal = Some(cap);
-        self
-    }
-
-    /// Capture requests slower than `ms` milliseconds into the slow
-    /// log (default [`DEFAULT_SLOW_THRESHOLD_MS`]; 0 captures every
-    /// request that takes any measurable time at all).
-    pub fn slow_threshold_ms(mut self, ms: u64) -> ServerConfig {
-        self.slow_threshold_ms = Some(ms);
-        self
-    }
-
-    /// Persist periodic stats snapshots into an on-disk telemetry ring
-    /// rooted at `dir` (created on demand; crash-safe, reopened across
-    /// restarts). Enables the `{"op":"history"}` control line to
-    /// answer from disk.
-    pub fn telemetry_dir(mut self, dir: impl Into<PathBuf>) -> ServerConfig {
-        self.telemetry_dir = Some(dir.into());
-        self
-    }
-
-    /// Sample (and evaluate alert rules) every `ms` milliseconds
-    /// instead of the default [`DEFAULT_TELEMETRY_INTERVAL_MS`].
-    /// Clamped to at least 1ms.
-    pub fn telemetry_interval_ms(mut self, ms: u64) -> ServerConfig {
-        self.telemetry_interval_ms = Some(ms);
-        self
-    }
-
-    /// Add a declarative alert rule (`window.error_rate > 0.05 for
-    /// 30s`). Repeatable; bad grammar fails [`ServerConfig::build`]
-    /// with `InvalidInput`.
-    pub fn alert_rule(mut self, rule: impl Into<String>) -> ServerConfig {
-        self.alert_rules.push(rule.into());
+    /// The server's telemetry: trace journal, slow threshold, on-disk
+    /// sample ring, and alert rules.
+    pub fn telemetry(mut self, telemetry: TelemetryConfig) -> ServerConfig {
+        self.telemetry = telemetry;
         self
     }
 
     /// Build the server. Fails if the cache or telemetry directory
     /// cannot be created, or an alert rule does not parse.
     pub fn build(self) -> std::io::Result<Server> {
-        let rules = parse_alert_rules(&self.alert_rules)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-        let tsdb = match &self.telemetry_dir {
-            Some(dir) => Some(Arc::new(Tsdb::open(dir)?)),
-            None => None,
-        };
+        let telemetry = self.telemetry.open()?;
         let tier: Option<Arc<dyn ArtifactTier>> = match &self.cache_dir {
             Some(dir) => Some(Arc::new(DiskStore::open_bounded(
                 dir,
@@ -661,16 +441,7 @@ impl ServerConfig {
             Some(n) => Pool::new(n),
             None => Pool::with_default_threads(),
         };
-        Ok(Server::build_full(
-            pipeline,
-            pool,
-            self.trace_journal.unwrap_or(TRACE_JOURNAL_CAP),
-            self.slow_threshold_ms.unwrap_or(DEFAULT_SLOW_THRESHOLD_MS),
-            tsdb,
-            rules,
-            self.telemetry_interval_ms
-                .unwrap_or(DEFAULT_TELEMETRY_INTERVAL_MS),
-        ))
+        Ok(Server::assemble(pipeline, pool, telemetry))
     }
 }
 
@@ -714,43 +485,19 @@ impl Server {
     }
 
     fn build(pipeline: Pipeline, pool: Pool) -> Server {
-        Server::build_full(
-            pipeline,
-            pool,
-            TRACE_JOURNAL_CAP,
-            DEFAULT_SLOW_THRESHOLD_MS,
-            None,
-            Vec::new(),
-            DEFAULT_TELEMETRY_INTERVAL_MS,
-        )
+        Server::assemble(pipeline, pool, default_telemetry())
     }
 
-    fn build_full(
-        pipeline: Pipeline,
-        pool: Pool,
-        journal_cap: usize,
-        slow_threshold_ms: u64,
-        tsdb: Option<Arc<Tsdb>>,
-        rules: Vec<Rule>,
-        telemetry_interval_ms: u64,
-    ) -> Server {
-        // Alert timestamps and on-disk sample timestamps share a wall
-        // clock so history `since` cursors stay meaningful across
-        // restarts (a per-process monotonic origin would restart at 0).
-        let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
-        let telemetry = Telemetry::new(journal_cap, tsdb, rules, Arc::clone(&clock));
-        let inner = Arc::new(Inner::new(pipeline, telemetry, slow_threshold_ms));
+    fn assemble(pipeline: Pipeline, pool: Pool, telemetry: Telemetry) -> Server {
+        let inner = Arc::new(Inner::new(pipeline, telemetry));
         let transport = Arc::new(TransportStats::new());
         let metrics = Arc::new(inner.register(&transport));
-        let t = &inner.telemetry;
-        let sampler = (t.tsdb.is_some() || t.engine.rule_count() > 0).then(|| {
-            let telemetry = Arc::clone(t);
-            let metrics = Arc::clone(&metrics);
-            // A plain server has no remediation actions to bind; the
-            // transitions still land in the alert journal.
-            Sampler::spawn(telemetry_interval_ms.max(1), move || {
-                telemetry.tick(clock.now_ms(), &metrics.snapshot());
-            })
+        let telemetry = Arc::clone(&inner.telemetry);
+        let snapshots = Arc::clone(&metrics);
+        // A plain server has no remediation actions to bind; the
+        // transitions still land in the alert journal.
+        let sampler = inner.telemetry.spawn_sampler(move || {
+            telemetry.tick(&snapshots.snapshot());
         });
         Server {
             inner,
@@ -949,6 +696,7 @@ impl EstimateProvider for CachedProvider {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     const GOOD: &str = "let A: float[8 bank 4];\nfor (let i = 0..8) unroll 4 { A[i] := 1.0; }";
 
@@ -1077,7 +825,7 @@ mod tests {
         // asks for a trace, yet the capture carries the span breakdown.
         let server = ServerConfig::new()
             .threads(1)
-            .slow_threshold_ms(0)
+            .telemetry(TelemetryConfig::new().slow_threshold_ms(0))
             .build()
             .unwrap();
         let resp = server.submit(Request::estimate("r1", GOOD));
@@ -1153,9 +901,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let server = ServerConfig::new()
             .threads(1)
-            .telemetry_dir(&dir)
-            .telemetry_interval_ms(5)
-            .alert_rule("requests >= 1 -> page")
+            .telemetry(
+                TelemetryConfig::new()
+                    .dir(&dir)
+                    .interval_ms(5)
+                    .alert_rule("requests >= 1 -> page"),
+            )
             .build()
             .unwrap();
         server.submit(Request::estimate("a", GOOD));
@@ -1229,7 +980,7 @@ mod tests {
         drop(server);
         let reopened = ServerConfig::new()
             .threads(1)
-            .telemetry_dir(&dir)
+            .telemetry(TelemetryConfig::new().dir(&dir))
             .build()
             .unwrap();
         let h = query(
@@ -1264,9 +1015,12 @@ mod tests {
         let server = Arc::new(
             ServerConfig::new()
                 .threads(1)
-                .telemetry_dir(&dir)
-                .telemetry_interval_ms(5)
-                .alert_rule("transport.requests_shed >= 0")
+                .telemetry(
+                    TelemetryConfig::new()
+                        .dir(&dir)
+                        .interval_ms(5)
+                        .alert_rule("transport.requests_shed >= 0"),
+                )
                 .build()
                 .unwrap(),
         );

@@ -15,6 +15,7 @@
 
 use hls_sim::StableDigest;
 
+use crate::codec;
 use crate::json::{obj, Json};
 use crate::pipeline::{Artifact, Options, Stage};
 use crate::store::CacheValue;
@@ -207,16 +208,7 @@ fn payload_field(artifact: &Artifact) -> (String, Json) {
         Artifact::Ast(p) | Artifact::Desugared(p) => {
             ("pretty".into(), Json::Str(dahlia_core::pretty::program(p)))
         }
-        Artifact::Check(r) => (
-            "report".into(),
-            obj([
-                ("memories", Json::Num(r.memories as f64)),
-                ("views", Json::Num(r.views as f64)),
-                ("accesses", Json::Num(r.accesses as f64)),
-                ("functions", Json::Num(r.functions as f64)),
-                ("max_unroll", Json::Num(r.max_unroll as f64)),
-            ]),
-        ),
+        Artifact::Check(r) => ("report".into(), codec::check_to_json(r)),
         Artifact::Ir(k) => (
             "ir".into(),
             obj([
@@ -227,23 +219,7 @@ fn payload_field(artifact: &Artifact) -> (String, Json) {
             ]),
         ),
         Artifact::Cpp(text) => ("cpp".into(), Json::Str((**text).clone())),
-        Artifact::Estimate(e) => (
-            "estimate".into(),
-            obj([
-                ("name", Json::Str(e.name.clone())),
-                ("cycles", Json::Num(e.cycles as f64)),
-                ("luts", Json::Num(e.luts as f64)),
-                ("ffs", Json::Num(e.ffs as f64)),
-                ("dsps", Json::Num(e.dsps as f64)),
-                ("brams", Json::Num(e.brams as f64)),
-                ("lut_mems", Json::Num(e.lut_mems as f64)),
-                ("correct", Json::Bool(e.correct)),
-                (
-                    "notes",
-                    Json::Arr(e.notes.iter().map(|n| Json::Str(n.clone())).collect()),
-                ),
-            ]),
-        ),
+        Artifact::Estimate(e) => ("estimate".into(), codec::estimate_to_json(e)),
     }
 }
 
