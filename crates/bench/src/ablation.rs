@@ -9,7 +9,7 @@
 //!    position (§8): predictability costs a few outliers but keeps the
 //!    frontier.
 
-use dahlia_dse::{Config, DesignPoint};
+use dahlia_dse::DesignPoint;
 use hls_sim::{estimate, Estimate, Kernel};
 
 use crate::fig4::matmul_kernel;
@@ -87,13 +87,6 @@ pub fn pruning_ablation(stride: usize) -> PruningAblation {
         pruned: points.iter().filter(|p| !p.accepted).count(),
         pruned_incorrect: points.iter().filter(|p| !p.accepted && !p.correct).count(),
     }
-}
-
-/// Decode helper shared with `fig7` consumers.
-pub fn config_label(cfg: &Config) -> String {
-    let mut parts: Vec<String> = cfg.iter().map(|(k, v)| format!("{k}={v}")).collect();
-    parts.sort();
-    parts.join(",")
 }
 
 #[cfg(test)]

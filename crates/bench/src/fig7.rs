@@ -11,18 +11,17 @@ use dahlia_dse::{
     accepts, explore_configs, mark_pareto, Config, DesignPoint, DirectProvider, EstimateProvider,
     ParamSpace, Summary,
 };
-use dahlia_kernels::gemm::{gemm_blocked_baseline, gemm_blocked_source, GemmBlockedParams};
+use dahlia_kernels::gemm::{
+    gemm_blocked_baseline, gemm_blocked_source, GemmBlockedParams, GEMM_BLOCKED_AXES,
+};
 
 /// The full 32,000-point parameter space.
 pub fn space() -> ParamSpace {
-    ParamSpace::new()
-        .param("bank_m1_d1", 1..=4)
-        .param("bank_m1_d2", 1..=4)
-        .param("bank_m2_d1", 1..=4)
-        .param("bank_m2_d2", 1..=4)
-        .param("unroll_i", [1, 2, 4, 6, 8])
-        .param("unroll_j", [1, 2, 4, 6, 8])
-        .param("unroll_k", [1, 2, 4, 6, 8])
+    GEMM_BLOCKED_AXES
+        .iter()
+        .fold(ParamSpace::new(), |s, (name, values)| {
+            s.param(*name, values.iter().copied())
+        })
 }
 
 /// Decode a configuration into kernel parameters (paper-size matrices).

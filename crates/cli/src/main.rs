@@ -1040,22 +1040,6 @@ fn control_round_trip(addr: &str, line: &str) -> Outcome {
     }
 }
 
-/// The paper's blocked-gemm design space: four banking factors over
-/// 1..=4 and three unroll factors over {1,2,4,6,8} — 32,000 points.
-fn gemm_blocked_space() -> Vec<(String, Vec<u64>)> {
-    let banks = vec![1, 2, 3, 4];
-    let unrolls = vec![1, 2, 4, 6, 8];
-    vec![
-        ("bank_m1_d1".to_string(), banks.clone()),
-        ("bank_m1_d2".to_string(), banks.clone()),
-        ("bank_m2_d1".to_string(), banks.clone()),
-        ("bank_m2_d2".to_string(), banks),
-        ("unroll_i".to_string(), unrolls.clone()),
-        ("unroll_j".to_string(), unrolls.clone()),
-        ("unroll_k".to_string(), unrolls),
-    ]
-}
-
 /// `dahliac sweep`: scatter a templated design-space exploration
 /// across a live gateway's shards and stream the Pareto front back.
 fn cmd_sweep(args: &[String]) -> Outcome {
@@ -1104,7 +1088,10 @@ fn cmd_sweep(args: &[String]) -> Outcome {
             let block = parse_positive("--block", block)?.unwrap_or(8) as u64;
             (
                 dahlia_kernels::gemm::gemm_blocked_template(n, block),
-                gemm_blocked_space(),
+                dahlia_kernels::gemm::GEMM_BLOCKED_AXES
+                    .iter()
+                    .map(|(name, values)| (name.to_string(), values.to_vec()))
+                    .collect(),
                 "gemm-blocked".to_string(),
             )
         }

@@ -21,8 +21,8 @@
 //! * `${shrink:mem:b1,u1:b2,u2:...}` — emits a
 //!   `  view mem_sh = shrink mem[by b/u]...;\n` line when every
 //!   banking/unroll pair needs (and permits) a shrink view, or nothing
-//!   otherwise — the same decision procedure as the kernel generators'
-//!   `shrink_if_needed` helper.
+//!   otherwise — the [`needs_shrink`] decision, which the kernel
+//!   generators' `shrink_if_needed` helper also makes.
 //! * `${access:mem:b1,u1:b2,u2:...}` — emits `mem_sh` or `mem` to match
 //!   whichever the paired `${shrink:...}` directive produced.
 
@@ -186,12 +186,13 @@ fn resolve_pairs(parts: &[&str], cfg: &Config) -> Result<Vec<(u64, u64)>, String
     Ok(pairs)
 }
 
-/// Whether a shrink view is needed (and legal) for these pairs — the
-/// same decision as the kernel generators: direct access when every
-/// unroll covers its banking (or banking is 1); no view when some
-/// unroll does not divide its banking (the checker rejects that
-/// configuration, which is part of the experiment).
-fn needs_shrink(pairs: &[(u64, u64)]) -> bool {
+/// Whether a shrink view is needed (and legal) for these
+/// `(banking, unroll)` pairs — the one decision behind both this
+/// renderer and the kernel generators' `shrink_if_needed`: direct
+/// access when every unroll covers its banking (or banking is 1); no
+/// view when some unroll does not divide its banking (the checker
+/// rejects that configuration, which is part of the experiment).
+pub fn needs_shrink(pairs: &[(u64, u64)]) -> bool {
     let direct = pairs.iter().all(|(b, u)| *b == (*u).min(*b) || *b == 1);
     let divisible = pairs.iter().all(|(b, u)| {
         let u = (*u).max(1);

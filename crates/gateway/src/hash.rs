@@ -2,8 +2,9 @@
 //! with optional per-shard **weights** for heterogeneous clusters.
 //!
 //! Every request key — the request's **source digest** — scores each
-//! shard independently ([`score`]); the request belongs to the live
-//! shard with the highest score. Two properties make this the right
+//! shard independently ([`score`]); [`weighted_rank`] orders the shards
+//! by score, and the request belongs to the first live shard in that
+//! order. Two properties make this the right
 //! shape for a compile cluster:
 //!
 //! * **cache locality** — a given source always lands on the same
@@ -30,9 +31,9 @@
 //! probability `wᵢ / Σw` — exactly weight-proportional — while keeping
 //! every rendezvous property: changing one shard's weight moves keys
 //! only **to** it (weight raised) or only **off** it (weight lowered);
-//! all other pairwise orders are untouched. With equal weights the
-//! ranking coincides with the unweighted one, because the map from
-//! hash to score is monotone.
+//! all other pairwise orders are untouched. With equal weights shards
+//! rank by descending raw score, because the map from hash to score is
+//! monotone.
 
 use hls_sim::digest::Fnv;
 
@@ -57,26 +58,11 @@ pub fn weighted_score(key: u128, shard: &str, weight: f64) -> f64 {
     weight.max(f64::MIN_POSITIVE) / -u.ln()
 }
 
-/// Shard indices in descending preference order for `key`: the first
-/// entry is the owner, the second is where the key fails over, and so
-/// on. Ties (astronomically unlikely) break toward the lower index.
-pub fn rank(key: u128, shards: &[String]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..shards.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(score(key, &shards[i])));
-    order
-}
-
-/// The preferred shard for `key` among those `alive` — `rank`'s first
-/// surviving entry, without building the whole permutation.
-pub fn owner(key: u128, shards: &[String], alive: impl Fn(usize) -> bool) -> Option<usize> {
-    (0..shards.len())
-        .filter(|&i| alive(i))
-        .max_by_key(|&i| score(key, &shards[i]))
-}
-
-/// [`rank`] with per-shard weights: indices in descending
-/// [`weighted_score`] order. A shard with twice the weight owns twice
-/// the keys in expectation. Ties break toward the lower index.
+/// Shard indices in descending [`weighted_score`] order for `key`: the
+/// first entry is the owner, the second is where the key fails over,
+/// and so on. A shard with twice the weight owns twice the keys in
+/// expectation. Ties (astronomically unlikely) break toward the lower
+/// index.
 pub fn weighted_rank<S: AsRef<str>>(key: u128, shards: &[(S, f64)]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..shards.len()).collect();
     // Sort descending by score; f64 comparison is total here because
@@ -88,22 +74,6 @@ pub fn weighted_rank<S: AsRef<str>>(key: u128, shards: &[(S, f64)]) -> Vec<usize
             .then(a.cmp(&b))
     });
     order
-}
-
-/// The preferred shard for `key` among weighted `shards` where `alive`
-/// holds — [`weighted_rank`]'s first surviving entry without building
-/// the whole permutation.
-pub fn weighted_owner<S: AsRef<str>>(
-    key: u128,
-    shards: &[(S, f64)],
-    alive: impl Fn(usize) -> bool,
-) -> Option<usize> {
-    (0..shards.len()).filter(|&i| alive(i)).max_by(|&a, &b| {
-        weighted_score(key, shards[a].0.as_ref(), shards[a].1)
-            .partial_cmp(&weighted_score(key, shards[b].0.as_ref(), shards[b].1))
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(b.cmp(&a))
-    })
 }
 
 /// Parse one `--shards` entry: `addr` or `addr=weight`. Weights must be
@@ -132,12 +102,21 @@ pub fn parse_weighted(entry: &str) -> Result<(String, f64), String> {
 mod tests {
     use super::*;
 
-    fn shards(n: usize) -> Vec<String> {
-        (0..n).map(|i| format!("10.0.0.{i}:4500")).collect()
-    }
-
     fn weighted(n: usize, w: impl Fn(usize) -> f64) -> Vec<(String, f64)> {
         (0..n).map(|i| (format!("10.0.0.{i}:4500"), w(i))).collect()
+    }
+
+    fn shards(n: usize) -> Vec<(String, f64)> {
+        weighted(n, |_| 1.0)
+    }
+
+    /// The owner among the shards where `alive` holds: the ranking's
+    /// first surviving entry, as the router picks it.
+    fn owner(key: u128, shards: &[(String, f64)], alive: impl Fn(usize) -> bool) -> usize {
+        weighted_rank(key, shards)
+            .into_iter()
+            .find(|&i| alive(i))
+            .expect("a live shard")
     }
 
     /// A cheap deterministic key stream.
@@ -151,10 +130,16 @@ mod tests {
 
     #[test]
     fn rank_is_a_permutation_and_owner_is_its_head() {
-        let s = shards(5);
+        let s = weighted(5, |i| 1.0 + i as f64);
         for key in keys(200) {
-            let mut r = rank(key, &s);
-            assert_eq!(r[0], owner(key, &s, |_| true).unwrap());
+            let mut r = weighted_rank(key, &s);
+            let best = (0..5)
+                .max_by(|&a, &b| {
+                    weighted_score(key, &s[a].0, s[a].1)
+                        .total_cmp(&weighted_score(key, &s[b].0, s[b].1))
+                })
+                .unwrap();
+            assert_eq!(r[0], best, "the head scores highest");
             r.sort_unstable();
             assert_eq!(r, (0..5).collect::<Vec<_>>());
         }
@@ -166,7 +151,7 @@ mod tests {
         let n = 4000;
         let mut counts = [0usize; 4];
         for key in keys(n) {
-            counts[owner(key, &s, |_| true).unwrap()] += 1;
+            counts[owner(key, &s, |_| true)] += 1;
         }
         for (i, &c) in counts.iter().enumerate() {
             // Expected 1000 per shard; FNV should stay well inside ±40%.
@@ -179,11 +164,11 @@ mod tests {
         let s = shards(4);
         for dead in 0..4 {
             for key in keys(500) {
-                let before = owner(key, &s, |_| true).unwrap();
-                let after = owner(key, &s, |i| i != dead).unwrap();
+                let before = owner(key, &s, |_| true);
+                let after = owner(key, &s, |i| i != dead);
                 if before == dead {
                     // Displaced keys land on their second choice…
-                    assert_eq!(after, rank(key, &s)[1]);
+                    assert_eq!(after, weighted_rank(key, &s)[1]);
                 } else {
                     // …and everyone else stays put.
                     assert_eq!(after, before);
@@ -199,21 +184,23 @@ mod tests {
         let four = shards(4);
         let five = shards(5);
         for key in keys(500) {
-            let a = owner(key, &four, |_| true).unwrap();
-            let b = owner(key, &five, |_| true).unwrap();
+            let a = owner(key, &four, |_| true);
+            let b = owner(key, &five, |_| true);
             assert!(b == a || b == 4, "key moved between old shards: {a}→{b}");
         }
     }
 
     #[test]
     fn equal_weights_agree_with_the_unweighted_ranking() {
-        // The hash→score map is monotone, so weight-1 rendezvous must
-        // reproduce the raw ordering exactly.
+        // The hash→score map is monotone, so equal weights must rank
+        // shards by descending raw score.
         let s = shards(5);
-        let w = weighted(5, |_| 1.0);
         for key in keys(300) {
-            assert_eq!(rank(key, &s), weighted_rank(key, &w));
-            assert_eq!(owner(key, &s, |_| true), weighted_owner(key, &w, |_| true));
+            let raw: Vec<u128> = weighted_rank(key, &s)
+                .into_iter()
+                .map(|i| score(key, &s[i].0))
+                .collect();
+            assert!(raw.windows(2).all(|w| w[0] > w[1]), "{raw:?}");
         }
     }
 
@@ -225,7 +212,7 @@ mod tests {
         let n = 4000;
         let mut counts = [0usize; 3];
         for key in keys(n) {
-            counts[weighted_owner(key, &w, |_| true).unwrap()] += 1;
+            counts[owner(key, &w, |_| true)] += 1;
         }
         // Heavy shard expects 2000, light ones 1000 each; ±20%.
         assert!(

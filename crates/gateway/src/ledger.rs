@@ -16,7 +16,8 @@
 //! foreign header, or a line that no longer parses degrades to an
 //! empty (or shorter) ledger, never an error — the cost is one
 //! recompute per lost key, exactly the contract the in-memory ledger's
-//! FIFO bound already set.
+//! bound already set. Entries are written least-recently-used first, so
+//! reloading them in file order restores the ledger's recency order.
 
 use std::io::Write;
 use std::path::Path;

@@ -67,7 +67,6 @@
 
 #![warn(missing_docs)]
 
-mod fifo;
 pub mod hash;
 mod ledger;
 mod sweep;
@@ -78,17 +77,16 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 use dahlia_obs::{Counter, Gauge, Registry, Row, Sampler, Snapshot, Span, Table, Value, Window};
+use dahlia_server::evict::{EvictConfig, Lru};
 use dahlia_server::json::{obj, Json};
 use dahlia_server::{
     obs_json, source_digest, stats_schema, AdminOp, ControlOp, PipelinedClient, Pool, Reply,
     Request, Respond, Server, SessionHost, Stage, Telemetry, TelemetryConfig, TransportStats,
 };
 
-use fifo::Fifo;
-
 /// Bound on the per-shard warm-key ledger the drain migrator walks.
-/// Oldest entries fall off first; a dropped entry costs one recompute
-/// after a drain, never a wrong answer.
+/// Least-recently-routed entries fall off first; a dropped entry costs
+/// one recompute after a drain, never a wrong answer.
 const WARM_KEY_CAP: usize = 8192;
 
 /// Byte bound on the sources retained in one shard's warm-key ledger
@@ -252,10 +250,10 @@ impl GatewayConfig {
             replication: self.replication,
             connect_timeout: self.connect_timeout,
             io_timeout: self.io_timeout,
-            admission: Arc::new(Mutex::new(Fifo::new(
-                self.admission_cache,
-                ADMISSION_CACHE_MAX_BYTES,
-                |resp: &Json| resp.emit().len(),
+            admission: Arc::new(Mutex::new(Lru::new(
+                EvictConfig::unbounded()
+                    .entries(self.admission_cache)
+                    .bytes(ADMISSION_CACHE_MAX_BYTES),
             ))),
             admission_hits: Counter::new(),
             requests: Counter::new(),
@@ -335,16 +333,17 @@ impl GatewayConfig {
 /// there, so a drain can re-home the shard's working set. Bounded by
 /// entry count ([`WARM_KEY_CAP`]) *and* by retained source bytes
 /// ([`WARM_KEY_MAX_BYTES`]) — large-program workloads must not turn
-/// drain bookkeeping into a memory leak.
-type WarmKeys = Fifo<u128, Request>;
+/// drain bookkeeping into a memory leak. Weighed by source bytes.
+type WarmKeys = Lru<u128, Request>;
 
 /// The gateway's hot-source admission cache: successful (or
 /// deterministically rejected — see [`admission_cacheable`]), untraced
 /// responses keyed by the same `(source, stage, options)` digest
 /// triple the shards' own stores use, bounded by entry count and by
-/// retained response bytes. A hit is re-stamped with the caller's id
+/// retained response bytes. Values are shared, so a hit holds the lock
+/// only for a pointer clone; it is then re-stamped with the caller's id
 /// and `cached: true`, the same shape a shard-side warm hit has.
-type AdmissionCache = Fifo<(u128, Stage, u128), Json>;
+type AdmissionCache = Lru<(u128, Stage, u128), Arc<Json>>;
 
 /// Whether a routed response may be retained by the admission cache:
 /// success, or a deterministic front-end rejection — the same source
@@ -426,10 +425,10 @@ impl Shard {
             auto_drained: Counter::new(),
             window: Window::with_default_clock(),
             last_stats: Mutex::new(None),
-            warm_keys: Mutex::new(Fifo::new(
-                WARM_KEY_CAP,
-                WARM_KEY_MAX_BYTES,
-                |req: &Request| req.source.len(),
+            warm_keys: Mutex::new(Lru::new(
+                EvictConfig::unbounded()
+                    .entries(WARM_KEY_CAP)
+                    .bytes(WARM_KEY_MAX_BYTES),
             )),
         }
     }
@@ -455,14 +454,14 @@ impl Shard {
     /// under the same lock *after* raising the flag, so a key can
     /// never slip in behind the migration walk and strand there.
     fn record_warm(&self, key: u128, req: &Request) {
+        // Migration replays are bookkeeping, not client traffic: strip
+        // the trace id so a drain walk doesn't flood shard journals.
+        let mut stored = req.clone();
+        stored.trace = None;
+        let weight = stored.source.len();
         let mut ledger = self.warm_keys.lock().unwrap();
         if !self.is_draining() {
-            // Migration replays are bookkeeping, not client traffic:
-            // strip the trace id so a drain walk doesn't flood shard
-            // journals.
-            let mut stored = req.clone();
-            stored.trace = None;
-            ledger.insert(key, stored);
+            ledger.insert(key, stored, weight);
         }
     }
 
@@ -800,8 +799,9 @@ impl GwInner {
         // the span breakdown a cache hit cannot produce.
         if req.trace.is_none() {
             let hit = self.admission.lock().unwrap().get(&key).cloned();
-            if let Some(mut resp) = hit {
+            if let Some(cached) = hit {
                 self.admission_hits.inc();
+                let mut resp = Json::clone(&cached);
                 set_field(&mut resp, "id", Json::Str(req.id.clone()));
                 set_field(&mut resp, "cached", Json::Bool(true));
                 self.window
@@ -811,7 +811,10 @@ impl GwInner {
         }
         let resp = self.route(req, true);
         if req.trace.is_none() && admission_cacheable(&resp) {
-            self.admission.lock().unwrap().insert(key, resp.clone());
+            // Weigh and copy before taking the lock every request takes.
+            let weight = resp.emit().len();
+            let cached = Arc::new(resp.clone());
+            self.admission.lock().unwrap().insert(key, cached, weight);
         }
         resp
     }

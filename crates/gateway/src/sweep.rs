@@ -131,25 +131,19 @@ pub(crate) fn run_sweep(inner: &Arc<GwInner>, op: dahlia_server::SweepOp, emit: 
     if op.resume {
         inner.sweeps.resumed.inc();
     }
-    let spec = SweepSpec {
-        name: op.name.clone(),
-        template: op.template.clone(),
-        params: op.params.clone(),
-        stage: op.stage.clone(),
-        stride: op.stride,
-    };
-    if let Err(msg) = spec.validate() {
-        emit(error_line(&op.id, "sweep/invalid-spec", &msg), true);
-        return;
-    }
-    // `parse_sweep` validated the stage name; a default host could
-    // still hand us junk, so fail shaped rather than panicking.
-    let Some(stage) = Stage::from_name(&op.stage) else {
-        emit(
-            error_line(&op.id, "sweep/invalid-spec", "unknown stage"),
-            true,
-        );
-        return;
+    let spec = &op.spec;
+    // `parse_sweep` already refused an unknown stage name; a host that
+    // builds the op itself can still hand us junk, so fail shaped
+    // rather than panicking.
+    let checked = spec
+        .validate()
+        .and_then(|()| Stage::from_name(&spec.stage).ok_or_else(|| "unknown stage".to_string()));
+    let stage = match checked {
+        Ok(stage) => stage,
+        Err(msg) => {
+            emit(error_line(&op.id, "sweep/invalid-spec", &msg), true);
+            return;
+        }
     };
 
     // Render the whole space up front: any failure is a spec bug that
@@ -191,7 +185,7 @@ pub(crate) fn run_sweep(inner: &Arc<GwInner>, op: dahlia_server::SweepOp, emit: 
     // Durable progress: each sweep gets its own journal directory
     // keyed by the spec digest, so resuming a *different* sweep can
     // never replay this one's points.
-    let (journal, replayed) = match open_journal(inner, &spec, op.resume) {
+    let (journal, replayed) = match open_journal(inner, spec, op.resume) {
         Ok(pair) => pair,
         Err(e) => {
             emit(
@@ -231,7 +225,7 @@ pub(crate) fn run_sweep(inner: &Arc<GwInner>, op: dahlia_server::SweepOp, emit: 
     let state = SweepState {
         inner,
         op_id: op.id.clone(),
-        name: op.name.clone(),
+        name: spec.name.clone(),
         stage,
         update_every: op.update_every,
         total: (todo.len() as u64) + skipped,
@@ -332,8 +326,8 @@ pub(crate) fn run_sweep(inner: &Arc<GwInner>, op: dahlia_server::SweepOp, emit: 
         (
             "sweep",
             obj([
-                ("name", Json::Str(op.name.clone())),
-                ("stage", Json::Str(op.stage)),
+                ("name", Json::Str(op.spec.name.clone())),
+                ("stage", Json::Str(op.spec.stage)),
                 ("points_total", Json::Num(state.total as f64)),
                 ("points_done", Json::Num(done as f64)),
                 ("points_skipped", Json::Num(skipped as f64)),
@@ -579,16 +573,18 @@ mod tests {
     fn small_op(id: &str, resume: bool, update_every: u64) -> dahlia_server::SweepOp {
         dahlia_server::SweepOp {
             id: id.to_string(),
-            name: "sweep-test".to_string(),
-            template: "let A: float[8 bank ${b}];\n\
-                       for (let i = 0..8) unroll ${u} { A[i] := 1.0; }"
-                .to_string(),
-            params: vec![
-                ("b".to_string(), vec![1, 2, 4]),
-                ("u".to_string(), vec![1, 2, 4]),
-            ],
-            stage: "est".to_string(),
-            stride: 1,
+            spec: SweepSpec {
+                name: "sweep-test".to_string(),
+                template: "let A: float[8 bank ${b}];\n\
+                           for (let i = 0..8) unroll ${u} { A[i] := 1.0; }"
+                    .to_string(),
+                params: vec![
+                    ("b".to_string(), vec![1, 2, 4]),
+                    ("u".to_string(), vec![1, 2, 4]),
+                ],
+                stage: "est".to_string(),
+                stride: 1,
+            },
             resume,
             prune: false,
             update_every,
@@ -675,7 +671,7 @@ mod tests {
     fn invalid_spec_fails_with_a_shaped_error() {
         let gw = GatewayConfig::new(Vec::<String>::new()).build();
         let mut op = small_op("bad", false, 0);
-        op.template = "let A: float[${missing}];".to_string();
+        op.spec.template = "let A: float[${missing}];".to_string();
         let lines = run(&gw, op);
         assert_eq!(lines.len(), 1);
         let (line, fin) = &lines[0];

@@ -7,10 +7,24 @@
 
 use proptest::prelude::*;
 
-use dahlia_gateway::hash::{owner, rank, score, weighted_owner, weighted_rank};
+use dahlia_gateway::hash::{score, weighted_rank, weighted_score};
 
 fn shard_ids(n: usize) -> Vec<String> {
     (0..n).map(|i| format!("10.1.0.{i}:4500")).collect()
+}
+
+/// `n` shards of weight 1.
+fn equal(n: usize) -> Vec<(String, f64)> {
+    shard_ids(n).into_iter().map(|id| (id, 1.0)).collect()
+}
+
+/// The owner among the shards where `alive` holds: the ranking's first
+/// surviving entry, as the router picks it.
+fn owner(k: u128, shards: &[(String, f64)], alive: impl Fn(usize) -> bool) -> usize {
+    weighted_rank(k, shards)
+        .into_iter()
+        .find(|&i| alive(i))
+        .expect("a live shard")
 }
 
 fn key(lo: u64, hi: u64) -> u128 {
@@ -24,10 +38,11 @@ proptest! {
     fn rank_is_a_permutation_headed_by_the_owner(
         lo in any::<u64>(), hi in any::<u64>(), n in 1usize..9
     ) {
-        let shards = shard_ids(n);
+        let shards = equal(n);
         let k = key(lo, hi);
-        let r = rank(k, &shards);
-        prop_assert_eq!(r[0], owner(k, &shards, |_| true).unwrap());
+        let r = weighted_rank(k, &shards);
+        let best = (0..n).max_by_key(|&i| score(k, &shards[i].0)).unwrap();
+        prop_assert_eq!(r[0], best);
         let mut sorted = r;
         sorted.sort_unstable();
         prop_assert_eq!(sorted, (0..n).collect::<Vec<_>>());
@@ -37,14 +52,14 @@ proptest! {
     fn keys_move_only_off_dead_shards(
         lo in any::<u64>(), hi in any::<u64>(), n in 2usize..9, pick in any::<u64>()
     ) {
-        let shards = shard_ids(n);
+        let shards = equal(n);
         let k = key(lo, hi);
         let dead = (pick as usize) % n;
-        let before = owner(k, &shards, |_| true).unwrap();
-        let after = owner(k, &shards, |i| i != dead).unwrap();
+        let before = owner(k, &shards, |_| true);
+        let after = owner(k, &shards, |i| i != dead);
         if before == dead {
             // Displaced keys land on their second choice…
-            prop_assert_eq!(after, rank(k, &shards)[1]);
+            prop_assert_eq!(after, weighted_rank(k, &shards)[1]);
         } else {
             // …everything else stays pinned.
             prop_assert_eq!(after, before);
@@ -56,12 +71,12 @@ proptest! {
         lo in any::<u64>(), hi in any::<u64>(), n in 2usize..9, pick in any::<u64>()
     ) {
         // Kill-then-revive round-trips placement: failover is symmetric.
-        let shards = shard_ids(n);
+        let shards = equal(n);
         let k = key(lo, hi);
         let dead = (pick as usize) % n;
-        let original = owner(k, &shards, |_| true).unwrap();
-        let _failed_over = owner(k, &shards, |i| i != dead).unwrap();
-        let revived = owner(k, &shards, |_| true).unwrap();
+        let original = owner(k, &shards, |_| true);
+        let _failed_over = owner(k, &shards, |i| i != dead);
+        let revived = owner(k, &shards, |_| true);
         prop_assert_eq!(revived, original);
     }
 
@@ -84,7 +99,13 @@ proptest! {
             .collect();
         let k = key(lo, hi);
         let r = weighted_rank(k, &shards);
-        prop_assert_eq!(r[0], weighted_owner(k, &shards, |_| true).unwrap());
+        let best = (0..n)
+            .max_by(|&a, &b| {
+                weighted_score(k, &shards[a].0, shards[a].1)
+                    .total_cmp(&weighted_score(k, &shards[b].0, shards[b].1))
+            })
+            .unwrap();
+        prop_assert_eq!(r[0], best);
         let mut sorted = r;
         sorted.sort_unstable();
         prop_assert_eq!(sorted, (0..n).collect::<Vec<_>>());
@@ -105,8 +126,8 @@ proptest! {
             .collect();
         let k = key(lo, hi);
         let dead = (pick as usize) % n;
-        let before = weighted_owner(k, &shards, |_| true).unwrap();
-        let after = weighted_owner(k, &shards, |i| i != dead).unwrap();
+        let before = owner(k, &shards, |_| true);
+        let after = owner(k, &shards, |i| i != dead);
         if before == dead {
             prop_assert_eq!(after, weighted_rank(k, &shards)[1]);
         } else {
@@ -123,13 +144,13 @@ proptest! {
         // only pushes keys *off* i. Every other pairwise order is
         // untouched, so no key moves between two unchanged shards —
         // the re-sharding analogue of the dead-shard property.
-        let base: Vec<(String, f64)> = shard_ids(n).into_iter().map(|id| (id, 1.0)).collect();
+        let base = equal(n);
         let target = (pick as usize) % n;
         let mut changed = base.clone();
         changed[target].1 = if up { 2.0 } else { 0.5 };
         let k = key(lo, hi);
-        let before = weighted_owner(k, &base, |_| true).unwrap();
-        let after = weighted_owner(k, &changed, |_| true).unwrap();
+        let before = owner(k, &base, |_| true);
+        let after = owner(k, &changed, |_| true);
         if up {
             // Weight raised: keys move only TO the target.
             prop_assert!(after == before || after == target,
@@ -147,12 +168,12 @@ fn load_spreads_across_shards() {
     // Deterministic distribution check at a fixed scale: 4 shards,
     // 4096 keys derived from a counter, each shard within ±40% of the
     // uniform share.
-    let shards = shard_ids(4);
+    let shards = equal(4);
     let n = 4096u64;
     let mut counts = [0usize; 4];
     for i in 0..n {
         let k = key(i.wrapping_mul(0x9e37_79b9_7f4a_7c15), i);
-        counts[owner(k, &shards, |_| true).unwrap()] += 1;
+        counts[owner(k, &shards, |_| true)] += 1;
     }
     for (i, &c) in counts.iter().enumerate() {
         assert!(
@@ -174,7 +195,7 @@ fn key_share_is_weight_proportional() {
     let mut counts = [0usize; 4];
     for i in 0..n {
         let k = key(i.wrapping_mul(0x9e37_79b9_7f4a_7c15), i.rotate_left(17));
-        counts[weighted_owner(k, &shards, |_| true).unwrap()] += 1;
+        counts[owner(k, &shards, |_| true)] += 1;
     }
     for (i, &c) in counts.iter().enumerate() {
         let expected = n as f64 * weights[i] / total;

@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 
 use crate::bank::{copy_banks, UnrollCtx};
-use crate::ir::{ArrayDecl, Op, Stmt};
+use crate::ir::{ArrayDecl, Op};
 
 /// One memory transaction to place: `(array index, flat bank)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -72,19 +72,6 @@ pub fn schedule_group(ops: &[&Op], arrays: &[ArrayDecl], ctx: &UnrollCtx) -> Gro
         transactions,
         worst_queue,
     }
-}
-
-/// Collect the `Op`s of a body, looking through nested loops (used when a
-/// caller wants the innermost compute of a perfectly nested loop).
-pub fn body_ops(body: &[Stmt]) -> Vec<&Op> {
-    let mut out = Vec::new();
-    for s in body {
-        match s {
-            Stmt::Op(o) => out.push(o),
-            Stmt::Loop(_) => {}
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -265,15 +265,8 @@ pub fn assert_ints_match(name: &str, got: &[Value], want: &[i64]) {
 /// checker rejects the direct access — exactly the paper's methodology.
 pub fn shrink_if_needed(decls: &mut String, mem: &str, banks: &[u64], unrolls: &[u64]) -> String {
     assert_eq!(banks.len(), unrolls.len());
-    let direct = banks
-        .iter()
-        .zip(unrolls)
-        .all(|(b, u)| b == u.min(b) || *b == 1);
-    let divisible = banks.iter().zip(unrolls).all(|(b, u)| {
-        let u = (*u).max(1);
-        u <= *b && b % u == 0
-    });
-    if direct || !divisible {
+    let pairs: Vec<(u64, u64)> = banks.iter().copied().zip(unrolls.iter().copied()).collect();
+    if !dahlia_dse::sweep::needs_shrink(&pairs) {
         return mem.to_string();
     }
     let name = format!("{mem}_sh");

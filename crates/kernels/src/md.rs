@@ -30,17 +30,6 @@ pub struct MdKnnParams {
 }
 
 impl MdKnnParams {
-    /// Paper-scale, sequential.
-    pub fn paper_baseline() -> Self {
-        MdKnnParams {
-            n: 64,
-            k: 16,
-            bank_d: (1, 1, 1),
-            bank_f: 1,
-            unroll: (1, 1),
-        }
-    }
-
     /// Interpreter-friendly.
     pub fn small() -> Self {
         MdKnnParams {
@@ -264,17 +253,6 @@ pub struct MdGridParams {
 }
 
 impl MdGridParams {
-    /// Paper-scale, sequential.
-    pub fn paper_baseline() -> Self {
-        MdGridParams {
-            b: 4,
-            p: 8,
-            bank_pos: (1, 1, 1),
-            bank_np: 1,
-            unroll: (1, 1),
-        }
-    }
-
     /// Interpreter-friendly.
     pub fn small() -> Self {
         MdGridParams {

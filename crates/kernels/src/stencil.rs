@@ -30,17 +30,6 @@ pub struct Stencil2dParams {
 }
 
 impl Stencil2dParams {
-    /// Paper-scale grid, sequential.
-    pub fn paper_baseline() -> Self {
-        Stencil2dParams {
-            rows: 126,
-            cols: 66,
-            bank_orig: (1, 1),
-            bank_filter: (1, 1),
-            unroll: (1, 1),
-        }
-    }
-
     /// Interpreter-friendly size.
     pub fn small() -> Self {
         Stencil2dParams {

@@ -81,17 +81,9 @@ impl AdminOp {
 pub struct SweepOp {
     /// Client-chosen correlation id, echoed on every streamed line.
     pub id: String,
-    /// Kernel name forwarded into compile requests (cache-key relevant).
-    pub name: String,
-    /// Source template in `dse::sweep::render` directive syntax.
-    pub template: String,
-    /// Parameter names with value lists, wire order preserved (the last
-    /// parameter varies fastest during enumeration).
-    pub params: Vec<(String, Vec<u64>)>,
-    /// Pipeline stage each point runs to (default `est`).
-    pub stage: String,
-    /// Keep every `stride`-th point of the full space (default 1).
-    pub stride: u64,
+    /// The template, parameter space, stage (default `est`) and stride
+    /// (default 1) to explore.
+    pub spec: dahlia_dse::SweepSpec,
     /// Resume from the journal checkpointed under the gateway's
     /// telemetry dir instead of starting fresh.
     pub resume: bool,
@@ -365,11 +357,13 @@ fn parse_sweep(v: &Json) -> Result<SweepOp, String> {
     };
     Ok(SweepOp {
         id,
-        name,
-        template,
-        params,
-        stage,
-        stride,
+        spec: dahlia_dse::SweepSpec {
+            name,
+            template,
+            params,
+            stage,
+            stride,
+        },
         resume: flag("resume")?,
         prune: flag("prune")?,
         update_every: parse_u64_field(v, "update_every", "sweep")?,

@@ -126,7 +126,7 @@ pub struct StoreConfig {
 }
 
 struct Inner {
-    lru: Lru,
+    lru: Lru<Key, CacheValue>,
     inflight: HashMap<Key, Arc<Flight>>,
 }
 
@@ -245,7 +245,7 @@ impl Store {
             let mut inner = self.inner.lock().unwrap();
             if let Some(v) = inner.lru.get(&key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return (v, Tier::Memory);
+                return (v.clone(), Tier::Memory);
             }
             if let Some(f) = inner.inflight.get(&key) {
                 let f = Arc::clone(f);
@@ -333,7 +333,7 @@ impl Store {
         {
             let mut inner = self.inner.lock().unwrap();
             inner.inflight.remove(&key);
-            inner.lru.insert_weighted(key, value.clone(), bytes);
+            inner.lru.insert(key, value.clone(), bytes);
         }
         let mut slot = flight.result.lock().unwrap();
         *slot = Some(value);
