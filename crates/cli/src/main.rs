@@ -25,8 +25,8 @@
 //! the protocol over TCP with pipelined, out-of-order responses; `batch
 //! --connect <addr>` drives such a server remotely; `gateway --listen
 //! <addr> --shards a1,a2,…` routes requests across many servers by
-//! source digest (rendezvous hashing), with failover and an in-process
-//! fallback when the cluster is empty.
+//! source digest (rendezvous hashing), with failover, and a retryable
+//! `admission/unavailable` error when no shard answers.
 //!
 //! With `--telemetry-dir` a server or gateway samples its own stats to
 //! a crash-safe on-disk ring, answerable after a restart via `dahliac
@@ -912,18 +912,19 @@ fn cmd_gateway(args: &[String]) -> Outcome {
     // Snapshot shard state before stopping spawned workers, so the
     // summary reflects the serving run, not the teardown.
     let snapshots = gateway.shard_snapshots();
+    let unavailable = gateway.snapshot().value("gateway.unavailable");
     drop(workers);
     Ok(match served {
         Ok(summary) => {
             eprintln!(
                 "dahliac gateway: {} connections, {} lines, {} protocol errors; \
-                 {} requests ({} rerouted, {} local fallbacks)",
+                 {} requests ({} rerouted, {} unavailable)",
                 summary.connections,
                 summary.lines,
                 summary.protocol_errors,
                 gateway.requests(),
                 gateway.rerouted(),
-                gateway.local_fallbacks(),
+                unavailable.unwrap_or(0.0),
             );
             for s in snapshots {
                 eprintln!(

@@ -21,7 +21,6 @@
 //!                    │  · replication fan-out │ ──TCP──► shard a3
 //!                    │  · drain/join admin    │
 //!                    │  · health checker      │
-//!                    │  · local fallback      │
 //!                    └────────────────────────┘
 //! ```
 //!
@@ -42,9 +41,12 @@
 //!   ones; a failed request poisons its shard's client immediately, so
 //!   in-flight *and* future requests re-route to the next shard in
 //!   rendezvous order without waiting for the next health tick.
-//! * When no shard is reachable the gateway compiles **locally** in an
-//!   embedded [`Server`] — an empty cluster degrades to PR 2's single
-//!   process, never to an outage.
+//! * The gateway **never compiles**. When no shard answers (an empty
+//!   topology, every shard dead, or every shard draining) the request
+//!   gets a retryable `admission/unavailable` error whose
+//!   `retry_after_ms` is the health interval — the time until the next
+//!   re-dial of a dead shard. A program that kills every shard cannot
+//!   kill the gateway too.
 //!
 //! The gateway is itself a [`SessionHost`], so
 //! [`dahlia_server::serve_sessions`] gives it the same TCP front end,
@@ -73,15 +75,15 @@ mod sweep;
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use dahlia_obs::{Counter, Gauge, Registry, Row, Sampler, Snapshot, Span, Table, Value, Window};
 use dahlia_server::evict::{EvictConfig, Lru};
 use dahlia_server::json::{obj, Json};
 use dahlia_server::{
-    obs_json, source_digest, stats_schema, AdminOp, ControlOp, PipelinedClient, Pool, Reply,
-    Request, Respond, Server, SessionHost, Stage, Telemetry, TelemetryConfig, TransportStats,
+    admission_error, obs_json, source_digest, stats_schema, AdminOp, ControlOp, PipelinedClient,
+    Pool, Reply, Request, Respond, SessionHost, Stage, Telemetry, TelemetryConfig, TransportStats,
 };
 
 /// Bound on the per-shard warm-key ledger the drain migrator walks.
@@ -118,8 +120,8 @@ pub struct GatewayConfig {
 impl GatewayConfig {
     /// A gateway over the given shard addresses (each a `dahliac serve
     /// --listen` endpoint), all with rendezvous weight 1. An empty
-    /// list is legal: every request then falls back to local
-    /// compilation.
+    /// list is legal: every request then answers
+    /// `admission/unavailable` until a shard joins.
     pub fn new<S: Into<String>>(shards: impl IntoIterator<Item = S>) -> GatewayConfig {
         GatewayConfig::new_weighted(shards.into_iter().map(|s| (s.into(), 1.0)))
     }
@@ -160,7 +162,8 @@ impl GatewayConfig {
     }
 
     /// How often the health checker pings live shards and re-dials
-    /// dead ones.
+    /// dead ones; also the `retry_after_ms` hint of an
+    /// `admission/unavailable` answer.
     pub fn health_interval(mut self, d: Duration) -> GatewayConfig {
         self.health_interval = d;
         self
@@ -248,6 +251,7 @@ impl GatewayConfig {
                     .collect(),
             )),
             replication: self.replication,
+            health_interval: self.health_interval,
             connect_timeout: self.connect_timeout,
             io_timeout: self.io_timeout,
             admission: Arc::new(Mutex::new(Lru::new(
@@ -260,11 +264,10 @@ impl GatewayConfig {
             rerouted: Counter::new(),
             replica_writes: Counter::new(),
             replica_failures: Counter::new(),
-            local_fallbacks: Counter::new(),
+            unavailable: Counter::new(),
             telemetry: Arc::new(telemetry),
             window: Arc::new(Window::with_default_clock()),
             in_flight: Counter::new(),
-            local: OnceLock::new(),
             pool: Pool::new(threads),
             auto_drain_after: self.auto_drain_after,
             ledger_path,
@@ -349,8 +352,8 @@ type AdmissionCache = Lru<(u128, Stage, u128), Arc<Json>>;
 /// success, or a deterministic front-end rejection — the same source
 /// draws the same `lex`/`parse`/`check` verdict forever, and a design
 /// sweep asks about the rejected bulk of its space over and over.
-/// Infrastructure failures (`internal`, `protocol`, transport
-/// fallbacks) must always re-route.
+/// Infrastructure failures (`internal`, `protocol`, `admission`) must
+/// always re-route.
 fn admission_cacheable(resp: &Json) -> bool {
     match resp.get("ok").and_then(Json::as_bool) {
         Some(true) => true,
@@ -566,6 +569,8 @@ struct GwInner {
     /// Replication factor: newly computed artifacts fan out to this
     /// many shards in rendezvous order.
     replication: usize,
+    /// Health-check period: the retry hint of an unavailable answer.
+    health_interval: Duration,
     connect_timeout: Duration,
     io_timeout: Duration,
     /// Hot-source response cache checked before any shard dispatch.
@@ -581,15 +586,14 @@ struct GwInner {
     /// dispatch, or the call failed): the key is singly-held until its
     /// next cold touch or a drain re-homes it.
     replica_failures: Counter,
-    /// Requests answered by the embedded local server.
-    local_fallbacks: Counter,
+    /// Requests answered `admission/unavailable`: no shard answered.
+    unavailable: Counter,
     /// Sliding window over every routed request (client traffic and
     /// drain migrations alike): live cluster throughput, error rate,
     /// and windowed end-to-end latency as the gateway observed it.
     window: Arc<Window>,
     /// Requests currently inside [`GwInner::route`].
     in_flight: Counter,
-    local: OnceLock<Server>,
     /// Dispatch pool: session requests, stats polls, replication
     /// fan-out, and admin ops all run here, never on a session's read
     /// loop.
@@ -626,7 +630,7 @@ impl GwInner {
             ("gateway.rerouted", &self.rerouted),
             ("gateway.replica_writes", &self.replica_writes),
             ("gateway.replica_failures", &self.replica_failures),
-            ("gateway.local_fallbacks", &self.local_fallbacks),
+            ("gateway.unavailable", &self.unavailable),
         ] {
             reg.counter(name, c);
         }
@@ -682,11 +686,6 @@ impl GwInner {
         reg
     }
 
-    fn local(&self) -> &Server {
-        // Lazy: a healthy cluster never pays for the fallback pool.
-        self.local.get_or_init(Server::new)
-    }
-
     /// A point-in-time copy of the shard set (configuration order).
     fn shards(&self) -> Vec<Arc<Shard>> {
         self.topology.read().unwrap().clone()
@@ -714,7 +713,7 @@ impl GwInner {
     /// under `rule`, and bump its `auto_drained` counter. Refuses to
     /// act when the shard is already draining or when no *other*
     /// non-draining shard is live — draining the last live shard would
-    /// trade a degraded cluster for a local-fallback-only one.
+    /// trade a degraded cluster for one that answers nothing.
     fn auto_drain(self: &Arc<Self>, shard: &Arc<Shard>, rule: &str, value: f64) {
         if shard.is_draining() {
             return;
@@ -809,7 +808,7 @@ impl GwInner {
                 return resp;
             }
         }
-        let resp = self.route(req, true);
+        let resp = self.route(req);
         if req.trace.is_none() && admission_cacheable(&resp) {
             // Weigh and copy before taking the lock every request takes.
             let weight = resp.emit().len();
@@ -821,20 +820,20 @@ impl GwInner {
 
     /// Route one request: try candidate shards in rendezvous order,
     /// skipping dead ones and poisoning/skipping any that fail
-    /// mid-call; compile locally when nothing is reachable. With
-    /// `fan_out`, a newly computed artifact is replicated to the rest
-    /// of the top-N replica set in the background.
+    /// mid-call; answer `admission/unavailable` when none answers. A
+    /// newly computed artifact is replicated to the rest of the top-N
+    /// replica set in the background.
     ///
     /// Hop spans are recorded for *every* request (the bench suite
     /// pins the overhead at noise level): the traced path echoes them
     /// to the client, the slow log captures them retroactively when
     /// the request crosses the threshold, and the fast path simply
     /// drops them.
-    fn route(self: &Arc<Self>, req: &Request, fan_out: bool) -> Json {
+    fn route(self: &Arc<Self>, req: &Request) -> Json {
         self.in_flight.inc();
         let t_route = Instant::now();
         let mut gw_spans: Vec<Span> = Vec::new();
-        let mut resp = self.route_attempts(req, fan_out, &mut gw_spans);
+        let mut resp = self.route_attempts(req, &mut gw_spans);
         let wall_us = (t_route.elapsed().as_nanos() / 1_000) as u64;
         let ok = resp.get("ok").and_then(Json::as_bool).unwrap_or(false);
         self.window.record(wall_us, ok);
@@ -859,12 +858,7 @@ impl GwInner {
 
     /// The shard-attempt loop of [`GwInner::route`], appending one hop
     /// span per attempt to `gw_spans`.
-    fn route_attempts(
-        self: &Arc<Self>,
-        req: &Request,
-        fan_out: bool,
-        gw_spans: &mut Vec<Span>,
-    ) -> Json {
+    fn route_attempts(self: &Arc<Self>, req: &Request, gw_spans: &mut Vec<Span>) -> Json {
         let key = source_digest(&req.source);
         let candidates = self.candidates(key);
         let mut failed_before = false;
@@ -886,11 +880,7 @@ impl GwInner {
                         self.rerouted.inc();
                     }
                     shard.record_warm(key, req);
-                    let fanned = if fan_out {
-                        self.replicate(key, req, &candidates, i, &resp)
-                    } else {
-                        0
-                    };
+                    let fanned = self.replicate(key, req, &candidates, i, &resp);
                     gw_spans.push(Span::with_detail(
                         format!("shard:{}", shard.addr),
                         attempt_us,
@@ -923,18 +913,21 @@ impl GwInner {
                 }
             }
         }
-        self.local_fallbacks.inc();
-        if failed_before {
-            self.rerouted.inc();
-        }
-        let t_local = Instant::now();
-        let resp = self.local().submit(req.clone()).to_json();
+        // No shard answered. A dead one is re-dialled once per health
+        // tick, so that is when a retry can first succeed.
+        self.unavailable.inc();
+        let retry_after_ms = self.health_interval.as_millis() as u64;
         gw_spans.push(Span::with_detail(
-            "local",
-            (t_local.elapsed().as_nanos() / 1_000) as u64,
-            "fallback",
+            "unavailable",
+            0,
+            format!("retry_after_ms={retry_after_ms}"),
         ));
-        resp
+        admission_error(
+            &req.id,
+            "admission/unavailable",
+            "no shard is reachable; retry after the hinted delay",
+            retry_after_ms,
+        )
     }
 
     /// Fan a **newly computed** artifact out to the remaining members
@@ -1013,11 +1006,11 @@ impl GwInner {
                 .name("dahlia-gateway-drain".into())
                 .spawn(move || {
                     for req in keys {
-                        // Route without fan-out accounting as client
-                        // traffic: migration is bookkeeping, and the
-                        // draining shard is already out of the
-                        // candidate set.
-                        inner.route(&req, true);
+                        // Route past the admission cache (migration is
+                        // bookkeeping, not client traffic); replicas
+                        // fan out as usual, and the draining shard is
+                        // already out of the candidate set.
+                        inner.route(&req);
                         t_shard.drained_keys.inc();
                     }
                 });
@@ -1079,10 +1072,10 @@ impl GwInner {
     }
 
     /// The cluster-wide snapshot: every shard's server metrics (live
-    /// shards are polled; dead ones contribute their last snapshot) and
-    /// the embedded local server's, merged — shaped like a single
-    /// server's, so existing clients (`dahliac batch`) read it unchanged
-    /// — followed by the gateway's own metrics. Shard-side telemetry
+    /// shards are polled; dead ones contribute their last snapshot),
+    /// merged — shaped like a single server's, so existing clients
+    /// (`dahliac batch`) read it unchanged — followed by the gateway's
+    /// own metrics. Shard-side telemetry
     /// and transport sections are not part of a server's schema, so
     /// they stay on each shard's own stats.
     fn snapshot(&self) -> Snapshot {
@@ -1092,9 +1085,6 @@ impl GwInner {
             if let Some((_, snap)) = &*shard.last_stats.lock().unwrap() {
                 merged.merge(snap);
             }
-        }
-        if let Some(local) = self.local.get() {
-            merged.merge(&local.snapshot());
         }
         merged.extend(self.metrics.snapshot());
         merged
@@ -1212,8 +1202,8 @@ pub struct Gateway {
 
 impl Gateway {
     /// Route one request and block for its response line (as JSON, with
-    /// the caller's id). Never errors: a fully-dead cluster compiles
-    /// locally.
+    /// the caller's id). When no shard answers, the line is a retryable
+    /// `admission/unavailable` error.
     pub fn submit(&self, req: &Request) -> Json {
         self.inner.submit(req)
     }
@@ -1254,7 +1244,8 @@ impl Gateway {
         self.inner.topology.read().unwrap().len()
     }
 
-    /// Requests routed so far (including local fallbacks).
+    /// Requests received so far (admission-cache hits and unavailable
+    /// answers included).
     pub fn requests(&self) -> u64 {
         self.inner.requests.get()
     }
@@ -1267,11 +1258,6 @@ impl Gateway {
     /// Replication fan-out calls dispatched so far.
     pub fn replica_writes(&self) -> u64 {
         self.inner.replica_writes.get()
-    }
-
-    /// Requests answered by the embedded local server.
-    pub fn local_fallbacks(&self) -> u64 {
-        self.inner.local_fallbacks.get()
     }
 
     /// Requests answered straight out of the admission cache, without
@@ -1390,7 +1376,7 @@ impl Drop for Gateway {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dahlia_server::{query, Stage, TelemetryConfig};
+    use dahlia_server::{query, Client, NetSummary, Server, Stage, TelemetryConfig};
 
     const GOOD: &str = "let A: float[8 bank 4];\nfor (let i = 0..8) unroll 4 { A[i] := 1.0; }";
 
@@ -1400,30 +1386,103 @@ mod tests {
         l.local_addr().unwrap().to_string()
     }
 
-    #[test]
-    fn empty_cluster_compiles_locally() {
-        let gw = GatewayConfig::new(Vec::<String>::new()).build();
-        let resp = gw.submit(&Request::new("r1", Stage::Estimate, GOOD, "k"));
-        assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
-        assert_eq!(resp.get("id").and_then(Json::as_str), Some("r1"));
-        assert_eq!(gw.local_fallbacks(), 1);
+    /// One in-process shard behind a real loopback socket, as `dahliac
+    /// serve --listen` runs it. Dropping it shuts the shard down, so
+    /// declare it before the gateway that routes to it.
+    pub(crate) struct TestShard {
+        pub(crate) addr: String,
+        handle: Option<std::thread::JoinHandle<NetSummary>>,
+    }
+
+    pub(crate) fn spawn_shard() -> TestShard {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = Arc::new(Server::with_threads(1));
+        let handle = std::thread::spawn(move || {
+            dahlia_server::serve_sessions(server, listener).expect("serve_sessions")
+        });
+        TestShard {
+            addr,
+            handle: Some(handle),
+        }
+    }
+
+    impl Drop for TestShard {
+        fn drop(&mut self) {
+            if let Ok(mut c) = Client::connect(self.addr.as_str()) {
+                let _ = c.shutdown_server();
+            }
+            if let Some(handle) = self.handle.take() {
+                let _ = handle.join();
+            }
+        }
+    }
+
+    /// A gateway over `shards` that captures every routed request in
+    /// its slow log, so an untraced request's hop spans can be read.
+    fn capturing(shards: Vec<String>) -> GatewayConfig {
+        GatewayConfig::new(shards)
+            .connect_timeout(Duration::from_millis(200))
+            .telemetry(TelemetryConfig::new().slow_threshold_ms(0))
+    }
+
+    /// `resp` is the one `admission/unavailable` answer `gw` gave: it
+    /// carries the health interval as its retry hint, it is counted,
+    /// it is not cached, its hop span is `unavailable`, and no stage
+    /// ran in the gateway (the stats have no server `hist` of its own).
+    fn assert_unavailable(gw: &Gateway, resp: &Json, id: &str) {
+        assert_eq!(resp.get("id").and_then(Json::as_str), Some(id));
+        assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
+        let err = resp.get("error").expect("error object");
+        assert_eq!(err.get("phase").and_then(Json::as_str), Some("admission"));
+        assert_eq!(
+            err.get("code").and_then(Json::as_str),
+            Some("admission/unavailable")
+        );
+        assert_eq!(err.get("retry_after_ms").and_then(Json::as_u64), Some(250));
         let stats = gw.stats_json();
-        assert_eq!(stats.get("requests").and_then(Json::as_u64), Some(1));
         let gws = stats.get("gateway").unwrap();
+        assert_eq!(gws.get("unavailable").and_then(Json::as_u64), Some(1));
+        assert_eq!(
+            gws.get("admission_cache_entries").and_then(Json::as_u64),
+            Some(0)
+        );
+        assert!(stats.get("hist").is_none(), "no stage ran in the gateway");
+        assert!(stats.get("executions").is_none());
+        let log = query(gw, ControlOp::Slowlog { since: 0 });
+        let Some(Json::Arr(entries)) = log.get("entries") else {
+            panic!("slowlog entries");
+        };
+        let Some(Json::Arr(spans)) = entries.last().and_then(|e| e.get("spans")) else {
+            panic!("span breakdown");
+        };
+        let last = spans.last().expect("a hop span");
+        assert_eq!(last.get("name").and_then(Json::as_str), Some("unavailable"));
+        assert_eq!(
+            last.get("detail").and_then(Json::as_str),
+            Some("retry_after_ms=250")
+        );
+    }
+
+    #[test]
+    fn empty_cluster_answers_unavailable() {
+        let gw = capturing(Vec::new()).build();
+        let resp = gw.submit(&Request::new("r1", Stage::Estimate, GOOD, "k"));
+        assert_unavailable(&gw, &resp, "r1");
+        let stats = gw.stats_json();
+        assert!(stats.get("requests").is_none(), "no shard stats to merge");
+        let gws = stats.get("gateway").unwrap();
+        assert_eq!(gws.get("requests").and_then(Json::as_u64), Some(1));
         assert_eq!(gws.get("shards_live").and_then(Json::as_u64), Some(0));
-        assert_eq!(gws.get("local_fallbacks").and_then(Json::as_u64), Some(1));
         assert_eq!(gws.get("replication").and_then(Json::as_u64), Some(1));
     }
 
     #[test]
-    fn all_shards_dead_falls_back_locally() {
-        let gw = GatewayConfig::new([dead_addr(), dead_addr()])
-            .connect_timeout(Duration::from_millis(200))
-            .build();
+    fn all_shards_dead_answers_unavailable() {
+        let gw = capturing(vec![dead_addr(), dead_addr()]).build();
         assert_eq!(gw.live_shards(), 0);
         let resp = gw.submit(&Request::new("r1", Stage::Check, GOOD, "k"));
-        assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
-        assert_eq!(gw.local_fallbacks(), 1);
+        assert_unavailable(&gw, &resp, "r1");
         // Dead shards never received anything.
         for s in gw.shard_snapshots() {
             assert!(!s.alive);
@@ -1432,17 +1491,14 @@ mod tests {
     }
 
     #[test]
-    fn draining_every_shard_falls_back_locally() {
+    fn draining_every_shard_answers_unavailable() {
         let addr = dead_addr();
-        let gw = GatewayConfig::new([addr.clone()])
-            .connect_timeout(Duration::from_millis(200))
-            .build();
+        let gw = capturing(vec![addr.clone()]).build();
         let ack = gw.drain(&addr);
         assert_eq!(ack.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(ack.get("keys_scheduled").and_then(Json::as_u64), Some(0));
         let resp = gw.submit(&Request::new("r1", Stage::Check, GOOD, "k"));
-        assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
-        assert_eq!(gw.local_fallbacks(), 1);
+        assert_unavailable(&gw, &resp, "r1");
         let snaps = gw.shard_snapshots();
         assert!(snaps[0].draining);
         assert_eq!(snaps[0].routed, 0);
@@ -1497,25 +1553,21 @@ mod tests {
     }
 
     #[test]
-    fn traced_local_fallback_records_gateway_spans_and_journals() {
-        let gw = GatewayConfig::new(Vec::<String>::new()).build();
+    fn traced_request_to_an_empty_cluster_answers_unavailable() {
+        let gw = capturing(Vec::new()).build();
         let resp = gw.submit(&Request::new("r1", Stage::Estimate, GOOD, "k").traced("t-local"));
-        assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
+        assert_unavailable(&gw, &resp, "r1");
         let trace = resp.get("trace").expect("traced response carries a trace");
         assert_eq!(trace.get("id").and_then(Json::as_str), Some("t-local"));
         let Some(Json::Arr(spans)) = trace.get("spans") else {
             panic!("spans array");
         };
-        // The gateway's own hop leads; the embedded server's stage
-        // spans follow.
-        assert_eq!(spans[0].get("name").and_then(Json::as_str), Some("local"));
+        // The gateway's own hop is the whole story: no stage ran.
+        assert_eq!(spans.len(), 1);
         assert_eq!(
-            spans[0].get("detail").and_then(Json::as_str),
-            Some("fallback")
+            spans[0].get("name").and_then(Json::as_str),
+            Some("unavailable")
         );
-        assert!(spans
-            .iter()
-            .any(|s| s.get("name").and_then(Json::as_str) == Some("stage:est")));
 
         // The combined entry landed in the gateway's journal.
         let journal = query(&gw, ControlOp::Trace);
@@ -1529,12 +1581,16 @@ mod tests {
         );
         assert!(entries[0].get("wall_us").and_then(Json::as_u64).is_some());
 
-        // Untraced requests stay trace-free, and the merged stats
-        // carry the local server's hist section.
+        // Untraced requests stay trace-free and are not cached either.
         let bare = gw.submit(&Request::new("r2", Stage::Check, GOOD, "k"));
         assert!(bare.get("trace").is_none());
         let stats = gw.stats_json();
-        assert!(stats.get("hist").is_some(), "local hist merged into agg");
+        let gws = stats.get("gateway").unwrap();
+        assert_eq!(gws.get("unavailable").and_then(Json::as_u64), Some(2));
+        assert_eq!(
+            gws.get("admission_cache_entries").and_then(Json::as_u64),
+            Some(0)
+        );
 
         // Liveness summary: an empty cluster is still alive.
         let health = query(&gw, ControlOp::Health);
@@ -1545,7 +1601,8 @@ mod tests {
 
     #[test]
     fn windows_and_slowlog_capture_untraced_routed_work() {
-        let gw = GatewayConfig::new(Vec::<String>::new())
+        let shard = spawn_shard();
+        let gw = GatewayConfig::new([shard.addr.clone()])
             .telemetry(TelemetryConfig::new().slow_threshold_ms(0))
             .build();
         let resp = gw.submit(&Request::new("r1", Stage::Estimate, GOOD, "k"));
@@ -1585,7 +1642,10 @@ mod tests {
         let Some(Json::Arr(spans)) = entries[0].get("spans") else {
             panic!("span breakdown");
         };
-        assert_eq!(spans[0].get("name").and_then(Json::as_str), Some("local"));
+        assert_eq!(
+            spans[0].get("name").and_then(Json::as_str),
+            Some(format!("shard:{}", shard.addr).as_str())
+        );
         // Cursoring past the newest capture drains the view.
         let tail = query(&gw, ControlOp::Slowlog { since: 1 });
         let Some(Json::Arr(rest)) = tail.get("entries") else {

@@ -395,7 +395,12 @@ fn evaluate(state: &SweepState<'_>, pts: &[Point], emit: &EmitFn) {
                     state.cache_hits.fetch_add(1, Ordering::Relaxed);
                 }
                 let objectives = if ok { objectives_of(&resp) } else { None };
-                if let Some(tsdb) = &state.journal {
+                // An admission error (no shard answered) is no verdict
+                // on the point: keep it out of the journal so a resume
+                // evaluates it again.
+                let phase = resp.get("error").and_then(|e| e.get("phase"));
+                let verdict = phase.and_then(Json::as_str) != Some("admission");
+                if let Some(tsdb) = state.journal.as_ref().filter(|_| verdict) {
                     let record = journal_record(p.digest, &p.key, objectives.as_deref());
                     tsdb.append(state.inner.telemetry.clock.now_ms(), record.as_bytes());
                 }
@@ -564,6 +569,7 @@ fn open_journal(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::spawn_shard;
     use crate::GatewayConfig;
     use dahlia_server::TelemetryConfig;
     use std::sync::mpsc;
@@ -602,7 +608,8 @@ mod tests {
 
     #[test]
     fn local_sweep_streams_updates_and_fronts_the_space() {
-        let gw = GatewayConfig::new(Vec::<String>::new()).build();
+        let shard = spawn_shard();
+        let gw = GatewayConfig::new([shard.addr.clone()]).build();
         let lines = run(&gw, small_op("s1", false, 2));
         let (last, fin) = lines.last().unwrap();
         assert!(fin, "last line is final");
@@ -639,9 +646,10 @@ mod tests {
                 .unwrap()
                 .as_nanos()
         ));
+        let shard = spawn_shard();
         // Run 1: full sweep, journaling along the way.
         let front_a = {
-            let gw = GatewayConfig::new(Vec::<String>::new())
+            let gw = GatewayConfig::new([shard.addr.clone()])
                 .telemetry(TelemetryConfig::new().dir(&dir))
                 .build();
             let lines = run(&gw, small_op("s1", false, 0));
@@ -652,7 +660,7 @@ mod tests {
         // from the same journal: every point skips, the front comes
         // back byte-identical, and nothing touches the router.
         {
-            let gw = GatewayConfig::new(Vec::<String>::new())
+            let gw = GatewayConfig::new([shard.addr.clone()])
                 .telemetry(TelemetryConfig::new().dir(&dir))
                 .build();
             let before = gw.requests();
@@ -663,6 +671,43 @@ mod tests {
             assert_eq!(s.get("points_done").and_then(Json::as_u64), Some(0));
             assert_eq!(s.get("front").unwrap().emit(), front_a);
             assert_eq!(gw.requests(), before, "zero points re-dispatched");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn points_no_shard_answered_are_not_journaled() {
+        let dir = std::env::temp_dir().join(format!(
+            "dahlia-sweep-unavailable-{}-{}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .unwrap()
+                .as_nanos()
+        ));
+        // Run 1: an empty cluster answers every point unavailable.
+        {
+            let gw = GatewayConfig::new(Vec::<String>::new())
+                .telemetry(TelemetryConfig::new().dir(&dir))
+                .build();
+            let lines = run(&gw, small_op("u1", false, 0));
+            let v = Json::parse(&lines.last().unwrap().0).unwrap();
+            let s = v.get("sweep").unwrap();
+            assert_eq!(s.get("point_failures").and_then(Json::as_u64), Some(9));
+        }
+        // Run 2 resumes over a live shard: nothing was journaled, so
+        // every point is evaluated now.
+        {
+            let shard = spawn_shard();
+            let gw = GatewayConfig::new([shard.addr.clone()])
+                .telemetry(TelemetryConfig::new().dir(&dir))
+                .build();
+            let lines = run(&gw, small_op("u2", true, 0));
+            let v = Json::parse(&lines.last().unwrap().0).unwrap();
+            let s = v.get("sweep").unwrap();
+            assert_eq!(s.get("points_skipped").and_then(Json::as_u64), Some(0));
+            assert_eq!(s.get("points_done").and_then(Json::as_u64), Some(9));
+            assert!(s.get("front_size").and_then(Json::as_u64).unwrap() >= 1);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -691,7 +736,8 @@ mod tests {
         // `u` is the innermost axis; the `b=8` region wastes resources
         // at every unroll (more banks, same cycles at u=1), so its
         // sample is dominated and the region prunes.
-        let gw = GatewayConfig::new(Vec::<String>::new()).build();
+        let shard = spawn_shard();
+        let gw = GatewayConfig::new([shard.addr.clone()]).build();
         let mut op = small_op("p1", false, 0);
         op.prune = true;
         let lines = run(&gw, op);

@@ -45,6 +45,12 @@ fn spawn_shard_with(
     (addr, handle)
 }
 
+/// Requests the gateway answered `admission/unavailable` (no shard
+/// answered them).
+fn unavailable(gw: &dahlia_gateway::Gateway) -> u64 {
+    gw.snapshot().value("gateway.unavailable").unwrap_or(0.0) as u64
+}
+
 fn shutdown_shard(addr: &str) {
     let mut c = Client::connect(addr).expect("connect for shutdown");
     c.shutdown_server().expect("shutdown ack");
@@ -124,7 +130,7 @@ fn gateway_matches_direct_and_pins_sources() {
     assert_eq!(warm_misses, cold_misses, "warm pass recompiled somewhere");
 
     // Both shards actually participated (rendezvous spread the suite),
-    // and every request went to a shard, never the local fallback.
+    // and every request was answered by a shard.
     for s in &warm {
         assert!(s.alive);
         assert!(s.routed > 0, "shard {} never used: {warm:?}", s.addr);
@@ -134,7 +140,7 @@ fn gateway_matches_direct_and_pins_sources() {
         warm.iter().map(|s| s.routed).sum::<u64>(),
         2 * requests.len() as u64
     );
-    assert_eq!(gw.local_fallbacks(), 0);
+    assert_eq!(unavailable(&gw), 0);
 
     // The aggregated stats object is shaped like a single server's,
     // with the cluster section appended.
@@ -186,7 +192,7 @@ fn assert_warm_pass_pinned(width: usize, requests: &[Request]) {
     assert_eq!(misses(), cold, "warm pass recompiled at width {width}");
     let routed: u64 = gw.shard_snapshots().iter().map(|s| s.routed).sum();
     assert_eq!(routed, 2 * requests.len() as u64, "width {width}");
-    assert_eq!(gw.local_fallbacks(), 0, "width {width}");
+    assert_eq!(unavailable(&gw), 0, "width {width}");
     drop(gw);
     for (addr, join) in shards {
         shutdown_shard(&addr);
@@ -457,7 +463,7 @@ fn replicated_cluster_fails_over_warm() {
             resp.emit()
         );
     }
-    assert_eq!(gw.local_fallbacks(), 0, "no request fell back locally");
+    assert_eq!(unavailable(&gw), 0, "every request reached a shard");
     assert_eq!(
         cluster_executions(&gw),
         baseline,
@@ -578,7 +584,7 @@ fn draining_a_shard_mid_batch_loses_nothing_and_migrates_keys() {
         snap_a.routed, routed_a_before,
         "a draining shard received new keys"
     );
-    assert_eq!(gw.local_fallbacks(), 0);
+    assert_eq!(unavailable(&gw), 0);
 
     // Undrain: shard A rejoins, its keys come straight back (its own
     // warm cache is intact — zero recomputes again).
@@ -973,8 +979,8 @@ fn transport_counter(t: &Json, key: &str) -> u64 {
 
 /// The gateway↔shard hop is v1-only: a shard pinned to the v0 wire is
 /// refused at connect with a clear error and counts as dead (its keys
-/// compile locally instead), while a current shard negotiates binary
-/// frames — byte-identical artifacts either way.
+/// answer `admission/unavailable`), while a current shard negotiates
+/// binary frames and serves byte-identical artifacts.
 #[test]
 fn a_shard_negotiating_v0_is_refused_and_counts_as_dead() {
     let direct = Server::with_threads(2);
@@ -1002,8 +1008,17 @@ fn a_shard_negotiating_v0_is_refused_and_counts_as_dead() {
         .admission_cache(0)
         .build();
     assert_eq!(gw.live_shards(), 0);
-    check(&gw, "v0-shard");
-    assert_eq!(gw.local_fallbacks(), requests.len() as u64);
+    for req in &requests {
+        let resp = gw.submit(req);
+        let code = resp.get("error").and_then(|e| e.get("code"));
+        assert_eq!(
+            code.and_then(Json::as_str),
+            Some("admission/unavailable"),
+            "[v0-shard] {}",
+            req.id
+        );
+    }
+    assert_eq!(unavailable(&gw), requests.len() as u64);
     let stats = gw.stats_json();
     let gws = stats.get("gateway").unwrap();
     assert_eq!(gws.get("shards_dead").and_then(Json::as_u64), Some(1));
@@ -1021,7 +1036,7 @@ fn a_shard_negotiating_v0_is_refused_and_counts_as_dead() {
         .admission_cache(0)
         .build();
     check(&gw, "v1-shard");
-    assert_eq!(gw.local_fallbacks(), 0);
+    assert_eq!(unavailable(&gw), 0);
     let t = shard_transport(&addr_new);
     assert!(transport_counter(&t, "sessions_v1") >= 1, "{t:?}");
     assert!(transport_counter(&t, "frames_in") > 0, "{t:?}");

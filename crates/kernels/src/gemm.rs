@@ -85,7 +85,7 @@ pub fn gemm_blocked_source(p: &GemmBlockedParams) -> String {
 /// The blocked-GEMM source as a sweep template (`dse::sweep::render`
 /// directive syntax) over the [`GEMM_BLOCKED_AXES`]. Shrink views come
 /// from the `${shrink:...}` directive, which makes the same decision as
-/// [`shrink_if_needed`](crate::shrink_if_needed).
+/// [`shrink_if_needed`].
 pub fn gemm_blocked_template(n: u64, block: u64) -> String {
     let blocks = n / block;
     format!(

@@ -136,8 +136,8 @@ pub use pipeline::{source_digest, Artifact, Options, Pipeline, Stage};
 pub use pool::Pool;
 pub use protocol::{Request, Response};
 pub use session::{
-    query, AdminOp, ControlOp, Dispatch, Reply, Respond, Session, SessionConfig, SessionHost, Sink,
-    SweepOp,
+    admission_error, query, AdminOp, ControlOp, Dispatch, Reply, Respond, Session, SessionConfig,
+    SessionHost, Sink, SweepOp,
 };
 pub use store::{ArtifactTier, CacheValue, Key, Store, StoreConfig, StoreStats};
 pub use telemetry::{

@@ -1,42 +1,37 @@
-//! A hand-rolled, std-only work-stealing thread pool.
+//! A hand-rolled, std-only thread pool: one job queue, one condvar.
 //!
-//! Each worker owns a deque; submissions are distributed round-robin and
-//! an idle worker first drains its own queue, then steals from its
-//! peers. A single condvar parks workers when the whole pool is empty.
-//! This is deliberately simple — jobs here are whole compilation
-//! requests (hundreds of microseconds to milliseconds), so per-job
-//! overhead is noise and the win is keeping every core busy while the
-//! single-flight store dedups overlapping work.
+//! Jobs here are whole compilation requests (hundreds of microseconds
+//! to milliseconds), so per-job overhead is noise and the win is
+//! keeping every core busy while the single-flight store dedups
+//! overlapping work. One shared queue does that: every submission and
+//! every pop takes the same lock either way.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 struct Shared {
-    queues: Vec<Mutex<VecDeque<Job>>>,
-    /// Count of queued (not yet started) jobs, guarded for the condvar.
-    pending: Mutex<usize>,
+    /// Queued (not yet started) jobs and the shutdown flag, guarded
+    /// together for the condvar.
+    queue: Mutex<Queue>,
     wake: Condvar,
-    shutdown: AtomicBool,
 }
 
 impl Shared {
-    /// Pop from `home`'s queue, else steal from a peer.
-    fn grab(&self, home: usize) -> Option<Job> {
-        let n = self.queues.len();
-        for k in 0..n {
-            let mut q = self.queues[(home + k) % n].lock().unwrap();
-            if let Some(job) = q.pop_front() {
-                drop(q);
-                *self.pending.lock().unwrap() -= 1;
-                return Some(job);
-            }
-        }
-        None
+    /// Lock the queue. Jobs run outside the lock, so a poisoned lock
+    /// still guards a valid queue: recover it rather than let a worker
+    /// die and the pool silently shrink.
+    fn queue(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
+}
+
+#[derive(Default)]
+struct Queue {
+    jobs: VecDeque<Job>,
+    shutdown: bool,
 }
 
 /// The pool. Dropping it drains nothing: queued jobs are abandoned, but
@@ -44,44 +39,29 @@ impl Shared {
 pub struct Pool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    next: AtomicUsize,
 }
 
 impl Pool {
     /// Spawn `threads` workers (clamped to at least 1).
     pub fn new(threads: usize) -> Pool {
-        let threads = threads.max(1);
         let shared = Arc::new(Shared {
-            queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            pending: Mutex::new(0),
+            queue: Mutex::new(Queue::default()),
             wake: Condvar::new(),
-            shutdown: AtomicBool::new(false),
         });
-        let workers = (0..threads)
+        let workers = (0..threads.max(1))
             .map(|w| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("dahlia-worker-{w}"))
-                    .spawn(move || worker_loop(&shared, w))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn worker")
             })
             .collect();
-        Pool {
-            shared,
-            workers,
-            next: AtomicUsize::new(0),
-        }
+        Pool { shared, workers }
     }
 
-    /// One worker per available core (minus one for the submitter),
-    /// respecting `DAHLIA_SERVER_THREADS` when set.
+    /// One worker per available core (minus one for the submitter).
     pub fn with_default_threads() -> Pool {
-        if let Some(n) = std::env::var("DAHLIA_SERVER_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            return Pool::new(n);
-        }
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4);
@@ -90,20 +70,13 @@ impl Pool {
 
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
-        self.shared.queues.len()
+        self.workers.len()
     }
 
     /// Enqueue a job.
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        let i = self.next.fetch_add(1, Ordering::Relaxed) % self.shared.queues.len();
-        // Count the job before publishing it: a worker that pops it
-        // decrements `pending`, so the increment must already be visible
-        // (the reverse order can underflow the counter).
-        *self.shared.pending.lock().unwrap() += 1;
-        self.shared.queues[i]
-            .lock()
-            .unwrap()
-            .push_back(Box::new(job));
+        let job: Job = Box::new(job);
+        self.shared.queue().jobs.push_back(job);
         self.shared.wake.notify_one();
     }
 
@@ -143,7 +116,7 @@ impl Pool {
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.queue().shutdown = true;
         self.shared.wake.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -151,32 +124,33 @@ impl Drop for Pool {
     }
 }
 
-fn worker_loop(shared: &Shared, home: usize) {
+fn worker_loop(shared: &Shared) {
     loop {
-        if let Some(job) = shared.grab(home) {
-            // A panicking job must not take the worker down with it: the
-            // pool would silently shrink and eventually hang `map`.
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-            continue;
-        }
-        let mut pending = shared.pending.lock().unwrap();
-        loop {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return;
+        let job = {
+            let mut queue = shared.queue();
+            loop {
+                if queue.shutdown {
+                    return;
+                }
+                if let Some(job) = queue.jobs.pop_front() {
+                    break job;
+                }
+                queue = shared
+                    .wake
+                    .wait(queue)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
-            if *pending > 0 {
-                break;
-            }
-            pending = shared.wake.wait(pending).unwrap();
-        }
-        // Something is queued somewhere; loop around and grab it.
+        };
+        // A panicking job must not take the worker down with it: the
+        // pool would silently shrink and eventually hang `map`.
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn map_preserves_order() {

@@ -444,9 +444,12 @@ fn protocol_error(msg: String, lineno: u64) -> Json {
     ])
 }
 
-/// The structured shed-load error: same shape as every other error
-/// response, `phase` `admission`, plus the `retry_after_ms` hint.
-fn shed_response(id: &str) -> Json {
+/// An `admission`-phase error: the request was well formed but is not
+/// being served right now. Same shape as every other error response,
+/// plus the `retry_after_ms` hint — a session sheds a burst past its
+/// window with `admission/overloaded`, and a gateway with no reachable
+/// shard answers `admission/unavailable`.
+pub fn admission_error(id: &str, code: &str, message: &str, retry_after_ms: u64) -> Json {
     obj([
         ("id", Json::Str(id.to_string())),
         ("ok", Json::Bool(false)),
@@ -454,14 +457,9 @@ fn shed_response(id: &str) -> Json {
             "error",
             obj([
                 ("phase", Json::Str("admission".into())),
-                ("code", Json::Str("admission/overloaded".into())),
-                (
-                    "message",
-                    Json::Str(
-                        "connection admission window is full; retry after the hinted delay".into(),
-                    ),
-                ),
-                ("retry_after_ms", Json::Num(RETRY_AFTER_MS as f64)),
+                ("code", Json::Str(code.into())),
+                ("message", Json::Str(message.into())),
+                ("retry_after_ms", Json::Num(retry_after_ms as f64)),
             ]),
         ),
     ])
@@ -723,6 +721,13 @@ impl Session {
                 .iter()
                 .position(|&b| b == b'\n')
                 .map(|i| self.scanned + i);
+            if newline.unwrap_or(pending.len()) > wire::MAX_FRAME {
+                // Terminated or not, the line is past the cap a v1
+                // frame has; buffering on would let one client grow
+                // this session without bound.
+                let cap = wire::MAX_FRAME;
+                return self.fail_input(format!("line exceeds the {cap}-byte cap"), lineno);
+            }
             let (len, consumed) = match newline {
                 Some(i) => (i, i + 1),
                 None if self.eof && !pending.is_empty() => (pending.len(), pending.len()),
@@ -752,13 +757,8 @@ impl Session {
                     return false;
                 }
                 Err(msg) => {
-                    // A corrupt length word leaves no way to resync:
-                    // answer what is owed, then stop reading.
-                    self.summary.protocol_errors += 1;
-                    let err = protocol_error(format!("unrecoverable framing error: {msg}"), lineno);
-                    self.write(Kind::Control(None), err);
-                    self.close_input();
-                    return false;
+                    // A corrupt length word leaves no way to resync.
+                    return self.fail_input(format!("unrecoverable framing error: {msg}"), lineno);
                 }
             }
         };
@@ -776,6 +776,15 @@ impl Session {
             }
         }
         true
+    }
+
+    /// Answer input there is no way to parse past with one protocol
+    /// error, then stop reading. Dispatched ops still complete.
+    fn fail_input(&mut self, msg: String, lineno: u64) -> bool {
+        self.summary.protocol_errors += 1;
+        self.write(Kind::Control(None), protocol_error(msg, lineno));
+        self.close_input();
+        false
     }
 
     fn apply(&mut self, ctl: Control) {
@@ -810,7 +819,13 @@ impl Session {
                 if let Some(t) = &self.cfg.transport {
                     t.requests_shed.inc();
                 }
-                self.write(Kind::Response, shed_response(&req.id));
+                let shed = admission_error(
+                    &req.id,
+                    "admission/overloaded",
+                    "connection admission window is full; retry after the hinted delay",
+                    RETRY_AFTER_MS,
+                );
+                self.write(Kind::Response, shed);
             }
             Control::Req(req) => self.dispatch(Work::Request(req)),
         }
@@ -1005,4 +1020,47 @@ where
         read.and(tolerate_hangup(written))
     })?;
     Ok(stdio.summary())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_unterminated_v0_line_past_the_frame_cap_closes_input() {
+        let mut s = Session::new(SessionConfig {
+            max_wire: 1,
+            window: 4,
+            shed: true,
+            transport: None,
+        });
+        // Fed in chunks, as a driver reads; no newline ever arrives.
+        let chunk = vec![b'x'; 1 << 20];
+        let mut left = wire::MAX_FRAME + 1;
+        while left > 0 {
+            let n = left.min(chunk.len());
+            s.feed(&chunk[..n]);
+            left -= n;
+            assert!(s.next_dispatch().is_none());
+        }
+        let out = String::from_utf8(s.take_output()).unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 1, "{out}");
+        let err = Json::parse(lines[0]).unwrap();
+        let err = err.get("error").unwrap();
+        assert_eq!(
+            err.get("code").and_then(Json::as_str),
+            Some("protocol/bad-request")
+        );
+        let message = err.get("message").and_then(Json::as_str).unwrap();
+        assert!(message.contains(&wire::MAX_FRAME.to_string()), "{message}");
+        assert_eq!(s.summary().protocol_errors, 1);
+        assert!(s.input_closed());
+        assert_eq!(s.rbuf.capacity(), 0, "read buffer released");
+        // Later bytes are ignored, and the session is done.
+        s.feed(b"{\"op\":\"stats\"}\n");
+        assert!(s.next_dispatch().is_none());
+        assert!(!s.has_output());
+        assert!(s.is_done());
+    }
 }

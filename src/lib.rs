@@ -21,7 +21,7 @@
 //!   bounded trace journal, Prometheus text exposition;
 //! * [`gateway`] — the sharded, fault-tolerant cluster front-end:
 //!   rendezvous routing by source digest, pooled pipelined shard
-//!   clients, health checks, local fallback (`dahliac gateway`);
+//!   clients, health checks, never compiling itself (`dahliac gateway`);
 //! * [`server`] — the concurrent, content-addressed compilation service
 //!   (staged artifact cache, single-flight batch executor, JSON-lines
 //!   protocol, `dahliac serve` / `dahliac batch`).
