@@ -10,6 +10,7 @@
 //!    frontier.
 
 use dahlia_dse::DesignPoint;
+use dahlia_server::Server;
 use hls_sim::{estimate, Estimate, Kernel};
 
 use crate::fig4::matmul_kernel;
@@ -74,7 +75,7 @@ pub struct PruningAblation {
 
 /// Run the pruning ablation.
 pub fn pruning_ablation(stride: usize) -> PruningAblation {
-    let points: Vec<DesignPoint> = fig7::run(stride);
+    let points: Vec<DesignPoint> = fig7::run(stride, &Server::with_threads(1));
     let best = |it: &mut dyn Iterator<Item = &DesignPoint>| {
         it.filter(|p| p.correct)
             .map(|p| p.cycles)

@@ -1,14 +1,13 @@
 //! Regenerates Fig. 7: the exhaustive 32,000-point gemm-blocked DSE.
 //!
 //! Pass stride arguments to subsample (default 1 = the full sweep).
-//! Several strides may be given; every sweep runs through one shared
-//! `dahlia_server::CachedProvider`, so overlapping configurations are
-//! compiled once — re-running at a finer stride only pays for the new
-//! points.
+//! Several strides may be given; every sweep submits to one shared
+//! `dahlia_server::Server`, so overlapping configurations are compiled
+//! once — re-running at a finer stride only pays for the new points.
 
 use dahlia_bench::fig7;
 use dahlia_dse::to_csv;
-use dahlia_server::CachedProvider;
+use dahlia_server::Server;
 
 fn main() {
     let strides = match dahlia_bench::strides_from_args(std::env::args().skip(1)) {
@@ -18,9 +17,9 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let provider = CachedProvider::default();
+    let server = Server::new();
     for stride in strides {
-        let points = fig7::run_with(stride, &provider);
+        let points = fig7::run(stride, &server);
         let summary = fig7::summarize(&points);
         eprintln!("gemm-blocked DSE (stride {stride}): {summary}");
         println!(
@@ -45,5 +44,5 @@ fn main() {
         println!("\n# Fig. 7b — Dahlia-accepted points ({})", accepted.len());
         print!("{}", to_csv(&accepted, &params));
     }
-    eprintln!("cache: {}", provider.server().stats());
+    eprintln!("cache: {}", server.stats());
 }

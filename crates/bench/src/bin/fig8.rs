@@ -2,13 +2,13 @@
 //!
 //! Pass stride arguments to subsample (default 1 = full sweeps). Several
 //! strides may be given; all sweeps — across strides *and* studies —
-//! share one `dahlia_server::CachedProvider`, so overlapping
-//! configurations compile once and front-end artifacts are reused across
+//! submit to one `dahlia_server::Server`, so overlapping configurations
+//! compile once and front-end artifacts are reused across
 //! differently-named requests.
 
-use dahlia_bench::fig8::{run_with, summarize, Study};
+use dahlia_bench::fig8::{run, summarize, Study};
 use dahlia_dse::to_csv;
-use dahlia_server::CachedProvider;
+use dahlia_server::Server;
 
 fn main() {
     let strides = match dahlia_bench::strides_from_args(std::env::args().skip(1)) {
@@ -18,14 +18,14 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let provider = CachedProvider::default();
+    let server = Server::new();
     for stride in strides {
         for (study, fig) in [
             (Study::Stencil2d, "8a"),
             (Study::MdKnn, "8b"),
             (Study::MdGrid, "8c"),
         ] {
-            let points = run_with(study, stride, &provider);
+            let points = run(study, stride, &server);
             let s = summarize(&points);
             eprintln!("{} (stride {stride}): {s}", study.name());
             println!(
@@ -39,5 +39,5 @@ fn main() {
             print!("{}", to_csv(&accepted, &params));
         }
     }
-    eprintln!("cache: {}", provider.server().stats());
+    eprintln!("cache: {}", server.stats());
 }

@@ -7,13 +7,11 @@
 //! (354 points / 1.1% in the paper); Pareto optimality is computed over
 //! the five objectives of §5.2.
 
-use dahlia_dse::{
-    accepts, explore_configs, mark_pareto, Config, DesignPoint, DirectProvider, EstimateProvider,
-    ParamSpace, Summary,
-};
+use dahlia_dse::{accepts, mark_pareto, Config, DesignPoint, ParamSpace, Summary};
 use dahlia_kernels::gemm::{
     gemm_blocked_baseline, gemm_blocked_source, GemmBlockedParams, GEMM_BLOCKED_AXES,
 };
+use dahlia_server::{Request, Server, Stage};
 
 /// The full 32,000-point parameter space.
 pub fn space() -> ParamSpace {
@@ -46,37 +44,30 @@ pub fn evaluate(cfg: Config) -> DesignPoint {
 
 /// Run the exploration over every `stride`-th configuration (stride 1 =
 /// the paper's full 32,000-point sweep) and mark the Pareto frontier.
-pub fn run(stride: usize) -> Vec<DesignPoint> {
-    run_with(stride, &DirectProvider::new())
-}
-
-/// [`run`] with the source-pipeline work (parse + affine check, plus
-/// lower/estimate for accepted programs) routed through an arbitrary
-/// [`EstimateProvider`] — the figure driver passes
-/// `dahlia_server::CachedProvider` so repeated strides share a
-/// content-addressed cache.
 ///
+/// Each configuration's source goes to `server` as an `est` request, so
+/// repeated strides (and any other sweep over the same server) share one
+/// content-addressed cache; the response supplies the acceptance verdict.
 /// Fig. 7 measures the **full** space (7a's frontier spans points the
-/// checker rejects), so after the provider sweep every point's resource
-/// estimate is taken from the HLS-substrate baseline kernel — exactly
-/// what [`evaluate`] does — while the acceptance verdict comes from the
-/// provider. The result is point-for-point identical to the inline
-/// path. The provider does run lower/estimate for accepted sources
-/// (~1% of the space) even though only the verdict is used here; that
-/// is deliberate — those artifacts land in the shared cache, so finer
-/// strides and other consumers of the same server get them for free.
-pub fn run_with(stride: usize, provider: &dyn EstimateProvider) -> Vec<DesignPoint> {
-    let cfgs: Vec<Config> = space().iter().step_by(stride.max(1)).collect();
-    let ex = explore_configs(cfgs, "gemm_blocked", provider, |cfg| {
-        gemm_blocked_source(&params_of(cfg))
-    });
-    let mut points: Vec<DesignPoint> = ex
-        .points
-        .into_iter()
-        .map(|p| {
-            let est = hls_sim::estimate(&gemm_blocked_baseline(&params_of(&p.config)));
-            let accepted = p.accepted;
-            DesignPoint::from_estimate(p.config, &est, accepted)
+/// checker rejects), so every point's resource estimate is taken from the
+/// HLS-substrate baseline kernel — exactly what [`evaluate`] does. The
+/// server still lowers and estimates the accepted sources (~1% of the
+/// space); those artifacts land in the shared cache for later requests.
+pub fn run(stride: usize, server: &Server) -> Vec<DesignPoint> {
+    let mut points: Vec<DesignPoint> = space()
+        .iter()
+        .step_by(stride.max(1))
+        .map(|cfg| {
+            let p = params_of(&cfg);
+            let req = Request::new(
+                "dse",
+                Stage::Estimate,
+                gemm_blocked_source(&p),
+                "gemm_blocked",
+            );
+            let accepted = server.submit(req).ok();
+            let est = hls_sim::estimate(&gemm_blocked_baseline(&p));
+            DesignPoint::from_estimate(cfg, &est, accepted)
         })
         .collect();
     mark_pareto(&mut points);
@@ -100,7 +91,7 @@ mod tests {
     #[test]
     fn subsampled_run_matches_paper_shape() {
         // Every 101st point: 317 configurations — enough for the ratios.
-        let points = run(101);
+        let points = run(101, &Server::with_threads(1));
         let s = summarize(&points);
         assert!(s.total > 300);
         let ratio = s.acceptance_ratio();
@@ -115,7 +106,7 @@ mod tests {
 
     #[test]
     fn accepted_points_follow_the_unwritten_rules() {
-        for p in run(173) {
+        for p in run(173, &Server::with_threads(1)) {
             if p.accepted {
                 // unroll_k must divide both k-dimension banking factors
                 // (through a shrink view) for parallel access.
@@ -135,7 +126,7 @@ mod tests {
         // The paper: Dahlia rejects some Pareto-optimal points (the cost of
         // predictability). With heuristic noise, at least verify rejected
         // points exist in volume.
-        let points = run(211);
+        let points = run(211, &Server::with_threads(1));
         let rejected = points.iter().filter(|p| !p.accepted).count();
         assert!(rejected > points.len() / 2);
     }

@@ -6,11 +6,10 @@
 //! (through the real pipeline: parse → check → lower → estimate), and the
 //! Pareto frontier is computed within the accepted set.
 
-use dahlia_dse::{
-    explore_configs, Config, DesignPoint, DirectProvider, EstimateProvider, ParamSpace, Summary,
-};
+use dahlia_dse::{mark_pareto, Config, DesignPoint, ParamSpace, Summary};
 use dahlia_kernels::md::{md_grid_source, md_knn_source, MdGridParams, MdKnnParams};
 use dahlia_kernels::stencil::{stencil2d_source, Stencil2dParams};
+use dahlia_server::Server;
 
 /// One of the three case studies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,23 +93,24 @@ impl Study {
     }
 }
 
-/// Explore every `stride`-th configuration with the inline pipeline;
-/// accepted points are estimated through the full Dahlia pipeline,
-/// rejected points carry no estimate (mirroring the paper, which only
-/// measures the accepted space).
-pub fn run(study: Study, stride: usize) -> Vec<DesignPoint> {
-    run_with(study, stride, &DirectProvider::new())
-}
-
-/// [`run`] through an arbitrary [`EstimateProvider`] — the figure driver
-/// passes `dahlia_server::CachedProvider` here so repeated strides (and
-/// the three studies of one invocation) share a content-addressed cache.
-/// Pareto is marked among the estimated (accepted, correct) points; the
-/// checker-rejected remainder is excluded, as in the paper's
-/// Dahlia-directed workflow.
-pub fn run_with(study: Study, stride: usize, provider: &dyn EstimateProvider) -> Vec<DesignPoint> {
-    let cfgs: Vec<Config> = study.space().iter().step_by(stride.max(1)).collect();
-    explore_configs(cfgs, study.name(), provider, |cfg| study.source(cfg)).points
+/// Explore every `stride`-th configuration through `server`: accepted
+/// points are estimated by the full Dahlia pipeline, rejected points
+/// carry no estimate (mirroring the paper, which only measures the
+/// accepted space). Pareto is marked among the estimated (accepted,
+/// correct) points. The figure driver passes one server to every stride
+/// and study, so overlapping configurations compile once.
+pub fn run(study: Study, stride: usize, server: &Server) -> Vec<DesignPoint> {
+    let mut points: Vec<DesignPoint> = study
+        .space()
+        .iter()
+        .step_by(stride.max(1))
+        .map(|cfg| {
+            let source = study.source(&cfg);
+            crate::estimate_point(server, cfg, study.name(), source)
+        })
+        .collect();
+    mark_pareto(&mut points);
+    points
 }
 
 /// Summary for a study run.
@@ -131,7 +131,7 @@ mod tests {
 
     #[test]
     fn stencil_acceptance_is_sparse_and_useful() {
-        let pts = run(Study::Stencil2d, 7);
+        let pts = run(Study::Stencil2d, 7, &Server::with_threads(1));
         let s = summarize(&pts);
         assert!(s.accepted > 0, "{s}");
         let ratio = s.acceptance_ratio();
@@ -150,7 +150,7 @@ mod tests {
 
     #[test]
     fn mdknn_acceptance_sparse() {
-        let pts = run(Study::MdKnn, 37);
+        let pts = run(Study::MdKnn, 37, &Server::with_threads(1));
         let s = summarize(&pts);
         assert!(s.accepted > 0, "{s}");
         assert!(s.acceptance_ratio() < 0.15, "{s}");
@@ -158,7 +158,7 @@ mod tests {
 
     #[test]
     fn mdgrid_acceptance_sparse() {
-        let pts = run(Study::MdGrid, 37);
+        let pts = run(Study::MdGrid, 37, &Server::with_threads(1));
         let s = summarize(&pts);
         assert!(s.accepted > 0, "{s}");
         assert!(s.acceptance_ratio() < 0.15, "{s}");
@@ -166,7 +166,7 @@ mod tests {
 
     #[test]
     fn accepted_points_have_pareto_subset() {
-        let pts = run(Study::Stencil2d, 5);
+        let pts = run(Study::Stencil2d, 5, &Server::with_threads(1));
         let s = summarize(&pts);
         assert!(s.accepted_pareto > 0);
         assert!(s.accepted_pareto <= s.accepted);

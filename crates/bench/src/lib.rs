@@ -25,10 +25,28 @@ pub mod fig8;
 pub mod fig9;
 pub mod frontend;
 
+use dahlia_dse::{Config, DesignPoint};
+use dahlia_server::{Artifact, Request, Server, Stage};
+
+/// Compile one configuration's `source` to an estimate through `server`
+/// (kernel `name`) and turn the `est` response into a design point:
+/// estimated and accepted when the pipeline accepts the program,
+/// [`DesignPoint::rejected`] when it does not.
+pub fn estimate_point(server: &Server, config: Config, name: &str, source: String) -> DesignPoint {
+    match server
+        .submit(Request::new("dse", Stage::Estimate, source, name))
+        .value
+    {
+        Ok(Artifact::Estimate(e)) => DesignPoint::from_estimate(config, &e, true),
+        Ok(other) => unreachable!("est request returned {other:?}"),
+        Err(_) => DesignPoint::rejected(config),
+    }
+}
+
 /// Parse figure-driver arguments into sweep strides (default `[1]`,
 /// the full sweep). Shared by the `fig7` and `fig8` binaries, which
 /// accept several strides per invocation and run them against one
-/// caching provider. Rejects anything unparseable — a typo must not
+/// [`Server`]. Rejects anything unparseable — a typo must not
 /// silently launch the full 32,000-point sweep.
 pub fn strides_from_args(args: impl Iterator<Item = String>) -> Result<Vec<usize>, String> {
     let mut strides = Vec::new();

@@ -1,12 +1,17 @@
 //! # dahlia-dse
 //!
 //! Design-space exploration for the Dahlia evaluation (§5): parameter
-//! spaces, Dahlia-acceptance filtering, Pareto frontiers, and CSV reports.
+//! spaces, Dahlia-acceptance filtering, the Pareto front, sweep
+//! planning, and CSV reports.
 //!
 //! The workflow mirrors the paper's: enumerate a [`ParamSpace`], generate a
 //! Dahlia program per configuration, record whether the type checker
 //! accepts it, estimate every point with the HLS substrate, and compare the
-//! accepted subset against the full frontier.
+//! accepted subset against the full frontier. This crate only plans and
+//! folds: the points themselves are compiled by a `dahlia_server::Server`
+//! (the figure drivers in `dahlia-bench` submit to one directly; the
+//! gateway's `sweep` op routes them to its shards), and both fold the
+//! results through the one [`ParetoFront`].
 //!
 //! ```
 //! use dahlia_dse::{accepts, ParamSpace};
@@ -28,18 +33,13 @@
 
 pub mod pareto;
 pub mod point;
-pub mod provider;
 pub mod report;
 pub mod rules;
 pub mod space;
 pub mod sweep;
 
-pub use pareto::{dominates, pareto_indices, pareto_mask, FrontEntry, ParetoFront};
+pub use pareto::{dominates, FrontEntry, ParetoFront};
 pub use point::{mark_pareto, DesignPoint};
-pub use provider::{
-    explore, explore_configs, DirectProvider, EstimateProvider, Exploration, PointOutcome,
-    ProviderStats,
-};
 pub use report::{to_csv, Summary};
 pub use space::{Config, ConfigIter, ParamSpace};
 pub use sweep::{point_digest, render, SweepSpec};

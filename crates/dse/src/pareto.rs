@@ -3,13 +3,13 @@
 //! The paper identifies Pareto-optimal configurations "according to their
 //! estimated cycle latency and number of lookup tables (LUTs), flip flops
 //! (FFs), block RAMs (BRAMs), and arithmetic units (DSPs)" — five
-//! minimization objectives. [`pareto_indices`] computes the non-dominated
-//! subset with an incremental frontier (fast enough for the 32,000-point
-//! gemm-blocked space); [`ParetoFront`] is the streaming form the cluster
-//! `sweep` op folds shard results through: dominance-pruned insertion,
-//! mergeable fronts, and a canonical serialization order so two sweeps
-//! over the same point set emit byte-identical fronts regardless of
-//! arrival order.
+//! minimization objectives. [`ParetoFront`] is the one front algorithm:
+//! the figure drivers fold their points through it
+//! ([`mark_pareto`](crate::mark_pareto)) and the cluster `sweep` op folds
+//! shard results through it. Insertion is dominance-pruned, fronts
+//! merge, and a canonical serialization order makes two sweeps over the
+//! same point set emit byte-identical fronts regardless of arrival
+//! order.
 
 /// `a` dominates `b` iff `a` is no worse in every objective and strictly
 /// better in at least one (all objectives minimized).
@@ -25,38 +25,6 @@ pub fn dominates(a: &[f64], b: &[f64]) -> bool {
         }
     }
     strictly
-}
-
-/// Indices of the Pareto-optimal points among `objectives` (minimization).
-///
-/// Duplicate objective vectors are all retained (none dominates another).
-pub fn pareto_indices(objectives: &[Vec<f64>]) -> Vec<usize> {
-    let mut frontier: Vec<usize> = Vec::new();
-    'points: for (i, obj) in objectives.iter().enumerate() {
-        let mut keep = Vec::with_capacity(frontier.len() + 1);
-        for &f in &frontier {
-            if dominates(&objectives[f], obj) {
-                // Already dominated; keep the frontier as it was.
-                continue 'points;
-            }
-            if !dominates(obj, &objectives[f]) {
-                keep.push(f);
-            }
-        }
-        keep.push(i);
-        frontier = keep;
-    }
-    frontier.sort_unstable();
-    frontier
-}
-
-/// Convenience: Pareto-optimal flags, aligned with the input.
-pub fn pareto_mask(objectives: &[Vec<f64>]) -> Vec<bool> {
-    let mut mask = vec![false; objectives.len()];
-    for i in pareto_indices(objectives) {
-        mask[i] = true;
-    }
-    mask
 }
 
 /// One entry of a streaming [`ParetoFront`]: an opaque point key (the
@@ -75,7 +43,7 @@ pub struct FrontEntry {
 /// equal point sets.
 ///
 /// Two entries with equal objective vectors but distinct keys are both
-/// retained (neither dominates the other), matching [`pareto_indices`].
+/// retained (neither dominates the other).
 /// Re-inserting an entry whose key is already present is a no-op, which
 /// makes journal-replay resumption idempotent.
 ///
@@ -160,6 +128,22 @@ impl ParetoFront {
 mod tests {
     use super::*;
 
+    /// The indices that survive folding `objectives` through a front
+    /// keyed by point index, ascending.
+    fn front_indices(objectives: &[Vec<f64>]) -> Vec<usize> {
+        let mut front = ParetoFront::new();
+        for (i, o) in objectives.iter().enumerate() {
+            front.insert(i.to_string(), o.clone());
+        }
+        let mut idx: Vec<usize> = front
+            .entries()
+            .iter()
+            .map(|e| e.key.parse().unwrap())
+            .collect();
+        idx.sort_unstable();
+        idx
+    }
+
     #[test]
     fn dominance_basics() {
         assert!(dominates(&[1.0, 1.0], &[2.0, 2.0]));
@@ -180,13 +164,13 @@ mod tests {
             vec![4.0, 1.0], // frontier
             vec![4.0, 4.0], // dominated
         ];
-        assert_eq!(pareto_indices(&pts), vec![0, 1, 3]);
+        assert_eq!(front_indices(&pts), vec![0, 1, 3]);
     }
 
     #[test]
     fn duplicates_survive() {
         let pts = vec![vec![1.0, 1.0], vec![1.0, 1.0], vec![2.0, 2.0]];
-        assert_eq!(pareto_indices(&pts), vec![0, 1]);
+        assert_eq!(front_indices(&pts), vec![0, 1]);
     }
 
     #[test]
@@ -205,7 +189,8 @@ mod tests {
             let b = (x >> 33) % 1000;
             pts.push(vec![a as f64, b as f64]);
         }
-        let mask = pareto_mask(&pts);
+        let front = front_indices(&pts);
+        let mask: Vec<bool> = (0..pts.len()).map(|i| front.contains(&i)).collect();
         // 1. No frontier point is dominated by any other point.
         for (i, m) in mask.iter().enumerate() {
             if *m {
@@ -228,7 +213,7 @@ mod tests {
     #[test]
     fn single_objective_is_min() {
         let pts = vec![vec![5.0], vec![2.0], vec![9.0], vec![2.0]];
-        assert_eq!(pareto_indices(&pts), vec![1, 3]);
+        assert_eq!(front_indices(&pts), vec![1, 3]);
     }
 
     #[test]
@@ -272,10 +257,9 @@ mod tests {
             whole.insert(format!("p{i}"), p.clone());
         }
         let survivors: Vec<String> = whole.entries().into_iter().map(|e| e.key).collect();
-        let expect: Vec<String> = pareto_indices(&pts)
-            .into_iter()
-            .map(|i| format!("p{i}"))
-            .collect();
+        // `simple_frontier`'s points: 0, 1 and 3 survive, in canonical
+        // (sorted-objective) order.
+        let expect = vec!["p0", "p1", "p3"];
         assert_eq!(survivors, expect);
 
         // Split the stream in half, front each part, merge: same result.

@@ -1,6 +1,6 @@
 //! Evaluated design points.
 
-use crate::pareto::pareto_mask;
+use crate::pareto::ParetoFront;
 use crate::space::Config;
 
 /// One evaluated configuration of a design space.
@@ -75,22 +75,19 @@ impl DesignPoint {
 }
 
 /// Mark the Pareto-optimal points in place (five-objective minimization,
-/// following §5.2). Incorrect-hardware points are excluded from the
+/// following §5.2) by folding them through a [`ParetoFront`] keyed by
+/// point index. Incorrect-hardware points are excluded from the
 /// frontier (the paper omits their runtimes).
 pub fn mark_pareto(points: &mut [DesignPoint]) {
-    let objectives: Vec<Vec<f64>> = points
-        .iter()
-        .map(|p| {
-            if p.correct {
-                p.objectives()
-            } else {
-                vec![f64::INFINITY; 5]
-            }
-        })
-        .collect();
-    let mask = pareto_mask(&objectives);
-    for (p, m) in points.iter_mut().zip(mask) {
-        p.pareto = m && p.correct;
+    let mut front = ParetoFront::new();
+    for (i, p) in points.iter().enumerate().filter(|(_, p)| p.correct) {
+        front.insert(i.to_string(), p.objectives());
+    }
+    for p in points.iter_mut() {
+        p.pareto = false;
+    }
+    for e in front.entries() {
+        points[e.key.parse::<usize>().expect("keyed by index")].pareto = true;
     }
 }
 

@@ -29,6 +29,16 @@
 use crate::space::{Config, ParamSpace};
 use hls_sim::Fnv;
 
+/// The most memory a sweep plan may take: the rendered points plus
+/// [`PLAN_POINT_OVERHEAD`] bytes of bookkeeping each. A gateway holds the
+/// whole plan before the first dispatch, so [`SweepSpec::validate`]
+/// refuses a larger one up front.
+const PLAN_BUDGET_BYTES: u64 = 256 << 20;
+
+/// Per-point plan bookkeeping beyond the rendered source (keys, digest,
+/// configuration), as charged against [`PLAN_BUDGET_BYTES`].
+const PLAN_POINT_OVERHEAD: u64 = 256;
+
 /// A fully planned sweep: the template, the parameter space, and the
 /// execution knobs carried by the wire op.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,10 +70,20 @@ impl SweepSpec {
         s
     }
 
+    /// Number of configurations in the full space, or `None` when the
+    /// product of the value-list lengths overflows `u64`.
+    fn total(&self) -> Option<u64> {
+        self.params
+            .iter()
+            .try_fold(1u64, |n, (_, vs)| n.checked_mul(vs.len() as u64))
+    }
+
     /// Check the spec without panicking: non-empty params with unique
-    /// names and non-empty value lists, a non-zero stride, and a
-    /// template whose directives all resolve against the declared
-    /// parameters.
+    /// names and non-empty value lists, a non-zero stride, a template
+    /// whose directives all resolve against the declared parameters,
+    /// and a plan that fits a 256 MiB budget — sized from the
+    /// parameters and the first rendered point, before any point is
+    /// planned.
     pub fn validate(&self) -> Result<(), String> {
         if self.params.is_empty() {
             return Err("sweep needs at least one parameter".to_string());
@@ -82,6 +102,9 @@ impl SweepSpec {
         if self.stride == 0 {
             return Err("stride must be positive".to_string());
         }
+        let Some(total) = self.total() else {
+            return Err("the parameter space has more than 2^64 points".to_string());
+        };
         // Render against the first configuration to surface template
         // errors (unknown parameters, malformed directives) up front.
         let first = self
@@ -89,7 +112,16 @@ impl SweepSpec {
             .iter()
             .next()
             .expect("non-empty params imply a non-empty space");
-        render(&self.template, &first).map(|_| ())
+        let source = render(&self.template, &first)?;
+        let planned = total.div_ceil(self.stride);
+        let bytes = u128::from(planned) * u128::from(source.len() as u64 + PLAN_POINT_OVERHEAD);
+        if bytes > u128::from(PLAN_BUDGET_BYTES) {
+            return Err(format!(
+                "the sweep plans {planned} points in about {bytes} bytes, \
+                 over the {PLAN_BUDGET_BYTES}-byte plan budget"
+            ));
+        }
+        Ok(())
     }
 
     /// The planned point list: every `stride`-th configuration of the
@@ -102,8 +134,12 @@ impl SweepSpec {
     /// the paper's 32,000-point space with a coarse stride, the plan
     /// is what the sweep op pays before the first request leaves the
     /// gateway.
+    ///
+    /// Panics if the space has more than 2^64 points; wire-facing
+    /// callers validate first via [`SweepSpec::validate`], which also
+    /// bounds the plan's size.
     pub fn points(&self) -> Vec<Config> {
-        let total: u64 = self.params.iter().map(|(_, vs)| vs.len() as u64).product();
+        let total = self.total().expect("the parameter space overflows u64");
         let stride = self.stride.max(1);
         let mut out = Vec::with_capacity(total.div_ceil(stride) as usize);
         let mut idx = 0u64;
@@ -116,7 +152,10 @@ impl SweepSpec {
                 rem /= radix;
             }
             out.push(cfg);
-            idx += stride;
+            let Some(next) = idx.checked_add(stride) else {
+                break;
+            };
+            idx = next;
         }
         out
     }
@@ -350,5 +389,39 @@ mod tests {
         let mut bad = spec();
         bad.template = "${nope}".to_string();
         assert!(bad.validate().unwrap_err().contains("nope"));
+    }
+
+    #[test]
+    fn validate_refuses_a_space_past_u64() {
+        // 2^16 values on each of four axes: 2^64 points, one too many.
+        let mut bad = spec();
+        bad.template = "${a}".to_string();
+        bad.params = ["a", "b", "c", "d"]
+            .iter()
+            .map(|n| (n.to_string(), (0..1u64 << 16).collect()))
+            .collect();
+        assert_eq!(bad.total(), None);
+        assert!(bad.validate().unwrap_err().contains("2^64"));
+    }
+
+    #[test]
+    fn validate_bounds_the_plan_before_planning() {
+        // 10^9 points of a ~12 KB template: ~12 TB planned.
+        let axis = |n: &str| (n.to_string(), (1..=1000).collect::<Vec<u64>>());
+        let mut big = SweepSpec {
+            name: "k".to_string(),
+            template: format!("${{a}} ${{b}} ${{c}}{}", " ".repeat(12_000)),
+            params: vec![axis("a"), axis("b"), axis("c")],
+            stage: "est".to_string(),
+            stride: 1,
+        };
+        let err = big.validate().unwrap_err();
+        assert!(err.contains("1000000000 points"), "{err}");
+        assert!(err.contains(&format!("{PLAN_BUDGET_BYTES}-byte")), "{err}");
+        // Striding the same space under the budget makes it valid:
+        // 10^9 / 10^5 = 10^4 points × ~12.3 KB ≈ 123 MB.
+        big.stride = 100_000;
+        assert!(big.validate().is_ok());
+        assert_eq!(big.points().len(), 10_000);
     }
 }

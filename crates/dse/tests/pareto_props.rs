@@ -1,19 +1,44 @@
-//! Property tests for the Pareto machinery: the incremental frontier
-//! agrees with a naive O(n²) oracle, frontier axioms hold on random
-//! point clouds, and the streaming [`ParetoFront`] the cluster sweep
-//! folds shard results through is insertion-order independent with
-//! commutative, idempotent merges. Failing cases are minimized by the
-//! proptest shim's shrinking.
+//! Property tests for the Pareto machinery: [`mark_pareto`] (the
+//! figures' fold through a [`ParetoFront`] keyed by point index) agrees
+//! with a naive O(n²) oracle, frontier axioms hold on random point
+//! clouds, and the streaming front the cluster sweep folds shard results
+//! through is insertion-order independent with commutative, idempotent
+//! merges. Failing cases are minimized by the proptest shim's shrinking.
 
 use proptest::prelude::*;
 
-use dahlia_dse::{dominates, pareto_mask, ParetoFront};
+use dahlia_dse::{dominates, mark_pareto, Config, DesignPoint, ParetoFront};
 
 /// Naive quadratic oracle.
 fn pareto_naive(objs: &[Vec<f64>]) -> Vec<bool> {
     objs.iter()
         .map(|p| !objs.iter().any(|q| dominates(q, p)))
         .collect()
+}
+
+/// The Pareto flags [`mark_pareto`] sets on `objs`, read as five-objective
+/// design points (unused objectives are zero).
+fn marked(objs: &[Vec<f64>]) -> Vec<bool> {
+    let mut points: Vec<DesignPoint> = objs
+        .iter()
+        .map(|o| {
+            let at = |i: usize| o.get(i).map_or(0, |&x| x as u64);
+            DesignPoint {
+                config: Config::new(),
+                cycles: at(0),
+                luts: at(1),
+                ffs: at(2),
+                brams: at(3),
+                dsps: at(4),
+                lut_mems: 0,
+                accepted: true,
+                correct: true,
+                pareto: false,
+            }
+        })
+        .collect();
+    mark_pareto(&mut points);
+    points.iter().map(|p| p.pareto).collect()
 }
 
 fn cloud() -> impl Strategy<Value = Vec<Vec<f64>>> {
@@ -56,12 +81,12 @@ proptest! {
 
     #[test]
     fn incremental_matches_naive(objs in cloud()) {
-        prop_assert_eq!(pareto_mask(&objs), pareto_naive(&objs));
+        prop_assert_eq!(marked(&objs), pareto_naive(&objs));
     }
 
     #[test]
     fn frontier_points_are_mutually_incomparable(objs in cloud()) {
-        let mask = pareto_mask(&objs);
+        let mask = marked(&objs);
         for (i, &mi) in mask.iter().enumerate() {
             for (j, &mj) in mask.iter().enumerate() {
                 if mi && mj {
@@ -91,10 +116,10 @@ proptest! {
 
     #[test]
     fn shuffling_does_not_change_the_frontier_set(objs in cloud()) {
-        let mask = pareto_mask(&objs);
+        let mask = marked(&objs);
         let mut rev = objs.clone();
         rev.reverse();
-        let mask_rev = pareto_mask(&rev);
+        let mask_rev = marked(&rev);
         let fwd: Vec<&Vec<f64>> =
             objs.iter().zip(&mask).filter(|(_, m)| **m).map(|(p, _)| p).collect();
         let mut bwd: Vec<&Vec<f64>> =
@@ -126,11 +151,11 @@ proptest! {
             );
         }
         // And it drops nothing it should keep: survivor count matches the
-        // batch oracle over the deduplicated point set.
+        // naive oracle over the deduplicated point set.
         let mut uniq = objs;
         uniq.sort_by(|a, b| a.partial_cmp(b).unwrap());
         uniq.dedup();
-        let oracle = pareto_mask(&uniq).into_iter().filter(|m| *m).count();
+        let oracle = pareto_naive(&uniq).into_iter().filter(|m| *m).count();
         prop_assert_eq!(f.len(), oracle);
     }
 

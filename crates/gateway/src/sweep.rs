@@ -732,6 +732,41 @@ mod tests {
     }
 
     #[test]
+    fn a_sweep_too_big_to_plan_is_refused_and_the_gateway_keeps_serving() {
+        // 10^9 points of a ~12 KB template: planning it would need
+        // ~12 TB, so validation refuses it before a single point exists.
+        let shard = spawn_shard();
+        let gw = GatewayConfig::new([shard.addr.clone()]).build();
+        let axis = |n: &str| (n.to_string(), (1..=1000).collect::<Vec<u64>>());
+        let mut op = small_op("huge", false, 0);
+        op.spec.template = format!("${{a}}${{b}}${{c}}{}", " ".repeat(12_000));
+        op.spec.params = vec![axis("a"), axis("b"), axis("c")];
+        let lines = run(&gw, op);
+        assert_eq!(lines.len(), 1);
+        let v = Json::parse(&lines[0].0).unwrap();
+        let err = v.get("error").unwrap();
+        assert_eq!(
+            err.get("code").and_then(Json::as_str),
+            Some("sweep/invalid-spec")
+        );
+        let msg = err.get("message").and_then(Json::as_str).unwrap();
+        assert!(msg.contains("1000000000 points"), "{msg}");
+
+        // The gateway answers a normal request afterwards.
+        let resp = gw.submit(&Request::new(
+            "after",
+            Stage::Check,
+            "let A: float[8 bank 2];",
+            "k",
+        ));
+        assert_eq!(
+            resp.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{resp:?}"
+        );
+    }
+
+    #[test]
     fn pruning_skips_dominated_regions_deterministically() {
         // `u` is the innermost axis; the `b=8` region wastes resources
         // at every unroll (more banks, same cycles at u=1), so its

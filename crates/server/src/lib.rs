@@ -123,7 +123,6 @@ use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use dahlia_dse::{EstimateProvider, PointOutcome, ProviderStats};
 use dahlia_obs::{Counter, Histogram, Registry, Sampler, Snapshot, Span, Value, Window};
 
 pub use client::{Client, PipelinedClient};
@@ -266,6 +265,7 @@ fn store_samples(s: &mut Snapshot, st: &StoreStats) {
     for (section, xs) in [
         ("joins_by_stage", &st.joins_by_stage),
         ("executions", &st.executions),
+        ("propagated", &st.propagated),
         ("compute_nanos", &st.compute_nanos),
     ] {
         for stage in Stage::ALL {
@@ -636,63 +636,6 @@ impl SessionHost for Server {
     }
 }
 
-/// A [`dahlia_dse::EstimateProvider`] that routes every evaluation
-/// through a [`Server`], so sweeps share one content-addressed cache:
-/// re-visiting a configuration (across strides, studies, or repeated
-/// sweeps) is a cache hit instead of a recompile.
-pub struct CachedProvider {
-    server: Server,
-}
-
-impl CachedProvider {
-    /// Wrap a server.
-    pub fn new(server: Server) -> CachedProvider {
-        CachedProvider { server }
-    }
-
-    /// The wrapped server (for stats or reuse).
-    pub fn server(&self) -> &Server {
-        &self.server
-    }
-}
-
-impl Default for CachedProvider {
-    fn default() -> Self {
-        CachedProvider::new(Server::new())
-    }
-}
-
-impl EstimateProvider for CachedProvider {
-    fn evaluate(&self, name: &str, source: &str) -> PointOutcome {
-        let resp = self
-            .server
-            .submit(Request::new("dse", Stage::Estimate, source, name));
-        match resp.value {
-            Ok(Artifact::Estimate(e)) => PointOutcome {
-                accepted: true,
-                estimate: Some((*e).clone()),
-                diagnostic: None,
-            },
-            Ok(other) => unreachable!("est request returned {other:?}"),
-            Err(d) => PointOutcome {
-                accepted: false,
-                estimate: None,
-                diagnostic: Some(d),
-            },
-        }
-    }
-
-    fn stats(&self) -> ProviderStats {
-        let s = self.server.stats();
-        ProviderStats {
-            requests: s.requests,
-            cache_hits: s.store.hits + s.store.joins + s.store.disk.hits,
-            cache_misses: s.store.misses,
-            latency_us: s.latency_us,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1058,31 +1001,5 @@ mod tests {
         reactor.join().unwrap();
         drop(server);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn cached_provider_agrees_with_direct() {
-        use dahlia_dse::DirectProvider;
-        let cached = CachedProvider::new(Server::with_threads(2));
-        let direct = DirectProvider::new();
-        for (b, u) in [(1u64, 1u64), (4, 4), (2, 4), (4, 2)] {
-            let src = format!(
-                "let A: float[16 bank {b}];\nfor (let i = 0..16) unroll {u} {{ A[i] := 1.0; }}"
-            );
-            let a = cached.evaluate("k", &src);
-            let d = direct.evaluate("k", &src);
-            assert_eq!(a.accepted, d.accepted, "bank {b} unroll {u}");
-            assert_eq!(a.estimate, d.estimate, "bank {b} unroll {u}");
-        }
-        // Second pass: the cached provider must not recompute anything.
-        let before = cached.stats();
-        for (b, u) in [(1u64, 1u64), (4, 4)] {
-            let src = format!(
-                "let A: float[16 bank {b}];\nfor (let i = 0..16) unroll {u} {{ A[i] := 1.0; }}"
-            );
-            cached.evaluate("k", &src);
-        }
-        let delta_misses = cached.stats().cache_misses - before.cache_misses;
-        assert_eq!(delta_misses, 0, "warm sweep must not recompute");
     }
 }

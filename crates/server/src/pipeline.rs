@@ -434,7 +434,27 @@ mod tests {
         // Re-requesting any downstream stage re-uses the cached failure:
         // check never runs twice.
         let _ = p.artifact(ILL_TYPED, Stage::Cpp, &opts);
-        assert_eq!(p.stats().executions[Stage::Check.index()], 1);
+        let s = p.stats();
+        assert_eq!(s.executions[Stage::Check.index()], 1);
+        // Stages that only passed the check error on are counted apart:
+        // no execution, no compute time.
+        for stage in [Stage::Lower, Stage::Estimate, Stage::Cpp] {
+            assert_eq!(s.executions[stage.index()], 0, "{stage:?}");
+            assert_eq!(s.compute_nanos[stage.index()], 0, "{stage:?}");
+            assert_eq!(s.propagated[stage.index()], 1, "{stage:?}");
+        }
+        assert_eq!(p.compute_hists()[Stage::Estimate.index()].count, 0);
+        assert_eq!(s.propagated[Stage::Parse.index()], 0);
+        assert_eq!(s.propagated[Stage::Check.index()], 0);
+        assert_eq!(s.total_executions(), 2, "parse + check");
+
+        // A parse error reaching check is check's propagation.
+        let (v, _) = p.artifact("let = oops", Stage::Check, &opts);
+        assert_eq!(v.unwrap_err().phase, dahlia_core::diag::Phase::Parse);
+        let s = p.stats();
+        assert_eq!(s.executions[Stage::Check.index()], 1);
+        assert_eq!(s.propagated[Stage::Check.index()], 1);
+        assert_eq!(s.executions[Stage::Parse.index()], 2);
     }
 
     #[test]

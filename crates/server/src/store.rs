@@ -96,6 +96,11 @@ pub struct StoreStats {
     /// Computations actually executed, per stage (indexed by
     /// [`Stage::index`]).
     pub executions: [u64; STAGE_COUNT],
+    /// Computations that only passed on an earlier stage's rejection,
+    /// per stage (indexed by [`Stage::index`]): a type error reaching
+    /// `est` through `lower`, say. Cached like any result, but neither
+    /// an execution nor compute time.
+    pub propagated: [u64; STAGE_COUNT],
     /// Cumulative wall time spent *computing* each stage, in
     /// nanoseconds (indexed by [`Stage::index`]) — cache hits and joins
     /// contribute nothing, so `compute_nanos[i] / executions[i]` is the
@@ -139,6 +144,7 @@ pub struct Store {
     joins: AtomicU64,
     joins_by_stage: [AtomicU64; STAGE_COUNT],
     executions: [AtomicU64; STAGE_COUNT],
+    propagated: [AtomicU64; STAGE_COUNT],
     compute_nanos: [AtomicU64; STAGE_COUNT],
     compute_hist: [Histogram; STAGE_COUNT],
 }
@@ -168,6 +174,7 @@ impl Store {
             joins: AtomicU64::new(0),
             joins_by_stage: Default::default(),
             executions: Default::default(),
+            propagated: Default::default(),
             compute_nanos: Default::default(),
             compute_hist: std::array::from_fn(|_| Histogram::new()),
         }
@@ -198,21 +205,17 @@ impl Store {
 
     /// Current counters.
     pub fn stats(&self) -> StoreStats {
-        let mut executions = [0u64; STAGE_COUNT];
-        let mut joins_by_stage = [0u64; STAGE_COUNT];
-        let mut compute_nanos = [0u64; STAGE_COUNT];
-        for i in 0..STAGE_COUNT {
-            executions[i] = self.executions[i].load(Ordering::Relaxed);
-            joins_by_stage[i] = self.joins_by_stage[i].load(Ordering::Relaxed);
-            compute_nanos[i] = self.compute_nanos[i].load(Ordering::Relaxed);
-        }
+        let load = |xs: &[AtomicU64; STAGE_COUNT]| -> [u64; STAGE_COUNT] {
+            std::array::from_fn(|i| xs[i].load(Ordering::Relaxed))
+        };
         StoreStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             joins: self.joins.load(Ordering::Relaxed),
-            joins_by_stage,
-            executions,
-            compute_nanos,
+            joins_by_stage: load(&self.joins_by_stage),
+            executions: load(&self.executions),
+            propagated: load(&self.propagated),
+            compute_nanos: load(&self.compute_nanos),
             evict: self.inner.lock().unwrap().lru.stats(),
             disk: self.tier.as_ref().map(|t| t.stats()).unwrap_or_default(),
         }
@@ -280,7 +283,6 @@ impl Store {
         // and every joiner (present and future) blocks on the condvar.
         // Convert panics into cached internal diagnostics instead.
         self.misses.fetch_add(1, Ordering::Relaxed);
-        self.executions[key.stage.index()].fetch_add(1, Ordering::Relaxed);
         let compute_start = Instant::now();
         let value = std::panic::catch_unwind(std::panic::AssertUnwindSafe(compute)).unwrap_or_else(
             |payload| {
@@ -298,11 +300,17 @@ impl Store {
             },
         );
 
-        let nanos = compute_start.elapsed().as_nanos() as u64;
-        self.compute_nanos[key.stage.index()].fetch_add(nanos, Ordering::Relaxed);
-        // Beside the flat sum: the per-stage compute-cost distribution
-        // (microseconds), for the stats `hist` section and /metrics.
-        self.compute_hist[key.stage.index()].record(nanos / 1_000);
+        let i = key.stage.index();
+        if propagated(key.stage, &value) {
+            self.propagated[i].fetch_add(1, Ordering::Relaxed);
+        } else {
+            let nanos = compute_start.elapsed().as_nanos() as u64;
+            self.executions[i].fetch_add(1, Ordering::Relaxed);
+            self.compute_nanos[i].fetch_add(nanos, Ordering::Relaxed);
+            // Beside the flat sum: the per-stage compute-cost distribution
+            // (microseconds), for the stats `hist` section and /metrics.
+            self.compute_hist[i].record(nanos / 1_000);
+        }
 
         // Write-behind to the persistent tier — but never persist
         // internal diagnostics: a caught panic is a tooling bug, not a
@@ -339,6 +347,18 @@ impl Store {
         *slot = Some(value);
         drop(slot);
         flight.done.notify_all();
+    }
+}
+
+/// Is `value` a rejection from a phase before `stage` — a lex or parse
+/// error reaching `check`, or any non-internal diagnostic reaching a
+/// stage after `check` — that the stage only passed on?
+fn propagated(stage: Stage, value: &CacheValue) -> bool {
+    let Err(d) = value else { return false };
+    match stage {
+        Stage::Parse => false,
+        Stage::Check => matches!(d.phase, Phase::Lex | Phase::Parse),
+        _ => d.phase != Phase::Internal,
     }
 }
 

@@ -151,6 +151,7 @@ fn stats_line_and_protocol_errors() {
             "joins",
             "joins_by_stage",
             "executions",
+            "propagated",
             "compute_nanos",
             "intern",
             "evict",
@@ -184,6 +185,10 @@ fn stats_line_and_protocol_errors() {
     assert_eq!(ex.keys(), stage_keys);
     assert_eq!(ex.get("parse").and_then(Json::as_u64), Some(1));
     assert_eq!(ex.get("cpp").and_then(Json::as_u64), Some(0));
+    // Rejections passed on from an earlier stage are counted apart from
+    // executions, per stage.
+    let propagated = s.get("propagated").unwrap();
+    assert_eq!(propagated.keys(), stage_keys);
     // Per-stage join accounting is part of the contract (eviction
     // tuning reads it), even when everything here is zero.
     let joins = s.get("joins_by_stage").unwrap();

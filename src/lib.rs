@@ -13,7 +13,7 @@
 //! * [`hls`] — the traditional-HLS toolchain simulator (partitioning,
 //!   port-constrained scheduling, area/latency models);
 //! * [`spatial`] — the Spatial banking-inference comparator;
-//! * [`dse`] — design spaces, Pareto frontiers, estimation providers,
+//! * [`dse`] — design spaces, sweep planning, the Pareto front,
 //!   reports;
 //! * [`kernels`] — the 16 MachSuite benchmark ports;
 //! * [`obs`] — observability primitives shared by the serving stack:
@@ -70,25 +70,34 @@
 //! assert_eq!(responses.iter().filter(|r| r.cached).count(), 31);
 //! ```
 //!
-//! The same cache accelerates design-space exploration: route a sweep
-//! through [`server::CachedProvider`] and re-runs cost nothing:
+//! The same cache accelerates design-space exploration: submit every
+//! point of a sweep to one [`server::Server`] and a re-run costs nothing
+//! (this is how the `fig7`/`fig8` drivers run the paper's sweeps):
 //!
 //! ```
-//! use dahlia::dse::{explore, EstimateProvider, ParamSpace};
-//! use dahlia::server::{CachedProvider, Server};
+//! use dahlia::dse::ParamSpace;
+//! use dahlia::server::{Request, Server, Stage};
 //!
 //! let space = ParamSpace::new().param("bank", [1, 2, 4]).param("unroll", [1, 2, 4]);
-//! let provider = CachedProvider::new(Server::with_threads(2));
-//! let render = |cfg: &dahlia::dse::Config| format!(
-//!     "let A: float[8 bank {}];
-//!      for (let i = 0..8) unroll {} {{ A[i] := 1.0; }}",
-//!     cfg["bank"], cfg["unroll"],
-//! );
+//! let server = Server::with_threads(2);
+//! let accepted = || {
+//!     space
+//!         .iter()
+//!         .filter(|cfg| {
+//!             let src = format!(
+//!                 "let A: float[8 bank {}];
+//!                  for (let i = 0..8) unroll {} {{ A[i] := 1.0; }}",
+//!                 cfg["bank"], cfg["unroll"],
+//!             );
+//!             server.submit(Request::new("dse", Stage::Estimate, src, "k")).ok()
+//!         })
+//!         .count()
+//! };
 //!
-//! let cold = explore(&space, "k", &provider, render);
-//! let warm = explore(&space, "k", &provider, render);
-//! assert_eq!(cold.summary().accepted, 5);
-//! assert_eq!(warm.stats.cache_misses, 0, "second sweep is all cache hits");
+//! assert_eq!(accepted(), 5);
+//! let cold = server.stats().store.misses;
+//! assert_eq!(accepted(), 5);
+//! assert_eq!(server.stats().store.misses, cold, "second sweep is all cache hits");
 //! ```
 
 pub use dahlia_backend as backend;
