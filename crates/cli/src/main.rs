@@ -197,8 +197,8 @@ const USAGE: &str = "usage: dahliac <command> [args]
                                       file
 
   host flags (serve, batch, gateway):
-    --threads N                       worker pool size (a gateway's dispatch
-                                      pool; also each --spawn-workers shard)
+    --threads N                       compile worker pool size (on a gateway:
+                                      each --spawn-workers shard's pool)
     --trace-journal N                 bound the trace ring buffer
     --slow-threshold-ms MS            requests slower than this land in the
                                       slow log ({\"op\":\"slowlog\"}) with spans
@@ -281,12 +281,13 @@ impl From<String> for Fail {
 
 /// A front-end error, exit code by phase.
 fn front_end(e: Error) -> Fail {
-    let code = match e {
-        Error::Lex { .. } | Error::Parse { .. } => EXIT_PARSE,
-        Error::Type(_) => EXIT_TYPE,
-        Error::Interp { .. } => EXIT_RUNTIME,
-    };
-    Fail(code, e.to_string())
+    match e {
+        Error::Lex { .. } | Error::Parse { .. } => Fail(EXIT_PARSE, e.to_string()),
+        // The stable diagnostic code (`type/...`) rides along, so
+        // scripts can match a rejection without parsing the message.
+        Error::Type(_) => Fail(EXIT_TYPE, format!("{e} [{}]", e.diagnostic().code)),
+        Error::Interp { .. } => Fail(EXIT_RUNTIME, e.to_string()),
+    }
 }
 
 /// Read a source file, `-` meaning stdin.
@@ -884,9 +885,6 @@ fn cmd_gateway(args: &[String]) -> Outcome {
     let mut cfg = GatewayConfig::new_weighted(shard_addrs).telemetry(opts.telemetry.clone());
     if let Some(r) = replication {
         cfg = cfg.replication(r);
-    }
-    if let Some(t) = opts.threads {
-        cfg = cfg.threads(t);
     }
     if let Some(n) = auto_drain_after {
         cfg = cfg.auto_drain_after(n);

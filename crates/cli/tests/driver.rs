@@ -72,6 +72,27 @@ fn check_accepts_and_rejects() {
 }
 
 #[test]
+fn a_bank_count_past_the_budget_is_a_type_error_under_a_memory_cap() {
+    // Per-bank capability state for 10^8 banks would abort the process
+    // under this cap; the size budget rejects it from the types first.
+    let big = write_tmp(
+        "dahliac_size_budget.fuse",
+        "let A: float[100000000 bank 100000000]; A[0] := 1.0;\n",
+    );
+    let out = Command::new("sh")
+        .arg("-c")
+        .arg("ulimit -v 2000000; exec \"$0\" check \"$1\"")
+        .arg(env!("CARGO_BIN_EXE_dahliac"))
+        .arg(&big)
+        .output()
+        .expect("sh runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(4), "{err}");
+    assert!(err.contains("type/size-budget"), "{err}");
+    assert!(err.contains("65536"), "{err}");
+}
+
+#[test]
 fn cpp_emits_pragmas() {
     let good = write_tmp("dahliac_cpp.fuse", GOOD);
     let (out, _, ok) = run(&["cpp", &good, "my_kernel"]);

@@ -17,6 +17,12 @@ use crate::intern::SymbolMap;
 use crate::span::Span;
 use caps::{BankSet, Caps, ResolvedAccess};
 
+/// Most flat banks one program may declare, summed over its memories,
+/// function parameters, and shift views. The checker keeps capability
+/// state per bank, so this bounds its memory before it allocates any; a
+/// program past it is rejected with [`TypeErrorKind::SizeBudget`].
+pub const MAX_BANKS: u64 = 65_536;
+
 /// Statistics about a successfully checked program.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CheckReport {
@@ -104,6 +110,9 @@ struct Checker {
     unrolled: Vec<(Id, u64)>,
     in_combine: bool,
     in_reduce_rhs: bool,
+    /// Flat banks declared so far, across memories, parameters, and
+    /// shift views; bounded by [`MAX_BANKS`].
+    banks: u64,
     report: CheckReport,
 }
 
@@ -117,6 +126,7 @@ impl Checker {
             unrolled: Vec::new(),
             in_combine: false,
             in_reduce_rhs: false,
+            banks: 0,
             report: CheckReport::default(),
         }
     }
@@ -176,9 +186,10 @@ impl Checker {
         for p in &f.params {
             let r = match &p.ty {
                 Type::Mem(m) => {
-                    let r = self.validate_mem_type(m, f.span);
+                    let r = self
+                        .validate_mem_type(m, f.span)
+                        .and_then(|()| self.add_memory(p.name, m, m.ports, f.span));
                     if r.is_ok() {
-                        self.caps.add_memory(p.name, &bank_dims(m), m.ports);
                         self.declare(
                             p.name,
                             Binding::Mem(Rc::new(MemEntry {
@@ -255,9 +266,46 @@ impl Checker {
         Ok(())
     }
 
+    /// Give `m`'s banks `ports` capabilities each — after checking the
+    /// bank count against the program's budget. The capability state
+    /// holds one entry per flat bank, so the count is bounded from the
+    /// types before anything is allocated; an overflowing product
+    /// counts as over budget.
+    fn add_memory(
+        &mut self,
+        name: Id,
+        m: &MemType,
+        ports: u32,
+        span: Span,
+    ) -> Result<(), TypeError> {
+        let dims = bank_dims(m);
+        let banks = dims.iter().try_fold(1u64, |acc, &b| acc.checked_mul(b));
+        let total = banks
+            .and_then(|b| b.checked_add(self.banks))
+            .filter(|&t| t <= MAX_BANKS);
+        let Some(total) = total else {
+            let count = banks.map_or_else(|| format!("more than {}", u64::MAX), |b| b.to_string());
+            let before = match self.banks {
+                0 => String::new(),
+                n => format!(" on top of the {n} declared before it"),
+            };
+            return Err(TypeError::new(
+                TypeErrorKind::SizeBudget,
+                format!(
+                    "memory `{name}` has {count} banks{before}, over the budget of \
+                     {MAX_BANKS} banks per program"
+                ),
+                span,
+            ));
+        };
+        self.banks = total;
+        self.caps.add_memory(name, &dims, ports);
+        Ok(())
+    }
+
     fn declare_memory(&mut self, name: Id, m: &MemType, span: Span) -> Result<(), TypeError> {
         self.validate_mem_type(m, span)?;
-        self.caps.add_memory(name, &bank_dims(m), m.ports);
+        self.add_memory(name, m, m.ports, span)?;
         self.declare(
             name,
             Binding::Mem(Rc::new(MemEntry {
@@ -834,7 +882,7 @@ impl Checker {
         // the underlying memory on first use per time step.
         if matches!(op, ViewOp::Shift) {
             let (_, root_ports) = self.root_of(mem);
-            self.caps.add_memory(name, &bank_dims(&ty), root_ports);
+            self.add_memory(name, &ty, root_ports, span)?;
         }
         self.declare(
             name,

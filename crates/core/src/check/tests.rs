@@ -660,3 +660,52 @@ fn gemm_blocked_shape_typechecks() {
          }",
     );
 }
+
+// ------------------------------------------------------- size budget
+
+/// The message of the type error `src` is rejected with.
+fn rejection(src: &str) -> String {
+    match typecheck(&parse(src).unwrap()) {
+        Err(Error::Type(t)) => t.msg,
+        other => panic!("expected a type error, got {other:?}"),
+    }
+}
+
+#[test]
+fn bank_count_past_the_budget_is_rejected_before_allocation() {
+    let src = "let A: float[100000000 bank 100000000]; A[0] := 1.0;";
+    rejects(src, TypeErrorKind::SizeBudget);
+    let message = rejection(src);
+    assert!(message.contains("100000000 banks"), "{message}");
+    assert!(message.contains("65536"), "{message}");
+    // The budget is per program: memories, parameters, and shift views
+    // add up, and a program exactly at it is fine.
+    accepts("let A: float[65536 bank 65536]; A[0] := 1.0;");
+    rejects(
+        "let A: float[65536 bank 65536]; let B: float[2 bank 2]; B[0] := 1.0;",
+        TypeErrorKind::SizeBudget,
+    );
+    rejects(
+        "def g(M: float[65536 bank 65536]) { M[0] := 1.0; }
+         let A: float[2 bank 2]; A[0] := 1.0;",
+        TypeErrorKind::SizeBudget,
+    );
+    rejects(
+        "let A: float[65536 bank 65536];
+         view s = shift A[by 1];",
+        TypeErrorKind::SizeBudget,
+    );
+}
+
+#[test]
+fn overflowing_bank_product_is_a_size_error() {
+    // 2^32 × 2^32 wraps a u64 to 0; it must not be clamped to one bank.
+    let src = "let A: float[4294967296 bank 4294967296][4294967296 bank 4294967296];
+               A[1][1] := 1.0;";
+    rejects(src, TypeErrorKind::SizeBudget);
+    let message = rejection(src);
+    assert!(
+        message.contains("more than 18446744073709551615"),
+        "{message}"
+    );
+}

@@ -102,6 +102,7 @@ pub fn type_error_code(kind: TypeErrorKind) -> &'static str {
         TypeErrorKind::UnevenUnroll => "type/uneven-unroll",
         TypeErrorKind::BadCombine => "type/bad-combine",
         TypeErrorKind::BadCall => "type/bad-call",
+        TypeErrorKind::SizeBudget => "type/size-budget",
     }
 }
 
@@ -175,6 +176,7 @@ mod tests {
             TypeErrorKind::UnevenUnroll,
             TypeErrorKind::BadCombine,
             TypeErrorKind::BadCall,
+            TypeErrorKind::SizeBudget,
         ];
         let codes: std::collections::HashSet<&str> =
             kinds.iter().map(|k| type_error_code(*k)).collect();

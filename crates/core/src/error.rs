@@ -146,6 +146,9 @@ pub enum TypeErrorKind {
     BadCombine,
     /// Wrong arity or argument type in a function call.
     BadCall,
+    /// The program declares more banks than the checker's budget
+    /// ([`MAX_BANKS`](crate::check::MAX_BANKS)).
+    SizeBudget,
 }
 
 #[cfg(test)]

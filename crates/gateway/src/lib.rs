@@ -27,6 +27,20 @@
 //! * One [`PipelinedClient`] per shard multiplexes every in-flight
 //!   request over a single v1 binary-wire session, correlated by wire
 //!   id. A shard that will not negotiate v1 is treated as dead.
+//! * **Requests run to completion without a dispatch pool.** The
+//!   reactor answers an admission-cache hit on the spot; a miss is
+//!   sent to its shard with [`PipelinedClient::send`], which never
+//!   blocks, and the hop's reply callback — on that client's reader
+//!   thread — either re-routes to the next candidate or finishes the
+//!   request (window, telemetry, hop spans, admission insert, answer).
+//!   No thread is parked per in-flight request. Each shard's client
+//!   keeps at most 32 requests on the wire and holds the rest, so a
+//!   cold backlog waits in the gateway
+//!   instead of being shed by the shard; a shard that sheds anyway
+//!   (`admission/overloaded`) is re-routed past. [`Gateway::submit`]
+//!   and the sweep's point workers block on this same path. Only stats
+//!   polls and admin ops, which block on shard I/O, use a small
+//!   control pool.
 //! * **Replication** ([`GatewayConfig::replication`], default 1):
 //!   every newly computed artifact fans out to the top-N shards in
 //!   rendezvous order, so killing the primary serves warm artifacts
@@ -73,6 +87,7 @@ pub mod hash;
 mod ledger;
 mod sweep;
 
+use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -95,6 +110,18 @@ const WARM_KEY_CAP: usize = 8192;
 /// (the ledger clones each request, source text included).
 const WARM_KEY_MAX_BYTES: usize = 64 << 20;
 
+/// Threads for the gateway's blocking control work (stats polls, admin
+/// ops); requests never touch them.
+const CONTROL_THREADS: usize = 2;
+
+/// Most requests outstanding on one shard's hop; later ones wait in
+/// the shard's client, in order, and their io timeout starts when they
+/// go out. Far below a shard's default `--max-inflight` (256), so the
+/// shard never sheds a hop request, and small enough that a request
+/// waits behind at most 32 others in the shard's pool before the io
+/// timeout judges it.
+const HOP_WINDOW: usize = 32;
+
 /// Default bound on the gateway's hot-source admission cache (entries).
 pub const DEFAULT_ADMISSION_CACHE: usize = 2048;
 
@@ -108,7 +135,6 @@ const ADMISSION_CACHE_MAX_BYTES: usize = 64 << 20;
 pub struct GatewayConfig {
     shards: Vec<(String, f64)>,
     replication: usize,
-    threads: Option<usize>,
     health_interval: Duration,
     connect_timeout: Duration,
     io_timeout: Duration,
@@ -133,7 +159,6 @@ impl GatewayConfig {
         GatewayConfig {
             shards: shards.into_iter().collect(),
             replication: 1,
-            threads: None,
             health_interval: Duration::from_millis(250),
             connect_timeout: Duration::from_millis(1000),
             io_timeout: Duration::from_secs(30),
@@ -150,14 +175,6 @@ impl GatewayConfig {
     /// "replicate everywhere".
     pub fn replication(mut self, n: usize) -> GatewayConfig {
         self.replication = n.max(1);
-        self
-    }
-
-    /// Size of the gateway's dispatch pool (defaults to four slots per
-    /// shard, clamped to 4..=32). Dispatch threads spend their lives
-    /// blocked on shard I/O, so this bounds in-flight requests, not CPU.
-    pub fn threads(mut self, n: usize) -> GatewayConfig {
-        self.threads = Some(n.max(1));
         self
     }
 
@@ -179,7 +196,9 @@ impl GatewayConfig {
     /// answering (stopped process, silent partition — its TCP session
     /// stays up) is declared dead after this long, releasing its
     /// in-flight requests to re-route. Must exceed the slowest
-    /// legitimate compile.
+    /// legitimate compile times the queue ahead of it: up to 32
+    /// requests per shard are on the wire at once, and the clock runs
+    /// while they wait in the shard's pool.
     pub fn io_timeout(mut self, d: Duration) -> GatewayConfig {
         self.io_timeout = d;
         self
@@ -233,9 +252,6 @@ impl GatewayConfig {
             .dir
             .as_ref()
             .map(|dir| dir.join(ledger::LEDGER_FILE));
-        let threads = self
-            .threads
-            .unwrap_or_else(|| (self.shards.len() * 4).clamp(4, 32));
         let mut inner = GwInner {
             topology: Arc::new(RwLock::new(
                 self.shards
@@ -268,7 +284,7 @@ impl GatewayConfig {
             telemetry: Arc::new(telemetry),
             window: Arc::new(Window::with_default_clock()),
             in_flight: Counter::new(),
-            pool: Pool::new(threads),
+            pool: Pool::new(CONTROL_THREADS),
             auto_drain_after: self.auto_drain_after,
             ledger_path,
             sweeps: sweep::SweepCounters::default(),
@@ -346,7 +362,7 @@ type WarmKeys = Lru<u128, Request>;
 /// retained response bytes. Values are shared, so a hit holds the lock
 /// only for a pointer clone; it is then re-stamped with the caller's id
 /// and `cached: true`, the same shape a shard-side warm hit has.
-type AdmissionCache = Lru<(u128, Stage, u128), Arc<Json>>;
+type AdmissionCache = Lru<AdmissionKey, Arc<Json>>;
 
 /// Whether a routed response may be retained by the admission cache:
 /// success, or a deterministic front-end rejection — the same source
@@ -493,7 +509,7 @@ impl Shard {
         }
         match PipelinedClient::connect_timeout(self.addr.as_str(), self.connect_timeout) {
             Ok(c) => {
-                let client = Arc::new(c.with_io_timeout(self.io_timeout));
+                let client = Arc::new(c.with_io_timeout(self.io_timeout).with_window(HOP_WINDOW));
                 *self.client.lock().unwrap() = Some(client);
                 true
             }
@@ -594,9 +610,8 @@ struct GwInner {
     window: Arc<Window>,
     /// Requests currently inside [`GwInner::route`].
     in_flight: Counter,
-    /// Dispatch pool: session requests, stats polls, replication
-    /// fan-out, and admin ops all run here, never on a session's read
-    /// loop.
+    /// Control pool: stats polls and admin ops block on shard I/O, so
+    /// they run here, never on a reactor. Requests never do.
     pool: Pool,
     /// The trace journal (gateway hops plus shard-reported spans), the
     /// slow-request log (routed requests past the threshold), the
@@ -789,154 +804,75 @@ impl GwInner {
             .collect()
     }
 
-    fn submit(self: &Arc<Self>, req: &Request) -> Json {
+    /// Answer `req` through `done`. An untraced admission-cache hit is
+    /// answered on the calling thread; anything else walks the shards
+    /// asynchronously ([`GwInner::route`]) and is admitted to the cache
+    /// on the way out.
+    fn submit(self: &Arc<Self>, req: Request, done: Respond) {
         self.requests.inc();
         let t_submit = Instant::now();
         let key = (source_digest(&req.source), req.stage, req.options.digest());
         // Admission control, stage one: answer hot repeats at the
         // gateway. Traced requests always route — the caller asked for
         // the span breakdown a cache hit cannot produce.
-        if req.trace.is_none() {
-            let hit = self.admission.lock().unwrap().get(&key).cloned();
-            if let Some(cached) = hit {
+        if req.trace.is_some() {
+            return self.route(req, None, done);
+        }
+        let hit = self.admission.lock().unwrap().get(&key).cloned();
+        match hit {
+            Some(cached) => {
                 self.admission_hits.inc();
                 let mut resp = Json::clone(&cached);
-                set_field(&mut resp, "id", Json::Str(req.id.clone()));
+                set_field(&mut resp, "id", Json::Str(req.id));
                 set_field(&mut resp, "cached", Json::Bool(true));
                 self.window
                     .record((t_submit.elapsed().as_nanos() / 1_000) as u64, true);
-                return resp;
+                done(resp);
             }
+            None => self.route(req, Some(key), done),
         }
-        let resp = self.route(req);
-        if req.trace.is_none() && admission_cacheable(&resp) {
-            // Weigh and copy before taking the lock every request takes.
-            let weight = resp.emit().len();
-            let cached = Arc::new(resp.clone());
-            self.admission.lock().unwrap().insert(key, cached, weight);
-        }
-        resp
+    }
+
+    /// [`GwInner::submit`], blocking for the answer: for in-process
+    /// callers and the sweep's point workers, never a reactor or a hop
+    /// reader.
+    fn submit_blocking(self: &Arc<Self>, req: Request) -> Json {
+        wait(|done| self.submit(req, done))
     }
 
     /// Route one request: try candidate shards in rendezvous order,
-    /// skipping dead ones and poisoning/skipping any that fail
-    /// mid-call; answer `admission/unavailable` when none answers. A
-    /// newly computed artifact is replicated to the rest of the top-N
-    /// replica set in the background.
-    ///
-    /// Hop spans are recorded for *every* request (the bench suite
-    /// pins the overhead at noise level): the traced path echoes them
-    /// to the client, the slow log captures them retroactively when
-    /// the request crosses the threshold, and the fast path simply
-    /// drops them.
-    fn route(self: &Arc<Self>, req: &Request) -> Json {
+    /// skipping dead ones and re-routing past any that fail mid-call;
+    /// answer `admission/unavailable` when none answers. Nothing
+    /// blocks: each attempt is a [`PipelinedClient::send`] whose reply
+    /// callback either re-routes or finishes the request. `admit` is
+    /// the admission-cache key a cacheable answer is stored under.
+    fn route(self: &Arc<Self>, req: Request, admit: Option<AdmissionKey>, done: Respond) {
         self.in_flight.inc();
-        let t_route = Instant::now();
-        let mut gw_spans: Vec<Span> = Vec::new();
-        let mut resp = self.route_attempts(req, &mut gw_spans);
-        let wall_us = (t_route.elapsed().as_nanos() / 1_000) as u64;
-        let ok = resp.get("ok").and_then(Json::as_bool).unwrap_or(false);
-        self.window.record(wall_us, ok);
-        self.in_flight.sub(1);
-        // A traced response carries the gateway hops in front of the
-        // shard's own spans; the combined list is what gets recorded.
-        let spans = match &req.trace {
-            Some(trace_id) => {
-                obs_json::prepend_trace_spans(&mut resp, trace_id, &gw_spans);
-                match resp.get("trace").and_then(|t| t.get("spans")) {
-                    Some(Json::Arr(items)) => {
-                        items.iter().filter_map(obs_json::span_from_json).collect()
-                    }
-                    _ => gw_spans,
-                }
-            }
-            None => gw_spans,
-        };
-        self.telemetry.record(req, ok, wall_us, spans);
-        resp
-    }
-
-    /// The shard-attempt loop of [`GwInner::route`], appending one hop
-    /// span per attempt to `gw_spans`.
-    fn route_attempts(self: &Arc<Self>, req: &Request, gw_spans: &mut Vec<Span>) -> Json {
-        let key = source_digest(&req.source);
-        let candidates = self.candidates(key);
-        let mut failed_before = false;
-        for (i, shard) in candidates.iter().enumerate() {
-            let Some(client) = shard.live() else { continue };
-            shard.routed.inc();
-            if failed_before {
-                shard.retried.inc();
-            }
-            let t_attempt = Instant::now();
-            match client.call(req) {
-                Ok(resp) => {
-                    let attempt_us = (t_attempt.elapsed().as_nanos() / 1_000) as u64;
-                    shard.window.record(
-                        attempt_us,
-                        resp.get("ok").and_then(Json::as_bool) == Some(true),
-                    );
-                    if failed_before {
-                        self.rerouted.inc();
-                    }
-                    shard.record_warm(key, req);
-                    let fanned = self.replicate(key, req, &candidates, i, &resp);
-                    gw_spans.push(Span::with_detail(
-                        format!("shard:{}", shard.addr),
-                        attempt_us,
-                        if failed_before { "rerouted" } else { "routed" },
-                    ));
-                    if fanned > 0 {
-                        // Fire-and-forget: the span records the
-                        // fan-out degree, not its (off-path) cost.
-                        gw_spans.push(Span::with_detail(
-                            "replicate",
-                            0,
-                            format!("fanout={fanned}"),
-                        ));
-                    }
-                    return resp;
-                }
-                Err(_) => {
-                    // The client poisoned itself; the next live shard
-                    // in rendezvous order inherits this key (and every
-                    // other key this shard owned).
-                    let attempt_us = (t_attempt.elapsed().as_nanos() / 1_000) as u64;
-                    shard.window.record(attempt_us, false);
-                    shard.failed.inc();
-                    failed_before = true;
-                    gw_spans.push(Span::with_detail(
-                        format!("shard:{}", shard.addr),
-                        attempt_us,
-                        "failed",
-                    ));
-                }
-            }
+        // The admission key already holds the source digest.
+        let key = admit.map_or_else(|| source_digest(&req.source), |(digest, _, _)| digest);
+        Route {
+            inner: Arc::clone(self),
+            req: Arc::new(req),
+            key,
+            admit,
+            candidates: self.candidates(key),
+            next: 0,
+            failed_before: false,
+            shed: None,
+            spans: Vec::new(),
+            t_route: Instant::now(),
+            done,
         }
-        // No shard answered. A dead one is re-dialled once per health
-        // tick, so that is when a retry can first succeed.
-        self.unavailable.inc();
-        let retry_after_ms = self.health_interval.as_millis() as u64;
-        gw_spans.push(Span::with_detail(
-            "unavailable",
-            0,
-            format!("retry_after_ms={retry_after_ms}"),
-        ));
-        admission_error(
-            &req.id,
-            "admission/unavailable",
-            "no shard is reachable; retry after the hinted delay",
-            retry_after_ms,
-        )
+        .attempt();
     }
 
     /// Fan a **newly computed** artifact out to the remaining members
     /// of the key's replica set — the first `replication` candidates in
     /// rendezvous order, minus the shard that just answered. Fire and
-    /// forget on the pool: replication is a cache warmer, and a slow or
-    /// dying replica must never add latency to the caller's response.
-    /// Warm hits (`cached: true`) skip the fan-out; their replica set
-    /// was warmed when the artifact was first computed.
+    /// forget: replication is a cache warmer, and a slow or dying
+    /// replica must never add latency to the caller's response. Warm
+    /// hits (`cached: true`) skip the fan-out; their replica set was
+    /// warmed when the artifact was first computed.
     ///
     /// Best-effort: a replica that is down (or whose call fails) is
     /// *not* retried — the key stays singly-held until the next cold
@@ -974,7 +910,8 @@ impl GwInner {
             // the trace id so they don't show up in shard journals.
             let mut req = req.clone();
             req.trace = None;
-            self.pool.execute(move || match client.call(&req) {
+            let req = Arc::new(req);
+            client.send(&Arc::clone(&req), move |r| match r {
                 Ok(_) => shard.record_warm(key, &req),
                 Err(_) => {
                     inner.replica_failures.inc();
@@ -1010,7 +947,7 @@ impl GwInner {
                         // bookkeeping, not client traffic); replicas
                         // fan out as usual, and the draining shard is
                         // already out of the candidate set.
-                        inner.route(&req);
+                        wait(|done| inner.route(req, None, done));
                         t_shard.drained_keys.inc();
                     }
                 });
@@ -1116,6 +1053,23 @@ impl GwInner {
     }
 }
 
+/// Start an asynchronous request with `start` and block for its answer.
+fn wait(start: impl FnOnce(Respond)) -> Json {
+    let (tx, rx) = std::sync::mpsc::sync_channel(1);
+    start(Box::new(move |resp| {
+        let _ = tx.send(resp);
+    }));
+    rx.recv().expect("a routed request is always answered")
+}
+
+/// Did a shard shed this request past its admission window?
+fn is_shed(resp: &Json) -> bool {
+    resp.get("error")
+        .and_then(|e| e.get("code"))
+        .and_then(Json::as_str)
+        == Some("admission/overloaded")
+}
+
 /// Overwrite (or append) one field of a response object in place.
 fn set_field(resp: &mut Json, key: &str, val: Json) {
     if let Json::Obj(fields) = resp {
@@ -1123,6 +1077,170 @@ fn set_field(resp: &mut Json, key: &str, val: Json) {
             Some((_, slot)) => *slot = val,
             None => fields.push((key.to_string(), val)),
         }
+    }
+}
+
+/// The admission cache's key: `(source, stage, options)` digests.
+type AdmissionKey = (u128, Stage, u128);
+
+/// One request's walk over its rendezvous candidates, carried from
+/// attempt to attempt through the reply callbacks.
+///
+/// Hop spans are recorded for *every* request: the traced path echoes
+/// them to the client, the slow log captures them retroactively when
+/// the request crosses the threshold, and the fast path simply drops
+/// them.
+struct Route {
+    inner: Arc<GwInner>,
+    req: Arc<Request>,
+    /// The source digest: the rendezvous and warm-key ledger key.
+    key: u128,
+    admit: Option<AdmissionKey>,
+    candidates: Vec<Arc<Shard>>,
+    /// The next candidate to try.
+    next: usize,
+    failed_before: bool,
+    /// The last shard's `admission/overloaded` reply: the answer if no
+    /// later candidate takes the request.
+    shed: Option<Json>,
+    spans: Vec<Span>,
+    t_route: Instant,
+    done: Respond,
+}
+
+impl Route {
+    /// Send to the next live candidate, or answer `admission/
+    /// unavailable` when none is left.
+    fn attempt(mut self) {
+        while let Some(shard) = self.candidates.get(self.next).cloned() {
+            let i = self.next;
+            self.next += 1;
+            let Some(client) = shard.live() else { continue };
+            shard.routed.inc();
+            if self.failed_before {
+                shard.retried.inc();
+            }
+            let t_attempt = Instant::now();
+            let req = Arc::clone(&self.req);
+            client.send(&req, move |r| self.on_reply(i, &shard, t_attempt, r));
+            return;
+        }
+        if let Some(resp) = self.shed.take() {
+            return self.finish(resp);
+        }
+        // No shard answered. A dead one is re-dialled once per health
+        // tick, so that is when a retry can first succeed.
+        let inner = &self.inner;
+        inner.unavailable.inc();
+        let retry_after_ms = inner.health_interval.as_millis() as u64;
+        self.spans.push(Span::with_detail(
+            "unavailable",
+            0,
+            format!("retry_after_ms={retry_after_ms}"),
+        ));
+        let resp = admission_error(
+            &self.req.id,
+            "admission/unavailable",
+            "no shard is reachable; retry after the hinted delay",
+            retry_after_ms,
+        );
+        self.finish(resp);
+    }
+
+    /// One attempt's outcome: finish on a reply; on an error (the
+    /// client poisoned itself) record the failed hop and re-route —
+    /// the next live shard in rendezvous order inherits this key, and
+    /// every other key this shard owned. A shard that shed the request
+    /// is re-routed past too, but stays live.
+    fn on_reply(mut self, i: usize, shard: &Arc<Shard>, t_attempt: Instant, r: io::Result<Json>) {
+        let attempt_us = (t_attempt.elapsed().as_nanos() / 1_000) as u64;
+        let hop = format!("shard:{}", shard.addr);
+        let resp = match r {
+            Ok(resp) if !is_shed(&resp) => resp,
+            Ok(resp) => {
+                shard.window.record(attempt_us, false);
+                self.failed_before = true;
+                self.shed = Some(resp);
+                self.spans
+                    .push(Span::with_detail(hop, attempt_us, "overloaded"));
+                return self.attempt();
+            }
+            Err(_) => {
+                shard.window.record(attempt_us, false);
+                shard.failed.inc();
+                self.failed_before = true;
+                self.spans
+                    .push(Span::with_detail(hop, attempt_us, "failed"));
+                return self.attempt();
+            }
+        };
+        shard.window.record(
+            attempt_us,
+            resp.get("ok").and_then(Json::as_bool) == Some(true),
+        );
+        if self.failed_before {
+            self.inner.rerouted.inc();
+        }
+        shard.record_warm(self.key, &self.req);
+        let fanned = self
+            .inner
+            .replicate(self.key, &self.req, &self.candidates, i, &resp);
+        let detail = if self.failed_before {
+            "rerouted"
+        } else {
+            "routed"
+        };
+        self.spans.push(Span::with_detail(hop, attempt_us, detail));
+        if fanned > 0 {
+            // Fire-and-forget: the span records the fan-out degree,
+            // not its (off-path) cost.
+            self.spans.push(Span::with_detail(
+                "replicate",
+                0,
+                format!("fanout={fanned}"),
+            ));
+        }
+        self.finish(resp);
+    }
+
+    /// Close the request: the window, telemetry and hop spans, the
+    /// admission cache, and the answer.
+    fn finish(self, mut resp: Json) {
+        let Route {
+            inner,
+            req,
+            admit,
+            spans: gw_spans,
+            t_route,
+            done,
+            ..
+        } = self;
+        let wall_us = (t_route.elapsed().as_nanos() / 1_000) as u64;
+        let ok = resp.get("ok").and_then(Json::as_bool).unwrap_or(false);
+        inner.window.record(wall_us, ok);
+        inner.in_flight.sub(1);
+        // A traced response carries the gateway hops in front of the
+        // shard's own spans; the combined list is what gets recorded.
+        let spans = match &req.trace {
+            Some(trace_id) => {
+                obs_json::prepend_trace_spans(&mut resp, trace_id, &gw_spans);
+                match resp.get("trace").and_then(|t| t.get("spans")) {
+                    Some(Json::Arr(items)) => {
+                        items.iter().filter_map(obs_json::span_from_json).collect()
+                    }
+                    _ => gw_spans,
+                }
+            }
+            None => gw_spans,
+        };
+        inner.telemetry.record(&req, ok, wall_us, spans);
+        if let Some(key) = admit.filter(|_| admission_cacheable(&resp)) {
+            // Weigh and copy before taking the lock every request takes.
+            let weight = resp.emit().len();
+            let cached = Arc::new(resp.clone());
+            inner.admission.lock().unwrap().insert(key, cached, weight);
+        }
+        done(resp);
     }
 }
 
@@ -1205,7 +1323,7 @@ impl Gateway {
     /// the caller's id). When no shard answers, the line is a retryable
     /// `admission/unavailable` error.
     pub fn submit(&self, req: &Request) -> Json {
-        self.inner.submit(req)
+        self.inner.submit_blocking(req.clone())
     }
 
     /// Mark `addr` draining: new keys route past it, in-flight work
@@ -1305,9 +1423,10 @@ impl Gateway {
 }
 
 impl SessionHost for Gateway {
+    /// Never blocks: an admission-cache hit is answered here, on the
+    /// reactor thread, and a miss finishes from a shard reply callback.
     fn dispatch(&self, req: Request, respond: Respond) {
-        let inner = Arc::clone(&self.inner);
-        self.inner.pool.execute(move || respond(inner.submit(&req)));
+        self.inner.submit(req, respond);
     }
 
     fn control(&self, op: ControlOp, reply: Reply) {
@@ -1315,7 +1434,7 @@ impl SessionHost for Gateway {
         match op {
             // Stats poll every shard over the network, and admin ops
             // take the topology lock and may dial a joining shard (a
-            // full connect timeout): both run on the dispatch pool,
+            // full connect timeout): both run on the control pool,
             // never on a transport thread.
             ControlOp::Stats => self
                 .inner
@@ -1329,8 +1448,8 @@ impl SessionHost for Gateway {
                 reply(ack, true);
             }),
             // A sweep can run for minutes; a dedicated thread keeps it
-            // off the dispatch pool so point fan-out can never starve
-            // behind the sweep body itself. If the thread cannot start,
+            // off the control pool, so stats and admin ops never queue
+            // behind it. If the thread cannot start,
             // the client sees the session close without a final line —
             // the same contract as a crashed gateway.
             ControlOp::Sweep(op) => {

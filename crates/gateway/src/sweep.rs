@@ -389,7 +389,7 @@ fn evaluate(state: &SweepState<'_>, pts: &[Point], emit: &EmitFn) {
                     p.source.as_str(),
                     state.name.as_str(),
                 );
-                let resp = state.inner.submit(&req);
+                let resp = state.inner.submit_blocking(req);
                 let ok = resp.get("ok").and_then(Json::as_bool) == Some(true);
                 if resp.get("cached").and_then(Json::as_bool) == Some(true) {
                     state.cache_hits.fetch_add(1, Ordering::Relaxed);

@@ -1045,3 +1045,265 @@ fn a_shard_negotiating_v0_is_refused_and_counts_as_dead() {
     shutdown_shard(&addr_new);
     join_new.join().unwrap();
 }
+
+/// A shard that negotiates v1 and then never reads: its socket buffer
+/// fills and stays full. Every connection is held until `stop` is set;
+/// `arrived` fires once request bytes wait unread on the first one.
+fn spawn_stuck_shard(
+    stop: Arc<std::sync::atomic::AtomicBool>,
+    arrived: std::sync::mpsc::Sender<()>,
+) -> (String, std::thread::JoinHandle<()>) {
+    use std::io::{Read, Write};
+    use std::sync::atomic::Ordering;
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().unwrap().to_string();
+    let handle = std::thread::spawn(move || {
+        listener.set_nonblocking(true).unwrap();
+        let mut held = Vec::new();
+        let mut arrived = Some(arrived);
+        while !stop.load(Ordering::SeqCst) {
+            match listener.accept() {
+                Ok((mut stream, _)) => {
+                    stream.set_nonblocking(false).unwrap();
+                    // The hello line is all this shard ever reads.
+                    let mut byte = [0u8; 1];
+                    while byte[0] != b'\n' && stream.read(&mut byte).unwrap_or(0) == 1 {}
+                    let _ = stream.write_all(b"{\"hello\":{\"version\":1}}\n");
+                    held.push(stream);
+                }
+                Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            }
+            if let Some(first) = held.first() {
+                let mut peek = [0u8; 1];
+                first.set_nonblocking(true).unwrap();
+                if matches!(first.peek(&mut peek), Ok(1)) {
+                    if let Some(tx) = arrived.take() {
+                        let _ = tx.send(());
+                    }
+                }
+            }
+        }
+    });
+    (addr, handle)
+}
+
+/// The gateway reactor never blocks on a shard socket: with a shard
+/// that has stopped reading and a backlog of large requests behind
+/// it, a control op and an admission-cache hit on the same gateway are
+/// still answered before any stuck request, and once the io timeout
+/// declares the shard dead every stuck request re-routes (or answers
+/// `admission/unavailable`) — none is lost.
+#[test]
+fn a_shard_that_stops_reading_never_blocks_the_gateway_reactor() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let stop = Arc::new(AtomicBool::new(false));
+    let (arrived_tx, arrived_rx) = std::sync::mpsc::channel();
+    let (stuck_addr, stuck_join) = spawn_stuck_shard(Arc::clone(&stop), arrived_tx);
+    let (real_addr, real_join) = spawn_shard(Server::with_threads(2));
+    let gw = Arc::new(
+        GatewayConfig::new([stuck_addr.clone(), real_addr.clone()])
+            .io_timeout(Duration::from_millis(300))
+            .health_interval(Duration::from_secs(30))
+            .build(),
+    );
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let gw_addr = listener.local_addr().unwrap();
+    let t_gw = Arc::clone(&gw);
+    let gw_join =
+        std::thread::spawn(move || dahlia_server::serve_sessions(t_gw, listener).expect("serve"));
+
+    // Sources by rendezvous owner (both shards weigh 1).
+    let shards = [(stuck_addr.as_str(), 1.0), (real_addr.as_str(), 1.0)];
+    let owner = |src: &str| {
+        dahlia_gateway::hash::weighted_rank(dahlia_server::source_digest(src), &shards)[0]
+    };
+    let warm = (0..)
+        .map(|i| format!("let A: float[8 bank 4]; A[0] := {i}.25;"))
+        .find(|s| owner(s) == 1)
+        .unwrap();
+    // 24 × 256 KiB outruns any loopback socket buffer.
+    let pad = " ".repeat(256 << 10);
+    let stuck: Vec<String> = (0..)
+        .map(|i| format!("let A: float[8 bank 4]; A[0] := {i}.5;{pad}"))
+        .filter(|s| owner(s) == 0)
+        .take(24)
+        .collect();
+    let line = |id: &str, src: &str| Request::new(id, Stage::Estimate, src, "k").to_json().emit();
+
+    // Warm the admission cache through the live shard.
+    let mut probe = Client::connect(gw_addr).expect("probe connection");
+    probe.send_line(&line("w0", &warm)).unwrap();
+    let first = Json::parse(&probe.recv_line().unwrap().unwrap()).unwrap();
+    assert_eq!(first.get("ok").and_then(Json::as_bool), Some(true));
+
+    // The stuck batch, on its own v1 connection; a reader thread notes
+    // when its first answer lands.
+    let mut bulk = Client::connect_wire(gw_addr, 1).expect("bulk connection");
+    for (i, src) in stuck.iter().enumerate() {
+        bulk.send_line(&line(&format!("s{i}"), src)).unwrap();
+    }
+    let n = stuck.len();
+    let bulk_join = std::thread::spawn(move || {
+        let mut answers = Vec::new();
+        let mut first_at = None;
+        for _ in 0..n {
+            let text = bulk.recv_line().unwrap().expect("a stuck request's answer");
+            first_at.get_or_insert_with(std::time::Instant::now);
+            answers.push(Json::parse(&text).unwrap());
+        }
+        (first_at.unwrap(), answers)
+    });
+    arrived_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("request bytes reached the stuck shard");
+
+    // The reactor still answers a control op and an admission hit.
+    probe.send_line(r#"{"op":"trace"}"#).unwrap();
+    probe.send_line(&line("w1", &warm)).unwrap();
+    let trace = Json::parse(&probe.recv_line().unwrap().unwrap()).unwrap();
+    assert!(trace.get("trace").is_some(), "{}", trace.emit());
+    let hit = Json::parse(&probe.recv_line().unwrap().unwrap()).unwrap();
+    let answered_at = std::time::Instant::now();
+    assert_eq!(hit.get("id").and_then(Json::as_str), Some("w1"));
+    assert_eq!(hit.get("cached").and_then(Json::as_bool), Some(true));
+    assert_eq!(gw.admission_cache_hits(), 1);
+
+    let (first_stuck_at, answers) = bulk_join.join().unwrap();
+    assert!(
+        answered_at < first_stuck_at,
+        "the hit was answered while every stuck request was still outstanding"
+    );
+    let mut ids: Vec<String> = answers
+        .iter()
+        .map(|v| {
+            let ok = v.get("ok").and_then(Json::as_bool) == Some(true);
+            let code = v
+                .get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(Json::as_str);
+            assert!(ok || code == Some("admission/unavailable"), "{}", v.emit());
+            v.get("id").and_then(Json::as_str).unwrap().to_string()
+        })
+        .collect();
+    ids.sort();
+    ids.dedup();
+    assert_eq!(ids.len(), n, "every stuck request answered exactly once");
+    assert!(
+        gw.rerouted() >= 1,
+        "stuck requests re-routed past the dead shard"
+    );
+
+    probe.shutdown_server().unwrap();
+    gw_join.join().unwrap();
+    drop(gw);
+    stop.store(true, Ordering::SeqCst);
+    stuck_join.join().unwrap();
+    shutdown_shard(&real_addr);
+    real_join.join().unwrap();
+}
+
+/// Cold backlogs from several client connections, all owned by one
+/// shard, wait in the gateway rather than in the shard: the hop keeps
+/// fewer requests on the wire than the shard's admission window, so
+/// the shard sheds none of them and every request answers ok.
+#[test]
+fn cold_backlogs_from_many_connections_are_never_shed_by_the_shard() {
+    let (addr, shard_join) = spawn_shard(Server::with_compute_delay(1, Duration::from_millis(1)));
+    let gw = Arc::new(GatewayConfig::new([addr.clone()]).build());
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let gw_addr = listener.local_addr().unwrap();
+    let t_gw = Arc::clone(&gw);
+    let gw_join =
+        std::thread::spawn(move || dahlia_server::serve_sessions(t_gw, listener).expect("serve"));
+
+    // Three connections × 200 cold requests: more than the shard's
+    // window of 256 at once.
+    let per_conn = 200;
+    let conns: Vec<_> = (0..3)
+        .map(|c| {
+            std::thread::spawn(move || {
+                let mut client = Client::connect(gw_addr).expect("gateway connection");
+                for i in 0..per_conn {
+                    let source = format!("let A: float[{}]; A[0] := {c}.5;", i + 1);
+                    let req = Request::new(format!("c{c}-{i}"), Stage::Check, source, "k");
+                    client.send_line(&req.to_json().emit()).unwrap();
+                }
+                (0..per_conn)
+                    .map(|_| Json::parse(&client.recv_line().unwrap().unwrap()).unwrap())
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    for conn in conns {
+        for v in conn.join().unwrap() {
+            assert_eq!(
+                v.get("ok").and_then(Json::as_bool),
+                Some(true),
+                "{}",
+                v.emit()
+            );
+        }
+    }
+    let t = shard_transport(&addr);
+    assert_eq!(transport_counter(&t, "requests_shed"), 0, "{t:?}");
+    assert_eq!(gw.rerouted(), 0);
+
+    let mut c = Client::connect(gw_addr).unwrap();
+    c.shutdown_server().unwrap();
+    gw_join.join().unwrap();
+    drop(gw);
+    shutdown_shard(&addr);
+    shard_join.join().unwrap();
+}
+
+/// A shard whose admission window is smaller than the hop's sheds part
+/// of a burst with `admission/overloaded`; the gateway re-routes each
+/// shed request to the next shard rather than answering with the shed.
+#[test]
+fn requests_a_shard_sheds_are_re_routed_to_the_next_shard() {
+    let (small, small_join) = spawn_shard_with(
+        Server::with_compute_delay(1, Duration::from_millis(20)),
+        NetConfig::new().max_inflight(1),
+    );
+    let (big, big_join) = spawn_shard(Server::with_threads(2));
+    let gw = GatewayConfig::new([small.clone(), big.clone()]).build();
+    let shards = [(small.as_str(), 1.0), (big.as_str(), 1.0)];
+    let owned: Vec<String> = (0..)
+        .map(|i| format!("let A: float[{}]; A[0] := 1.0;", i + 1))
+        .filter(|s| {
+            dahlia_gateway::hash::weighted_rank(dahlia_server::source_digest(s), &shards)[0] == 0
+        })
+        .take(16)
+        .collect();
+    // One blocking caller per request: the burst reaches the small
+    // shard while its one slot is busy, and its reactor parses the
+    // backlog past the window when the slot frees.
+    let answers: Vec<Json> = std::thread::scope(|s| {
+        let calls: Vec<_> = owned
+            .iter()
+            .enumerate()
+            .map(|(i, src)| {
+                let gw = &gw;
+                s.spawn(move || gw.submit(&Request::new(format!("r{i}"), Stage::Check, src, "k")))
+            })
+            .collect();
+        calls.into_iter().map(|c| c.join().unwrap()).collect()
+    });
+    for v in &answers {
+        assert_eq!(
+            v.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{}",
+            v.emit()
+        );
+    }
+    let shed = transport_counter(&shard_transport(&small), "requests_shed");
+    assert!(shed >= 1, "the burst outran the small shard's window");
+    assert_eq!(gw.rerouted(), shed, "every shed request re-routed once");
+
+    drop(gw);
+    shutdown_shard(&small);
+    small_join.join().unwrap();
+    shutdown_shard(&big);
+    big_join.join().unwrap();
+}

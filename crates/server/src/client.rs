@@ -7,33 +7,67 @@
 //!   reads responses in whatever order the server emits them.
 //! * [`PipelinedClient`] — a **multiplexing** client for long-lived
 //!   pool connections (the gateway keeps one per shard): many callers
-//!   share one TCP session, each `call` is tagged with a private wire
+//!   share one TCP session, each request is tagged with a private wire
 //!   id, and a background reader thread routes every response frame to
-//!   the caller that is blocked on it. It speaks only the v1 binary
-//!   wire: a server that will not negotiate v1 is refused at connect.
-//!   Control ops (`stats`, `shutdown`), whose responses carry no id,
-//!   are serialized: at most one control round-trip is outstanding per
-//!   connection, so the
-//!   id-less response on the wire always belongs to the one caller
-//!   waiting for it (hosts may answer control lines from different
-//!   threads — a gateway pools `stats` but acks `shutdown` inline — so
-//!   cross-op ordering cannot be assumed).
+//!   its caller. It speaks only the v1 binary wire: a server that will
+//!   not negotiate v1 is refused at connect.
 //!
-//! Failure model: any I/O error (or server EOF) **poisons** the
-//! pipelined client — the flag flips, every waiter is released with an
-//! error, and all future calls fail fast. A poisoned client is never
-//! reused; the owner drops it and reconnects. That is precisely the
-//! signal a gateway needs to re-route in-flight requests to another
-//! shard.
+//! ## `send` and callbacks
+//!
+//! [`PipelinedClient::send`] is the primitive: it writes the request
+//! and returns at once, and its callback runs **exactly once** — on
+//! the reader thread with the response, or with an error when the
+//! client is poisoned (on the calling thread if it already was). No
+//! thread is parked per in-flight request, so a gateway reactor can
+//! send and move on, and finish the request from the callback.
+//! [`PipelinedClient::call`] is `send` plus a one-shot wait: one reader
+//! wake and one caller wake per call.
+//!
+//! Writes never block. The socket is non-blocking; a frame the kernel
+//! will not take whole is queued behind a backlog that the reader
+//! thread flushes when the socket turns writable, so a shard that stops
+//! reading cannot stall the thread that sends to it. A backlog past one
+//! maximal frame poisons the client.
+//!
+//! [`PipelinedClient::with_window`] caps the calls outstanding on the
+//! wire. A send past the cap is held in the client, in send order, and
+//! goes out from the reader thread when a reply frees a slot. A server
+//! frees a slot before its reply is written, so a window no larger than
+//! the server's `--max-inflight` (less one for a control op) is never
+//! shed. A held call's io timeout starts when it goes out.
+//!
+//! Control ops (`stats`, `shutdown`), whose responses carry no id, are
+//! serialized: at most one control round-trip is outstanding per
+//! connection, so the id-less response on the wire always belongs to
+//! the one caller waiting for it (hosts may answer control lines from
+//! different threads — a gateway pools `stats` but acks `shutdown`
+//! inline — so cross-op ordering cannot be assumed).
+//!
+//! ## Failure model
+//!
+//! Any I/O error (or server EOF) **poisons** the pipelined client — the
+//! flag flips, every waiter's callback runs with an error, and all
+//! future sends fail fast. A poisoned client is never reused; the owner
+//! drops it and reconnects. That is precisely the signal a gateway
+//! needs to re-route in-flight requests to another shard.
+//!
+//! [`PipelinedClient::with_io_timeout`] bounds each round trip: the
+//! reader thread checks the oldest outstanding request every quarter of
+//! the timeout and poisons the client (error kind `TimedOut`) once one
+//! has waited longer — an unresponsive-but-connected peer is declared
+//! dead instead of holding its requests forever.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead as _, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::json::{obj, Json};
+use crate::net::{poll, PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
 use crate::protocol::Request;
 use crate::wire;
 
@@ -190,49 +224,223 @@ impl Client {
 }
 
 /// Wire-id prefix for multiplexed calls. Responses whose id carries it
-/// route back to the blocked caller; everything else is a control-op
+/// route back to their callback; everything else is a control-op
 /// response and matches FIFO.
 const WIRE_PREFIX: &str = "px";
+
+/// Most bytes a client queues behind a peer that has stopped reading
+/// before it declares the peer dead: room for one maximal frame.
+const MAX_BACKLOG: usize = wire::MAX_FRAME + 5;
+
+/// Receives the outcome of one [`PipelinedClient::send`], exactly once:
+/// the response with the caller's id restored, or the error that ended
+/// the connection.
+type Done = Box<dyn FnOnce(io::Result<Json>) + Send>;
+
+/// One outstanding round trip.
+struct Waiter {
+    /// The caller's id, restored on the response. Control replies carry
+    /// no id, so control waiters have none.
+    id: Option<String>,
+    /// When the request went out, for the io timeout.
+    sent: Instant,
+    done: Done,
+}
 
 /// Waiters for in-flight traffic on one connection.
 struct Waiters {
     /// Compile calls, keyed by wire id.
-    calls: HashMap<u64, mpsc::Sender<Json>>,
+    calls: HashMap<u64, Waiter>,
     /// Control ops, matched first-in-first-out.
-    control: VecDeque<mpsc::Sender<Json>>,
+    control: VecDeque<Waiter>,
+    /// Calls held back by the window, in send order, with their frames.
+    held: VecDeque<(u64, Vec<u8>, Waiter)>,
+}
+
+impl Waiters {
+    /// Move the oldest held call onto the wire if the window has room,
+    /// and return its frame to write.
+    fn release(&mut self, window: usize) -> Option<Vec<u8>> {
+        if self.calls.len() >= window {
+            return None;
+        }
+        let (n, frame, mut waiter) = self.held.pop_front()?;
+        waiter.sent = Instant::now();
+        self.calls.insert(n, waiter);
+        Some(frame)
+    }
+}
+
+/// The sending half of the socket. Writes never block: what the kernel
+/// will not take yet waits in `backlog`, in order, and the reader
+/// thread flushes it when the socket turns writable.
+struct Outbox {
+    stream: TcpStream,
+    backlog: Vec<u8>,
 }
 
 struct Shared {
     dead: AtomicBool,
     waiters: Mutex<Waiters>,
+    outbox: Mutex<Outbox>,
+    /// Does the outbox hold a backlog? Read without the outbox lock, so
+    /// the reader never waits on a sender's write syscall.
+    backlogged: AtomicBool,
+    /// The io timeout in nanoseconds; 0 waits forever.
+    io_timeout_ns: AtomicU64,
+    /// Most calls outstanding on the wire; 0 is unbounded.
+    window: AtomicUsize,
+    /// Write end of the reader thread's wake pipe: a new backlog or a
+    /// new timeout changes what the reader polls for.
+    wake: UnixStream,
 }
 
 impl Shared {
-    /// Flip the poison flag and release every waiter (dropping their
-    /// senders makes each blocked `recv` fail).
-    fn poison(&self) {
-        self.dead.store(true, Ordering::SeqCst);
+    fn is_dead(&self) -> bool {
+        self.dead.load(Ordering::SeqCst)
+    }
+
+    fn io_timeout(&self) -> Option<Duration> {
+        match self.io_timeout_ns.load(Ordering::Relaxed) {
+            0 => None,
+            ns => Some(Duration::from_nanos(ns)),
+        }
+    }
+
+    fn wake(&self) {
+        // A full pipe means a wake is already pending.
+        let _ = (&self.wake).write(&[1]);
+    }
+
+    /// Add a waiter, unless the connection is already dead: then the
+    /// waiter gets its error here, on the calling thread. The flag is
+    /// checked under the waiter lock, and `poison` raises it before
+    /// taking that lock, so a waiter is either released by `poison` or
+    /// refused here — never stranded. Returns whether `frame` should be
+    /// written now: not when refused, nor when the window holds it.
+    fn register(&self, wire_id: Option<u64>, frame: &[u8], waiter: Waiter) -> bool {
         let mut w = self.waiters.lock().unwrap();
-        w.calls.clear();
-        w.control.clear();
+        if self.is_dead() {
+            drop(w);
+            (waiter.done)(Err(failure(io::ErrorKind::ConnectionAborted)));
+            return false;
+        }
+        match wire_id {
+            Some(n) => {
+                let window = self.window.load(Ordering::Relaxed);
+                if window > 0 && (w.calls.len() >= window || !w.held.is_empty()) {
+                    w.held.push_back((n, frame.to_vec(), waiter));
+                    return false;
+                }
+                w.calls.insert(n, waiter);
+            }
+            None => w.control.push_back(waiter),
+        }
+        true
+    }
+
+    /// Queue one whole frame: straight into the socket while nothing is
+    /// backlogged, behind the backlog otherwise. Never blocks.
+    fn write(&self, frame: &[u8]) -> io::Result<()> {
+        let mut out = self.outbox.lock().unwrap();
+        if !out.backlog.is_empty() {
+            if out.backlog.len() + frame.len() > MAX_BACKLOG {
+                return Err(io::Error::new(
+                    io::ErrorKind::WouldBlock,
+                    "server stopped reading",
+                ));
+            }
+            out.backlog.extend_from_slice(frame);
+            return Ok(());
+        }
+        let sent = write_some(&out.stream, frame)?;
+        if sent < frame.len() {
+            out.backlog.extend_from_slice(&frame[sent..]);
+            self.backlogged.store(true, Ordering::SeqCst);
+            drop(out);
+            // The reader now polls for writability too.
+            self.wake();
+        }
+        Ok(())
+    }
+
+    /// Write as much of the backlog as the socket takes.
+    fn flush(&self) -> io::Result<()> {
+        let mut out = self.outbox.lock().unwrap();
+        let Outbox { stream, backlog } = &mut *out;
+        let sent = write_some(stream, backlog)?;
+        backlog.drain(..sent);
+        self.backlogged.store(!backlog.is_empty(), Ordering::SeqCst);
+        Ok(())
+    }
+
+    /// Has any waiter been outstanding longer than `timeout`?
+    fn overdue(&self, timeout: Duration) -> bool {
+        let w = self.waiters.lock().unwrap();
+        w.calls
+            .values()
+            .chain(w.control.iter())
+            .any(|waiter| waiter.sent.elapsed() > timeout)
+    }
+
+    /// Flip the poison flag, close the socket, and release every waiter
+    /// with an error of `kind`. Callbacks run here, after every lock is
+    /// released, so one may re-route to another client at once.
+    fn poison(&self, kind: io::ErrorKind) {
+        self.dead.store(true, Ordering::SeqCst);
+        let (calls, control, held) = {
+            let mut w = self.waiters.lock().unwrap();
+            (
+                std::mem::take(&mut w.calls),
+                std::mem::take(&mut w.control),
+                std::mem::take(&mut w.held),
+            )
+        };
+        let _ = self.outbox.lock().unwrap().stream.shutdown(Shutdown::Both);
+        self.wake();
+        let held = held.into_iter().map(|(_, _, waiter)| waiter);
+        for waiter in calls.into_values().chain(control).chain(held) {
+            (waiter.done)(Err(failure(kind)));
+        }
+    }
+}
+
+/// Write what the non-blocking `stream` takes of `bytes` right now.
+fn write_some(mut stream: &TcpStream, bytes: &[u8]) -> io::Result<usize> {
+    let mut sent = 0;
+    while sent < bytes.len() {
+        match stream.write(&bytes[sent..]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(sent)
+}
+
+/// The error a waiter is released with when its connection dies.
+fn failure(kind: io::ErrorKind) -> io::Error {
+    match kind {
+        io::ErrorKind::TimedOut => io::Error::new(kind, "server stopped answering"),
+        _ => io::Error::new(kind, "connection to server lost"),
     }
 }
 
 /// A multiplexing client: many threads share one pipelined session.
 ///
-/// Each [`PipelinedClient::call`] rewrites the request id to a private
-/// wire id, blocks until the background reader delivers the matching
-/// response, and hands back the response JSON with the caller's
-/// original id restored — so concurrent calls interleave freely over
-/// one socket, in whatever order the server completes them.
+/// [`PipelinedClient::send`] rewrites the request id to a private wire
+/// id, writes the frame without blocking, and returns; the background
+/// reader hands the matching response — with the caller's original id
+/// restored — to the send's callback. Concurrent sends interleave
+/// freely over one socket, in whatever order the server completes
+/// them. [`PipelinedClient::call`] is `send` plus a wait.
 pub struct PipelinedClient {
     shared: Arc<Shared>,
-    writer: Mutex<TcpStream>,
     next_id: AtomicU64,
     /// Negotiated wire version (always ≥ 1).
     wire: u32,
-    /// Bound on each call's wait for its response; `None` waits forever.
-    io_timeout: Option<Duration>,
     /// Held across a whole control round-trip: with at most one control
     /// op outstanding, FIFO matching cannot misattribute responses even
     /// if the host answers control lines from different threads (a
@@ -337,24 +545,34 @@ impl PipelinedClient {
             ));
         }
         stream.set_read_timeout(None)?;
+        stream.set_nonblocking(true)?;
+        let (wake_rx, wake_tx) = UnixStream::pair()?;
+        wake_rx.set_nonblocking(true)?;
+        wake_tx.set_nonblocking(true)?;
         let shared = Arc::new(Shared {
             dead: AtomicBool::new(false),
             waiters: Mutex::new(Waiters {
                 calls: HashMap::new(),
                 control: VecDeque::new(),
+                held: VecDeque::new(),
             }),
+            outbox: Mutex::new(Outbox {
+                stream: stream.try_clone()?,
+                backlog: Vec::new(),
+            }),
+            backlogged: AtomicBool::new(false),
+            io_timeout_ns: AtomicU64::new(0),
+            window: AtomicUsize::new(0),
+            wake: wake_tx,
         });
-        let reader_stream = stream.try_clone()?;
         let t_shared = Arc::clone(&shared);
         let reader = std::thread::Builder::new()
             .name("dahlia-pipelined-client".into())
-            .spawn(move || reader_loop(reader_stream, &t_shared))?;
+            .spawn(move || reader_loop(stream, &wake_rx, &t_shared))?;
         Ok(PipelinedClient {
             shared,
-            writer: Mutex::new(stream),
             next_id: AtomicU64::new(0),
             wire: wire_v,
-            io_timeout: None,
             control_gate: Mutex::new(()),
             reader: Some(reader),
         })
@@ -365,64 +583,54 @@ impl PipelinedClient {
         self.wire
     }
 
-    /// Bound every call's wait for its response: a connection whose
-    /// peer stops answering (process stopped, network partitioned —
-    /// the TCP session itself stays "up") is poisoned after `timeout`
-    /// instead of parking its callers forever. The bound must exceed
-    /// the slowest legitimate compile; it exists to unstick threads,
-    /// not to police latency.
-    pub fn with_io_timeout(mut self, timeout: Duration) -> PipelinedClient {
-        self.io_timeout = Some(timeout);
+    /// Bound every round trip's wait for its response: a connection
+    /// whose peer stops answering (process stopped, network partitioned
+    /// — the TCP session itself stays "up") is poisoned once a request
+    /// has waited `timeout`, instead of parking its callers forever.
+    /// The reader thread enforces it, checking every quarter of
+    /// `timeout`. The bound must exceed the slowest legitimate compile;
+    /// it exists to unstick callers, not to police latency.
+    pub fn with_io_timeout(self, timeout: Duration) -> PipelinedClient {
+        let ns = u64::try_from(timeout.as_nanos()).unwrap_or(u64::MAX).max(1);
+        self.shared.io_timeout_ns.store(ns, Ordering::Relaxed);
+        self.shared.wake();
+        self
+    }
+
+    /// Keep at most `window` calls outstanding on the wire (at least
+    /// one); later sends wait in the client until replies free a slot.
+    /// Keep it below the server's `--max-inflight`, which sheds any
+    /// request past it. Unbounded by default.
+    pub fn with_window(self, window: usize) -> PipelinedClient {
+        self.shared.window.store(window.max(1), Ordering::Relaxed);
         self
     }
 
     /// Has this connection failed? A dead client never recovers; drop
     /// it and connect a fresh one.
     pub fn is_dead(&self) -> bool {
-        self.shared.dead.load(Ordering::SeqCst)
-    }
-
-    /// Wait on a response channel, honoring the io timeout. A timeout
-    /// poisons the whole client: an abandoned in-flight response would
-    /// otherwise desynchronize the session, and an unresponsive peer
-    /// is indistinguishable from a dead one anyway.
-    fn recv_response(&self, rx: &mpsc::Receiver<Json>) -> io::Result<Json> {
-        match self.io_timeout {
-            None => rx.recv().map_err(|_| Self::dead_err()),
-            Some(t) => match rx.recv_timeout(t) {
-                Ok(v) => Ok(v),
-                Err(mpsc::RecvTimeoutError::Disconnected) => Err(Self::dead_err()),
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    self.poison();
-                    Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "server stopped answering",
-                    ))
-                }
-            },
-        }
+        self.shared.is_dead()
     }
 
     fn dead_err() -> io::Error {
-        io::Error::new(
-            io::ErrorKind::ConnectionAborted,
-            "connection to server lost",
-        )
+        failure(io::ErrorKind::ConnectionAborted)
     }
 
-    fn write_frame(&self, bytes: &[u8]) -> io::Result<()> {
-        let mut w = self.writer.lock().unwrap();
-        w.write_all(bytes)?;
-        w.flush()
-    }
-
-    /// Send `req` and block for its response, returned with the
-    /// caller's original id restored. Fails (and poisons the client) on
-    /// any I/O error — including the connection dying while the request
-    /// was in flight, which is the caller's cue to retry elsewhere.
-    pub fn call(&self, req: &Request) -> io::Result<Json> {
+    /// Send `req` and return at once; `done` runs exactly once with the
+    /// response (the caller's original id restored) on the reader
+    /// thread, or with the error that poisoned the client — on the
+    /// calling thread if the client is already dead. A failed request
+    /// is the caller's cue to retry elsewhere. The write never blocks:
+    /// bytes the socket will not take yet are queued behind it.
+    pub fn send(&self, req: &Request, done: impl FnOnce(io::Result<Json>) + Send + 'static) {
+        let waiter = Waiter {
+            id: Some(req.id.clone()),
+            sent: Instant::now(),
+            done: Box::new(done),
+        };
         if self.is_dead() {
-            return Err(Self::dead_err());
+            (waiter.done)(Err(Self::dead_err()));
+            return;
         }
         let n = self.next_id.fetch_add(1, Ordering::Relaxed);
         let wire = Request {
@@ -434,18 +642,24 @@ impl PipelinedClient {
             // shard's span breakdown comes back under the caller's id.
             trace: req.trace.clone(),
         };
-        let (tx, rx) = mpsc::channel();
-        self.register(|w| {
-            w.calls.insert(n, tx);
-        })?;
-        if let Err(e) = self.write_frame(&wire::json_frame(wire::FRAME_REQUEST, &wire.to_json())) {
-            self.shared.waiters.lock().unwrap().calls.remove(&n);
-            self.poison();
-            return Err(e);
+        let frame = wire::json_frame(wire::FRAME_REQUEST, &wire.to_json());
+        self.submit(Some(n), &frame, waiter);
+    }
+
+    /// Send `req` and block for its response: [`PipelinedClient::send`]
+    /// plus a wait. Fails (and poisons the client) on any I/O error —
+    /// including the connection dying while the request was in flight.
+    pub fn call(&self, req: &Request) -> io::Result<Json> {
+        wait(|done| self.send(req, done))
+    }
+
+    /// Register `waiter` under `wire_id` (`None`: the control FIFO) and
+    /// write `frame` unless the window holds it; a failed write poisons
+    /// the client.
+    fn submit(&self, wire_id: Option<u64>, frame: &[u8], waiter: Waiter) {
+        if self.shared.register(wire_id, frame, waiter) && self.shared.write(frame).is_err() {
+            self.shared.poison(io::ErrorKind::ConnectionAborted);
         }
-        let mut v = self.recv_response(&rx)?;
-        set_id(&mut v, &req.id);
-        Ok(v)
     }
 
     /// Send a control line and block for its (id-less) response.
@@ -454,38 +668,16 @@ impl PipelinedClient {
     /// confuse.
     fn control(&self, line: &str) -> io::Result<Json> {
         let _gate = self.control_gate.lock().unwrap();
-        if self.is_dead() {
-            return Err(Self::dead_err());
-        }
-        let (tx, rx) = mpsc::channel();
-        {
-            let mut w = self.writer.lock().unwrap();
-            self.register(|waiters| waiters.control.push_back(tx))?;
-            // Control ops stay JSON text, wrapped in a control frame.
-            let sent = w
-                .write_all(&wire::frame(wire::FRAME_CONTROL, line.as_bytes()))
-                .and_then(|()| w.flush());
-            if let Err(e) = sent {
-                drop(w);
-                self.poison();
-                return Err(e);
-            }
-        }
-        self.recv_response(&rx)
-    }
-
-    /// Add a waiter, unless the connection is already dead. The flag is
-    /// checked under the waiter lock: a reader that died first raised it
-    /// before clearing the waiters, and one that dies later drops this
-    /// waiter's sender, so the wait fails instead of hanging. A reply
-    /// that lands just before the connection dies is still delivered.
-    fn register(&self, add: impl FnOnce(&mut Waiters)) -> io::Result<()> {
-        let mut waiters = self.shared.waiters.lock().unwrap();
-        if self.is_dead() {
-            return Err(Self::dead_err());
-        }
-        add(&mut waiters);
-        Ok(())
+        // Control ops stay JSON text, wrapped in a control frame.
+        let frame = wire::frame(wire::FRAME_CONTROL, line.as_bytes());
+        wait(|done| {
+            let waiter = Waiter {
+                id: None,
+                sent: Instant::now(),
+                done,
+            };
+            self.submit(None, &frame, waiter);
+        })
     }
 
     /// Fetch the server's stats object (the payload under `"stats"`).
@@ -500,88 +692,165 @@ impl PipelinedClient {
     pub fn shutdown_server(&self) -> io::Result<Json> {
         self.control(r#"{"op":"shutdown"}"#)
     }
-
-    /// Poison and unblock everything: waiters error out, the reader
-    /// thread sees EOF and exits.
-    fn poison(&self) {
-        self.shared.poison();
-        let _ = self.writer.lock().unwrap().shutdown(Shutdown::Both);
-    }
 }
 
 impl Drop for PipelinedClient {
     fn drop(&mut self) {
-        self.poison();
+        self.shared.poison(io::ErrorKind::ConnectionAborted);
         if let Some(handle) = self.reader.take() {
-            let _ = handle.join();
+            // The last handle may go inside a callback, on the reader
+            // thread itself, which then exits on its own.
+            if handle.thread().id() != std::thread::current().id() {
+                let _ = handle.join();
+            }
         }
     }
 }
 
+/// Start a callback-taking round trip and block for its one result.
+fn wait(start: impl FnOnce(Done)) -> io::Result<Json> {
+    let (tx, rx) = mpsc::sync_channel(1);
+    start(Box::new(move |r| {
+        let _ = tx.send(r);
+    }));
+    rx.recv()
+        .unwrap_or_else(|_| Err(PipelinedClient::dead_err()))
+}
+
 /// Route one decoded response to its waiter: wire-id-tagged responses
-/// go to the blocked caller, id-less ones match the control FIFO.
-fn route_response(shared: &Shared, v: Json) {
+/// go to the call's callback, id-less ones match the control FIFO. A
+/// call's reply frees a window slot, so the oldest held call goes out
+/// before the callback runs.
+fn route_response(shared: &Shared, mut v: Json) {
     let wire_id = v
         .get("id")
         .and_then(Json::as_str)
         .and_then(|s| s.strip_prefix(WIRE_PREFIX))
         .and_then(|s| s.parse::<u64>().ok());
-    let waiter = {
+    let (waiter, next) = {
         let mut w = shared.waiters.lock().unwrap();
         match wire_id {
-            Some(n) => w.calls.remove(&n),
-            None => w.control.pop_front(),
+            Some(n) => {
+                let waiter = w.calls.remove(&n);
+                let window = shared.window.load(Ordering::Relaxed);
+                let next = if window > 0 { w.release(window) } else { None };
+                (waiter, next)
+            }
+            None => (w.control.pop_front(), None),
         }
     };
-    if let Some(tx) = waiter {
-        let _ = tx.send(v);
+    if let Some(frame) = next {
+        if shared.write(&frame).is_err() {
+            shared.poison(io::ErrorKind::ConnectionAborted);
+        }
+    }
+    if let Some(Waiter { id, done, .. }) = waiter {
+        if let Some(id) = id {
+            set_id(&mut v, id);
+        }
+        done(Ok(v));
     }
 }
 
-/// Read length-prefixed frames and route each reply to its waiter.
-/// Response frames carry binary-encoded objects; control replies stay
-/// JSON text inside their frame. An unrecoverable framing error
-/// poisons the session (there is no way to resync a byte stream with a
-/// corrupt length word).
-fn reader_loop(mut stream: TcpStream, shared: &Shared) {
+/// The connection's one background thread. It polls the socket (and
+/// its wake pipe): it reads length-prefixed frames and routes each
+/// reply to its waiter, flushes the write backlog when the socket turns
+/// writable, and enforces the io timeout. Response frames carry
+/// binary-encoded objects; control replies stay JSON text inside their
+/// frame. EOF, an I/O error, an unrecoverable framing error (there is
+/// no way to resync a byte stream with a corrupt length word) or an
+/// overdue response poisons the session.
+fn reader_loop(mut stream: TcpStream, wake: &UnixStream, shared: &Shared) {
     let mut buf: Vec<u8> = Vec::new();
     let mut scratch = [0u8; 64 * 1024];
-    'session: loop {
-        loop {
-            match wire::split_frame(&buf) {
-                Ok(None) => break,
-                Ok(Some((tag, body, consumed))) => {
-                    let v = match tag {
-                        wire::FRAME_RESPONSE => wire::from_bytes(body),
-                        wire::FRAME_CONTROL_REPLY => std::str::from_utf8(body)
-                            .ok()
-                            .and_then(|text| Json::parse(text.trim()).ok()),
-                        _ => None,
-                    };
-                    if let Some(v) = v {
-                        route_response(shared, v);
+    let mut checked = Instant::now();
+    let mut kind = io::ErrorKind::ConnectionAborted;
+    'session: while !shared.is_dead() {
+        let timeout = shared.io_timeout();
+        // A quarter of the timeout between overdue checks.
+        let tick = timeout.map(|t| (t / 4).max(Duration::from_millis(1)));
+        let mut fds = [
+            PollFd {
+                fd: stream.as_raw_fd(),
+                events: if shared.backlogged.load(Ordering::SeqCst) {
+                    POLLIN | POLLOUT
+                } else {
+                    POLLIN
+                },
+                revents: 0,
+            },
+            PollFd {
+                fd: wake.as_raw_fd(),
+                events: POLLIN,
+                revents: 0,
+            },
+        ];
+        let wait_ms = tick.map_or(-1, |t| t.as_millis().min(i32::MAX as u128) as i32);
+        if unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, wait_ms) } < 0 {
+            if io::Error::last_os_error().kind() == io::ErrorKind::Interrupted {
+                continue;
+            }
+            break;
+        }
+        if fds[1].revents != 0 {
+            let mut sink = [0u8; 64];
+            while matches!((&*wake).read(&mut sink), Ok(n) if n > 0) {}
+        }
+        if fds[0].revents & POLLOUT != 0 && shared.flush().is_err() {
+            break;
+        }
+        if fds[0].revents & (POLLIN | POLLHUP | POLLERR) != 0 {
+            match stream.read(&mut scratch) {
+                Ok(0) => break,
+                Ok(n) => buf.extend_from_slice(&scratch[..n]),
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+                    ) => {}
+                Err(_) => break,
+            }
+            let mut pos = 0;
+            loop {
+                match wire::split_frame(&buf[pos..]) {
+                    Ok(None) => break,
+                    Ok(Some((tag, body, consumed))) => {
+                        let v = match tag {
+                            wire::FRAME_RESPONSE => wire::from_bytes(body),
+                            wire::FRAME_CONTROL_REPLY => std::str::from_utf8(body)
+                                .ok()
+                                .and_then(|text| Json::parse(text.trim()).ok()),
+                            _ => None,
+                        };
+                        if let Some(v) = v {
+                            route_response(shared, v);
+                        }
+                        pos += consumed;
                     }
-                    buf.drain(..consumed);
+                    Err(_) => break 'session,
                 }
-                Err(_) => break 'session,
+            }
+            buf.drain(..pos);
+        }
+        if let (Some(t), Some(tick)) = (timeout, tick) {
+            if checked.elapsed() >= tick {
+                checked = Instant::now();
+                if shared.overdue(t) {
+                    kind = io::ErrorKind::TimedOut;
+                    break;
+                }
             }
         }
-        match stream.read(&mut scratch) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => buf.extend_from_slice(&scratch[..n]),
-        }
     }
-    shared.poison();
+    shared.poison(kind);
 }
 
 /// Overwrite the response's `id` field in place (the wire id goes back
 /// to whatever the caller sent).
-fn set_id(v: &mut Json, id: &str) {
+fn set_id(v: &mut Json, id: String) {
     if let Json::Obj(fields) = v {
-        for (k, val) in fields.iter_mut() {
-            if k == "id" {
-                *val = Json::Str(id.to_string());
-            }
+        if let Some((_, val)) = fields.iter_mut().find(|(k, _)| k == "id") {
+            *val = Json::Str(id);
         }
     }
 }
@@ -589,6 +858,7 @@ fn set_id(v: &mut Json, id: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::SessionHost as _;
     use crate::{serve_listener, NetSummary, Server, Stage};
     use std::net::{SocketAddr, TcpListener};
 
@@ -688,6 +958,184 @@ mod tests {
         assert!(t0.elapsed() < Duration::from_secs(5));
         assert!(client.is_dead(), "timeout poisons the client");
         assert!(client.stats().is_err(), "dead client fails fast");
+        drop(stream);
+    }
+
+    /// A "server" that negotiates v1 and then never answers; the join
+    /// handle yields its end of the session.
+    fn mute_server() -> (SocketAddr, std::thread::JoinHandle<io::Result<TcpStream>>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let hold = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept()?;
+            let mut hello = String::new();
+            BufReader::new(s.try_clone()?).read_line(&mut hello)?;
+            s.write_all(b"{\"hello\":{\"version\":1}}\n")?;
+            io::Result::Ok(s)
+        });
+        (addr, hold)
+    }
+
+    /// Send `n` requests whose callbacks count their runs and report
+    /// each outcome's error kind (`None` on a reply) with the thread
+    /// it ran on.
+    #[allow(clippy::type_complexity)]
+    fn send_counted(
+        client: &PipelinedClient,
+        n: usize,
+    ) -> (
+        Vec<Arc<AtomicU64>>,
+        mpsc::Receiver<(usize, Option<io::ErrorKind>, std::thread::ThreadId)>,
+    ) {
+        let (tx, rx) = mpsc::channel();
+        let counts: Vec<Arc<AtomicU64>> = (0..n).map(|_| Arc::new(AtomicU64::new(0))).collect();
+        for (i, count) in counts.iter().enumerate() {
+            let (tx, count) = (tx.clone(), Arc::clone(count));
+            let req = Request::new(format!("s{i}"), Stage::Check, GOOD, "k");
+            client.send(&req, move |r| {
+                count.fetch_add(1, Ordering::SeqCst);
+                if let Ok(v) = &r {
+                    assert_eq!(
+                        v.get("id").and_then(Json::as_str),
+                        Some(format!("s{i}").as_str())
+                    );
+                }
+                let _ = tx.send((i, r.err().map(|e| e.kind()), std::thread::current().id()));
+            });
+        }
+        (counts, rx)
+    }
+
+    /// Collect `n` outcomes, then check that no callback ran twice.
+    fn exactly_once(
+        counts: &[Arc<AtomicU64>],
+        rx: &mpsc::Receiver<(usize, Option<io::ErrorKind>, std::thread::ThreadId)>,
+    ) -> Vec<Option<io::ErrorKind>> {
+        let mut kinds = vec![None; counts.len()];
+        for _ in 0..counts.len() {
+            let (i, kind, _) = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a callback");
+            kinds[i] = kind;
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        for c in counts {
+            assert_eq!(
+                c.load(Ordering::SeqCst),
+                1,
+                "each callback runs exactly once"
+            );
+        }
+        kinds
+    }
+
+    #[test]
+    fn send_callbacks_fire_exactly_once() {
+        // On replies.
+        let (addr, handle) = spawn_server(2);
+        let client = PipelinedClient::connect(addr).expect("connect");
+        let (counts, rx) = send_counted(&client, 16);
+        assert!(exactly_once(&counts, &rx).iter().all(Option::is_none));
+        client.shutdown_server().expect("ack");
+        drop(client);
+        handle.join().unwrap();
+
+        // On server death: the peer closes with every request in flight.
+        let (addr, hold) = mute_server();
+        let client = PipelinedClient::connect(addr).expect("connect");
+        let stream = hold.join().unwrap().expect("accepted");
+        let (counts, rx) = send_counted(&client, 8);
+        drop(stream);
+        let kinds = exactly_once(&counts, &rx);
+        assert!(
+            kinds
+                .iter()
+                .all(|k| *k == Some(io::ErrorKind::ConnectionAborted)),
+            "{kinds:?}"
+        );
+        // A send on the dead client fails on the calling thread.
+        assert!(client.is_dead());
+        let (counts, rx) = send_counted(&client, 1);
+        let (_, kind, thread) = rx.try_recv().expect("answered before send returned");
+        assert_eq!(kind, Some(io::ErrorKind::ConnectionAborted));
+        assert_eq!(thread, std::thread::current().id());
+        assert_eq!(counts[0].load(Ordering::SeqCst), 1);
+
+        // On the io timeout: the peer holds the session but never answers.
+        let (addr, hold) = mute_server();
+        let client = PipelinedClient::connect(addr)
+            .expect("connect")
+            .with_io_timeout(Duration::from_millis(200));
+        let stream = hold.join().unwrap().expect("accepted");
+        let (counts, rx) = send_counted(&client, 8);
+        let kinds = exactly_once(&counts, &rx);
+        assert!(
+            kinds.iter().all(|k| *k == Some(io::ErrorKind::TimedOut)),
+            "{kinds:?}"
+        );
+        drop(stream);
+    }
+
+    #[test]
+    fn a_window_holds_sends_so_the_server_never_sheds() {
+        // A server whose sessions shed past four in flight, and a slow
+        // single worker, so a burst of cold sends piles up behind it.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().unwrap();
+        let server = Arc::new(Server::with_compute_delay(1, Duration::from_millis(5)));
+        let cfg = crate::net::NetConfig::new().max_inflight(4);
+        let transport = server.transport();
+        let handle = std::thread::spawn(move || {
+            crate::net::serve_sessions_with(server, listener, cfg).expect("serve")
+        });
+        let client = PipelinedClient::connect(addr)
+            .expect("connect")
+            .with_window(3);
+        let (tx, rx) = mpsc::channel();
+        let n = 32;
+        for i in 0..n {
+            let tx = tx.clone();
+            let source = format!("let A: float[{}]; A[0] := 1.0;", i + 1);
+            client.send(
+                &Request::new(format!("w{i}"), Stage::Check, source, "k"),
+                move |r| {
+                    let _ = tx.send(r);
+                },
+            );
+        }
+        for _ in 0..n {
+            let v = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a callback")
+                .expect("a reply");
+            assert_eq!(
+                v.get("ok").and_then(Json::as_bool),
+                Some(true),
+                "{}",
+                v.emit()
+            );
+        }
+        // The window leaves the fourth slot for a control op.
+        assert!(client.stats().is_ok());
+        client.shutdown_server().expect("ack");
+        drop(client);
+        handle.join().unwrap();
+        assert_eq!(transport.requests_shed.get(), 0, "no send was shed");
+
+        // Held sends fail exactly once with the error that ends the
+        // connection, though they never reached the wire.
+        let (addr, hold) = mute_server();
+        let client = PipelinedClient::connect(addr)
+            .expect("connect")
+            .with_window(2)
+            .with_io_timeout(Duration::from_millis(200));
+        let stream = hold.join().unwrap().expect("accepted");
+        let (counts, rx) = send_counted(&client, 6);
+        let kinds = exactly_once(&counts, &rx);
+        assert!(
+            kinds.iter().all(|k| *k == Some(io::ErrorKind::TimedOut)),
+            "{kinds:?}"
+        );
         drop(stream);
     }
 

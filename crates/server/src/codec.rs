@@ -183,6 +183,7 @@ fn intern_code(code: &str) -> &'static str {
         "type/uneven-unroll",
         "type/bad-combine",
         "type/bad-call",
+        "type/size-budget",
     ];
     if let Some(k) = KNOWN.iter().find(|k| **k == code) {
         return k;

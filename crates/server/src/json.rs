@@ -298,11 +298,16 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar.
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|_| "invalid utf-8")?;
-                let c = s.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or escape in one go:
+                // both stops are ASCII, so the run is whole UTF-8
+                // scalars, and each byte is validated once.
+                let run = b[*pos..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .unwrap_or(b.len() - *pos);
+                let s = std::str::from_utf8(&b[*pos..*pos + run]).map_err(|_| "invalid utf-8")?;
+                out.push_str(s);
+                *pos += run;
             }
         }
     }
@@ -349,6 +354,9 @@ mod tests {
             let v2 = Json::parse(&v.emit()).unwrap();
             assert_eq!(v, v2, "{c}");
         }
+        // Long runs between escapes, multi-byte ones included.
+        let long = Json::Str(format!("{}é\"{}", "x".repeat(1 << 20), "ü".repeat(1 << 10)));
+        assert_eq!(Json::parse(&long.emit()).unwrap(), long);
     }
 
     #[test]

@@ -212,12 +212,9 @@ impl Inner {
     /// the dispatched paths; direct `submit` calls never queue).
     fn handle_queued(&self, req: &Request, queue_us: Option<u64>) -> Response {
         let t0 = Instant::now();
-        self.requests.inc();
-        self.in_flight.inc();
-        if let Some(q) = queue_us {
+        if queue_us.is_some() {
             // The request left the pool queue for this worker thread.
             self.queue_depth.sub(1);
-            self.queue_hist.record(q);
         }
         // Spans are recorded for *every* request — the traced path
         // echoes them to the client, and the slow log captures them
@@ -225,10 +222,41 @@ impl Inner {
         // fast path they are simply dropped. The bench suite pins this
         // always-on collection at noise level against the old untraced
         // path (one mutex-guarded Vec push per stage lookup).
-        let (value, cached, mut spans) =
+        self.requests.inc();
+        self.in_flight.inc();
+        let (value, cached, spans) =
             self.pipeline
                 .artifact_traced(&req.source, req.stage, &req.options);
+        self.respond(req, t0, queue_us, value, cached, spans)
+    }
+
+    /// Serve `req` from the memory tier, or `None` on a miss. Takes only
+    /// the LRU lock, so the reactor thread may call it. The answer is a
+    /// dispatched request that never queued: `queue_us` 0 and a 0 µs
+    /// `queue` span, the same bytes and stats a worker would produce.
+    fn handle_memory_hit(&self, req: &Request) -> Option<Response> {
+        let t0 = Instant::now();
+        let (value, span) =
+            self.pipeline
+                .probe_traced(source_digest(&req.source), req.stage, &req.options)?;
+        self.requests.inc();
+        self.in_flight.inc();
+        Some(self.respond(req, t0, Some(0), value, true, vec![span]))
+    }
+
+    /// The response builder both paths share: request and latency
+    /// accounting, the window, telemetry, and the optional trace.
+    fn respond(
+        &self,
+        req: &Request,
+        t0: Instant,
+        queue_us: Option<u64>,
+        value: CacheValue,
+        cached: bool,
+        mut spans: Vec<Span>,
+    ) -> Response {
         if let Some(q) = queue_us {
+            self.queue_hist.record(q);
             spans.insert(0, Span::new("queue", q));
         }
         // Floor division on every span and on the wall clock keeps the
@@ -605,7 +633,14 @@ impl Server {
 }
 
 impl SessionHost for Server {
+    /// A memory-tier hit is answered on the calling thread — on a
+    /// socket, the reactor — through the same response builder the
+    /// workers use; only misses queue for the pool.
     fn dispatch(&self, req: Request, respond: Respond) {
+        if let Some(resp) = self.inner.handle_memory_hit(&req) {
+            respond(resp.to_json());
+            return;
+        }
         let inner = Arc::clone(&self.inner);
         let enqueued = Instant::now();
         self.inner.queue_depth.inc();

@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use dahlia_core::diag::Diagnostic;
 use dahlia_core::{CheckReport, Program};
-use dahlia_obs::Span;
+use dahlia_obs::{Span, Tier};
 use hls_sim::digest::Fnv;
 use hls_sim::{Estimate, Kernel};
 
@@ -244,15 +244,26 @@ impl Pipeline {
         (value, cached, sink.into_inner().unwrap())
     }
 
-    fn artifact_inner(
+    /// `stage`'s artifact for the source with `digest` if the memory
+    /// tier holds it, with its one `stage:<name>` span (detail
+    /// `memory`); `None` otherwise. Never computes, joins a flight, or
+    /// reads the disk.
+    pub(crate) fn probe_traced(
         &self,
-        source: &str,
+        digest: u128,
         stage: Stage,
         opts: &Options,
-        sink: Option<&SpanSink>,
-    ) -> (CacheValue, bool) {
-        let key = Key {
-            source: source_digest(source),
+    ) -> Option<(CacheValue, Span)> {
+        let t0 = Instant::now();
+        let value = self.store.probe(&Self::key(digest, stage, opts))?;
+        let us = (t0.elapsed().as_nanos() / 1_000) as u64;
+        let span = Span::with_detail(format!("stage:{}", stage.name()), us, Tier::Memory.name());
+        Some((value, span))
+    }
+
+    fn key(digest: u128, stage: Stage, opts: &Options) -> Key {
+        Key {
+            source: digest,
             stage,
             // Front-end stages ignore the options; keying them by source
             // alone shares their artifacts across differently-named
@@ -262,7 +273,17 @@ impl Pipeline {
             } else {
                 0
             },
-        };
+        }
+    }
+
+    fn artifact_inner(
+        &self,
+        source: &str,
+        stage: Stage,
+        opts: &Options,
+        sink: Option<&SpanSink>,
+    ) -> (CacheValue, bool) {
+        let key = Self::key(source_digest(source), stage, opts);
         // Spans must not double-charge time: this stage's lookup wall
         // time includes any prerequisites computed inside the closure,
         // which record their own spans. Charging this stage only the

@@ -158,13 +158,19 @@ pub type Reply = Box<dyn Fn(Json, bool) + Send + Sync>;
 
 /// A service that answers protocol sessions: the local [`Server`]
 /// compiles requests itself; a gateway routes them to shards. Either
-/// may answer on the calling thread or hand the work to a pool — the
+/// may answer on the calling thread or later from another thread — the
 /// session does not care which.
 ///
 /// [`Server`]: crate::Server
 pub trait SessionHost: Send + Sync {
-    /// Answer one compile request through `respond`, typically from a
-    /// worker thread so a slow compile never stalls the session.
+    /// Answer one compile request through `respond`, exactly once.
+    ///
+    /// On a socket this runs on the reactor thread, so it **must not
+    /// block**: no compile, no disk read, no single-flight wait, no
+    /// blocking socket I/O. It may answer inline only from memory (a
+    /// server's memory tier, a gateway's admission cache); anything
+    /// else goes to a worker pool or to a non-blocking send whose
+    /// callback calls `respond`.
     fn dispatch(&self, req: Request, respond: Respond);
 
     /// Answer one control op through `reply` (the session adds the

@@ -221,6 +221,16 @@ impl Store {
         }
     }
 
+    /// Probe the memory tier alone: the value on a hit (counted as
+    /// one), `None` otherwise. It takes the LRU lock and nothing else —
+    /// it never joins a flight, reads the disk, or computes — so a
+    /// thread that must not block can ask.
+    pub fn probe(&self, key: &Key) -> Option<CacheValue> {
+        let v = self.inner.lock().unwrap().lru.get(key).cloned()?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(v)
+    }
+
     /// Look `key` up through the tiers; on a full miss, run `compute`
     /// (exactly once across all concurrent callers) and cache its
     /// result. Returns the value and whether it was served without

@@ -114,3 +114,50 @@ fn pipelined_shutdown_op_acks_and_ends_the_session() {
     assert!(text.contains(r#""op":"shutdown""#), "{text}");
     assert!(!text.contains(r#""id":"late""#), "{text}");
 }
+
+#[test]
+fn a_memory_hit_answered_on_the_reactor_overtakes_a_miss_in_the_pool() {
+    // One worker, every compute 300 ms: a miss occupies the whole pool.
+    // A warm key is answered on the reactor thread, so it does not
+    // queue behind the miss sent before it on the same connection.
+    let server = dahlia_server::Server::with_compute_delay(1, Duration::from_millis(300));
+    let warm = dahlia_server::Stage::Check;
+    assert!(server
+        .submit(Request::new("warm", warm, FAST, "kernel"))
+        .ok());
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().unwrap();
+    let server = std::sync::Arc::new(server);
+    let handle = std::thread::spawn(move || {
+        dahlia_server::serve_listener(server, listener).expect("serve_listener")
+    });
+    let mut client = dahlia_server::Client::connect(addr).expect("connect");
+    client
+        .send_line(&format!(
+            r#"{{"id":"cold","stage":"check","source":"{SLOW}"}}"#
+        ))
+        .unwrap();
+    client
+        .send_line(&format!(
+            r#"{{"id":"warm","stage":"check","source":"{FAST}"}}"#
+        ))
+        .unwrap();
+    let mut answers = Vec::new();
+    for _ in 0..2 {
+        let line = client.recv_line().unwrap().expect("a response");
+        let v = Json::parse(&line).unwrap();
+        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{line}");
+        answers.push((
+            v.get("id").and_then(Json::as_str).unwrap().to_string(),
+            v.get("cached").and_then(Json::as_bool).unwrap(),
+        ));
+    }
+    assert_eq!(
+        answers,
+        [("warm".to_string(), true), ("cold".to_string(), false)],
+        "the warm key overtakes the cold one"
+    );
+    client.shutdown_server().unwrap().expect("shutdown ack");
+    drop(client);
+    handle.join().unwrap();
+}
