@@ -38,9 +38,10 @@
 //!   cold backlog waits in the gateway
 //!   instead of being shed by the shard; a shard that sheds anyway
 //!   (`admission/overloaded`) is re-routed past. [`Gateway::submit`]
-//!   and the sweep's point workers block on this same path. Only stats
-//!   polls and admin ops, which block on shard I/O, use a small
-//!   control pool.
+//!   blocks on this same path; a sweep starts its points on it and
+//!   folds their replies on the sweep's own thread. Only stats polls
+//!   and admin ops, which block on shard I/O, use a small control
+//!   pool.
 //! * **Replication** ([`GatewayConfig::replication`], default 1):
 //!   every newly computed artifact fans out to the top-N shards in
 //!   rendezvous order, so killing the primary serves warm artifacts
@@ -119,7 +120,8 @@ const CONTROL_THREADS: usize = 2;
 /// go out. Far below a shard's default `--max-inflight` (256), so the
 /// shard never sheds a hop request, and small enough that a request
 /// waits behind at most 32 others in the shard's pool before the io
-/// timeout judges it.
+/// timeout judges it. A sweep keeps at most this many points times
+/// the shard count in flight.
 const HOP_WINDOW: usize = 32;
 
 /// Default bound on the gateway's hot-source admission cache (entries).
@@ -833,13 +835,6 @@ impl GwInner {
         }
     }
 
-    /// [`GwInner::submit`], blocking for the answer: for in-process
-    /// callers and the sweep's point workers, never a reactor or a hop
-    /// reader.
-    fn submit_blocking(self: &Arc<Self>, req: Request) -> Json {
-        wait(|done| self.submit(req, done))
-    }
-
     /// Route one request: try candidate shards in rendezvous order,
     /// skipping dead ones and re-routing past any that fail mid-call;
     /// answer `admission/unavailable` when none answers. Nothing
@@ -1323,7 +1318,7 @@ impl Gateway {
     /// the caller's id). When no shard answers, the line is a retryable
     /// `admission/unavailable` error.
     pub fn submit(&self, req: &Request) -> Json {
-        self.inner.submit_blocking(req.clone())
+        wait(|done| self.inner.submit(req.clone(), done))
     }
 
     /// Mark `addr` draining: new keys route past it, in-flight work

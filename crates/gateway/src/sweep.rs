@@ -5,8 +5,11 @@
 //! scatters the evaluations across the shard set through the gateway's
 //! ordinary routing (rendezvous placement, admission cache, fail-over,
 //! replication — a sweep point is just a request), and folds the
-//! results through a streaming [`ParetoFront`]. Three properties carry
-//! the subsystem:
+//! results through a streaming [`ParetoFront`]. The scatter parks no
+//! thread per point: the sweep's own thread keeps a window of points in
+//! flight, each started with the router's asynchronous submit, and
+//! folds every reply itself as it lands. Three properties carry the
+//! subsystem:
 //!
 //! * **Durability.** Every completed point is appended to a crash-safe
 //!   journal (the [`Tsdb`] record format, retention disabled) keyed by
@@ -22,14 +25,17 @@
 //!   session, then one final `"done":true` summary.
 //!
 //! Opt-in pruning (`"prune":true`) samples the first point of each
-//! innermost-axis region, fronts the samples, and skips regions whose
-//! sample is strictly dominated — trading exhaustiveness for time on
-//! monotone spaces. The summary reports what was skipped and the
-//! evaluation time the cost model (mean observed per-point wall time)
-//! estimates was saved; the kill/resume path keeps pruning off.
+//! innermost-axis region, fronts the samples, and skips every region
+//! whose sample's own objectives the front strictly dominates (a
+//! rejected sample never prunes its region) — trading exhaustiveness
+//! for time. The pruned front is exact only where cost does not
+//! decrease along the innermost axis. The summary reports what was
+//! skipped and the evaluation time the cost model (mean observed
+//! per-point wall time) estimates was saved; the kill/resume path
+//! keeps pruning off.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::collections::HashSet;
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 use dahlia_dse::{point_digest, render, ParetoFront, SweepSpec};
@@ -37,7 +43,7 @@ use dahlia_obs::{Counter, Gauge, Registry, Tsdb, TsdbOptions};
 use dahlia_server::json::{obj, Json};
 use dahlia_server::{Request, Stage};
 
-use crate::GwInner;
+use crate::{GwInner, HOP_WINDOW};
 
 /// Lifetime sweep counters, registered as the `gateway.sweeps` stats
 /// section (and thus `/metrics` and `dahliac top`).
@@ -105,8 +111,9 @@ struct Replayed {
     objectives: Option<Vec<f64>>,
 }
 
-/// Shared fan-out state: the running front, the journal handle, and
-/// the per-sweep counters the incremental updates report.
+/// One sweep's fold state: the running front, the journal handle, and
+/// the per-sweep counters the incremental updates report. Only the
+/// sweep's own thread touches it, so it needs no lock.
 struct SweepState<'a> {
     inner: &'a Arc<GwInner>,
     op_id: String,
@@ -116,11 +123,11 @@ struct SweepState<'a> {
     total: u64,
     skipped: u64,
     journal: Option<Tsdb>,
-    front: Mutex<ParetoFront>,
-    done: AtomicU64,
-    cache_hits: AtomicU64,
-    failures: AtomicU64,
-    pruned: AtomicU64,
+    front: ParetoFront,
+    done: u64,
+    cache_hits: u64,
+    failures: u64,
+    pruned: u64,
 }
 
 /// Execute one sweep op end to end, emitting zero or more
@@ -199,7 +206,7 @@ pub(crate) fn run_sweep(inner: &Arc<GwInner>, op: dahlia_server::SweepOp, emit: 
     // Fold journaled completions into the front and drop them from the
     // work list: the zero-recompute half of the resume contract.
     let mut front = ParetoFront::new();
-    let mut done_digests = std::collections::HashSet::new();
+    let mut done_digests = HashSet::new();
     for r in &replayed {
         done_digests.insert(r.digest);
     }
@@ -222,7 +229,7 @@ pub(crate) fn run_sweep(inner: &Arc<GwInner>, op: dahlia_server::SweepOp, emit: 
         }
     }
 
-    let state = SweepState {
+    let mut state = SweepState {
         inner,
         op_id: op.id.clone(),
         name: spec.name.clone(),
@@ -231,18 +238,18 @@ pub(crate) fn run_sweep(inner: &Arc<GwInner>, op: dahlia_server::SweepOp, emit: 
         total: (todo.len() as u64) + skipped,
         skipped,
         journal,
-        front: Mutex::new(front),
-        done: AtomicU64::new(0),
-        cache_hits: AtomicU64::new(0),
-        failures: AtomicU64::new(journal_failures),
-        pruned: AtomicU64::new(0),
+        front,
+        done: 0,
+        cache_hits: 0,
+        failures: journal_failures,
+        pruned: 0,
     };
 
     if op.prune {
         // Pass 1: evaluate one sample per innermost-axis region.
         let mut samples = Vec::new();
         let mut rest = Vec::new();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = HashSet::new();
         for p in todo {
             if seen.insert(p.region.clone()) {
                 samples.push(p);
@@ -250,38 +257,28 @@ pub(crate) fn run_sweep(inner: &Arc<GwInner>, op: dahlia_server::SweepOp, emit: 
                 rest.push(p);
             }
         }
-        evaluate(&state, &samples, emit);
-        // Pass 2: a region whose sample the sample-front strictly
-        // dominates cannot contribute a front point under a monotone
-        // cost model — skip it wholesale.
-        let sample_front = state.front.lock().unwrap().clone();
-        let dominated: std::collections::HashSet<String> = samples
+        let sampled = evaluate(&mut state, &samples, emit);
+        // Pass 2: a region whose sample the front strictly dominates
+        // cannot contribute a front point when cost does not decrease
+        // along the innermost axis — skip it wholesale.
+        let dominated: HashSet<&str> = samples
             .iter()
-            .filter_map(|s| {
-                let e = sample_front
-                    .entries()
-                    .into_iter()
-                    .find(|e| e.key == s.key)?;
-                sample_front.dominates_point(&e.objectives).then_some(())?;
-                Some(s.region.clone())
-            })
+            .zip(&sampled)
+            .filter(|(_, o)| o.as_ref().is_some_and(|o| state.front.dominates_point(o)))
+            .map(|(s, _)| s.region.as_str())
             .collect();
         let (pruned, live): (Vec<Point>, Vec<Point>) = rest
             .into_iter()
-            .partition(|p| dominated.contains(&p.region));
-        state
-            .pruned
-            .fetch_add(pruned.len() as u64, Ordering::Relaxed);
-        evaluate(&state, &live, emit);
+            .partition(|p| dominated.contains(p.region.as_str()));
+        state.pruned = pruned.len() as u64;
+        evaluate(&mut state, &live, emit);
     } else {
-        evaluate(&state, &todo, emit);
+        evaluate(&mut state, &todo, emit);
     }
 
     // Global accounting, then the final summary.
-    let done = state.done.load(Ordering::Relaxed);
-    let pruned = state.pruned.load(Ordering::Relaxed);
-    let cache_hits = state.cache_hits.load(Ordering::Relaxed);
-    let failures = state.failures.load(Ordering::Relaxed);
+    let (done, pruned, cache_hits, failures) =
+        (state.done, state.pruned, state.cache_hits, state.failures);
     let elapsed_ms = t0.elapsed().as_millis() as u64;
     let pps = if elapsed_ms > 0 {
         done as f64 / (elapsed_ms as f64 / 1_000.0)
@@ -305,8 +302,6 @@ pub(crate) fn run_sweep(inner: &Arc<GwInner>, op: dahlia_server::SweepOp, emit: 
     };
     let front_json: Vec<Json> = state
         .front
-        .lock()
-        .unwrap()
         .entries()
         .into_iter()
         .map(|e| {
@@ -351,74 +346,93 @@ pub(crate) fn run_sweep(inner: &Arc<GwInner>, op: dahlia_server::SweepOp, emit: 
 /// The emit callback type [`run_sweep`] streams lines through.
 pub(crate) type EmitFn = dyn Fn(Json, bool) + Send + Sync;
 
-/// Scatter `pts` across the cluster and fold completions into the
-/// shared state. Points are ordered by rendezvous owner first so each
-/// shard sees its whole batch as one contiguous pipelined burst, then
-/// pulled off a shared cursor by a small worker pool.
-fn evaluate(state: &SweepState<'_>, pts: &[Point], emit: &EmitFn) {
-    if pts.is_empty() {
-        return;
-    }
-    let mut order: Vec<usize> = (0..pts.len()).collect();
-    let owners: Vec<String> = pts
-        .iter()
-        .map(|p| {
-            state
-                .inner
-                .candidates(dahlia_server::source_digest(&p.source))
-                .first()
-                .map(|s| s.addr.clone())
-                .unwrap_or_default()
-        })
-        .collect();
-    order.sort_by(|&a, &b| owners[a].cmp(&owners[b]).then(a.cmp(&b)));
-    let shard_count = state.inner.shards().len();
-    let workers = (shard_count.max(1) * 2).clamp(2, 12).min(pts.len());
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= order.len() {
-                    break;
-                }
-                let p = &pts[order[i]];
-                let req = Request::new(
-                    format!("{}:{:032x}", state.op_id, p.digest),
-                    state.stage,
-                    p.source.as_str(),
-                    state.name.as_str(),
-                );
-                let resp = state.inner.submit_blocking(req);
-                let ok = resp.get("ok").and_then(Json::as_bool) == Some(true);
-                if resp.get("cached").and_then(Json::as_bool) == Some(true) {
-                    state.cache_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                let objectives = if ok { objectives_of(&resp) } else { None };
-                // An admission error (no shard answered) is no verdict
-                // on the point: keep it out of the journal so a resume
-                // evaluates it again.
-                let phase = resp.get("error").and_then(|e| e.get("phase"));
-                let verdict = phase.and_then(Json::as_str) != Some("admission");
-                if let Some(tsdb) = state.journal.as_ref().filter(|_| verdict) {
-                    let record = journal_record(p.digest, &p.key, objectives.as_deref());
-                    tsdb.append(state.inner.telemetry.clock.now_ms(), record.as_bytes());
-                }
-                match objectives {
-                    Some(o) => {
-                        state.front.lock().unwrap().insert(p.key.clone(), o);
-                    }
-                    None => {
-                        state.failures.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                let n = state.done.fetch_add(1, Ordering::Relaxed) + 1;
-                if state.update_every > 0 && n.is_multiple_of(state.update_every) {
-                    emit(progress_line(state, n), false);
-                }
-            });
+/// Scatter `pts` across the cluster and fold every completion into
+/// `state` on this thread, returning each point's objectives (`None`
+/// for a rejected or unanswered point) in `pts` order. At most
+/// [`HOP_WINDOW`] × shard count points are in flight — what the
+/// shards' wire windows hold together — and each reply callback only
+/// hands its answer back to this thread.
+fn evaluate(state: &mut SweepState<'_>, pts: &[Point], emit: &EmitFn) -> Vec<Option<Vec<f64>>> {
+    let window = HOP_WINDOW * state.inner.shards().len().max(1);
+    let (tx, rx) = mpsc::channel();
+    let mut objectives = vec![None; pts.len()];
+    let mut started = 0;
+    for folded in 0..pts.len() {
+        while started < pts.len() && started - folded < window {
+            let p = &pts[started];
+            let req = Request::new(
+                format!("{}:{:032x}", state.op_id, p.digest),
+                state.stage,
+                p.source.as_str(),
+                state.name.as_str(),
+            );
+            let tx = tx.clone();
+            let i = started;
+            state.inner.submit(
+                req,
+                Box::new(move |resp| {
+                    let _ = tx.send((i, resp));
+                }),
+            );
+            started += 1;
         }
-    });
+        let (i, resp) = rx.recv().expect("the sweep holds a sender");
+        objectives[i] = state.fold(&pts[i], &resp, emit);
+    }
+    objectives
+}
+
+impl SweepState<'_> {
+    /// Fold one answered point: journal it, offer it to the front,
+    /// count it, and stream a progress line when one is due.
+    fn fold(&mut self, p: &Point, resp: &Json, emit: &EmitFn) -> Option<Vec<f64>> {
+        let ok = resp.get("ok").and_then(Json::as_bool) == Some(true);
+        if resp.get("cached").and_then(Json::as_bool) == Some(true) {
+            self.cache_hits += 1;
+        }
+        let objectives = if ok { objectives_of(resp) } else { None };
+        // An admission error (no shard answered) is no verdict on the
+        // point: keep it out of the journal so a resume evaluates it
+        // again.
+        let phase = resp.get("error").and_then(|e| e.get("phase"));
+        let verdict = phase.and_then(Json::as_str) != Some("admission");
+        if let Some(tsdb) = self.journal.as_ref().filter(|_| verdict) {
+            let record = journal_record(p.digest, &p.key, objectives.as_deref());
+            tsdb.append(self.inner.telemetry.clock.now_ms(), record.as_bytes());
+        }
+        match &objectives {
+            Some(o) => {
+                self.front.insert(p.key.clone(), o.clone());
+            }
+            None => self.failures += 1,
+        }
+        self.done += 1;
+        if self.update_every > 0 && self.done.is_multiple_of(self.update_every) {
+            emit(self.progress_line(), false);
+        }
+        objectives
+    }
+
+    /// One `"done":false` incremental update.
+    fn progress_line(&self) -> Json {
+        obj([
+            ("id", Json::Str(self.op_id.clone())),
+            ("ok", Json::Bool(true)),
+            ("done", Json::Bool(false)),
+            (
+                "sweep",
+                obj([
+                    ("name", Json::Str(self.name.clone())),
+                    ("points_total", Json::Num(self.total as f64)),
+                    ("points_done", Json::Num(self.done as f64)),
+                    ("points_skipped", Json::Num(self.skipped as f64)),
+                    ("points_pruned", Json::Num(self.pruned as f64)),
+                    ("cache_hits", Json::Num(self.cache_hits as f64)),
+                    ("front_size", Json::Num(self.front.len() as f64)),
+                ]),
+            ),
+        ])
+    }
 }
 
 /// The five minimization objectives of an est-stage response, in the
@@ -432,36 +446,6 @@ fn objectives_of(resp: &Json) -> Option<Vec<f64>> {
         est.get("ffs")?.as_f64()?,
         est.get("brams")?.as_f64()?,
         est.get("dsps")?.as_f64()?,
-    ])
-}
-
-/// One `"done":false` incremental update.
-fn progress_line(state: &SweepState<'_>, done: u64) -> Json {
-    obj([
-        ("id", Json::Str(state.op_id.clone())),
-        ("ok", Json::Bool(true)),
-        ("done", Json::Bool(false)),
-        (
-            "sweep",
-            obj([
-                ("name", Json::Str(state.name.clone())),
-                ("points_total", Json::Num(state.total as f64)),
-                ("points_done", Json::Num(done as f64)),
-                ("points_skipped", Json::Num(state.skipped as f64)),
-                (
-                    "points_pruned",
-                    Json::Num(state.pruned.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "cache_hits",
-                    Json::Num(state.cache_hits.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "front_size",
-                    Json::Num(state.front.lock().unwrap().len() as f64),
-                ),
-            ]),
-        ),
     ])
 }
 
@@ -768,18 +752,31 @@ mod tests {
 
     #[test]
     fn pruning_skips_dominated_regions_deterministically() {
-        // `u` is the innermost axis; the `b=8` region wastes resources
-        // at every unroll (more banks, same cycles at u=1), so its
-        // sample is dominated and the region prunes.
+        // `b` is the region axis, `u` the innermost one. The samples are
+        // the `u=1` corners: `b=2,u=1` and `b=4,u=1` cost the cycles of
+        // `b=1,u=1` with more resources, so the front dominates both and
+        // their regions' four remaining points prune.
         let shard = spawn_shard();
-        let gw = GatewayConfig::new([shard.addr.clone()]).build();
-        let mut op = small_op("p1", false, 0);
-        op.prune = true;
-        let lines = run(&gw, op);
-        let v = Json::parse(&lines.last().unwrap().0).unwrap();
-        let s = v.get("sweep").unwrap();
-        let done = s.get("points_done").and_then(Json::as_u64).unwrap();
-        let pruned = s.get("points_pruned").and_then(Json::as_u64).unwrap();
-        assert_eq!(done + pruned, 9, "every point evaluated or pruned");
+        let summary = |id: &str| {
+            let gw = GatewayConfig::new([shard.addr.clone()]).build();
+            let mut op = small_op(id, false, 0);
+            op.prune = true;
+            let lines = run(&gw, op);
+            let v = Json::parse(&lines.last().unwrap().0).unwrap();
+            v.get("sweep").unwrap().clone()
+        };
+        let a = summary("p1");
+        let count = |k: &str| a.get(k).and_then(Json::as_u64).unwrap();
+        assert_eq!(count("points_pruned"), 4, "{}", a.emit());
+        assert_eq!(count("points_done"), 5, "{}", a.emit());
+        // Cost falls along `u` here, so the pruned front is not the
+        // exact one: it keeps only the surviving region's `u=1` corner.
+        let Some(Json::Arr(front)) = a.get("front") else {
+            panic!("{}", a.emit())
+        };
+        let keys: Vec<_> = front.iter().filter_map(|e| e.get("key")).collect();
+        assert_eq!(keys, [&Json::Str("b=1,u=1".into())], "{}", a.emit());
+        let b = summary("p2");
+        assert_eq!(a.get("front"), b.get("front"), "same front on every run");
     }
 }

@@ -1307,3 +1307,141 @@ fn requests_a_shard_sheds_are_re_routed_to_the_next_shard() {
     shutdown_shard(&big);
     big_join.join().unwrap();
 }
+
+/// A sweep of more points than it keeps in flight loses a shard after
+/// its first progress line and still evaluates every point once: the
+/// progress count never skips or reorders, the journal holds each
+/// point exactly once, and the front equals an undisturbed run's.
+#[test]
+fn a_sweep_outlives_a_shard_killed_mid_sweep() {
+    use dahlia_dse::{point_digest, render, SweepSpec};
+    use dahlia_obs::{Tsdb, TsdbOptions};
+    use dahlia_server::{query, ControlOp, SessionHost, SweepOp};
+
+    // 5 × 4 × 4 = 80 points, more than the 2 × 32 a two-shard sweep
+    // keeps in flight.
+    let spec = SweepSpec {
+        name: "kill-mid-sweep".to_string(),
+        template: "let A: float[16 bank ${b}];\n\
+                   for (let i = 0..16) unroll ${u} { A[i] := ${c}.0; }"
+            .to_string(),
+        params: vec![
+            ("c".to_string(), (1..=5).collect()),
+            ("b".to_string(), vec![1, 2, 4, 8]),
+            ("u".to_string(), vec![1, 2, 4, 8]),
+        ],
+        stage: "est".to_string(),
+        stride: 1,
+    };
+    let total = spec.points().len() as u64;
+    assert_eq!(total, 80);
+    let op = |id: &str| SweepOp {
+        id: id.to_string(),
+        spec: spec.clone(),
+        resume: false,
+        prune: false,
+        update_every: 1,
+    };
+
+    // The undisturbed reference: one healthy shard.
+    let reference = {
+        let (addr, join) = spawn_shard(Server::with_threads(2));
+        let gw = GatewayConfig::new([addr.clone()]).build();
+        let summary = query(&gw, ControlOp::Sweep(op("reference")));
+        drop(gw);
+        shutdown_shard(&addr);
+        join.join().unwrap();
+        summary
+    };
+
+    // Shard A computes slowly, so the sweep is still under way when it
+    // goes down; B survives.
+    let (addr_a, join_a) = spawn_shard(Server::with_compute_delay(2, Duration::from_millis(5)));
+    let (addr_b, join_b) = spawn_shard(Server::with_threads(2));
+    let dir = std::env::temp_dir().join(format!("dahlia-gw-sweep-kill-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let gw = GatewayConfig::new([addr_a.clone(), addr_b.clone()])
+        .health_interval(Duration::from_secs(30))
+        .telemetry(TelemetryConfig::new().dir(&dir))
+        .build();
+    let (tx, rx) = std::sync::mpsc::channel();
+    gw.control(
+        ControlOp::Sweep(op("killed")),
+        Box::new(move |line, last| {
+            let _ = tx.send((line, last));
+        }),
+    );
+    let mut progress = Vec::new();
+    let summary = loop {
+        let (line, last) = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the sweep keeps streaming");
+        if last {
+            break line;
+        }
+        if progress.is_empty() {
+            shutdown_shard(&addr_a);
+        }
+        let done = line.get("sweep").and_then(|s| s.get("points_done"));
+        progress.push(done.and_then(Json::as_u64).unwrap());
+    };
+    join_a.join().unwrap();
+
+    let sweep = summary
+        .get("sweep")
+        .unwrap_or_else(|| panic!("{summary:?}"));
+    let count = |k: &str| sweep.get(k).and_then(Json::as_u64).unwrap();
+    assert_eq!(count("points_total"), total);
+    assert_eq!(count("points_done"), total);
+    assert_eq!(
+        progress,
+        (1..=total).collect::<Vec<_>>(),
+        "one line per point, in order"
+    );
+    assert_eq!(
+        sweep.get("front"),
+        reference.get("sweep").and_then(|s| s.get("front")),
+        "{summary:?}"
+    );
+
+    let journal = Tsdb::open_with(
+        dir.join(format!("sweep-{:032x}", spec.digest())),
+        TsdbOptions {
+            segment_bytes: 1 << 20,
+            retain_bytes: u64::MAX,
+        },
+    )
+    .unwrap();
+    let mut journaled: Vec<String> = journal
+        .scan_since(0)
+        .into_iter()
+        .map(|(_, payload)| {
+            let record = Json::parse(&String::from_utf8(payload).unwrap()).unwrap();
+            record
+                .get("point")
+                .and_then(Json::as_str)
+                .unwrap()
+                .to_string()
+        })
+        .collect();
+    journaled.sort();
+    let mut expected: Vec<String> = spec
+        .points()
+        .iter()
+        .map(|cfg| {
+            format!(
+                "{:032x}",
+                point_digest(&render(&spec.template, cfg).unwrap())
+            )
+        })
+        .collect();
+    expected.sort();
+    assert_eq!(journaled, expected, "every point journaled exactly once");
+
+    let snaps = gw.shard_snapshots();
+    assert!(!snaps.iter().find(|s| s.addr == addr_a).unwrap().alive);
+    drop(gw);
+    shutdown_shard(&addr_b);
+    join_b.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}

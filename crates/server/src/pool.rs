@@ -151,6 +151,7 @@ fn worker_loop(shared: &Shared) {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::time::Duration;
 
     #[test]
     fn map_preserves_order() {
@@ -161,22 +162,27 @@ mod tests {
 
     #[test]
     fn work_is_actually_parallel() {
+        // Four jobs meet at a rendezvous: each waits until all four run
+        // at once, which a pool running fewer at a time never reaches.
+        // The timeout fails the test instead of hanging it.
         let pool = Pool::new(4);
-        let t0 = std::time::Instant::now();
-        pool.map((0..8).collect::<Vec<u64>>(), |_| {
-            std::thread::sleep(std::time::Duration::from_millis(40));
+        let meet = Arc::new((Mutex::new(0usize), Condvar::new()));
+        let met = pool.map(vec![meet; 4], |meet| {
+            let (running, all_in) = &*meet;
+            let mut n = running.lock().unwrap();
+            *n += 1;
+            all_in.notify_all();
+            let wait = Duration::from_secs(30);
+            let timeout = all_in.wait_timeout_while(n, wait, |n| *n < 4).unwrap().1;
+            !timeout.timed_out()
         });
-        // 8 × 40 ms of sleep across 4 workers ≈ 80 ms; serial would be 320.
-        assert!(
-            t0.elapsed() < std::time::Duration::from_millis(300),
-            "{:?}",
-            t0.elapsed()
-        );
+        assert!(met.into_iter().all(|m| m), "four jobs never ran at once");
     }
 
     #[test]
     fn stealing_drains_imbalanced_queues() {
-        // One giant job on one queue must not serialize the rest.
+        // One slow job must not hold up the rest: the other workers
+        // keep popping the shared queue while it runs.
         let pool = Pool::new(3);
         let counter = Arc::new(AtomicU64::new(0));
         let c2 = Arc::clone(&counter);
@@ -206,8 +212,8 @@ mod tests {
 
     #[test]
     fn execute_counts_before_publishing() {
-        // Regression: a worker popping a job before the submitter's
-        // counter increment used to underflow `pending` (panic in debug).
+        // A worker may pop a job the instant it is queued, before the
+        // submitter returns from `execute`; every round still completes.
         let pool = Pool::new(4);
         for round in 0..50 {
             let out = pool.map((0..32u64).collect(), move |x| x * round);

@@ -1,10 +1,10 @@
 //! The acceptance-criterion concurrency test: 64 parallel submissions of
 //! the same program execute the pipeline exactly once.
 
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::Duration;
 
-use dahlia_server::{Request, Server, Stage};
+use dahlia_server::{Artifact, Key, Request, Server, Stage, Store};
 
 const SRC: &str = "let A: float[64 bank 8];\nlet B: float[64 bank 8];\n\
                    for (let i = 0..64) unroll 8 { B[i] := A[i] * 2.0; }";
@@ -94,10 +94,9 @@ fn batch_api_dedups_the_same_way() {
 
 #[test]
 fn concurrent_distinct_programs_do_not_serialize() {
-    // 8 distinct programs across 8 threads with a 40 ms per-stage delay:
-    // if single-flight wrongly collapsed distinct keys, or the pool
-    // serialized, this would take ≫ 4 stages × 40 ms.
-    let server = Server::with_compute_delay(8, Duration::from_millis(40));
+    // 8 distinct programs in one batch: single-flight must not collapse
+    // distinct keys, so every program runs its own 4 stages.
+    let server = Server::with_threads(8);
     let reqs: Vec<Request> = (0..8)
         .map(|i| {
             let trips = 16 * (i + 1);
@@ -109,18 +108,50 @@ fn concurrent_distinct_programs_do_not_serialize() {
             )
         })
         .collect();
-    let t0 = std::time::Instant::now();
     let responses = server.submit_batch(reqs);
-    let elapsed = t0.elapsed();
     assert!(responses.iter().all(|r| r.ok()));
     assert_eq!(
         server.stats().store.total_executions(),
         32,
         "8 programs × 4 stages"
     );
-    // Serial execution would need 8 × 4 × 40 ms = 1280 ms.
+
+    // Distinct keys compute at the same time: eight `get_or_compute`
+    // closures on eight threads meet at a rendezvous, each waiting until
+    // all eight are computing at once, which a store that serialized
+    // distinct keys never reaches. The timeout fails the test instead
+    // of hanging it.
+    let store = Store::new();
+    let meet = (Mutex::new(0usize), Condvar::new());
+    let met: Vec<bool> = std::thread::scope(|s| {
+        let threads: Vec<_> = (0..8u128)
+            .map(|source| {
+                let (store, meet) = (&store, &meet);
+                s.spawn(move || {
+                    let key = Key {
+                        source,
+                        stage: Stage::Parse,
+                        options: 0,
+                    };
+                    let mut met = false;
+                    let _ = store.get_or_compute(key, || {
+                        let (computing, all_in) = meet;
+                        let mut n = computing.lock().unwrap();
+                        *n += 1;
+                        all_in.notify_all();
+                        let wait = Duration::from_secs(30);
+                        let timeout = all_in.wait_timeout_while(n, wait, |n| *n < 8).unwrap().1;
+                        met = !timeout.timed_out();
+                        Ok(Artifact::Cpp(Arc::new(String::new())))
+                    });
+                    met
+                })
+            })
+            .collect();
+        threads.into_iter().map(|t| t.join().unwrap()).collect()
+    });
     assert!(
-        elapsed < Duration::from_millis(1000),
-        "batch took {elapsed:?}, looks serialized"
+        met.into_iter().all(|m| m),
+        "eight computations never ran at once"
     );
 }
