@@ -281,11 +281,12 @@ impl From<String> for Fail {
 
 /// A front-end error, exit code by phase.
 fn front_end(e: Error) -> Fail {
+    // The stable diagnostic code (`parse/...`, `type/...`) rides along,
+    // so scripts can match a rejection without parsing the message.
+    let coded = || format!("{e} [{}]", e.diagnostic().code);
     match e {
-        Error::Lex { .. } | Error::Parse { .. } => Fail(EXIT_PARSE, e.to_string()),
-        // The stable diagnostic code (`type/...`) rides along, so
-        // scripts can match a rejection without parsing the message.
-        Error::Type(_) => Fail(EXIT_TYPE, format!("{e} [{}]", e.diagnostic().code)),
+        Error::Lex { .. } | Error::Parse { .. } => Fail(EXIT_PARSE, coded()),
+        Error::Type(_) => Fail(EXIT_TYPE, coded()),
         Error::Interp { .. } => Fail(EXIT_RUNTIME, e.to_string()),
     }
 }

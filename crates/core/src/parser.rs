@@ -12,6 +12,15 @@ use crate::error::Error;
 use crate::lexer::{lex, Tok, Token};
 use crate::span::Span;
 
+/// How deeply a program may nest. Each parenthesis, index, call,
+/// unary prefix, block, `if`, `else if`, `for` and `while` is one
+/// level, and so is each binary operator: `a + b + c` folds into a tree
+/// as deep as the chain has operators. Every stage after the parser
+/// walks the tree recursively, so this one budget bounds their stack
+/// use as well; a program past it is a parse error, never a stack
+/// overflow.
+pub const MAX_NESTING: usize = 256;
+
 /// Parse a complete Dahlia program.
 ///
 /// # Errors
@@ -22,6 +31,7 @@ pub fn parse(src: &str) -> Result<Program, Error> {
     Parser {
         toks: tokens,
         pos: 0,
+        depth: 0,
     }
     .program()
 }
@@ -36,6 +46,7 @@ pub fn parse_expr(src: &str) -> Result<Expr, Error> {
     let mut p = Parser {
         toks: tokens,
         pos: 0,
+        depth: 0,
     };
     let e = p.expr()?;
     p.expect(&Tok::Eof)?;
@@ -45,6 +56,8 @@ pub fn parse_expr(src: &str) -> Result<Expr, Error> {
 struct Parser {
     toks: Vec<Token>,
     pos: usize,
+    /// Levels of nesting open around the current token.
+    depth: usize,
 }
 
 impl Parser {
@@ -106,6 +119,26 @@ impl Parser {
                 self.span(),
             )),
         }
+    }
+
+    /// Run `f` one nesting level deeper.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T, Error>) -> Result<T, Error> {
+        self.depth += 1;
+        let out = self.within_budget(0).and_then(|()| f(self));
+        self.depth -= 1;
+        out
+    }
+
+    /// Refuse a tree `height` levels tall at the current depth when the
+    /// two together pass [`MAX_NESTING`].
+    fn within_budget(&self, height: usize) -> Result<(), Error> {
+        if self.depth + height > MAX_NESTING {
+            return Err(Error::parse(
+                format!("program nests deeper than the limit of {MAX_NESTING} levels"),
+                self.span(),
+            ));
+        }
+        Ok(())
     }
 
     fn int(&mut self) -> Result<i64, Error> {
@@ -310,10 +343,10 @@ impl Parser {
         match self.peek() {
             Tok::Let => self.let_cmd(),
             Tok::View => self.view_cmd(),
-            Tok::If => self.if_cmd(),
-            Tok::While => self.while_cmd(),
-            Tok::For => self.for_cmd(),
-            Tok::LBrace => self.block(),
+            Tok::If => self.nested(Self::if_cmd),
+            Tok::While => self.nested(Self::while_cmd),
+            Tok::For => self.nested(Self::for_cmd),
+            Tok::LBrace => self.nested(Self::block),
             Tok::Ident(_) => self.stmt_starting_with_ident(),
             other => Err(Error::parse(
                 format!("expected a command, found {other:?}"),
@@ -435,7 +468,7 @@ impl Parser {
         let then_branch = Arc::new(self.block()?);
         let else_branch = if self.eat(&Tok::Else) {
             Some(Arc::new(if *self.peek() == Tok::If {
-                self.if_cmd()?
+                self.nested(Self::if_cmd)?
             } else {
                 self.block()?
             }))
@@ -506,15 +539,16 @@ impl Parser {
         let (name, start) = self.ident()?;
 
         // Physical bank `A{b}` and/or indices `A[i]…`.
+        let mut height = 0;
         let mut phys_bank = None;
         if *self.peek() == Tok::LBrace {
             self.bump();
-            phys_bank = Some(Arc::new(self.expr()?));
+            phys_bank = Some(Arc::new(self.child(&mut height)?));
             self.expect(&Tok::RBrace)?;
         }
         let mut idxs = Vec::new();
         while self.eat(&Tok::LBracket) {
-            idxs.push(self.expr()?);
+            idxs.push(self.child(&mut height)?);
             self.expect(&Tok::RBracket)?;
         }
 
@@ -574,7 +608,7 @@ impl Parser {
                 span: start.merge(self.prev_span()),
             }
         };
-        let e = self.binop_rhs(base, 0)?;
+        let (e, _) = self.binop_rhs(base, height, 0)?;
         Ok(Cmd::Expr(e))
     }
 
@@ -597,8 +631,22 @@ impl Parser {
     // ------------------------------------------------------- expressions
 
     fn expr(&mut self) -> Result<Expr, Error> {
-        let lhs = self.unary()?;
-        self.binop_rhs(lhs, 0)
+        Ok(self.expr_with_height()?.0)
+    }
+
+    /// An expression with its tree height (0 for a leaf): the height a
+    /// binary operator folded onto it extends.
+    fn expr_with_height(&mut self) -> Result<(Expr, usize), Error> {
+        let (lhs, height) = self.unary()?;
+        self.binop_rhs(lhs, height, 0)
+    }
+
+    /// A sub-expression one level deeper, raising `height` to cover the
+    /// node it hangs under.
+    fn child(&mut self, height: &mut usize) -> Result<Expr, Error> {
+        let (e, h) = self.nested(Self::expr_with_height)?;
+        *height = (*height).max(h + 1);
+        Ok(e)
     }
 
     fn binop_prec(t: &Tok) -> Option<(BinOp, u8)> {
@@ -620,21 +668,30 @@ impl Parser {
         })
     }
 
-    /// Precedence-climbing loop.
-    fn binop_rhs(&mut self, mut lhs: Expr, min_prec: u8) -> Result<Expr, Error> {
+    /// Precedence-climbing loop over `lhs`, which is `height` tall.
+    fn binop_rhs(
+        &mut self,
+        mut lhs: Expr,
+        mut height: usize,
+        min_prec: u8,
+    ) -> Result<(Expr, usize), Error> {
         while let Some((op, prec)) = Self::binop_prec(self.peek()) {
             if prec < min_prec {
                 break;
             }
             self.bump();
-            let mut rhs = self.unary()?;
+            let (mut rhs, mut rhs_height) = self.unary()?;
             while let Some((_, next_prec)) = Self::binop_prec(self.peek()) {
                 if next_prec > prec {
-                    rhs = self.binop_rhs(rhs, next_prec)?;
+                    (rhs, rhs_height) = self.binop_rhs(rhs, rhs_height, next_prec)?;
                 } else {
                     break;
                 }
             }
+            // The fold parses no deeper, but its node sits over both
+            // operands: a left-deep chain is as tall as it is long.
+            height = height.max(rhs_height) + 1;
+            self.within_budget(height)?;
             let span = lhs.span().merge(rhs.span());
             lhs = Expr::Bin {
                 op,
@@ -643,103 +700,102 @@ impl Parser {
                 span,
             };
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn unary(&mut self) -> Result<Expr, Error> {
-        match self.peek() {
-            Tok::Bang => {
-                let sp = self.span();
-                self.bump();
-                let arg = self.unary()?;
-                let span = sp.merge(arg.span());
-                Ok(Expr::Un {
-                    op: UnOp::Not,
-                    arg: Arc::new(arg),
-                    span,
-                })
-            }
-            Tok::Minus => {
-                let sp = self.span();
-                self.bump();
-                let arg = self.unary()?;
-                let span = sp.merge(arg.span());
-                Ok(Expr::Un {
-                    op: UnOp::Neg,
-                    arg: Arc::new(arg),
-                    span,
-                })
-            }
-            _ => self.postfix(),
-        }
-    }
-
-    fn postfix(&mut self) -> Result<Expr, Error> {
+    fn unary(&mut self) -> Result<(Expr, usize), Error> {
+        let op = match self.peek() {
+            Tok::Bang => UnOp::Not,
+            Tok::Minus => UnOp::Neg,
+            _ => return self.postfix(),
+        };
         let sp = self.span();
-        match self.bump() {
-            Tok::Int(v) => Ok(Expr::LitInt { val: v, span: sp }),
-            Tok::Float(v) => Ok(Expr::LitFloat { val: v, span: sp }),
-            Tok::True => Ok(Expr::LitBool {
+        self.bump();
+        let (arg, height) = self.nested(Self::unary)?;
+        let span = sp.merge(arg.span());
+        let un = Expr::Un {
+            op,
+            arg: Arc::new(arg),
+            span,
+        };
+        Ok((un, height + 1))
+    }
+
+    fn postfix(&mut self) -> Result<(Expr, usize), Error> {
+        let sp = self.span();
+        let leaf = match self.bump() {
+            Tok::Int(v) => Expr::LitInt { val: v, span: sp },
+            Tok::Float(v) => Expr::LitFloat { val: v, span: sp },
+            Tok::True => Expr::LitBool {
                 val: true,
                 span: sp,
-            }),
-            Tok::False => Ok(Expr::LitBool {
+            },
+            Tok::False => Expr::LitBool {
                 val: false,
                 span: sp,
-            }),
+            },
             Tok::LParen => {
-                let e = self.expr()?;
+                let inner = self.nested(Self::expr_with_height)?;
                 self.expect(&Tok::RParen)?;
-                Ok(e)
+                return Ok(inner);
             }
-            Tok::Ident(name) => {
-                // Call?
-                if *self.peek() == Tok::LParen {
-                    self.bump();
-                    let mut args = Vec::new();
-                    if !self.eat(&Tok::RParen) {
-                        loop {
-                            args.push(self.expr()?);
-                            if !self.eat(&Tok::Comma) {
-                                break;
-                            }
-                        }
-                        self.expect(&Tok::RParen)?;
+            Tok::Ident(name) => return self.ident_expr(name, sp),
+            other => {
+                return Err(Error::parse(
+                    format!("expected an expression, found {other:?}"),
+                    sp,
+                ))
+            }
+        };
+        Ok((leaf, 0))
+    }
+
+    /// A variable, call or memory access starting with `name`.
+    fn ident_expr(&mut self, name: Id, sp: Span) -> Result<(Expr, usize), Error> {
+        let mut height = 0;
+        // Call?
+        if *self.peek() == Tok::LParen {
+            self.bump();
+            let mut args = Vec::new();
+            if !self.eat(&Tok::RParen) {
+                loop {
+                    args.push(self.child(&mut height)?);
+                    if !self.eat(&Tok::Comma) {
+                        break;
                     }
-                    return Ok(Expr::Call {
-                        func: name,
-                        args,
-                        span: sp.merge(self.prev_span()),
-                    });
                 }
-                // Physical bank and/or indices?
-                let mut phys_bank = None;
-                if *self.peek() == Tok::LBrace && !self.brace_is_block() {
-                    self.bump();
-                    phys_bank = Some(Arc::new(self.expr()?));
-                    self.expect(&Tok::RBrace)?;
-                }
-                let mut idxs = Vec::new();
-                while *self.peek() == Tok::LBracket {
-                    self.bump();
-                    idxs.push(self.expr()?);
-                    self.expect(&Tok::RBracket)?;
-                }
-                if idxs.is_empty() && phys_bank.is_none() {
-                    Ok(Expr::Var { name, span: sp })
-                } else {
-                    Ok(Expr::Access {
-                        mem: name,
-                        phys_bank,
-                        idxs,
-                        span: sp.merge(self.prev_span()),
-                    })
-                }
+                self.expect(&Tok::RParen)?;
             }
-            other => Err(Error::parse(
-                format!("expected an expression, found {other:?}"),
-                sp,
-            )),
+            let call = Expr::Call {
+                func: name,
+                args,
+                span: sp.merge(self.prev_span()),
+            };
+            return Ok((call, height));
+        }
+        // Physical bank and/or indices?
+        let mut phys_bank = None;
+        if *self.peek() == Tok::LBrace && !self.brace_is_block() {
+            self.bump();
+            phys_bank = Some(Arc::new(self.child(&mut height)?));
+            self.expect(&Tok::RBrace)?;
+        }
+        let mut idxs = Vec::new();
+        while *self.peek() == Tok::LBracket {
+            self.bump();
+            idxs.push(self.child(&mut height)?);
+            self.expect(&Tok::RBracket)?;
+        }
+        if idxs.is_empty() && phys_bank.is_none() {
+            Ok((Expr::Var { name, span: sp }, 0))
+        } else {
+            let access = Expr::Access {
+                mem: name,
+                phys_bank,
+                idxs,
+                span: sp.merge(self.prev_span()),
+            };
+            Ok((access, height))
         }
     }
 
@@ -1013,5 +1069,85 @@ mod tests {
     fn while_loop() {
         let c = body("while (i < 10) { i := i + 1; }");
         assert!(matches!(c, Cmd::While { .. }));
+    }
+
+    /// `open` n times, then `core`, then `close` n times.
+    fn nest(n: usize, open: &str, core: &str, close: &str) -> String {
+        format!("{}{core}{}", open.repeat(n), close.repeat(n))
+    }
+
+    /// A program nested as many levels deep as its argument.
+    type Shape = fn(usize) -> String;
+
+    /// Every way a program can nest.
+    fn shapes() -> Vec<(&'static str, Shape)> {
+        vec![
+            ("parentheses", |n| {
+                format!("let x = {};", nest(n, "(", "1", ")"))
+            }),
+            ("unary prefixes", |n| {
+                format!("let x = {}true;", "!".repeat(n))
+            }),
+            ("chain terms", |n| {
+                format!("let x = 1.0{};", " + 1.0".repeat(n))
+            }),
+            ("indices", |n| {
+                format!("let x = {};", nest(n, "A[", "0", "]"))
+            }),
+            ("calls", |n| format!("let x = {};", nest(n, "f(", "0", ")"))),
+            ("blocks", |n| nest(n, "{ ", "x := 1;", " }")),
+            ("ifs", |n| nest(n, "if (true) { ", "x := 1;", " }")),
+            ("else ifs", |n| {
+                format!("if (true) {{ }}{}", " else if (true) { }".repeat(n - 1))
+            }),
+            ("fors", |n| {
+                nest(n, "for (let i = 0..1) { ", "x := 1;", " }")
+            }),
+            ("whiles", |n| nest(n, "while (true) { ", "x := 1;", " }")),
+        ]
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses_and_one_past_it_is_refused() {
+        for (name, shape) in shapes() {
+            if let Err(e) = parse(&shape(MAX_NESTING)) {
+                panic!("{name} at the limit: {e}");
+            }
+            let err = parse(&shape(MAX_NESTING + 1)).expect_err(name);
+            assert!(matches!(err, Error::Parse { .. }), "{name}: {err}");
+            assert!(
+                err.to_string().contains("limit of 256 levels"),
+                "{name}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn nesting_is_charged_along_one_path_not_summed() {
+        // Siblings each get the whole budget; nesting a chain inside a
+        // parenthesis spends the parenthesis's level plus the chain's.
+        let wide = format!("let x = {};", vec![nest(200, "(", "1", ")"); 8].join(" * "));
+        assert!(parse(&wide).is_ok());
+        let chain = " + 1.0".repeat(MAX_NESTING - 1);
+        assert!(parse(&format!("let x = (1.0{chain});")).is_ok());
+        assert!(parse(&format!("let x = (1.0{chain} + 1.0);")).is_err());
+        // A chain folded onto a tall operand is charged the operand's
+        // height: this tree is 2 × 200 deep, though no parse nests 201.
+        let tall = nest(200, "!", "true", "");
+        let deep = format!("let x = ({tall}){};", " && true".repeat(200));
+        assert!(parse(&deep).is_err());
+    }
+
+    #[test]
+    fn a_deep_program_is_an_error_not_a_stack_overflow() {
+        // Without the budget, each of these overflowed a 2 MiB stack in
+        // some stage of the pipeline; now the parser refuses them.
+        for src in [
+            format!("let x = {};", nest(20_000, "(", "A[0]", ")")),
+            format!("let x = 1.0{};", " + 1.0".repeat(50_000)),
+            nest(2_048, "{ ", "x := 1;", " }"),
+        ] {
+            assert!(matches!(parse(&src), Err(Error::Parse { .. })));
+        }
     }
 }

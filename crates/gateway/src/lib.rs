@@ -38,8 +38,8 @@
 //!   cold backlog waits in the gateway
 //!   instead of being shed by the shard; a shard that sheds anyway
 //!   (`admission/overloaded`) is re-routed past. [`Gateway::submit`]
-//!   blocks on this same path; a sweep starts its points on it and
-//!   folds their replies on the sweep's own thread. Only stats polls
+//!   blocks on this same path; a sweep starts its accepted points on
+//!   it and folds their replies on the sweep's own thread. Only stats polls
 //!   and admin ops, which block on shard I/O, use a small control
 //!   pool.
 //! * **Replication** ([`GatewayConfig::replication`], default 1):
@@ -56,12 +56,16 @@
 //!   ones; a failed request poisons its shard's client immediately, so
 //!   in-flight *and* future requests re-route to the next shard in
 //!   rendezvous order without waiting for the next health tick.
-//! * The gateway **never compiles**. When no shard answers (an empty
-//!   topology, every shard dead, or every shard draining) the request
-//!   gets a retryable `admission/unavailable` error whose
-//!   `retry_after_ms` is the health interval — the time until the next
-//!   re-dial of a dead shard. A program that kills every shard cannot
-//!   kill the gateway too.
+//! * The gateway **compiles nothing for a request**: it only routes.
+//!   When no shard answers (an empty topology, every shard dead, or
+//!   every shard draining) the request gets a retryable
+//!   `admission/unavailable` error whose `retry_after_ms` is the health
+//!   interval — the time until the next re-dial of a dead shard. Only
+//!   a sweep runs the front end (parse, then check) at the gateway, on
+//!   each rendered point, so that the checker's rejections, most of a
+//!   design space, never hop; the parser's nesting budget
+//!   (`MAX_NESTING`) and the checker's bank budget (`MAX_BANKS`) bound
+//!   that work for any program, and a panic in it routes the point.
 //!
 //! The gateway is itself a [`SessionHost`], so
 //! [`dahlia_server::serve_sessions`] gives it the same TCP front end,

@@ -2,14 +2,16 @@
 //!
 //! A `{"op":"sweep"}` control line names a templated kernel and a
 //! parameter space ([`SweepSpec`]); this module renders every point,
-//! scatters the evaluations across the shard set through the gateway's
-//! ordinary routing (rendezvous placement, admission cache, fail-over,
-//! replication — a sweep point is just a request), and folds the
-//! results through a streaming [`ParetoFront`]. The scatter parks no
-//! thread per point: the sweep's own thread keeps a window of points in
-//! flight, each started with the router's asynchronous submit, and
-//! folds every reply itself as it lands. Three properties carry the
-//! subsystem:
+//! runs the front end (parse, then check) on it, scatters the points
+//! it accepts across the shard set through the gateway's ordinary
+//! routing (rendezvous placement, admission cache, fail-over,
+//! replication — an accepted point is just a request), and folds the
+//! results through a streaming [`ParetoFront`]. A rejected point — most
+//! of a real design space — is folded on the spot with the verdict a
+//! shard would give, without a hop. The scatter parks no thread per
+//! point: the sweep's own thread keeps a window of points in flight,
+//! each started with the router's asynchronous submit, and folds every
+//! reply itself as it lands. Three properties carry the subsystem:
 //!
 //! * **Durability.** Every completed point is appended to a crash-safe
 //!   journal (the [`Tsdb`] record format, retention disabled) keyed by
@@ -41,7 +43,7 @@ use std::time::Instant;
 use dahlia_dse::{point_digest, render, ParetoFront, SweepSpec};
 use dahlia_obs::{Counter, Gauge, Registry, Tsdb, TsdbOptions};
 use dahlia_server::json::{obj, Json};
-use dahlia_server::{Request, Stage};
+use dahlia_server::{front_end, Request, Stage};
 
 use crate::{GwInner, HOP_WINDOW};
 
@@ -57,13 +59,13 @@ pub(crate) struct SweepCounters {
     resumed: Counter,
     /// Points across all sweeps (after striding).
     points_total: Counter,
-    /// Points actually evaluated (dispatched through the router).
+    /// Points evaluated: rejected at the gateway or routed to a shard.
     points_done: Counter,
     /// Points answered from the journal on resume — never dispatched.
     points_skipped: Counter,
     /// Points skipped by dominance pruning.
     points_pruned: Counter,
-    /// Evaluated points answered warm (admission cache or shard cache).
+    /// Routed points answered warm (admission cache or shard cache).
     cache_hits: Counter,
     /// Evaluated points whose compile was rejected (no objectives).
     point_failures: Counter,
@@ -346,57 +348,96 @@ pub(crate) fn run_sweep(inner: &Arc<GwInner>, op: dahlia_server::SweepOp, emit: 
 /// The emit callback type [`run_sweep`] streams lines through.
 pub(crate) type EmitFn = dyn Fn(Json, bool) + Send + Sync;
 
-/// Scatter `pts` across the cluster and fold every completion into
-/// `state` on this thread, returning each point's objectives (`None`
-/// for a rejected or unanswered point) in `pts` order. At most
-/// [`HOP_WINDOW`] × shard count points are in flight — what the
+/// Evaluate `pts` and fold every outcome into `state` on this thread,
+/// returning each point's objectives (`None` for a rejected or
+/// unanswered point) in `pts` order. Each point first meets the front
+/// end here: a point it rejects is recorded on the spot and never
+/// becomes a request, so only accepted points hop to a shard. At most
+/// [`HOP_WINDOW`] × shard count of those are in flight — what the
 /// shards' wire windows hold together — and each reply callback only
 /// hands its answer back to this thread.
 fn evaluate(state: &mut SweepState<'_>, pts: &[Point], emit: &EmitFn) -> Vec<Option<Vec<f64>>> {
     let window = HOP_WINDOW * state.inner.shards().len().max(1);
     let (tx, rx) = mpsc::channel();
     let mut objectives = vec![None; pts.len()];
-    let mut started = 0;
-    for folded in 0..pts.len() {
-        while started < pts.len() && started - folded < window {
-            let p = &pts[started];
-            let req = Request::new(
-                format!("{}:{:032x}", state.op_id, p.digest),
-                state.stage,
-                p.source.as_str(),
-                state.name.as_str(),
-            );
-            let tx = tx.clone();
-            let i = started;
-            state.inner.submit(
-                req,
-                Box::new(move |resp| {
-                    let _ = tx.send((i, resp));
-                }),
-            );
-            started += 1;
-        }
+    let mut in_flight = 0;
+    let fold_one = |state: &mut SweepState<'_>, objectives: &mut [Option<Vec<f64>>]| {
         let (i, resp) = rx.recv().expect("the sweep holds a sender");
-        objectives[i] = state.fold(&pts[i], &resp, emit);
+        objectives[i] = state.record(&pts[i], Outcome::of_reply(&resp), emit);
+    };
+    for (i, p) in pts.iter().enumerate() {
+        // A panicking front end is no verdict: the point routes, and
+        // its shard answers `internal`.
+        let verdict = std::panic::catch_unwind(|| front_end(&p.source, state.stage));
+        if let Ok(Err(_)) = verdict {
+            state.record(p, Outcome::REJECTED, emit);
+            continue;
+        }
+        if in_flight == window {
+            fold_one(state, &mut objectives);
+            in_flight -= 1;
+        }
+        let req = Request::new(
+            format!("{}:{:032x}", state.op_id, p.digest),
+            state.stage,
+            p.source.as_str(),
+            state.name.as_str(),
+        );
+        let tx = tx.clone();
+        state.inner.submit(
+            req,
+            Box::new(move |resp| {
+                let _ = tx.send((i, resp));
+            }),
+        );
+        in_flight += 1;
+    }
+    for _ in 0..in_flight {
+        fold_one(state, &mut objectives);
     }
     objectives
 }
 
-impl SweepState<'_> {
-    /// Fold one answered point: journal it, offer it to the front,
-    /// count it, and stream a progress line when one is due.
-    fn fold(&mut self, p: &Point, resp: &Json, emit: &EmitFn) -> Option<Vec<f64>> {
+/// What became of one point.
+struct Outcome {
+    /// The five objectives; `None` for a rejected or unanswered point.
+    objectives: Option<Vec<f64>>,
+    /// Answered warm, by the admission cache or a shard's cache.
+    cached: bool,
+    /// The point has a verdict, so it is journaled. A point no shard
+    /// answered has none: a resume evaluates it again.
+    verdict: bool,
+}
+
+impl Outcome {
+    /// A point the front end rejected at the gateway.
+    const REJECTED: Outcome = Outcome {
+        objectives: None,
+        cached: false,
+        verdict: true,
+    };
+
+    /// Read a routed point's reply.
+    fn of_reply(resp: &Json) -> Outcome {
         let ok = resp.get("ok").and_then(Json::as_bool) == Some(true);
-        if resp.get("cached").and_then(Json::as_bool) == Some(true) {
+        let phase = resp.get("error").and_then(|e| e.get("phase"));
+        Outcome {
+            objectives: if ok { objectives_of(resp) } else { None },
+            cached: resp.get("cached").and_then(Json::as_bool) == Some(true),
+            verdict: phase.and_then(Json::as_str) != Some("admission"),
+        }
+    }
+}
+
+impl SweepState<'_> {
+    /// Record one point's outcome: journal it, offer it to the front,
+    /// count it, and stream a progress line when one is due.
+    fn record(&mut self, p: &Point, outcome: Outcome, emit: &EmitFn) -> Option<Vec<f64>> {
+        if outcome.cached {
             self.cache_hits += 1;
         }
-        let objectives = if ok { objectives_of(resp) } else { None };
-        // An admission error (no shard answered) is no verdict on the
-        // point: keep it out of the journal so a resume evaluates it
-        // again.
-        let phase = resp.get("error").and_then(|e| e.get("phase"));
-        let verdict = phase.and_then(Json::as_str) != Some("admission");
-        if let Some(tsdb) = self.journal.as_ref().filter(|_| verdict) {
+        let objectives = outcome.objectives;
+        if let Some(tsdb) = self.journal.as_ref().filter(|_| outcome.verdict) {
             let record = journal_record(p.digest, &p.key, objectives.as_deref());
             tsdb.append(self.inner.telemetry.clock.now_ms(), record.as_bytes());
         }
@@ -669,7 +710,9 @@ mod tests {
                 .unwrap()
                 .as_nanos()
         ));
-        // Run 1: an empty cluster answers every point unavailable.
+        // Run 1: the gateway's own check rejects four of the nine
+        // configs; an empty cluster answers the five it accepts
+        // unavailable.
         {
             let gw = GatewayConfig::new(Vec::<String>::new())
                 .telemetry(TelemetryConfig::new().dir(&dir))
@@ -678,9 +721,11 @@ mod tests {
             let v = Json::parse(&lines.last().unwrap().0).unwrap();
             let s = v.get("sweep").unwrap();
             assert_eq!(s.get("point_failures").and_then(Json::as_u64), Some(9));
+            assert_eq!(gw.requests(), 5, "only accepted points were routed");
         }
-        // Run 2 resumes over a live shard: nothing was journaled, so
-        // every point is evaluated now.
+        // Run 2 resumes over a live shard: only the rejections have a
+        // verdict in the journal, so the five unanswered points are
+        // evaluated now.
         {
             let shard = spawn_shard();
             let gw = GatewayConfig::new([shard.addr.clone()])
@@ -689,8 +734,8 @@ mod tests {
             let lines = run(&gw, small_op("u2", true, 0));
             let v = Json::parse(&lines.last().unwrap().0).unwrap();
             let s = v.get("sweep").unwrap();
-            assert_eq!(s.get("points_skipped").and_then(Json::as_u64), Some(0));
-            assert_eq!(s.get("points_done").and_then(Json::as_u64), Some(9));
+            assert_eq!(s.get("points_skipped").and_then(Json::as_u64), Some(4));
+            assert_eq!(s.get("points_done").and_then(Json::as_u64), Some(5));
             assert!(s.get("front_size").and_then(Json::as_u64).unwrap() >= 1);
         }
         let _ = std::fs::remove_dir_all(&dir);

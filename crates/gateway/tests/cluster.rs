@@ -1445,3 +1445,174 @@ fn a_sweep_outlives_a_shard_killed_mid_sweep() {
     join_b.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `let x = ((…A[0]…));` nested `depth` parentheses deep.
+fn deeply_nested(depth: usize) -> String {
+    format!("let x = {}A[0]{};", "(".repeat(depth), ")".repeat(depth))
+}
+
+/// `executions.check` summed over every shard's stats.
+fn shard_checks(gw: &dahlia_gateway::Gateway) -> u64 {
+    gw.shard_snapshots()
+        .iter()
+        .filter_map(|s| s.stats.as_ref()?.get("executions")?.get("check")?.as_u64())
+        .sum()
+}
+
+/// A request nested far past the parser's budget is a parse error on
+/// the shard it lands on. Without the budget it overflowed that
+/// shard's stack, and the gateway re-routed it to kill the next one.
+#[test]
+fn a_deeply_nested_request_is_a_parse_error_and_every_shard_survives() {
+    let (addr_a, join_a) = spawn_shard(Server::with_threads(2));
+    let (addr_b, join_b) = spawn_shard(Server::with_threads(2));
+    let gw = GatewayConfig::new([addr_a.clone(), addr_b.clone()]).build();
+
+    let resp = gw.submit(&Request::new(
+        "deep",
+        Stage::Check,
+        deeply_nested(4_000),
+        "k",
+    ));
+    let err = resp.get("error").unwrap_or_else(|| panic!("{resp:?}"));
+    assert_eq!(
+        err.get("code").and_then(Json::as_str),
+        Some("parse/invalid")
+    );
+    let message = err.get("message").and_then(Json::as_str).unwrap();
+    assert!(message.contains("limit of 256 levels"), "{message}");
+
+    let snaps = gw.shard_snapshots();
+    assert_eq!(snaps.len(), 2);
+    assert!(snaps.iter().all(|s| s.alive), "every shard answers stats");
+    drop(gw);
+    shutdown_shard(&addr_a);
+    shutdown_shard(&addr_b);
+    join_a.join().unwrap();
+    join_b.join().unwrap();
+}
+
+/// The 3 × 3 `b`/`u` space the sweep tests share, at `stage`.
+fn small_sweep(name: &str, template: &str) -> dahlia_server::SweepOp {
+    dahlia_server::SweepOp {
+        id: name.to_string(),
+        spec: dahlia_dse::SweepSpec {
+            name: name.to_string(),
+            template: template.to_string(),
+            params: vec![
+                ("b".to_string(), vec![1, 2, 4]),
+                ("u".to_string(), vec![1, 2, 4]),
+            ],
+            stage: "est".to_string(),
+            stride: 1,
+        },
+        resume: false,
+        prune: false,
+        update_every: 0,
+    }
+}
+
+const SMALL_TEMPLATE: &str = "let A: float[8 bank ${b}];\n\
+                              for (let i = 0..8) unroll ${u} { A[i] := 1.0; }";
+
+/// A sweep decides its rejections at the gateway: each accepted point
+/// is one request and one shard check, each rejected point neither,
+/// and the front is the one evaluating every point directly gives.
+#[test]
+fn a_sweep_hops_only_the_points_the_gateway_accepts() {
+    use dahlia_dse::{render, ParetoFront};
+    use dahlia_server::{query, ControlOp};
+
+    let (addr_a, join_a) = spawn_shard(Server::with_threads(2));
+    let (addr_b, join_b) = spawn_shard(Server::with_threads(2));
+    let gw = GatewayConfig::new([addr_a.clone(), addr_b.clone()]).build();
+    let (requests, checks) = (gw.requests(), shard_checks(&gw));
+
+    let op = small_sweep("hops", SMALL_TEMPLATE);
+    let spec = op.spec.clone();
+    let summary = query(&gw, ControlOp::Sweep(op));
+    let sweep = summary
+        .get("sweep")
+        .unwrap_or_else(|| panic!("{summary:?}"));
+    let count = |k: &str| sweep.get(k).and_then(Json::as_u64).unwrap();
+    assert_eq!(count("points_done"), 9);
+    let accepted = count("points_done") - count("point_failures");
+    assert_eq!(accepted, 5, "{summary:?}");
+    assert_eq!(
+        gw.requests() - requests,
+        accepted,
+        "one hop per accepted point"
+    );
+    assert_eq!(shard_checks(&gw) - checks, accepted, "one shard check each");
+
+    let server = Server::with_threads(1);
+    let mut front = ParetoFront::new();
+    for cfg in spec.points() {
+        let source = render(&spec.template, &cfg).unwrap();
+        let resp = server.submit(Request::new("direct", Stage::Estimate, source, "hops"));
+        if let Some(e) = resp.estimate() {
+            let key: Vec<String> = cfg.iter().map(|(k, v)| format!("{k}={v}")).collect();
+            let objectives = [e.cycles, e.luts, e.ffs, e.brams, e.dsps];
+            front.insert(key.join(","), objectives.map(|o| o as f64).to_vec());
+        }
+    }
+    let direct: Vec<Json> = front
+        .entries()
+        .into_iter()
+        .map(|e| {
+            Json::Obj(vec![
+                ("key".to_string(), Json::Str(e.key)),
+                (
+                    "objectives".to_string(),
+                    Json::Arr(e.objectives.into_iter().map(Json::Num).collect()),
+                ),
+            ])
+        })
+        .collect();
+    assert_eq!(sweep.get("front"), Some(&Json::Arr(direct)));
+
+    drop(gw);
+    shutdown_shard(&addr_a);
+    shutdown_shard(&addr_b);
+    join_a.join().unwrap();
+    join_b.join().unwrap();
+}
+
+/// The gateway runs the front end on every sweep point, so a template
+/// nested past the parser's budget must cost it one parse error per
+/// point, never its own stack. Substituted values are numbers and
+/// cannot change how deep a template nests, so every point here is
+/// too deep.
+#[test]
+fn a_sweep_nested_too_deep_finishes_and_the_gateway_keeps_serving() {
+    use dahlia_server::{query, ControlOp};
+
+    let (addr, join) = spawn_shard(Server::with_threads(2));
+    let gw = GatewayConfig::new([addr.clone()]).build();
+    let template = format!("let A: float[8 bank ${{b}}];\n{}", deeply_nested(4_000))
+        .replace("A[0]", "A[${u}]");
+    let summary = query(&gw, ControlOp::Sweep(small_sweep("deep", &template)));
+    assert_eq!(summary.get("done").and_then(Json::as_bool), Some(true));
+    let sweep = summary
+        .get("sweep")
+        .unwrap_or_else(|| panic!("{summary:?}"));
+    let count = |k: &str| sweep.get(k).and_then(Json::as_u64).unwrap();
+    assert_eq!(count("points_done"), 9);
+    assert_eq!(count("point_failures"), 9);
+    assert_eq!(gw.requests(), 0, "no point hopped");
+
+    let resp = gw.submit(&Request::new(
+        "after",
+        Stage::Check,
+        "let A: float[8 bank 2];",
+        "k",
+    ));
+    assert_eq!(
+        resp.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "{resp:?}"
+    );
+    drop(gw);
+    shutdown_shard(&addr);
+    join.join().unwrap();
+}

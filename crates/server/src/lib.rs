@@ -131,7 +131,7 @@ pub use evict::EvictConfig;
 pub use net::{
     serve_listener, serve_sessions, serve_sessions_with, NetConfig, NetSummary, TransportStats,
 };
-pub use pipeline::{source_digest, Artifact, Options, Pipeline, Stage};
+pub use pipeline::{front_end, source_digest, Artifact, Options, Pipeline, Stage};
 pub use pool::Pool;
 pub use protocol::{Request, Response};
 pub use session::{
@@ -707,6 +707,64 @@ mod tests {
         );
         // 4 programs × 4 stages (parse, check, lower, est).
         assert_eq!(server.stats().store.total_executions(), 16);
+    }
+
+    /// One well-typed program per way of nesting, each nested as deep
+    /// as the parser allows, with the stages it must pass.
+    fn programs_at_the_nesting_limit() -> Vec<(String, &'static [Stage])> {
+        let n = dahlia_core::parser::MAX_NESTING;
+        let nest = |open: &dyn Fn(usize) -> String, core: &str| {
+            let opens: String = (0..n).map(open).collect();
+            format!("{opens}{core}{}", " }".repeat(n))
+        };
+        let all = &Stage::ALL[..];
+        vec![
+            (
+                format!("let x = {}1.0{};", "(".repeat(n), ")".repeat(n)),
+                all,
+            ),
+            (format!("let x = {}true;", "!".repeat(n)), all),
+            (format!("let x = 1.0{};", " + 1.0".repeat(n)), all),
+            // Each block holds a step boundary, so the tree nests a
+            // `---` group and a `;` group under every block.
+            (
+                nest(
+                    &|i| format!("{{ let a{i} = 1.0; let b{i} = 2.0 --- "),
+                    "let x = 1.0;",
+                ),
+                all,
+            ),
+            (nest(&|_| "if (true) { ".to_string(), "let x = 1.0;"), all),
+            (
+                format!("if (true) {{ }}{}", " else if (true) { }".repeat(n - 1)),
+                all,
+            ),
+            (
+                nest(&|i| format!("for (let i{i} = 0..1) {{ "), "let x = 1.0;"),
+                all,
+            ),
+            // `est` assumes 16 trips per `while`, and its cycle product
+            // overflows u64 from 16 nested loops on: an arithmetic
+            // bound, not a nesting one.
+            (
+                nest(&|_| "while (false) { ".to_string(), "let x = 1.0;"),
+                &Stage::ALL[..5],
+            ),
+        ]
+    }
+
+    #[test]
+    fn every_stage_runs_on_a_pool_worker_at_the_nesting_limit() {
+        let server = Server::with_threads(1);
+        for (i, (source, stages)) in programs_at_the_nesting_limit().into_iter().enumerate() {
+            let reqs = stages
+                .iter()
+                .map(|&stage| Request::new(format!("{i}-{}", stage.name()), stage, &*source, "k"))
+                .collect();
+            for resp in server.submit_batch(reqs) {
+                assert!(resp.ok(), "{}: {:?}", resp.id, resp.value);
+            }
+        }
     }
 
     #[test]

@@ -136,6 +136,27 @@ pub fn source_digest(source: &str) -> u128 {
     h.finish()
 }
 
+/// The front end's verdict on `source` for a request of `stage`: the
+/// parse, then the type check unless `stage` is [`Stage::Parse`]. The
+/// pipeline's parse and check stages compute through the same two
+/// steps, so a caller that runs this ahead of a request reaches the
+/// verdict the pipeline would.
+pub fn front_end(source: &str, stage: Stage) -> Result<(), Diagnostic> {
+    let ast = parse(source)?;
+    if stage != Stage::Parse {
+        check(&ast)?;
+    }
+    Ok(())
+}
+
+fn parse(source: &str) -> Result<Program, Diagnostic> {
+    dahlia_core::parse(source).map_err(|e| e.diagnostic())
+}
+
+fn check(ast: &Program) -> Result<CheckReport, Diagnostic> {
+    dahlia_core::typecheck(ast).map_err(|e| e.diagnostic())
+}
+
 /// A cached stage result. Artifacts wrap their payloads in [`Arc`] so a
 /// cache hit is a pointer clone, never a deep copy.
 #[derive(Debug, Clone)]
@@ -362,16 +383,10 @@ impl Pipeline {
         sink: Option<&SpanSink>,
     ) -> CacheValue {
         match stage {
-            Stage::Parse => match dahlia_core::parse(source) {
-                Ok(p) => Ok(Artifact::Ast(Arc::new(p))),
-                Err(e) => Err(e.diagnostic()),
-            },
+            Stage::Parse => Ok(Artifact::Ast(Arc::new(parse(source)?))),
             Stage::Check => {
                 let ast = self.ast(source, opts, sink)?;
-                match dahlia_core::typecheck(&ast) {
-                    Ok(report) => Ok(Artifact::Check(Arc::new(report))),
-                    Err(e) => Err(e.diagnostic()),
-                }
+                Ok(Artifact::Check(Arc::new(check(&ast)?)))
             }
             Stage::Desugar => {
                 let ast = self.checked_ast(source, opts, sink)?;
@@ -476,6 +491,21 @@ mod tests {
         assert_eq!(s.executions[Stage::Check.index()], 1);
         assert_eq!(s.propagated[Stage::Check.index()], 1);
         assert_eq!(s.executions[Stage::Parse.index()], 2);
+    }
+
+    #[test]
+    fn front_end_gives_the_pipelines_verdict() {
+        let p = Pipeline::new();
+        for source in [GOOD, ILL_TYPED, "let = oops"] {
+            for stage in [Stage::Parse, Stage::Check, Stage::Estimate] {
+                let (piped, _) = p.artifact(source, stage, &Options::default());
+                assert_eq!(
+                    front_end(source, stage).err().map(|d| d.code),
+                    piped.err().map(|d| d.code),
+                    "{source} at {stage:?}"
+                );
+            }
+        }
     }
 
     #[test]

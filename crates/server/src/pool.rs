@@ -150,7 +150,6 @@ fn worker_loop(shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Duration;
 
     #[test]
@@ -180,23 +179,33 @@ mod tests {
     }
 
     #[test]
-    fn stealing_drains_imbalanced_queues() {
-        // One slow job must not hold up the rest: the other workers
-        // keep popping the shared queue while it runs.
+    fn a_blocked_job_does_not_hold_up_the_rest() {
+        // The first job blocks until all 32 quick jobs behind it have
+        // run, which only happens if the other workers take them while
+        // it waits. The timeout fails the test instead of hanging it.
         let pool = Pool::new(3);
-        let counter = Arc::new(AtomicU64::new(0));
-        let c2 = Arc::clone(&counter);
+        let quick_done = Arc::new((Mutex::new(0usize), Condvar::new()));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let meet = Arc::clone(&quick_done);
         pool.execute(move || {
-            std::thread::sleep(std::time::Duration::from_millis(80));
-            c2.fetch_add(1, Ordering::SeqCst);
+            let (done, all_done) = &*meet;
+            let done = done.lock().unwrap();
+            let wait = Duration::from_secs(30);
+            let timeout = all_done
+                .wait_timeout_while(done, wait, |n| *n < 32)
+                .unwrap()
+                .1;
+            let _ = tx.send(!timeout.timed_out());
         });
-        let quick: Vec<u64> = (0..32).collect();
-        let c3 = Arc::clone(&counter);
-        pool.map(quick, move |_| {
-            c3.fetch_add(1, Ordering::SeqCst);
+        pool.map(vec![quick_done; 32], |meet| {
+            let (done, all_done) = &*meet;
+            *done.lock().unwrap() += 1;
+            all_done.notify_all();
         });
-        // All 32 quick jobs completed even while the slow one was running.
-        assert!(counter.load(Ordering::SeqCst) >= 32);
+        assert!(
+            rx.recv().unwrap(),
+            "the quick jobs waited behind the blocked one"
+        );
     }
 
     #[test]
