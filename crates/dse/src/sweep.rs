@@ -2,14 +2,17 @@
 //! protocol op.
 //!
 //! A [`SweepSpec`] carries a *source template* plus the parameter space
-//! to instantiate it over. [`render`] expands one configuration into
-//! concrete Dahlia source; the gateway scatters the rendered points
-//! across shards and folds the estimates through a
-//! [`ParetoFront`](crate::ParetoFront). Everything here is
-//! deterministic — same spec, same point order, same digests — which is
-//! what makes the crash-safe sweep journal replayable: a resumed sweep
-//! re-plans the identical point list and skips the digests already
-//! journaled.
+//! to instantiate it over. [`SweepSpec::plan`] checks the spec and
+//! compiles the template once into a [`Plan`]: literal text and
+//! directives whose operands are already resolved to parameter
+//! positions. The gateway then walks the planned points one at a time,
+//! decoding each into a reused values array and rendering it into a
+//! reused buffer just before its front end runs, so a sweep holds one
+//! rendered point, never the whole space. [`render`] expands one
+//! configuration the same way. Everything here is deterministic — same
+//! spec, same point order, same rendered bytes — which is what makes
+//! the crash-safe sweep journal replayable: a resumed sweep re-renders
+//! the identical points and skips the digests already journaled.
 //!
 //! # Template language
 //!
@@ -26,17 +29,19 @@
 //! * `${access:mem:b1,u1:b2,u2:...}` — emits `mem_sh` or `mem` to match
 //!   whichever the paired `${shrink:...}` directive produced.
 
-use crate::space::{Config, ParamSpace};
+use crate::space::Config;
 use hls_sim::Fnv;
 
-/// The most memory a sweep plan may take: the rendered points plus
-/// [`PLAN_POINT_OVERHEAD`] bytes of bookkeeping each. A gateway holds the
-/// whole plan before the first dispatch, so [`SweepSpec::validate`]
-/// refuses a larger one up front.
+/// The most a sweep may plan: its points' rendered sources plus
+/// [`PLAN_POINT_OVERHEAD`] bytes each. A gateway renders one point at a
+/// time and holds none of them, so the budget no longer bounds memory:
+/// it bounds the source a sweep will render and parse on the gateway's
+/// sweep thread, and [`SweepSpec::validate`] refuses a larger sweep up
+/// front.
 const PLAN_BUDGET_BYTES: u64 = 256 << 20;
 
-/// Per-point plan bookkeeping beyond the rendered source (keys, digest,
-/// configuration), as charged against [`PLAN_BUDGET_BYTES`].
+/// Per-point bookkeeping beyond the rendered source (key, digest,
+/// journal record), as charged against [`PLAN_BUDGET_BYTES`].
 const PLAN_POINT_OVERHEAD: u64 = 256;
 
 /// A fully planned sweep: the template, the parameter space, and the
@@ -57,19 +62,6 @@ pub struct SweepSpec {
 }
 
 impl SweepSpec {
-    /// The parameter space this spec enumerates.
-    ///
-    /// Panics on duplicate or empty parameters, mirroring
-    /// [`ParamSpace::param`]; wire-facing callers validate first via
-    /// [`SweepSpec::validate`].
-    pub fn space(&self) -> ParamSpace {
-        let mut s = ParamSpace::new();
-        for (name, values) in &self.params {
-            s = s.param(name, values.clone());
-        }
-        s
-    }
-
     /// Number of configurations in the full space, or `None` when the
     /// product of the value-list lengths overflows `u64`.
     fn total(&self) -> Option<u64> {
@@ -85,6 +77,13 @@ impl SweepSpec {
     /// parameters and the first rendered point, before any point is
     /// planned.
     pub fn validate(&self) -> Result<(), String> {
+        self.plan().map(drop)
+    }
+
+    /// [`SweepSpec::validate`], returning the checked plan: the
+    /// template compiled against the parameters, ready to render the
+    /// planned points one at a time.
+    pub fn plan(&self) -> Result<Plan<'_>, String> {
         if self.params.is_empty() {
             return Err("sweep needs at least one parameter".to_string());
         }
@@ -105,15 +104,21 @@ impl SweepSpec {
         let Some(total) = self.total() else {
             return Err("the parameter space has more than 2^64 points".to_string());
         };
-        // Render against the first configuration to surface template
-        // errors (unknown parameters, malformed directives) up front.
-        let first = self
-            .space()
-            .iter()
-            .next()
-            .expect("non-empty params imply a non-empty space");
-        let source = render(&self.template, &first)?;
-        let planned = total.div_ceil(self.stride);
+        let names: Vec<&str> = self.params.iter().map(|(n, _)| n.as_str()).collect();
+        let mut by_name: Vec<usize> = (0..names.len()).collect();
+        by_name.sort_by_key(|&i| names[i]);
+        let plan = Plan {
+            spec: self,
+            template: Template::compile(&self.template, &names)?,
+            by_name,
+            count: total.div_ceil(self.stride),
+        };
+        // Size the sweep by its first point.
+        let mut values = vec![0; names.len()];
+        let mut source = String::new();
+        plan.decode(0, &mut values);
+        plan.render(&values, &mut source);
+        let planned = plan.count;
         let bytes = u128::from(planned) * u128::from(source.len() as u64 + PLAN_POINT_OVERHEAD);
         if bytes > u128::from(PLAN_BUDGET_BYTES) {
             return Err(format!(
@@ -121,43 +126,47 @@ impl SweepSpec {
                  over the {PLAN_BUDGET_BYTES}-byte plan budget"
             ));
         }
-        Ok(())
+        Ok(plan)
     }
 
     /// The planned point list: every `stride`-th configuration of the
     /// space, in enumeration order (last parameter fastest — identical
-    /// to `self.space().iter().step_by(stride)`).
+    /// to walking the [`ParamSpace`](crate::ParamSpace) of the same
+    /// parameters with `step_by(stride)`).
     ///
     /// Kept indices are decoded directly from their mixed-radix
-    /// representation, so planning a strided slice costs
-    /// O(points × axes) rather than a walk over the whole space — at
-    /// the paper's 32,000-point space with a coarse stride, the plan
-    /// is what the sweep op pays before the first request leaves the
-    /// gateway.
+    /// representation (see [`Plan::decode`]), so planning a
+    /// strided slice costs O(points × axes) rather than a walk over the
+    /// whole space.
     ///
     /// Panics if the space has more than 2^64 points; wire-facing
     /// callers validate first via [`SweepSpec::validate`], which also
     /// bounds the plan's size.
     pub fn points(&self) -> Vec<Config> {
         let total = self.total().expect("the parameter space overflows u64");
-        let stride = self.stride.max(1);
-        let mut out = Vec::with_capacity(total.div_ceil(stride) as usize);
-        let mut idx = 0u64;
-        while idx < total {
-            let mut rem = idx;
-            let mut cfg = Config::new();
-            for (name, vs) in self.params.iter().rev() {
-                let radix = vs.len() as u64;
-                cfg.insert(name.clone(), vs[(rem % radix) as usize]);
-                rem /= radix;
-            }
-            out.push(cfg);
-            let Some(next) = idx.checked_add(stride) else {
-                break;
-            };
-            idx = next;
+        let mut values = vec![0; self.params.len()];
+        (0..total.div_ceil(self.stride.max(1)))
+            .map(|n| {
+                self.decode(n, &mut values);
+                self.params
+                    .iter()
+                    .zip(&values)
+                    .map(|((name, _), v)| (name.clone(), *v))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Decode the `n`-th planned point (the space's `n × stride`-th
+    /// configuration) into `values`, one per parameter in declaration
+    /// order.
+    fn decode(&self, n: u64, values: &mut [u64]) {
+        let mut rem = n * self.stride.max(1);
+        for (slot, (_, vs)) in values.iter_mut().zip(&self.params).rev() {
+            let radix = vs.len() as u64;
+            *slot = vs[(rem % radix) as usize];
+            rem /= radix;
         }
-        out
     }
 
     /// Stable 128-bit identity of this sweep — the journal directory
@@ -177,6 +186,60 @@ impl SweepSpec {
     }
 }
 
+/// A checked sweep (see [`SweepSpec::plan`]): its template compiled
+/// against the parameters. It renders any planned point on demand and
+/// holds none.
+#[derive(Debug)]
+pub struct Plan<'a> {
+    spec: &'a SweepSpec,
+    template: Template<'a>,
+    /// Parameter positions in name order — a [`Config`]'s key order.
+    by_name: Vec<usize>,
+    count: u64,
+}
+
+impl Plan<'_> {
+    /// How many points the sweep plans.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// How many parameters a point has: the length of the values
+    /// array [`Plan::decode`] fills.
+    pub fn axes(&self) -> usize {
+        self.spec.params.len()
+    }
+
+    /// Decode the `n`-th planned point, `n` below [`Plan::count`] (the
+    /// space's `n × stride`-th configuration, last parameter fastest),
+    /// into `values`, one per parameter in declaration order.
+    pub fn decode(&self, n: u64, values: &mut [u64]) {
+        self.spec.decode(n, values);
+    }
+
+    /// Replace `out` with the template rendered at `values`: the bytes
+    /// [`render`] gives for the same configuration.
+    pub fn render(&self, values: &[u64], out: &mut String) {
+        out.clear();
+        self.template.render_into(values, out);
+    }
+
+    /// The point's canonical `name=value,...` key, names sorted as in a
+    /// [`Config`] — the sweep's front and journal key.
+    pub fn key(&self, values: &[u64]) -> String {
+        let mut key = String::new();
+        for (j, &i) in self.by_name.iter().enumerate() {
+            if j > 0 {
+                key.push(',');
+            }
+            key.push_str(&self.spec.params[i].0);
+            key.push('=');
+            push_u64(&mut key, values[i]);
+        }
+        key
+    }
+}
+
 /// Stable 128-bit digest of one rendered point source — the unit the
 /// sweep journal checkpoints completion of.
 pub fn point_digest(source: &str) -> u128 {
@@ -188,41 +251,166 @@ pub fn point_digest(source: &str) -> u128 {
 /// Expand `template` against one configuration. Errors name the failing
 /// directive.
 pub fn render(template: &str, cfg: &Config) -> Result<String, String> {
+    let names: Vec<&str> = cfg.keys().map(String::as_str).collect();
+    let values: Vec<u64> = cfg.values().copied().collect();
     let mut out = String::new();
-    let mut rest = template;
-    while let Some(pos) = rest.find("${") {
-        out.push_str(&rest[..pos]);
-        let after = &rest[pos + 2..];
-        let Some(end) = after.find('}') else {
-            return Err("unterminated `${` in template".to_string());
-        };
-        expand(&after[..end], cfg, &mut out)?;
-        rest = &after[end + 1..];
-    }
-    out.push_str(rest);
+    Template::compile(template, &names)?.render_into(&values, &mut out);
     Ok(out)
 }
 
-/// A directive token: a parameter reference or an integer literal.
-fn resolve(token: &str, cfg: &Config) -> Result<u64, String> {
-    if let Ok(n) = token.parse::<u64>() {
-        return Ok(n);
+/// A template compiled against an ordered parameter list: literal text
+/// and directives whose operands are resolved to parameter positions,
+/// so rendering a point scans nothing and looks nothing up.
+#[derive(Debug)]
+struct Template<'t> {
+    pieces: Vec<Piece<'t>>,
+}
+
+#[derive(Debug)]
+enum Piece<'t> {
+    /// Template text between directives.
+    Text(&'t str),
+    /// `${p}` or `${7}`.
+    Value(Operand),
+    /// `${shrink:mem:...}`: the view line, when the pairs need one.
+    Shrink { mem: &'t str, pairs: Vec<Pair> },
+    /// `${access:mem:...}`: `mem`, or `mem_sh` under a shrink view.
+    Access { mem: &'t str, pairs: Vec<Pair> },
+}
+
+/// A directive token: the value of a parameter, or an integer literal.
+#[derive(Debug, Clone, Copy)]
+enum Operand {
+    Param(usize),
+    Literal(u64),
+}
+
+/// A `bank,unroll` pair of a `shrink`/`access` directive.
+type Pair = (Operand, Operand);
+
+impl Operand {
+    fn value(self, values: &[u64]) -> u64 {
+        match self {
+            Operand::Param(i) => values[i],
+            Operand::Literal(n) => n,
+        }
     }
-    cfg.get(token)
-        .copied()
+}
+
+impl<'t> Template<'t> {
+    /// Compile `template` against parameter `names`; a point's values
+    /// are later given in the same order. The errors are [`render`]'s,
+    /// naming the first failing directive.
+    fn compile(template: &'t str, names: &[&str]) -> Result<Template<'t>, String> {
+        let mut pieces = Vec::new();
+        let mut rest = template;
+        while let Some(pos) = rest.find("${") {
+            if pos > 0 {
+                pieces.push(Piece::Text(&rest[..pos]));
+            }
+            let after = &rest[pos + 2..];
+            let Some(end) = after.find('}') else {
+                return Err("unterminated `${` in template".to_string());
+            };
+            pieces.push(directive(&after[..end], names)?);
+            rest = &after[end + 1..];
+        }
+        if !rest.is_empty() {
+            pieces.push(Piece::Text(rest));
+        }
+        Ok(Template { pieces })
+    }
+
+    /// Append the template rendered at `values`, one per compiled
+    /// parameter name, to `out`.
+    fn render_into(&self, values: &[u64], out: &mut String) {
+        for piece in &self.pieces {
+            match piece {
+                Piece::Text(text) => out.push_str(text),
+                Piece::Value(op) => push_u64(out, op.value(values)),
+                Piece::Access { mem, pairs } => {
+                    out.push_str(mem);
+                    if shrinks(resolve(pairs, values)) {
+                        out.push_str("_sh");
+                    }
+                }
+                Piece::Shrink { mem, pairs } => {
+                    if shrinks(resolve(pairs, values)) {
+                        out.push_str("  view ");
+                        out.push_str(mem);
+                        out.push_str("_sh = shrink ");
+                        out.push_str(mem);
+                        for (b, u) in resolve(pairs, values) {
+                            out.push_str("[by ");
+                            push_u64(out, b / u.max(1));
+                            out.push(']');
+                        }
+                        out.push_str(";\n");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A directive's pairs at one point's values.
+fn resolve<'a>(
+    pairs: &'a [Pair],
+    values: &'a [u64],
+) -> impl Iterator<Item = (u64, u64)> + Clone + 'a {
+    pairs
+        .iter()
+        .map(|&(b, u)| (b.value(values), u.value(values)))
+}
+
+/// Compile the directive between `${` and `}`.
+fn directive<'t>(directive: &'t str, names: &[&str]) -> Result<Piece<'t>, String> {
+    let parts: Vec<&str> = directive.split(':').collect();
+    match parts.as_slice() {
+        [token] => Ok(Piece::Value(operand(token, names)?)),
+        [kind @ ("shrink" | "access"), mem, rest @ ..] if !rest.is_empty() => {
+            let mut pairs = Vec::with_capacity(rest.len());
+            for part in rest {
+                let Some((b, u)) = part.split_once(',') else {
+                    return Err(format!("malformed `bank,unroll` pair `{part}` in template"));
+                };
+                pairs.push((operand(b.trim(), names)?, operand(u.trim(), names)?));
+            }
+            Ok(if *kind == "access" {
+                Piece::Access { mem, pairs }
+            } else {
+                Piece::Shrink { mem, pairs }
+            })
+        }
+        _ => Err(format!("malformed template directive `${{{directive}}}`")),
+    }
+}
+
+/// A directive token: an integer literal, or a parameter reference.
+fn operand(token: &str, names: &[&str]) -> Result<Operand, String> {
+    if let Ok(n) = token.parse::<u64>() {
+        return Ok(Operand::Literal(n));
+    }
+    names
+        .iter()
+        .position(|n| *n == token)
+        .map(Operand::Param)
         .ok_or_else(|| format!("unknown parameter `{token}` in template"))
 }
 
-/// The banking/unroll pairs of a `shrink`/`access` directive, resolved.
-fn resolve_pairs(parts: &[&str], cfg: &Config) -> Result<Vec<(u64, u64)>, String> {
-    let mut pairs = Vec::with_capacity(parts.len());
-    for part in parts {
-        let Some((b, u)) = part.split_once(',') else {
-            return Err(format!("malformed `bank,unroll` pair `{part}` in template"));
-        };
-        pairs.push((resolve(b.trim(), cfg)?, resolve(u.trim(), cfg)?));
+/// Append `v` in decimal.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
     }
-    Ok(pairs)
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 /// Whether a shrink view is needed (and legal) for these
@@ -232,40 +420,17 @@ fn resolve_pairs(parts: &[&str], cfg: &Config) -> Result<Vec<(u64, u64)>, String
 /// view when some unroll does not divide its banking (the checker
 /// rejects that configuration, which is part of the experiment).
 pub fn needs_shrink(pairs: &[(u64, u64)]) -> bool {
-    let direct = pairs.iter().all(|(b, u)| *b == (*u).min(*b) || *b == 1);
-    let divisible = pairs.iter().all(|(b, u)| {
-        let u = (*u).max(1);
-        u <= *b && b % u == 0
-    });
-    !direct && divisible
+    shrinks(pairs.iter().copied())
 }
 
-fn expand(directive: &str, cfg: &Config, out: &mut String) -> Result<(), String> {
-    let parts: Vec<&str> = directive.split(':').collect();
-    match parts.as_slice() {
-        [token] => {
-            out.push_str(&resolve(token, cfg)?.to_string());
-            Ok(())
-        }
-        [kind @ ("shrink" | "access"), mem, rest @ ..] if !rest.is_empty() => {
-            let pairs = resolve_pairs(rest, cfg)?;
-            let shrunk = needs_shrink(&pairs);
-            if *kind == "access" {
-                out.push_str(mem);
-                if shrunk {
-                    out.push_str("_sh");
-                }
-            } else if shrunk {
-                let factors: String = pairs
-                    .iter()
-                    .map(|(b, u)| format!("[by {}]", b / (*u).max(1)))
-                    .collect();
-                out.push_str(&format!("  view {mem}_sh = shrink {mem}{factors};\n"));
-            }
-            Ok(())
-        }
-        _ => Err(format!("malformed template directive `${{{directive}}}`")),
-    }
+/// [`needs_shrink`] over resolved pairs, without collecting them.
+fn shrinks(mut pairs: impl Iterator<Item = (u64, u64)> + Clone) -> bool {
+    let direct = pairs.clone().all(|(b, u)| b == u.min(b) || b == 1);
+    let divisible = pairs.all(|(b, u)| {
+        let u = u.max(1);
+        u <= b && b % u == 0
+    });
+    !direct && divisible
 }
 
 #[cfg(test)]
@@ -274,6 +439,92 @@ mod tests {
 
     fn cfg(pairs: &[(&str, u64)]) -> Config {
         pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect()
+    }
+
+    /// The paper's 32,000-point Fig. 7 gemm-blocked sweep.
+    fn fig7() -> SweepSpec {
+        SweepSpec {
+            name: "gemm-blocked".to_string(),
+            template: dahlia_kernels::gemm::gemm_blocked_template(128, 8),
+            params: dahlia_kernels::gemm::GEMM_BLOCKED_AXES
+                .iter()
+                .map(|(n, vs)| (n.to_string(), vs.to_vec()))
+                .collect(),
+            stage: "est".to_string(),
+            stride: 1,
+        }
+    }
+
+    #[test]
+    fn every_fig7_point_renders_the_bytes_its_journal_names() {
+        // One fold over the digest of every rendered point: any changed
+        // byte of any point changes it, and with it the identity that
+        // resuming an older journal depends on.
+        const PINNED: u128 = 0x6d48_98f1_5962_5f30_6abe_d943_7cce_8598;
+        fn fold(digests: impl Iterator<Item = u128>) -> u128 {
+            let mut h = Fnv::new();
+            for d in digests {
+                h.u64(d as u64).u64((d >> 64) as u64);
+            }
+            h.finish()
+        }
+        let spec = fig7();
+        let rendered = spec
+            .points()
+            .into_iter()
+            .map(|cfg| point_digest(&render(&spec.template, &cfg).unwrap()));
+        assert_eq!(fold(rendered), PINNED);
+        let plan = spec.plan().unwrap();
+        let mut values = vec![0; spec.params.len()];
+        let mut source = String::new();
+        let planned = (0..plan.count()).map(|n| {
+            plan.decode(n, &mut values);
+            plan.render(&values, &mut source);
+            point_digest(&source)
+        });
+        assert_eq!(fold(planned), PINNED);
+    }
+
+    #[test]
+    fn plan_renders_and_keys_each_point_as_its_config_does() {
+        // Declared out of name order, strided, with a literal operand.
+        let spec = SweepSpec {
+            name: "k".to_string(),
+            template: "${u}:${b}\n${shrink:A:b,u:4,2}x=${access:A:b,u:4,2}[${7}]".to_string(),
+            params: vec![
+                ("u".to_string(), vec![1, 2, 4]),
+                ("b".to_string(), vec![4, 1, 2]),
+            ],
+            stage: "est".to_string(),
+            stride: 2,
+        };
+        let plan = spec.plan().unwrap();
+        let mut values = vec![0; 2];
+        let mut source = String::new();
+        let configs = spec.points();
+        assert_eq!(plan.count(), configs.len() as u64);
+        for (n, cfg) in configs.iter().enumerate() {
+            plan.decode(n as u64, &mut values);
+            plan.render(&values, &mut source);
+            assert_eq!(source, render(&spec.template, cfg).unwrap());
+            let key: Vec<String> = cfg.iter().map(|(k, v)| format!("{k}={v}")).collect();
+            assert_eq!(plan.key(&values), key.join(","));
+        }
+    }
+
+    #[test]
+    fn compiled_templates_keep_the_renderers_messages() {
+        let err = |t: &str| Template::compile(t, &["b"]).unwrap_err();
+        assert_eq!(err("${missing}"), "unknown parameter `missing` in template");
+        assert_eq!(err("a ${b} ${x"), "unterminated `${` in template");
+        assert_eq!(
+            err("${shrink:A}"),
+            "malformed template directive `${shrink:A}`"
+        );
+        assert_eq!(
+            err("${access:A:b}"),
+            "malformed `bank,unroll` pair `b` in template"
+        );
     }
 
     #[test]
@@ -290,11 +541,13 @@ mod tests {
                 stage: "est".to_string(),
                 stride,
             };
-            let walked: Vec<Config> = spec
-                .space()
+            let space = spec
+                .params
                 .iter()
-                .step_by(stride.max(1) as usize)
-                .collect();
+                .fold(crate::ParamSpace::new(), |s, (n, vs)| {
+                    s.param(n, vs.clone())
+                });
+            let walked: Vec<Config> = space.iter().step_by(stride.max(1) as usize).collect();
             assert_eq!(spec.points(), walked, "stride {stride}");
         }
     }

@@ -1,9 +1,10 @@
 //! The cluster `sweep` executor: distributed design-space exploration.
 //!
 //! A `{"op":"sweep"}` control line names a templated kernel and a
-//! parameter space ([`SweepSpec`]); this module renders every point,
-//! runs the front end (parse, then check) on it, scatters the points
-//! it accepts across the shard set through the gateway's ordinary
+//! parameter space ([`SweepSpec`]); this module compiles the template
+//! once, then renders one point at a time into a reused buffer just
+//! before the front end (parse, then check) runs on it, scatters the
+//! points it accepts across the shard set through the gateway's ordinary
 //! routing (rendezvous placement, admission cache, fail-over,
 //! replication — an accepted point is just a request), and folds the
 //! results through a streaming [`ParetoFront`]. A rejected point — most
@@ -40,7 +41,7 @@ use std::collections::HashSet;
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
-use dahlia_dse::{point_digest, render, ParetoFront, SweepSpec};
+use dahlia_dse::{point_digest, ParetoFront, Plan, SweepSpec};
 use dahlia_obs::{Counter, Gauge, Registry, Tsdb, TsdbOptions};
 use dahlia_server::json::{obj, Json};
 use dahlia_server::{front_end, Request, Stage};
@@ -93,16 +94,20 @@ impl SweepCounters {
     }
 }
 
-/// One design point of the sweep, fully rendered.
-struct Point {
-    /// FNV digest of the rendered source — the journal identity.
+/// A point's journal identity: the digest of its rendered source, and
+/// its front key.
+struct Ident {
     digest: u128,
-    /// Canonical `name=value,...` config string — the front key.
     key: String,
-    /// Rendered Dahlia source.
-    source: String,
-    /// Config string minus the innermost axis — the pruning region.
-    region: String,
+}
+
+impl Ident {
+    fn of(plan: &Plan<'_>, values: &[u64], source: &str) -> Ident {
+        Ident {
+            digest: point_digest(source),
+            key: plan.key(values),
+        }
+    }
 }
 
 /// A journaled completion, replayed on resume.
@@ -144,52 +149,17 @@ pub(crate) fn run_sweep(inner: &Arc<GwInner>, op: dahlia_server::SweepOp, emit: 
     // `parse_sweep` already refused an unknown stage name; a host that
     // builds the op itself can still hand us junk, so fail shaped
     // rather than panicking.
-    let checked = spec
-        .validate()
-        .and_then(|()| Stage::from_name(&spec.stage).ok_or_else(|| "unknown stage".to_string()));
-    let stage = match checked {
-        Ok(stage) => stage,
+    let checked = spec.plan().and_then(|plan| {
+        let stage = Stage::from_name(&spec.stage).ok_or_else(|| "unknown stage".to_string())?;
+        Ok((plan, stage))
+    });
+    let (plan, stage) = match checked {
+        Ok(pair) => pair,
         Err(msg) => {
             emit(error_line(&op.id, "sweep/invalid-spec", &msg), true);
             return;
         }
     };
-
-    // Render the whole space up front: any failure is a spec bug that
-    // affects every point identically, so it fails the sweep, not one
-    // point.
-    let innermost = spec
-        .params
-        .last()
-        .map(|(n, _)| n.clone())
-        .unwrap_or_default();
-    let mut points = Vec::new();
-    for cfg in spec.points() {
-        let source = match render(&spec.template, &cfg) {
-            Ok(s) => s,
-            Err(msg) => {
-                emit(error_line(&op.id, "sweep/render-failed", &msg), true);
-                return;
-            }
-        };
-        let key = cfg
-            .iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        let region = cfg
-            .iter()
-            .filter(|(k, _)| **k != innermost)
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        points.push(Point {
-            digest: point_digest(&source),
-            key,
-            source,
-            region,
-        });
-    }
 
     // Durable progress: each sweep gets its own journal directory
     // keyed by the spec digest, so resuming a *different* sweep can
@@ -205,22 +175,24 @@ pub(crate) fn run_sweep(inner: &Arc<GwInner>, op: dahlia_server::SweepOp, emit: 
         }
     };
 
-    // Fold journaled completions into the front and drop them from the
-    // work list: the zero-recompute half of the resume contract.
+    // Drop journaled points from the work list, the zero-recompute half
+    // of the resume contract. Only a resume renders the plan up front,
+    // to digest it, so its first progress line already has the final
+    // `points_skipped`.
+    let mut todo: Vec<u64> = (0..plan.count()).collect();
+    if !replayed.is_empty() {
+        let done_digests: HashSet<u128> = replayed.iter().map(|r| r.digest).collect();
+        let mut values = vec![0; plan.axes()];
+        let mut source = String::new();
+        todo.retain(|&n| {
+            plan.decode(n, &mut values);
+            plan.render(&values, &mut source);
+            !done_digests.contains(&point_digest(&source))
+        });
+    }
+    let skipped = plan.count() - todo.len() as u64;
+    // Fold journaled completions into the front.
     let mut front = ParetoFront::new();
-    let mut done_digests = HashSet::new();
-    for r in &replayed {
-        done_digests.insert(r.digest);
-    }
-    let mut todo = Vec::new();
-    let mut skipped = 0u64;
-    for p in points {
-        if done_digests.contains(&p.digest) {
-            skipped += 1;
-        } else {
-            todo.push(p);
-        }
-    }
     let mut journal_failures = 0u64;
     for r in replayed {
         match r.objectives {
@@ -237,7 +209,7 @@ pub(crate) fn run_sweep(inner: &Arc<GwInner>, op: dahlia_server::SweepOp, emit: 
         name: spec.name.clone(),
         stage,
         update_every: op.update_every,
-        total: (todo.len() as u64) + skipped,
+        total: plan.count(),
         skipped,
         journal,
         front,
@@ -248,34 +220,34 @@ pub(crate) fn run_sweep(inner: &Arc<GwInner>, op: dahlia_server::SweepOp, emit: 
     };
 
     if op.prune {
+        // A region is a configuration minus its innermost axis.
+        let mut values = vec![0; plan.axes()];
+        let mut region = |n: u64| {
+            plan.decode(n, &mut values);
+            values[..values.len() - 1].to_vec()
+        };
         // Pass 1: evaluate one sample per innermost-axis region.
-        let mut samples = Vec::new();
-        let mut rest = Vec::new();
         let mut seen = HashSet::new();
-        for p in todo {
-            if seen.insert(p.region.clone()) {
-                samples.push(p);
-            } else {
-                rest.push(p);
-            }
-        }
-        let sampled = evaluate(&mut state, &samples, emit);
+        let (samples, rest): (Vec<u64>, Vec<u64>) =
+            todo.into_iter().partition(|&n| seen.insert(region(n)));
+        let sampled = evaluate(&mut state, &plan, &samples, emit);
         // Pass 2: a region whose sample the front strictly dominates
         // cannot contribute a front point when cost does not decrease
         // along the innermost axis — skip it wholesale.
-        let dominated: HashSet<&str> = samples
+        let dominated: HashSet<Vec<u64>> = sampled
             .iter()
-            .zip(&sampled)
-            .filter(|(_, o)| o.as_ref().is_some_and(|o| state.front.dominates_point(o)))
-            .map(|(s, _)| s.region.as_str())
+            .filter(|(_, o)| state.front.dominates_point(o))
+            .map(|&(n, _)| region(n))
             .collect();
-        let (pruned, live): (Vec<Point>, Vec<Point>) = rest
-            .into_iter()
-            .partition(|p| dominated.contains(p.region.as_str()));
-        state.pruned = pruned.len() as u64;
-        evaluate(&mut state, &live, emit);
+        let live: Vec<u64> = rest
+            .iter()
+            .copied()
+            .filter(|&n| !dominated.contains(&region(n)))
+            .collect();
+        state.pruned = (rest.len() - live.len()) as u64;
+        evaluate(&mut state, &plan, &live, emit);
     } else {
-        evaluate(&mut state, &todo, emit);
+        evaluate(&mut state, &plan, &todo, emit);
     }
 
     // Global accounting, then the final summary.
@@ -348,54 +320,68 @@ pub(crate) fn run_sweep(inner: &Arc<GwInner>, op: dahlia_server::SweepOp, emit: 
 /// The emit callback type [`run_sweep`] streams lines through.
 pub(crate) type EmitFn = dyn Fn(Json, bool) + Send + Sync;
 
-/// Evaluate `pts` and fold every outcome into `state` on this thread,
-/// returning each point's objectives (`None` for a rejected or
-/// unanswered point) in `pts` order. Each point first meets the front
-/// end here: a point it rejects is recorded on the spot and never
-/// becomes a request, so only accepted points hop to a shard. At most
-/// [`HOP_WINDOW`] × shard count of those are in flight — what the
-/// shards' wire windows hold together — and each reply callback only
-/// hands its answer back to this thread.
-fn evaluate(state: &mut SweepState<'_>, pts: &[Point], emit: &EmitFn) -> Vec<Option<Vec<f64>>> {
+/// Evaluate the planned points `pts` and fold every outcome into
+/// `state` on this thread, returning each answered point's objectives
+/// with its planned position. Each point is rendered into one reused
+/// buffer just before its front end runs. A point the front end
+/// rejects is recorded on the spot and never becomes a request; it is
+/// digested and keyed only when the sweep keeps a journal. Only
+/// accepted points are copied into requests and hopped to a shard. At
+/// most [`HOP_WINDOW`] × shard count of those are in flight — what
+/// the shards' wire windows hold together — and each reply callback
+/// only hands its answer back to this thread.
+fn evaluate(
+    state: &mut SweepState<'_>,
+    plan: &Plan<'_>,
+    pts: &[u64],
+    emit: &EmitFn,
+) -> Vec<(u64, Vec<f64>)> {
     let window = HOP_WINDOW * state.inner.shards().len().max(1);
     let (tx, rx) = mpsc::channel();
-    let mut objectives = vec![None; pts.len()];
+    let mut answered = Vec::new();
     let mut in_flight = 0;
-    let fold_one = |state: &mut SweepState<'_>, objectives: &mut [Option<Vec<f64>>]| {
-        let (i, resp) = rx.recv().expect("the sweep holds a sender");
-        objectives[i] = state.record(&pts[i], Outcome::of_reply(&resp), emit);
+    let mut fold_one = |state: &mut SweepState<'_>| {
+        let (n, ident, resp) = rx.recv().expect("the sweep holds a sender");
+        if let Some(o) = state.record(&ident, Outcome::of_reply(&resp), emit) {
+            answered.push((n, o));
+        }
     };
-    for (i, p) in pts.iter().enumerate() {
+    let mut values = vec![0; plan.axes()];
+    let mut source = String::new();
+    for &n in pts {
+        plan.decode(n, &mut values);
+        plan.render(&values, &mut source);
         // A panicking front end is no verdict: the point routes, and
         // its shard answers `internal`.
-        let verdict = std::panic::catch_unwind(|| front_end(&p.source, state.stage));
+        let verdict = std::panic::catch_unwind(|| front_end(&source, state.stage));
         if let Ok(Err(_)) = verdict {
-            state.record(p, Outcome::REJECTED, emit);
+            state.reject(|| Ident::of(plan, &values, &source), emit);
             continue;
         }
         if in_flight == window {
-            fold_one(state, &mut objectives);
+            fold_one(state);
             in_flight -= 1;
         }
+        let ident = Ident::of(plan, &values, &source);
         let req = Request::new(
-            format!("{}:{:032x}", state.op_id, p.digest),
+            format!("{}:{:032x}", state.op_id, ident.digest),
             state.stage,
-            p.source.as_str(),
+            source.as_str(),
             state.name.as_str(),
         );
         let tx = tx.clone();
         state.inner.submit(
             req,
             Box::new(move |resp| {
-                let _ = tx.send((i, resp));
+                let _ = tx.send((n, ident, resp));
             }),
         );
         in_flight += 1;
     }
     for _ in 0..in_flight {
-        fold_one(state, &mut objectives);
+        fold_one(state);
     }
-    objectives
+    answered
 }
 
 /// What became of one point.
@@ -410,13 +396,6 @@ struct Outcome {
 }
 
 impl Outcome {
-    /// A point the front end rejected at the gateway.
-    const REJECTED: Outcome = Outcome {
-        objectives: None,
-        cached: false,
-        verdict: true,
-    };
-
     /// Read a routed point's reply.
     fn of_reply(resp: &Json) -> Outcome {
         let ok = resp.get("ok").and_then(Json::as_bool) == Some(true);
@@ -430,28 +409,51 @@ impl Outcome {
 }
 
 impl SweepState<'_> {
-    /// Record one point's outcome: journal it, offer it to the front,
-    /// count it, and stream a progress line when one is due.
-    fn record(&mut self, p: &Point, outcome: Outcome, emit: &EmitFn) -> Option<Vec<f64>> {
+    /// Record one routed point's outcome: journal it, offer it to the
+    /// front, count it, and stream a progress line when one is due.
+    fn record(&mut self, ident: &Ident, outcome: Outcome, emit: &EmitFn) -> Option<Vec<f64>> {
         if outcome.cached {
             self.cache_hits += 1;
         }
         let objectives = outcome.objectives;
-        if let Some(tsdb) = self.journal.as_ref().filter(|_| outcome.verdict) {
-            let record = journal_record(p.digest, &p.key, objectives.as_deref());
-            tsdb.append(self.inner.telemetry.clock.now_ms(), record.as_bytes());
+        if outcome.verdict {
+            self.journal_point(ident, objectives.as_deref());
         }
         match &objectives {
             Some(o) => {
-                self.front.insert(p.key.clone(), o.clone());
+                self.front.insert(ident.key.clone(), o.clone());
             }
             None => self.failures += 1,
         }
+        self.advance(emit);
+        objectives
+    }
+
+    /// Record a point the front end rejected at the gateway. Its
+    /// identity is only worked out when there is a journal to name it
+    /// in.
+    fn reject(&mut self, ident: impl FnOnce() -> Ident, emit: &EmitFn) {
+        if self.journal.is_some() {
+            self.journal_point(&ident(), None);
+        }
+        self.failures += 1;
+        self.advance(emit);
+    }
+
+    /// Append one point's record to the journal, if the sweep keeps one.
+    fn journal_point(&self, ident: &Ident, objectives: Option<&[f64]>) {
+        if let Some(tsdb) = &self.journal {
+            let record = journal_record(ident.digest, &ident.key, objectives);
+            tsdb.append(self.inner.telemetry.clock.now_ms(), record.as_bytes());
+        }
+    }
+
+    /// Count one evaluated point, streaming a progress line when due.
+    fn advance(&mut self, emit: &EmitFn) {
         self.done += 1;
         if self.update_every > 0 && self.done.is_multiple_of(self.update_every) {
             emit(self.progress_line(), false);
         }
-        objectives
     }
 
     /// One `"done":false` incremental update.
@@ -622,6 +624,18 @@ mod tests {
         }
     }
 
+    /// A fresh directory for one test's journals.
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!(
+            "dahlia-sweep-{tag}-{}-{}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .unwrap()
+                .as_nanos()
+        ))
+    }
+
     /// Drive a sweep synchronously, collecting every emitted line.
     fn run(gw: &crate::Gateway, op: dahlia_server::SweepOp) -> Vec<(String, bool)> {
         let (tx, rx) = mpsc::channel();
@@ -663,14 +677,7 @@ mod tests {
 
     #[test]
     fn resume_replays_the_journal_and_recomputes_nothing() {
-        let dir = std::env::temp_dir().join(format!(
-            "dahlia-sweep-test-{}-{}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .as_nanos()
-        ));
+        let dir = scratch_dir("test");
         let shard = spawn_shard();
         // Run 1: full sweep, journaling along the way.
         let front_a = {
@@ -702,14 +709,7 @@ mod tests {
 
     #[test]
     fn points_no_shard_answered_are_not_journaled() {
-        let dir = std::env::temp_dir().join(format!(
-            "dahlia-sweep-unavailable-{}-{}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .as_nanos()
-        ));
+        let dir = scratch_dir("unavailable");
         // Run 1: the gateway's own check rejects four of the nine
         // configs; an empty cluster answers the five it accepts
         // unavailable.
@@ -793,6 +793,104 @@ mod tests {
             Some(true),
             "{resp:?}"
         );
+    }
+
+    /// The front that both the declaration-order sweep and the strided
+    /// pruned sweep below reach.
+    const FRONT: &str = r#"[{"key":"b=2,u=2","objectives":[8,189,161,0,0]},{"key":"b=1,u=1","objectives":[12,181,132,0,0]}]"#;
+
+    /// Every record in `spec`'s journal under `dir`, sorted: replies
+    /// land in any order, so the journal's own order is not pinned.
+    fn journal_records(dir: &std::path::Path, spec: &SweepSpec) -> Vec<String> {
+        let tsdb = Tsdb::open_with(
+            dir.join(format!("sweep-{:032x}", spec.digest())),
+            TsdbOptions {
+                segment_bytes: 1 << 20,
+                retain_bytes: u64::MAX,
+            },
+        )
+        .unwrap();
+        let mut records: Vec<String> = tsdb
+            .scan_since(0)
+            .into_iter()
+            .map(|(_, p)| String::from_utf8(p).unwrap())
+            .collect();
+        records.sort();
+        records
+    }
+
+    #[test]
+    fn keys_follow_parameter_names_not_declaration_order() {
+        // `u` is declared before `b`, and varies slowest; keys and
+        // journal records still spell `b` first, as a `Config` does.
+        let dir = scratch_dir("order");
+        let shard = spawn_shard();
+        let gw = GatewayConfig::new([shard.addr.clone()])
+            .telemetry(TelemetryConfig::new().dir(&dir))
+            .build();
+        let mut op = small_op("o1", false, 0);
+        op.spec.params = vec![("u".to_string(), vec![1, 2]), ("b".to_string(), vec![1, 2])];
+        let spec = op.spec.clone();
+        let lines = run(&gw, op);
+        let v = Json::parse(&lines.last().unwrap().0).unwrap();
+        let s = v.get("sweep").unwrap();
+        assert_eq!(s.get("front").unwrap().emit(), FRONT);
+        assert_eq!(
+            journal_records(&dir, &spec),
+            [
+                r#"{"point":"6f41c6f3263880305cc170ac0db9a08b","key":"b=1,u=2","ok":false}"#,
+                r#"{"point":"8977bacc92c080306f8efd75737857ab","key":"b=2,u=1","ok":true,"objectives":[12,197,142,0,0]}"#,
+                r#"{"point":"cf9a4e1d8e5680301ba5138ffcded6f8","key":"b=2,u=2","ok":true,"objectives":[8,189,161,0,0]}"#,
+                r#"{"point":"edea1c6f548e80304895d3282b6b94d8","key":"b=1,u=1","ok":true,"objectives":[12,181,132,0,0]}"#,
+            ]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn pruning_groups_strided_points_by_their_region() {
+        // Stride 2 keeps (b,u) = (4,1) (4,4) (2,2) (1,1) (1,4). Their
+        // regions are b=4, b=2 and b=1: grouping the planned positions
+        // by threes instead would prune (2,2) with b=4's dominated
+        // sample (4,1).
+        let shard = spawn_shard();
+        let gw = GatewayConfig::new([shard.addr.clone()]).build();
+        let mut op = small_op("ps", false, 0);
+        op.prune = true;
+        op.spec.stride = 2;
+        op.spec.params[0].1 = vec![4, 2, 1];
+        let lines = run(&gw, op);
+        let v = Json::parse(&lines.last().unwrap().0).unwrap();
+        let s = v.get("sweep").unwrap();
+        let count = |k: &str| s.get(k).and_then(Json::as_u64).unwrap();
+        assert_eq!(count("points_pruned"), 1, "{}", s.emit());
+        assert_eq!(count("points_done"), 4, "{}", s.emit());
+        assert_eq!(s.get("front").unwrap().emit(), FRONT);
+    }
+
+    #[test]
+    fn a_resumed_sweep_reports_its_skips_on_the_first_progress_line() {
+        let dir = scratch_dir("skips");
+        // Run 1, on an empty cluster, journals only the four rejections.
+        {
+            let gw = GatewayConfig::new(Vec::<String>::new())
+                .telemetry(TelemetryConfig::new().dir(&dir))
+                .build();
+            run(&gw, small_op("r1", false, 0));
+        }
+        let shard = spawn_shard();
+        let gw = GatewayConfig::new([shard.addr.clone()])
+            .telemetry(TelemetryConfig::new().dir(&dir))
+            .build();
+        let lines = run(&gw, small_op("r2", true, 1));
+        let first = Json::parse(&lines[0].0).unwrap();
+        let s = first.get("sweep").unwrap();
+        let count = |k: &str| s.get(k).and_then(Json::as_u64).unwrap();
+        assert_eq!(first.get("done").and_then(Json::as_bool), Some(false));
+        assert_eq!(count("points_total"), 9);
+        assert_eq!(count("points_skipped"), 4);
+        assert_eq!(count("points_done"), 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

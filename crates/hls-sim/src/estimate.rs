@@ -111,9 +111,11 @@ pub fn estimate(k: &Kernel) -> Estimate {
     let (brams, lut_mems, guard_luts) = memory_area(&k.arrays, &mut w.notes, &mut w.messy);
     w.luts += guard_luts;
 
+    // Cycle counts saturate: a design too slow to count in u64 reports
+    // `u64::MAX`, and more work never reports fewer cycles.
     let mut cycles = 0u64;
     for s in &k.body {
-        cycles += w.stmt(s);
+        cycles = cycles.saturating_add(w.stmt(s));
     }
     // Kernel-level control overhead.
     w.luts += 120;
@@ -125,7 +127,8 @@ pub fn estimate(k: &Kernel) -> Estimate {
     if w.messy {
         let h = splitmix(w.seed);
         luts = luts * (97 + h % 16) / 100;
-        cycles = cycles * (100 + splitmix(h) % 26) / 100;
+        let jittered = u128::from(cycles) * u128::from(100 + splitmix(h) % 26) / 100;
+        cycles = u64::try_from(jittered).unwrap_or(u64::MAX);
         if splitmix(h ^ 0xbeef).is_multiple_of(7) {
             correct = false;
             w.notes.push("simulated toolchain miscompilation".into());
@@ -223,9 +226,9 @@ impl Walker<'_> {
                 let cycles = if has_subloops {
                     let mut body = 0u64;
                     for s in &l.body {
-                        body += self.stmt(s);
+                        body = body.saturating_add(self.stmt(s));
                     }
-                    groups * (body + LOOP_OVERHEAD)
+                    groups.saturating_mul(body.saturating_add(LOOP_OVERHEAD))
                 } else {
                     // Innermost loop: pipeline with the port-scheduled II.
                     let ops: Vec<&Op> = l
@@ -256,14 +259,14 @@ impl Walker<'_> {
                         // Every group takes `ii` cycles to issue its memory
                         // transactions (the port-constrained makespan), so
                         // a fully unrolled loop still pays its bandwidth.
-                        depth + groups * sched.ii
+                        depth.saturating_add(groups.saturating_mul(sched.ii))
                     } else {
-                        groups * depth.max(sched.ii)
+                        groups.saturating_mul(depth.max(sched.ii))
                     }
                 };
 
                 self.ctx.pop();
-                cycles + LOOP_OVERHEAD
+                cycles.saturating_add(LOOP_OVERHEAD)
             }
         }
     }
@@ -340,6 +343,21 @@ mod tests {
                     )
                     .into_stmt(),
             )
+    }
+
+    #[test]
+    fn deep_loop_nests_saturate_instead_of_wrapping() {
+        // 16 trips per level: 16 levels already need 2^64 cycles.
+        let nest = |depth: usize| {
+            let mut body = Op::compute(OpKind::IntAlu).into_stmt();
+            for d in 0..depth {
+                body = Loop::new(format!("l{d}"), 16).stmt(body).into_stmt();
+            }
+            estimate(&Kernel::new("nest").stmt(body)).cycles
+        };
+        let cycles: Vec<u64> = (15..=17).map(nest).collect();
+        assert!(cycles.windows(2).all(|w| w[0] <= w[1]), "{cycles:?}");
+        assert_eq!(cycles[2], u64::MAX, "{cycles:?}");
     }
 
     #[test]

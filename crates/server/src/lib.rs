@@ -743,12 +743,9 @@ mod tests {
                 nest(&|i| format!("for (let i{i} = 0..1) {{ "), "let x = 1.0;"),
                 all,
             ),
-            // `est` assumes 16 trips per `while`, and its cycle product
-            // overflows u64 from 16 nested loops on: an arithmetic
-            // bound, not a nesting one.
             (
                 nest(&|_| "while (false) { ".to_string(), "let x = 1.0;"),
-                &Stage::ALL[..5],
+                all,
             ),
         ]
     }

@@ -341,10 +341,7 @@ fn sweep_examples_stream_progress_then_one_final_line() {
                 assert!(
                     matches!(
                         code,
-                        "sweep/invalid-spec"
-                            | "sweep/render-failed"
-                            | "sweep/journal-failed"
-                            | "protocol/unsupported-op"
+                        "sweep/invalid-spec" | "sweep/journal-failed" | "protocol/unsupported-op"
                     ),
                     "unknown sweep error code `{code}`: `{line}`"
                 );
