@@ -19,9 +19,10 @@
 //! `<file.fuse>` may be `-` to read the program from stdin. (`.fuse` is
 //! the extension the original Dahlia compiler uses.)
 //!
-//! The service persists artifacts across processes with `--cache-dir`
-//! (or `DAHLIA_CACHE_DIR`): a warm directory lets a fresh process answer
-//! without running any pipeline stage. `serve --listen <addr>` exposes
+//! The service persists `check`, `cpp` and `est` results across
+//! processes with `--cache-dir` (or `DAHLIA_CACHE_DIR`): a warm
+//! directory lets a fresh process answer those stages without running
+//! any pipeline stage. `serve --listen <addr>` exposes
 //! the protocol over TCP with pipelined, out-of-order responses; `batch
 //! --connect <addr>` drives such a server remotely; `gateway --listen
 //! <addr> --shards a1,a2,…` routes requests across many servers by

@@ -1,6 +1,15 @@
 //! The on-disk artifact tier: a crash-safe, corruption-tolerant,
 //! content-addressed store under a cache directory.
 //!
+//! ## What persists
+//!
+//! Only the stages whose wire payload is the whole artifact: `check`,
+//! `cpp` and `est`, successes and rejections alike ([`persists`]).
+//! `parse`, `desugar` and `lower` stay in the memory tier: re-parsing a
+//! program costs less than decoding its persisted AST did, and a fresh
+//! process recomputes them from the request's source on a miss, with
+//! the `check` verdict coming off disk.
+//!
 //! ## Layout
 //!
 //! One file per `(source digest, stage, options digest)` entry:
@@ -15,7 +24,9 @@
 //! binary recomputes into its own tree, never crashes), `<stage>` is
 //! the protocol stage name, and `<ss>` is the first byte of the source
 //! digest in hex — a 256-way fan-out that keeps directories small
-//! under sweep workloads.
+//! under sweep workloads. Entries under `v2/{parse,desugar,lower}`,
+//! left by an older binary, are never read again; GC still counts and
+//! prunes them.
 //!
 //! ## Entry format
 //!
@@ -61,7 +72,8 @@ use std::thread::JoinHandle;
 use hls_sim::digest::Fnv;
 
 use crate::codec;
-use crate::store::{ArtifactTier, CacheValue, Key};
+use crate::pipeline::Stage;
+use crate::store::{CacheValue, Key};
 
 /// On-disk format version; bumping it invalidates every existing entry
 /// (new directory, and old headers fail the version check). v2 switched
@@ -69,16 +81,24 @@ use crate::store::{ArtifactTier, CacheValue, Key};
 pub const FORMAT_VERSION: u32 = 2;
 
 const MAGIC: &[u8; 8] = b"dahliart";
+
 /// Sanity cap on declared payload length (defends against a corrupt
 /// header asking us to allocate terabytes).
 const MAX_PAYLOAD: u64 = 256 * 1024 * 1024;
+
+/// Does the disk tier keep `stage`'s results? Only the stages whose
+/// wire payload is the whole artifact; the others are cheaper to
+/// recompute from source than to decode.
+pub fn persists(stage: Stage) -> bool {
+    matches!(stage, Stage::Check | Stage::Cpp | Stage::Estimate)
+}
 
 /// Disk-tier counters (all monotonic).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiskStats {
     /// Entries served from disk.
     pub hits: u64,
-    /// Lookups with no usable entry on disk.
+    /// Lookups of a persisted stage with no usable entry on disk.
     pub misses: u64,
     /// Entries rejected as corrupt (subset of `misses`).
     pub corrupt: u64,
@@ -213,6 +233,40 @@ impl DiskStore {
         )
     }
 
+    /// Fetch a persisted value, if one is intact. A stage that does not
+    /// [`persist`](persists) answers `None` without touching the
+    /// filesystem or a counter.
+    pub fn load(&self, key: &Key) -> Option<CacheValue> {
+        if !persists(key.stage) {
+            return None;
+        }
+        match self.inner.read_entry(key) {
+            Ok(v) => {
+                self.inner.hits.fetch_add(1, Ordering::Relaxed);
+                Some(v)
+            }
+            Err(corrupt) => {
+                self.inner.misses.fetch_add(1, Ordering::Relaxed);
+                if corrupt {
+                    self.inner.corrupt.fetch_add(1, Ordering::Relaxed);
+                }
+                None
+            }
+        }
+    }
+
+    /// Enqueue a computed value for the writer thread; a stage that does
+    /// not [`persist`](persists) is dropped here.
+    pub fn store(&self, key: &Key, value: &CacheValue) {
+        if !persists(key.stage) {
+            return;
+        }
+        if let Some(tx) = self.tx.as_ref() {
+            *self.inner.pending.lock().unwrap() += 1;
+            tx.send((*key, value.clone())).expect("writer alive");
+        }
+    }
+
     /// Block until every queued write has been persisted.
     pub fn flush(&self) {
         let mut pending = self.inner.pending.lock().unwrap();
@@ -275,7 +329,7 @@ impl Inner {
 
     fn write_entry(&self, key: &Key, value: &CacheValue) {
         let Some(payload) = codec::encode_bin(value) else {
-            return; // memory-only artifact (AST); nothing to persist
+            return; // an artifact kind the codec does not persist
         };
         let path = self.entry_path(key);
         let result = (|| -> std::io::Result<()> {
@@ -375,39 +429,6 @@ fn checksum(payload: &[u8]) -> u128 {
     h.finish()
 }
 
-impl ArtifactTier for DiskStore {
-    fn load(&self, key: &Key) -> Option<CacheValue> {
-        match self.inner.read_entry(key) {
-            Ok(v) => {
-                self.inner.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            Err(corrupt) => {
-                self.inner.misses.fetch_add(1, Ordering::Relaxed);
-                if corrupt {
-                    self.inner.corrupt.fetch_add(1, Ordering::Relaxed);
-                }
-                None
-            }
-        }
-    }
-
-    fn store(&self, key: &Key, value: &CacheValue) {
-        if let Some(tx) = self.tx.as_ref() {
-            *self.inner.pending.lock().unwrap() += 1;
-            tx.send((*key, value.clone())).expect("writer alive");
-        }
-    }
-
-    fn flush(&self) {
-        DiskStore::flush(self)
-    }
-
-    fn stats(&self) -> DiskStats {
-        DiskStore::stats(self)
-    }
-}
-
 impl Drop for DiskStore {
     fn drop(&mut self) {
         // Close the channel so the writer drains the queue and exits,
@@ -468,6 +489,24 @@ mod tests {
         let reopened = DiskStore::open(&root).unwrap();
         assert!(reopened.load(&k).is_some());
         drop(reopened);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn memory_only_stages_never_reach_the_filesystem() {
+        let root = tmp_root("memory-only");
+        let store = DiskStore::open(&root).unwrap();
+        for stage in [Stage::Parse, Stage::Desugar, Stage::Lower] {
+            assert!(!persists(stage));
+            let k = key(8, stage);
+            store.store(&k, &cpp("never written"));
+            store.flush();
+            assert!(store.load(&k).is_none());
+            let dir = root.join(format!("v{FORMAT_VERSION}")).join(stage.name());
+            assert!(!dir.exists(), "{}", dir.display());
+        }
+        assert_eq!(store.stats(), DiskStats::default());
+        drop(store);
         let _ = fs::remove_dir_all(&root);
     }
 

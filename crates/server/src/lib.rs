@@ -18,8 +18,10 @@
 //!    and approximate bytes; a hit is a pointer clone;
 //! 2. **disk** — an optional crash-safe artifact store ([`disk`]):
 //!    read-through on a memory miss, write-behind after a compute, so a
-//!    fresh process inherits every prior process's work (`dahliac batch
-//!    --cache-dir` against a warm directory runs zero pipeline stages);
+//!    fresh process inherits every prior process's `check`, `cpp` and
+//!    `est` results (`dahliac batch --cache-dir` against a warm
+//!    directory runs zero pipeline stages); `parse`, `desugar` and
+//!    `lower` stay in memory and are recomputed from source;
 //! 3. **compute** — the stage itself, under **single-flight** dedup:
 //!    concurrent identical requests run the compiler once and share the
 //!    result.
@@ -101,7 +103,6 @@
 
 #![warn(missing_docs)]
 
-pub mod ast_codec;
 pub mod client;
 pub mod codec;
 pub mod disk;
@@ -138,7 +139,7 @@ pub use session::{
     admission_error, query, AdminOp, ControlOp, Dispatch, Reply, Respond, Session, SessionConfig,
     SessionHost, Sink, SweepOp,
 };
-pub use store::{ArtifactTier, CacheValue, Key, Store, StoreConfig, StoreStats};
+pub use store::{CacheValue, Key, Store, StoreConfig, StoreStats};
 pub use telemetry::{
     Telemetry, TelemetryConfig, ALERT_JOURNAL_CAP, DEFAULT_SLOW_THRESHOLD_MS,
     DEFAULT_TELEMETRY_INTERVAL_MS, SLOWLOG_CAP, TRACE_JOURNAL_CAP,
@@ -451,7 +452,7 @@ impl ServerConfig {
     /// cannot be created, or an alert rule does not parse.
     pub fn build(self) -> std::io::Result<Server> {
         let telemetry = self.telemetry.open()?;
-        let tier: Option<Arc<dyn ArtifactTier>> = match &self.cache_dir {
+        let tier = match &self.cache_dir {
             Some(dir) => Some(Arc::new(DiskStore::open_bounded(
                 dir,
                 self.cache_gc_max_bytes,
@@ -762,6 +763,47 @@ mod tests {
                 assert!(resp.ok(), "{}: {:?}", resp.id, resp.value);
             }
         }
+    }
+
+    #[test]
+    fn a_restart_at_the_nesting_limit_reads_no_entry_as_corrupt() {
+        // Every entry the disk tier writes must read back: a program the
+        // parser accepts never persists anything nested past what the
+        // wire decoder takes.
+        let dir = std::env::temp_dir().join(format!("dahlia-srv-nesting-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let with_cache = || {
+            ServerConfig::new()
+                .threads(1)
+                .cache_dir(&dir)
+                .build()
+                .unwrap()
+        };
+        let requests = |round: &str| -> Vec<Request> {
+            programs_at_the_nesting_limit()
+                .into_iter()
+                .enumerate()
+                .flat_map(|(i, (source, stages))| {
+                    stages.iter().map(move |&stage| {
+                        let id = format!("{round}{i}-{}", stage.name());
+                        Request::new(id, stage, &*source, "k")
+                    })
+                })
+                .collect()
+        };
+        let first = with_cache();
+        assert!(first.submit_batch(requests("c")).iter().all(|r| r.ok()));
+        first.flush();
+        drop(first);
+
+        let second = with_cache();
+        for resp in second.submit_batch(requests("w")) {
+            assert!(resp.ok(), "{}: {:?}", resp.id, resp.value);
+        }
+        let disk = second.stats().store.disk;
+        assert_eq!(disk.corrupt, 0, "{disk:?}");
+        drop(second);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //!
 //! 1. **memory** — a size-aware LRU ([`crate::evict`]): hit = pointer
 //!    clone;
-//! 2. **disk** — an optional persistent [`ArtifactTier`]
-//!    ([`crate::disk::DiskStore`]): read-through on a memory miss,
-//!    write-behind after a compute, so a fresh process inherits every
-//!    prior process's work;
+//! 2. **disk** — an optional [`DiskStore`]: read-through on a memory
+//!    miss, write-behind after a compute, so a fresh process inherits
+//!    the `check`, `cpp` and `est` results of every prior process (the
+//!    other stages are recomputed from source; see [`crate::disk`]);
 //! 3. **compute** — the pipeline stage itself, wrapped in
 //!    *single-flight* semantics: when several threads request the same
 //!    missing key concurrently, exactly one computes it while the rest
@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use crate::disk::DiskStats;
+use crate::disk::{DiskStats, DiskStore};
 use crate::evict::{EvictConfig, EvictStats, Lru};
 use crate::pipeline::{Artifact, Stage, STAGE_COUNT};
 use dahlia_core::diag::{Diagnostic, Phase};
@@ -51,28 +51,6 @@ pub struct Key {
     /// whose artifact ignores the options (parse/check/desugar), so
     /// differently-named requests share those entries.
     pub options: u128,
-}
-
-/// A persistent tier layered under the in-memory store.
-///
-/// Implementations must be callable from many threads. `load`/`store`
-/// failures are expressed as `None`/no-op: a tier can *miss*, it can
-/// never produce a wrong value (the disk tier enforces this with
-/// per-entry checksums).
-pub trait ArtifactTier: Send + Sync {
-    /// Fetch a previously persisted value, if one is intact.
-    fn load(&self, key: &Key) -> Option<CacheValue>;
-
-    /// Persist a computed value (may be asynchronous/write-behind).
-    fn store(&self, key: &Key, value: &CacheValue);
-
-    /// Block until pending writes are durable.
-    fn flush(&self) {}
-
-    /// Tier counters, if the implementation keeps any.
-    fn stats(&self) -> DiskStats {
-        DiskStats::default()
-    }
 }
 
 /// One in-flight computation other threads can wait on.
@@ -127,7 +105,7 @@ pub struct StoreConfig {
     /// Memory-tier bounds (unbounded by default).
     pub evict: EvictConfig,
     /// Persistent tier, layered under memory (none by default).
-    pub tier: Option<Arc<dyn ArtifactTier>>,
+    pub tier: Option<Arc<DiskStore>>,
 }
 
 struct Inner {
@@ -138,7 +116,7 @@ struct Inner {
 /// The concurrent tiered artifact store.
 pub struct Store {
     inner: Mutex<Inner>,
-    tier: Option<Arc<dyn ArtifactTier>>,
+    tier: Option<Arc<DiskStore>>,
     hits: AtomicU64,
     misses: AtomicU64,
     joins: AtomicU64,

@@ -8,8 +8,9 @@
 //!   bodies are binary-encoded request/response objects instead of JSON
 //!   text lines;
 //! * **the disk** — the artifact tier persists `codec::encode` envelopes
-//!   through [`to_bytes`] (see [`crate::codec::encode_bin`]), cutting
-//!   entry sizes versus the JSON text they used to hold.
+//!   of `check`, `cpp` and `est` results through [`to_bytes`] (see
+//!   [`crate::codec::encode_bin`]), cutting entry sizes versus the JSON
+//!   text they used to hold.
 //!
 //! Both consumers decode through [`from_bytes`], which never panics on
 //! malformed input: truncation, trailing garbage, bad UTF-8, or absurd
