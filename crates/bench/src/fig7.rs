@@ -15,11 +15,7 @@ use dahlia_server::{Request, Server, Stage};
 
 /// The full 32,000-point parameter space.
 pub fn space() -> ParamSpace {
-    GEMM_BLOCKED_AXES
-        .iter()
-        .fold(ParamSpace::new(), |s, (name, values)| {
-            s.param(*name, values.iter().copied())
-        })
+    crate::space_of(&GEMM_BLOCKED_AXES)
 }
 
 /// Decode a configuration into kernel parameters (paper-size matrices).

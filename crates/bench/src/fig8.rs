@@ -6,9 +6,9 @@
 //! (through the real pipeline: parse → check → lower → estimate), and the
 //! Pareto frontier is computed within the accepted set.
 
-use dahlia_dse::{mark_pareto, Config, DesignPoint, ParamSpace, Summary};
-use dahlia_kernels::md::{md_grid_source, md_knn_source, MdGridParams, MdKnnParams};
-use dahlia_kernels::stencil::{stencil2d_source, Stencil2dParams};
+use dahlia_dse::{mark_pareto, render, Config, DesignPoint, ParamSpace, Summary};
+use dahlia_kernels::md::{md_grid_template, md_knn_template, MD_GRID_AXES, MD_KNN_AXES};
+use dahlia_kernels::stencil::{stencil2d_template, STENCIL2D_AXES};
 use dahlia_server::Server;
 
 /// One of the three case studies.
@@ -32,64 +32,34 @@ impl Study {
         }
     }
 
+    /// The study's free parameters with their values, in enumeration
+    /// order: 2,916 stencil2d points, 16,384 each for md-knn and md-grid.
+    pub fn axes(self) -> &'static [(&'static str, &'static [u64])] {
+        match self {
+            Study::Stencil2d => &STENCIL2D_AXES,
+            Study::MdKnn => &MD_KNN_AXES,
+            Study::MdGrid => &MD_GRID_AXES,
+        }
+    }
+
+    /// The study's kernel as a sweep template over its [`Study::axes`],
+    /// at the paper's problem size.
+    pub fn template(self) -> String {
+        match self {
+            Study::Stencil2d => stencil2d_template(126, 66),
+            Study::MdKnn => md_knn_template(64, 16),
+            Study::MdGrid => md_grid_template(4, 8),
+        }
+    }
+
     /// The full parameter space of the study.
     pub fn space(self) -> ParamSpace {
-        match self {
-            // orig banks {1..6}², filter banks {1..3}², unroll {1..3}²
-            // = 2,916 points.
-            Study::Stencil2d => ParamSpace::new()
-                .param("bank_r", 1..=6)
-                .param("bank_c", 1..=6)
-                .param("bank_f1", 1..=3)
-                .param("bank_f2", 1..=3)
-                .param("unroll_1", 1..=3)
-                .param("unroll_2", 1..=3),
-            // four memories × banking {1..4}, two loops × unroll {1..8}
-            // = 16,384 points.
-            Study::MdKnn => ParamSpace::new()
-                .param("bank_dx", 1..=4)
-                .param("bank_dy", 1..=4)
-                .param("bank_dz", 1..=4)
-                .param("bank_f", 1..=4)
-                .param("unroll_i", 1..=8)
-                .param("unroll_j", 1..=8),
-            // per-dimension banking {1..4} (block dims, particle dim,
-            // counts), two loops × unroll {1..8} = 16,384 points.
-            Study::MdGrid => ParamSpace::new()
-                .param("bank_b1", 1..=4)
-                .param("bank_b2", 1..=4)
-                .param("bank_p", 1..=4)
-                .param("bank_np", 1..=4)
-                .param("unroll_y", 1..=8)
-                .param("unroll_z", 1..=8),
-        }
+        crate::space_of(self.axes())
     }
 
     /// Generate the Dahlia source for one configuration.
     pub fn source(self, cfg: &Config) -> String {
-        match self {
-            Study::Stencil2d => stencil2d_source(&Stencil2dParams {
-                rows: 126,
-                cols: 66,
-                bank_orig: (cfg["bank_r"], cfg["bank_c"]),
-                bank_filter: (cfg["bank_f1"], cfg["bank_f2"]),
-                unroll: (cfg["unroll_1"], cfg["unroll_2"]),
-            }),
-            Study::MdKnn => md_knn_source(&MdKnnParams {
-                n: 64,
-                k: 16,
-                bank_d: (cfg["bank_dx"], cfg["bank_dy"], cfg["bank_dz"]),
-                bank_f: cfg["bank_f"],
-                unroll: (cfg["unroll_i"], cfg["unroll_j"]),
-            }),
-            Study::MdGrid => md_grid_source(&MdGridParams {
-                b: 4,
-                p: 8,
-                bank_pos: (cfg["bank_b1"], cfg["bank_b2"], cfg["bank_p"]),
-                bank_np: cfg["bank_np"],
-                unroll: (cfg["unroll_y"], cfg["unroll_z"]),
-            }),
-        }
+        render(&self.template(), cfg).expect("a Fig. 8 template renders")
     }
 }
 
@@ -162,6 +132,32 @@ mod tests {
         let s = summarize(&pts);
         assert!(s.accepted > 0, "{s}");
         assert!(s.acceptance_ratio() < 0.15, "{s}");
+    }
+
+    #[test]
+    fn every_swept_point_and_machsuite_port_renders_its_pinned_bytes() {
+        // One fold over the digest of every rendered Fig. 8 point and
+        // every MachSuite source (gemm-ncubed among them): any changed
+        // byte changes it, and with it every cache key and journal
+        // identity built on those sources.
+        const PINNED: u128 = 0x05d2_f52f_9e59_8f30_7c48_aabd_eb57_b017;
+        let mut h = hls_sim::Fnv::new();
+        let mut fold = |source: &str| {
+            let d = dahlia_dse::point_digest(source);
+            h.u64(d as u64).u64((d >> 64) as u64);
+        };
+        for study in [Study::Stencil2d, Study::MdKnn, Study::MdGrid] {
+            for cfg in &study.space() {
+                fold(&study.source(&cfg));
+            }
+        }
+        for b in dahlia_kernels::all_benches()
+            .into_iter()
+            .chain(dahlia_kernels::small_benches())
+        {
+            fold(&b.source);
+        }
+        assert_eq!(h.finish(), PINNED);
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub mod fig8;
 pub mod fig9;
 pub mod frontend;
 
-use dahlia_dse::{Config, DesignPoint};
+use dahlia_dse::{Config, DesignPoint, ParamSpace};
 use dahlia_server::{Artifact, Request, Server, Stage};
 
 /// Compile one configuration's `source` to an estimate through `server`
@@ -41,6 +41,13 @@ pub fn estimate_point(server: &Server, config: Config, name: &str, source: Strin
         Ok(other) => unreachable!("est request returned {other:?}"),
         Err(_) => DesignPoint::rejected(config),
     }
+}
+
+/// The space a kernel's sweep axes span, in their enumeration order.
+fn space_of(axes: &[(&str, &[u64])]) -> ParamSpace {
+    axes.iter().fold(ParamSpace::new(), |s, (name, values)| {
+        s.param(*name, values.iter().copied())
+    })
 }
 
 /// Parse figure-driver arguments into sweep strides (default `[1]`,

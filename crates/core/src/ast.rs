@@ -218,9 +218,12 @@ impl MemType {
         self.dims.iter().map(|d| d.banks).product()
     }
 
-    /// Total number of elements (product over dimensions).
-    pub fn total_size(&self) -> u64 {
-        self.dims.iter().map(|d| d.size).product()
+    /// Total number of elements (product over dimensions), or `None`
+    /// when the product overflows `u64`.
+    pub fn total_size(&self) -> Option<u64> {
+        self.dims
+            .iter()
+            .try_fold(1u64, |n, d| n.checked_mul(d.size))
     }
 }
 
@@ -560,7 +563,7 @@ mod tests {
             dims: vec![Dim::banked(4, 2), Dim::banked(4, 2)],
         };
         assert_eq!(m.total_banks(), 4);
-        assert_eq!(m.total_size(), 16);
+        assert_eq!(m.total_size(), Some(16));
         assert_eq!(m.to_string(), "float[4 bank 2][4 bank 2]");
     }
 

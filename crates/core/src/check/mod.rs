@@ -270,7 +270,7 @@ impl Checker {
     /// bank count against the program's budget. The capability state
     /// holds one entry per flat bank, so the count is bounded from the
     /// types before anything is allocated; an overflowing product
-    /// counts as over budget.
+    /// counts as over budget, and so does an element count past `u64`.
     fn add_memory(
         &mut self,
         name: Id,
@@ -298,6 +298,13 @@ impl Checker {
                 span,
             ));
         };
+        if m.total_size().is_none() {
+            return Err(TypeError::new(
+                TypeErrorKind::SizeBudget,
+                format!("memory `{name}` has more than {} elements", u64::MAX),
+                span,
+            ));
+        }
         self.banks = total;
         self.caps.add_memory(name, &dims, ports);
         Ok(())

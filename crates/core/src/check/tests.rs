@@ -709,3 +709,17 @@ fn overflowing_bank_product_is_a_size_error() {
         "{message}"
     );
 }
+
+#[test]
+fn overflowing_element_count_is_a_size_error() {
+    // 2^32 × 2^32 elements wrap a u64 to 0, which estimated as no
+    // storage at all and ran as an empty memory.
+    let src = "let A: float[4294967296][4294967296]; let x = A[0][0];";
+    rejects(src, TypeErrorKind::SizeBudget);
+    let message = rejection(src);
+    assert!(
+        message.contains("more than 18446744073709551615 elements"),
+        "{message}"
+    );
+    accepts("let A: float[4294967296][4294967295]; let x = A[0][0];");
+}

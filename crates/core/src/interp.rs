@@ -67,6 +67,11 @@ impl From<bool> for Value {
     }
 }
 
+/// Most memory elements one run may hold, summed over its memories. A
+/// memory that would take the total past it is a runtime error, raised
+/// before its storage is allocated.
+pub const MAX_ELEMENTS: u64 = 1 << 24;
+
 /// Interpreter configuration.
 #[derive(Debug, Clone)]
 pub struct InterpOptions {
@@ -296,7 +301,29 @@ impl Machine {
         init: Option<&Vec<Value>>,
         span: Span,
     ) -> Result<(), Error> {
-        let n = ty.total_size() as usize;
+        let held: u64 = self
+            .mems
+            .iter()
+            .filter(|(k, _)| **k != name)
+            .map(|(_, m)| m.data.len() as u64)
+            .sum();
+        let Some(n) = ty.total_size().filter(|&n| n <= MAX_ELEMENTS - held) else {
+            let count = ty
+                .total_size()
+                .map_or_else(|| format!("more than {}", u64::MAX), |n| n.to_string());
+            let before = match held {
+                0 => String::new(),
+                n => format!(" on top of the {n} held"),
+            };
+            return Err(Error::interp(
+                format!(
+                    "memory `{name}` needs {count} elements{before}, over the budget of \
+                     {MAX_ELEMENTS} elements per run"
+                ),
+                span,
+            ));
+        };
+        let n = n as usize;
         let zero = match *ty.elem {
             Type::Float | Type::Double => Value::Float(0.0),
             Type::Bool => Value::Bool(false),
@@ -1258,6 +1285,22 @@ mod tests {
         };
         let err = interpret_with(&p, &opts, &HashMap::new()).unwrap_err();
         assert!(err.to_string().contains("fuel"), "{err}");
+    }
+
+    #[test]
+    fn memories_past_the_element_budget_are_refused_before_allocation() {
+        let refusal = |src: &str| interpret(&parse(src).unwrap()).unwrap_err().to_string();
+        // An element count past u64 is refused, not wrapped to zero.
+        let e = refusal("let A: float[4294967296][4294967296]; let x = A[0][0];");
+        assert!(e.contains("more than 18446744073709551615 elements"), "{e}");
+        // 10^9 elements would take 16 GB; the run stops before any of it.
+        let e = refusal("let A: float[1000000000]; let x = A[0];");
+        assert!(e.contains("needs 1000000000 elements"), "{e}");
+        assert!(e.contains(&format!("budget of {MAX_ELEMENTS}")), "{e}");
+        // The budget is per run: one element held leaves room for one
+        // fewer than the whole budget.
+        let e = refusal("let A: float[1]; let B: float[16777216]; let x = B[0];");
+        assert!(e.contains("on top of the 1 held"), "{e}");
     }
 
     #[test]

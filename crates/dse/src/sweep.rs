@@ -22,10 +22,12 @@
 //! * `${p}` — the decimal value of parameter `p` in the configuration
 //!   (integer literals are also accepted where a parameter may appear).
 //! * `${shrink:mem:b1,u1:b2,u2:...}` — emits a
-//!   `  view mem_sh = shrink mem[by b/u]...;\n` line when every
-//!   banking/unroll pair needs (and permits) a shrink view, or nothing
-//!   otherwise — the [`needs_shrink`] decision, which the kernel
-//!   generators' `shrink_if_needed` helper also makes.
+//!   `  view mem_sh = shrink mem[by b/u]...;\n` line when the
+//!   banking/unroll pairs need (and permit) a shrink view, or nothing
+//!   otherwise: the §3.6 idiom of running an unrolled loop below a
+//!   memory's banking. This renderer is the one place that decides and
+//!   spells a shrink view; every parameterized kernel in
+//!   `dahlia-kernels` is a template over these directives.
 //! * `${access:mem:b1,u1:b2,u2:...}` — emits `mem_sh` or `mem` to match
 //!   whichever the paired `${shrink:...}` directive produced.
 
@@ -413,17 +415,11 @@ fn push_u64(out: &mut String, mut v: u64) {
     out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
-/// Whether a shrink view is needed (and legal) for these
-/// `(banking, unroll)` pairs — the one decision behind both this
-/// renderer and the kernel generators' `shrink_if_needed`: direct
-/// access when every unroll covers its banking (or banking is 1); no
-/// view when some unroll does not divide its banking (the checker
-/// rejects that configuration, which is part of the experiment).
-pub fn needs_shrink(pairs: &[(u64, u64)]) -> bool {
-    shrinks(pairs.iter().copied())
-}
-
-/// [`needs_shrink`] over resolved pairs, without collecting them.
+/// Whether a shrink view is needed (and legal) for these resolved
+/// `(banking, unroll)` pairs: direct access when every unroll covers its
+/// banking (or banking is 1); no view when some unroll does not divide
+/// its banking (the checker rejects that configuration, which is part of
+/// the experiment).
 fn shrinks(mut pairs: impl Iterator<Item = (u64, u64)> + Clone) -> bool {
     let direct = pairs.clone().all(|(b, u)| b == u.min(b) || b == 1);
     let divisible = pairs.all(|(b, u)| {

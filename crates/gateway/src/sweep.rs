@@ -391,7 +391,8 @@ struct Outcome {
     /// Answered warm, by the admission cache or a shard's cache.
     cached: bool,
     /// The point has a verdict, so it is journaled. A point no shard
-    /// answered has none: a resume evaluates it again.
+    /// answered has none, and neither has one whose front end panicked
+    /// (`internal`): a resume evaluates it again.
     verdict: bool,
 }
 
@@ -403,7 +404,7 @@ impl Outcome {
         Outcome {
             objectives: if ok { objectives_of(resp) } else { None },
             cached: resp.get("cached").and_then(Json::as_bool) == Some(true),
-            verdict: phase.and_then(Json::as_str) != Some("admission"),
+            verdict: !matches!(phase.and_then(Json::as_str), Some("admission" | "internal")),
         }
     }
 }
@@ -736,6 +737,79 @@ mod tests {
             let s = v.get("sweep").unwrap();
             assert_eq!(s.get("points_skipped").and_then(Json::as_u64), Some(4));
             assert_eq!(s.get("points_done").and_then(Json::as_u64), Some(5));
+            assert!(s.get("front_size").and_then(Json::as_u64).unwrap() >= 1);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A shard whose every compile panics: it answers each request
+    /// `internal/panic`, as a shard answers a caught panic. Control ops
+    /// go to a real server, so the shard passes its health checks.
+    struct PanickingShard(dahlia_server::Server);
+
+    impl dahlia_server::SessionHost for PanickingShard {
+        fn dispatch(&self, req: Request, respond: dahlia_server::Respond) {
+            let error = obj([
+                ("phase", Json::Str("internal".into())),
+                ("code", Json::Str("internal/panic".into())),
+                ("message", Json::Str("compiler panicked".into())),
+                ("line", Json::Num(0.0)),
+                ("col", Json::Num(0.0)),
+            ]);
+            respond(obj([
+                ("id", Json::Str(req.id)),
+                ("stage", Json::Str(req.stage.name().into())),
+                ("ok", Json::Bool(false)),
+                ("cached", Json::Bool(false)),
+                ("latency_us", Json::Num(0.0)),
+                ("error", error),
+            ]));
+        }
+
+        fn control(&self, op: dahlia_server::ControlOp, reply: dahlia_server::Reply) {
+            self.0.control(op, reply);
+        }
+    }
+
+    #[test]
+    fn a_panic_is_no_verdict_so_a_resume_evaluates_the_point_again() {
+        let dir = scratch_dir("panic");
+        // Run 1: the gateway rejects four of the nine configs itself;
+        // the five it accepts route to a shard that panics on each.
+        {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            let host = Arc::new(PanickingShard(dahlia_server::Server::with_threads(1)));
+            let handle = std::thread::spawn(move || dahlia_server::serve_sessions(host, listener));
+            let gw = GatewayConfig::new([addr.clone()])
+                .telemetry(TelemetryConfig::new().dir(&dir))
+                .build();
+            let lines = run(&gw, small_op("i1", false, 0));
+            let v = Json::parse(&lines.last().unwrap().0).unwrap();
+            let s = v.get("sweep").unwrap();
+            assert_eq!(s.get("point_failures").and_then(Json::as_u64), Some(9));
+            assert_eq!(gw.requests(), 5, "only accepted points were routed");
+            drop(gw);
+            dahlia_server::Client::connect(addr.as_str())
+                .unwrap()
+                .shutdown_server()
+                .unwrap();
+            handle.join().unwrap().unwrap();
+        }
+        // Run 2 resumes over a real server: only the four rejections
+        // have a verdict in the journal, so every routed point is
+        // evaluated again and reaches the front.
+        {
+            let shard = spawn_shard();
+            let gw = GatewayConfig::new([shard.addr.clone()])
+                .telemetry(TelemetryConfig::new().dir(&dir))
+                .build();
+            let lines = run(&gw, small_op("i2", true, 0));
+            let v = Json::parse(&lines.last().unwrap().0).unwrap();
+            let s = v.get("sweep").unwrap();
+            assert_eq!(s.get("points_skipped").and_then(Json::as_u64), Some(4));
+            assert_eq!(s.get("points_done").and_then(Json::as_u64), Some(5));
+            assert_eq!(gw.requests(), 5, "every routed point routed again");
             assert!(s.get("front_size").and_then(Json::as_u64).unwrap() >= 1);
         }
         let _ = std::fs::remove_dir_all(&dir);

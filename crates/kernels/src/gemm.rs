@@ -11,10 +11,9 @@
 use std::collections::HashMap;
 
 use dahlia_core::interp::Value;
-use dahlia_dse::{render, Config};
 use hls_sim::{Access, ArrayDecl, Idx, Kernel, Loop, Op, OpKind};
 
-use crate::{float_input, shrink_if_needed, Bench, Prng};
+use crate::{float_input, render_at, Bench, Prng};
 
 /// Parameters of the blocked GEMM design space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,24 +67,17 @@ pub const GEMM_BLOCKED_AXES: [(&str, &[u64]); 7] = [
 /// natural choice a Dahlia programmer makes; the paper's four free banking
 /// parameters cover the operand matrices).
 pub fn gemm_blocked_source(p: &GemmBlockedParams) -> String {
-    let GemmBlockedParams {
-        bank_m1: (b11, b12),
-        bank_m2: (b21, b22),
-        unroll: (ui, uj, uk),
-        ..
-    } = *p;
-    let cfg: Config = GEMM_BLOCKED_AXES
-        .iter()
-        .zip([b11, b12, b21, b22, ui, uj, uk])
-        .map(|((name, _), v)| (name.to_string(), v))
-        .collect();
-    render(&gemm_blocked_template(p.n, p.block), &cfg).expect("the blocked-GEMM template renders")
+    let (m1, m2, u) = (p.bank_m1, p.bank_m2, p.unroll);
+    render_at(
+        &gemm_blocked_template(p.n, p.block),
+        GEMM_BLOCKED_AXES.map(|(name, _)| name),
+        [m1.0, m1.1, m2.0, m2.1, u.0, u.1, u.2],
+    )
 }
 
 /// The blocked-GEMM source as a sweep template (`dse::sweep::render`
 /// directive syntax) over the [`GEMM_BLOCKED_AXES`]. Shrink views come
-/// from the `${shrink:...}` directive, which makes the same decision as
-/// [`shrink_if_needed`].
+/// from the `${shrink:...}` directive.
 pub fn gemm_blocked_template(n: u64, block: u64) -> String {
     let blocks = n / block;
     format!(
@@ -211,21 +203,29 @@ pub struct GemmNcubedParams {
     pub unroll: u64,
 }
 
-/// Dahlia source for `gemm-ncubed`.
+/// Dahlia source for `gemm-ncubed`: the [`gemm_ncubed_template`]
+/// rendered at `p`.
 pub fn gemm_ncubed_source(p: &GemmNcubedParams) -> String {
-    let GemmNcubedParams { n, bank, unroll } = *p;
-    let mut views = String::new();
-    let m1a = shrink_if_needed(&mut views, "m1", &[1, bank], &[1, unroll]);
-    let m2a = shrink_if_needed(&mut views, "m2", &[bank, 1], &[unroll, 1]);
+    render_at(
+        &gemm_ncubed_template(p.n),
+        ["bank", "unroll"],
+        [p.bank, p.unroll],
+    )
+}
+
+/// The `gemm-ncubed` source as a template over `bank` (the reduction
+/// dimension's banking in both operands) and `unroll` (the `k` loop's
+/// unroll factor).
+pub fn gemm_ncubed_template(n: u64) -> String {
     format!(
-        "decl m1: float[{n}][{n} bank {bank}];
-decl m2: float[{n} bank {bank}][{n}];
+        "decl m1: float[{n}][{n} bank ${{bank}}];
+decl m2: float[{n} bank ${{bank}}][{n}];
 decl prod: float[{n}][{n}];
-{views}for (let i = 0..{n}) {{
+${{shrink:m1:1,1:bank,unroll}}${{shrink:m2:bank,unroll:1,1}}for (let i = 0..{n}) {{
   for (let j = 0..{n}) {{
     let sum = 0.0;
-    for (let k = 0..{n}) unroll {unroll} {{
-      let mul = {m1a}[i][k] * {m2a}[k][j];
+    for (let k = 0..{n}) unroll ${{unroll}} {{
+      let mul = ${{access:m1:1,1:bank,unroll}}[i][k] * ${{access:m2:bank,unroll:1,1}}[k][j];
     }} combine {{
       sum += mul;
     }}

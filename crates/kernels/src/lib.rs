@@ -3,8 +3,10 @@
 //! The 16 MachSuite benchmarks ported to Dahlia (§5.3 / Appendix D), each
 //! with three artifacts:
 //!
-//! 1. a **Dahlia source** generator (optionally parameterized by banking
-//!    and unroll factors for the design-space sweeps of Fig. 7/8);
+//! 1. a **Dahlia source** generator. A kernel with banking and unroll
+//!    parameters is one `dahlia_dse` sweep template (plus, for the Fig. 7/8
+//!    spaces, its `*_AXES`), and its `*_source` renders that template at
+//!    one point, so local runs and a cluster sweep see the same bytes;
 //! 2. a **baseline kernel** built directly in the [`hls_sim`] IR, standing
 //!    in for the original C + `#pragma HLS` implementation (Fig. 11's
 //!    baseline side);
@@ -30,6 +32,7 @@ use std::collections::HashMap;
 
 use dahlia_core::interp::{interpret_with, InterpOptions, Outcome, Value};
 use dahlia_core::{parse, typecheck, Program};
+use dahlia_dse::Config;
 
 /// A benchmark: its name, Dahlia source, and hand-built HLS baseline.
 #[derive(Debug, Clone)]
@@ -71,6 +74,11 @@ pub fn small_benches() -> Vec<Bench> {
     use crate::gemm::{GemmBlockedParams, GemmNcubedParams};
     use crate::md::{MdGridParams, MdKnnParams};
     use crate::stencil::Stencil2dParams;
+    let ncubed = GemmNcubedParams {
+        n: 8,
+        bank: 2,
+        unroll: 2,
+    };
     vec![
         Bench {
             name: "aes",
@@ -99,16 +107,8 @@ pub fn small_benches() -> Vec<Bench> {
         },
         Bench {
             name: "gemm-ncubed",
-            source: gemm::gemm_ncubed_source(&GemmNcubedParams {
-                n: 8,
-                bank: 2,
-                unroll: 2,
-            }),
-            baseline: gemm::gemm_ncubed_baseline(&GemmNcubedParams {
-                n: 8,
-                bank: 2,
-                unroll: 2,
-            }),
+            source: gemm::gemm_ncubed_source(&ncubed),
+            baseline: gemm::gemm_ncubed_baseline(&ncubed),
         },
         Bench {
             name: "kmp",
@@ -255,28 +255,11 @@ pub fn assert_ints_match(name: &str, got: &[Value], want: &[i64]) {
     }
 }
 
-/// The idiom a Dahlia programmer uses to run an unrolled loop below a
-/// memory's banking factor (§3.6): emit `view m_sh = shrink m[by b/u]…;`
-/// when every unroll factor properly divides its banking factor, and
-/// return the name to access.
-///
-/// When a factor does *not* divide (an invalid configuration the DSE must
-/// still be able to express), the raw memory is returned so the type
-/// checker rejects the direct access — exactly the paper's methodology.
-pub fn shrink_if_needed(decls: &mut String, mem: &str, banks: &[u64], unrolls: &[u64]) -> String {
-    assert_eq!(banks.len(), unrolls.len());
-    let pairs: Vec<(u64, u64)> = banks.iter().copied().zip(unrolls.iter().copied()).collect();
-    if !dahlia_dse::sweep::needs_shrink(&pairs) {
-        return mem.to_string();
-    }
-    let name = format!("{mem}_sh");
-    let factors: String = banks
-        .iter()
-        .zip(unrolls)
-        .map(|(b, u)| format!("[by {}]", b / (*u).max(1)))
-        .collect();
-    decls.push_str(&format!("  view {name} = shrink {mem}{factors};\n"));
-    name
+/// Render a swept kernel's template at one point: each parameter name
+/// paired with its value, in order.
+fn render_at<const N: usize>(template: &str, names: [&str; N], values: [u64; N]) -> String {
+    let point: Config = names.map(String::from).into_iter().zip(values).collect();
+    dahlia_dse::render(template, &point).expect("a kernel template renders")
 }
 
 #[cfg(test)]
@@ -290,21 +273,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
-    }
-
-    #[test]
-    fn shrink_helper_modes() {
-        let mut d = String::new();
-        // Matched: direct access.
-        assert_eq!(shrink_if_needed(&mut d, "A", &[4], &[4]), "A");
-        assert!(d.is_empty());
-        // Proper divisor: emit view.
-        assert_eq!(shrink_if_needed(&mut d, "A", &[4], &[2]), "A_sh");
-        assert!(d.contains("shrink A[by 2]"));
-        // Non-divisor: leave it to the checker to reject.
-        let mut d2 = String::new();
-        assert_eq!(shrink_if_needed(&mut d2, "A", &[4], &[3]), "A");
-        assert!(d2.is_empty());
     }
 
     #[test]

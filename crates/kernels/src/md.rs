@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use dahlia_core::interp::Value;
 use hls_sim::{Access, ArrayDecl, Idx, Kernel, Loop, Op, OpKind};
 
-use crate::{float_input, shrink_if_needed, Bench, Prng};
+use crate::{float_input, render_at, Bench, Prng};
 
 /// Parameters of the md-knn design space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,29 +42,43 @@ impl MdKnnParams {
     }
 }
 
-/// Dahlia source for md-knn.
+/// The Fig. 8b axes (last fastest, 16,384 points): delta and force
+/// buffer banking, atom/neighbour unrolls; [`md_knn_template`]'s parameters.
+pub const MD_KNN_AXES: [(&str, &[u64]); 6] = [
+    ("bank_dx", &[1, 2, 3, 4]),
+    ("bank_dy", &[1, 2, 3, 4]),
+    ("bank_dz", &[1, 2, 3, 4]),
+    ("bank_f", &[1, 2, 3, 4]),
+    ("unroll_i", &[1, 2, 3, 4, 5, 6, 7, 8]),
+    ("unroll_j", &[1, 2, 3, 4, 5, 6, 7, 8]),
+];
+
+/// Dahlia source for md-knn: the [`md_knn_template`] rendered at `p`.
 pub fn md_knn_source(p: &MdKnnParams) -> String {
-    let MdKnnParams {
-        n,
-        k,
-        bank_d: (b1, b2, b3),
-        bank_f,
-        unroll: (u0, u1),
-    } = *p;
-    let mut views = String::new();
-    let dxa = shrink_if_needed(&mut views, "dxs", &[b1, b1], &[u0, u1]);
-    let dya = shrink_if_needed(&mut views, "dys", &[b2, b2], &[u0, u1]);
-    let dza = shrink_if_needed(&mut views, "dzs", &[b3, b3], &[u0, u1]);
-    let fxa = shrink_if_needed(&mut views, "f_x", &[bank_f], &[u0]);
+    let (d, u) = (p.bank_d, p.unroll);
+    render_at(
+        &md_knn_template(p.n, p.k),
+        MD_KNN_AXES.map(|(name, _)| name),
+        [d.0, d.1, d.2, p.bank_f, u.0, u.1],
+    )
+}
+
+/// The md-knn source as a template over the [`MD_KNN_AXES`]; each delta
+/// buffer and the force buffer shrink below their banking.
+pub fn md_knn_template(n: u64, k: u64) -> String {
+    let dx = "dxs:bank_dx,unroll_i:bank_dx,unroll_j";
+    let dy = "dys:bank_dy,unroll_i:bank_dy,unroll_j";
+    let dz = "dzs:bank_dz,unroll_i:bank_dz,unroll_j";
+    let fx = "f_x:bank_f,unroll_i";
     format!(
         "decl p_x: float[{n}];
 decl p_y: float[{n}];
 decl p_z: float[{n}];
 decl nl: bit<32>[{n}][{k}];
-decl f_x: float[{n} bank {bank_f}];
-let dxs: float[{n} bank {b1}][{k} bank {b1}];
-let dys: float[{n} bank {b2}][{k} bank {b2}];
-let dzs: float[{n} bank {b3}][{k} bank {b3}];
+decl f_x: float[{n} bank ${{bank_f}}];
+let dxs: float[{n} bank ${{bank_dx}}][{k} bank ${{bank_dx}}];
+let dys: float[{n} bank ${{bank_dy}}][{k} bank ${{bank_dy}}];
+let dzs: float[{n} bank ${{bank_dz}}][{k} bank ${{bank_dz}}];
 ---
 // Phase 1: sequential gather of neighbour position deltas (the hoisted
 // serial section from the paper's port).
@@ -79,17 +93,17 @@ for (let i = 0..{n}) {{
   }}
 }}
 ---
-{views}// Phase 2: parallel force computation.
-for (let i = 0..{n}) unroll {u0} {{
-  for (let j = 0..{k}) unroll {u1} {{
-    let delx = {dxa}[i][j];
-    let dely = {dya}[i][j];
-    let delz = {dza}[i][j];
+${{shrink:{dx}}}${{shrink:{dy}}}${{shrink:{dz}}}${{shrink:{fx}}}// Phase 2: parallel force computation.
+for (let i = 0..{n}) unroll ${{unroll_i}} {{
+  for (let j = 0..{k}) unroll ${{unroll_j}} {{
+    let delx = ${{access:{dx}}}[i][j];
+    let dely = ${{access:{dy}}}[i][j];
+    let delz = ${{access:{dz}}}[i][j];
     let r2 = delx * delx + dely * dely + delz * delz;
     let pot = 1.0 / (r2 + 1.0);
     let vx = delx * pot;
   }} combine {{
-    {fxa}[i] += vx;
+    ${{access:{fx}}}[i] += vx;
   }}
 }}
 "
@@ -265,41 +279,54 @@ impl MdGridParams {
     }
 }
 
-/// Dahlia source for md-grid: forces between particles within each cell,
-/// with a data-dependent particle count per cell.
-pub fn md_grid_source(prm: &MdGridParams) -> String {
-    let MdGridParams {
-        b,
-        p,
-        bank_pos: (b1, b2, bp),
-        bank_np,
-        unroll: (u0, u1),
-    } = *prm;
-    let mut views = String::new();
-    let pxa = shrink_if_needed(&mut views, "posx", &[1, b1, b2, bp], &[1, u0, u1, 1]);
-    let pya = shrink_if_needed(&mut views, "posy", &[1, b1, b2, bp], &[1, u0, u1, 1]);
-    let pza = shrink_if_needed(&mut views, "posz", &[1, b1, b2, bp], &[1, u0, u1, 1]);
-    let npa = shrink_if_needed(&mut views, "n_points", &[1, bank_np, bank_np], &[1, u0, u1]);
+/// The Fig. 8c axes (last fastest, 16,384 points): position and count
+/// banking, block-loop unrolls; [`md_grid_template`]'s parameters.
+pub const MD_GRID_AXES: [(&str, &[u64]); 6] = [
+    ("bank_b1", &[1, 2, 3, 4]),
+    ("bank_b2", &[1, 2, 3, 4]),
+    ("bank_p", &[1, 2, 3, 4]),
+    ("bank_np", &[1, 2, 3, 4]),
+    ("unroll_y", &[1, 2, 3, 4, 5, 6, 7, 8]),
+    ("unroll_z", &[1, 2, 3, 4, 5, 6, 7, 8]),
+];
+
+/// Dahlia source for md-grid: the [`md_grid_template`] rendered at `p`.
+pub fn md_grid_source(p: &MdGridParams) -> String {
+    let (pos, u) = (p.bank_pos, p.unroll);
+    render_at(
+        &md_grid_template(p.b, p.p),
+        MD_GRID_AXES.map(|(name, _)| name),
+        [pos.0, pos.1, pos.2, p.bank_np, u.0, u.1],
+    )
+}
+
+/// The md-grid source as a template over the [`MD_GRID_AXES`]: forces
+/// between the particles of each of `b`³ cells (`p` slots, a
+/// data-dependent count each); positions and counts shrink below their
+/// banking.
+pub fn md_grid_template(b: u64, p: u64) -> String {
+    let pos = "1,1:bank_b1,unroll_y:bank_b2,unroll_z:bank_p,1";
+    let np = "n_points:1,1:bank_np,unroll_y:bank_np,unroll_z";
     format!(
-        "decl posx: float{{2}}[{b}][{b} bank {b1}][{b} bank {b2}][{p} bank {bp}];
-decl posy: float{{2}}[{b}][{b} bank {b1}][{b} bank {b2}][{p} bank {bp}];
-decl posz: float{{2}}[{b}][{b} bank {b1}][{b} bank {b2}][{p} bank {bp}];
-decl n_points: bit<32>[{b}][{b} bank {bank_np}][{b} bank {bank_np}];
-decl forcex: float[{b}][{b} bank {u0}][{b} bank {u1}][{p}];
-{views}for (let cx = 0..{b}) {{
-  for (let cy = 0..{b}) unroll {u0} {{
-    for (let cz = 0..{b}) unroll {u1} {{
-      let cnt = {npa}[cx][cy][cz];
+        "decl posx: float{{2}}[{b}][{b} bank ${{bank_b1}}][{b} bank ${{bank_b2}}][{p} bank ${{bank_p}}];
+decl posy: float{{2}}[{b}][{b} bank ${{bank_b1}}][{b} bank ${{bank_b2}}][{p} bank ${{bank_p}}];
+decl posz: float{{2}}[{b}][{b} bank ${{bank_b1}}][{b} bank ${{bank_b2}}][{p} bank ${{bank_p}}];
+decl n_points: bit<32>[{b}][{b} bank ${{bank_np}}][{b} bank ${{bank_np}}];
+decl forcex: float[{b}][{b} bank ${{unroll_y}}][{b} bank ${{unroll_z}}][{p}];
+${{shrink:posx:{pos}}}${{shrink:posy:{pos}}}${{shrink:posz:{pos}}}${{shrink:{np}}}for (let cx = 0..{b}) {{
+  for (let cy = 0..{b}) unroll ${{unroll_y}} {{
+    for (let cz = 0..{b}) unroll ${{unroll_z}} {{
+      let cnt = ${{access:{np}}}[cx][cy][cz];
       ---
       for (let q = 0..{p}) {{
-        let xq = {pxa}[cx][cy][cz][q]; let yq = {pya}[cx][cy][cz][q]; let zq = {pza}[cx][cy][cz][q];
+        let xq = ${{access:posx:{pos}}}[cx][cy][cz][q]; let yq = ${{access:posy:{pos}}}[cx][cy][cz][q]; let zq = ${{access:posz:{pos}}}[cx][cy][cz][q];
         let accf = 0.0;
         ---
         if (q < cnt) {{
           for (let pp = 0..{p}) {{
-            let dx = {pxa}[cx][cy][cz][pp] - xq;
-            let dy = {pya}[cx][cy][cz][pp] - yq;
-            let dz = {pza}[cx][cy][cz][pp] - zq;
+            let dx = ${{access:posx:{pos}}}[cx][cy][cz][pp] - xq;
+            let dy = ${{access:posy:{pos}}}[cx][cy][cz][pp] - yq;
+            let dz = ${{access:posz:{pos}}}[cx][cy][cz][pp] - zq;
             let contrib = dx * dx + dy * dy + dz * dz;
           }} combine {{
             accf += contrib;

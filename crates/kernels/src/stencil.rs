@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use dahlia_core::interp::Value;
 use hls_sim::{Access, ArrayDecl, Idx, Kernel, Loop, Op, OpKind};
 
-use crate::{float_input, shrink_if_needed, Bench, Prng};
+use crate::{float_input, render_at, Bench, Prng};
 
 /// Parameters of the stencil2d design space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,31 +42,45 @@ impl Stencil2dParams {
     }
 }
 
-/// Dahlia source for a stencil2d configuration.
+/// The Fig. 8a axes (last fastest, 2,916 points): grid and filter
+/// banking, filter-loop unrolls; [`stencil2d_template`]'s parameters.
+pub const STENCIL2D_AXES: [(&str, &[u64]); 6] = [
+    ("bank_r", &[1, 2, 3, 4, 5, 6]),
+    ("bank_c", &[1, 2, 3, 4, 5, 6]),
+    ("bank_f1", &[1, 2, 3]),
+    ("bank_f2", &[1, 2, 3]),
+    ("unroll_1", &[1, 2, 3]),
+    ("unroll_2", &[1, 2, 3]),
+];
+
+/// Dahlia source for a stencil2d configuration: the
+/// [`stencil2d_template`] rendered at `p`.
 pub fn stencil2d_source(p: &Stencil2dParams) -> String {
-    let Stencil2dParams {
-        rows,
-        cols,
-        bank_orig: (br, bc),
-        bank_filter: (f1, f2),
-        unroll: (u1, u2),
-    } = *p;
+    let (o, f, u) = (p.bank_orig, p.bank_filter, p.unroll);
+    render_at(
+        &stencil2d_template(p.rows, p.cols),
+        STENCIL2D_AXES.map(|(name, _)| name),
+        [o.0, o.1, f.0, f.1, u.0, u.1],
+    )
+}
+
+/// The stencil2d source as a template over the [`STENCIL2D_AXES`]; the
+/// filter and the shifted window shrink below their banking.
+pub fn stencil2d_template(rows: u64, cols: u64) -> String {
     let (r_out, c_out) = (rows - 2, cols - 2);
-    let mut top_views = String::new();
-    let fa = shrink_if_needed(&mut top_views, "filter", &[f1, f2], &[u1, u2]);
-    let mut inner_views = String::new();
-    let wa = shrink_if_needed(&mut inner_views, "w", &[br, bc], &[u1, u2]);
+    let filter = "filter:bank_f1,unroll_1:bank_f2,unroll_2";
+    let window = "w:bank_r,unroll_1:bank_c,unroll_2";
     format!(
-        "decl orig: float[{rows} bank {br}][{cols} bank {bc}];
+        "decl orig: float[{rows} bank ${{bank_r}}][{cols} bank ${{bank_c}}];
 decl sol: float[{rows}][{cols}];
-decl filter: float[3 bank {f1}][3 bank {f2}];
-{top_views}for (let r = 0..{r_out}) {{
+decl filter: float[3 bank ${{bank_f1}}][3 bank ${{bank_f2}}];
+${{shrink:{filter}}}for (let r = 0..{r_out}) {{
   for (let c = 0..{c_out}) {{
     view w = shift orig[by r][by c];
-{inner_views}    let acc = 0.0;
-    for (let k1 = 0..3) unroll {u1} {{
-      for (let k2 = 0..3) unroll {u2} {{
-        let mul = {fa}[k1][k2] * {wa}[k1][k2];
+${{shrink:{window}}}    let acc = 0.0;
+    for (let k1 = 0..3) unroll ${{unroll_1}} {{
+      for (let k2 = 0..3) unroll ${{unroll_2}} {{
+        let mul = ${{access:{filter}}}[k1][k2] * ${{access:{window}}}[k1][k2];
       }} combine {{
         acc += mul;
       }}

@@ -24,9 +24,9 @@
 //! binary recomputes into its own tree, never crashes), `<stage>` is
 //! the protocol stage name, and `<ss>` is the first byte of the source
 //! digest in hex — a 256-way fan-out that keeps directories small
-//! under sweep workloads. Entries under `v2/{parse,desugar,lower}`,
-//! left by an older binary, are never read again; GC still counts and
-//! prunes them.
+//! under sweep workloads. Older binaries also wrote `v2/parse`,
+//! `v2/desugar` and `v2/lower` trees; nothing reads them again, so
+//! opening a store deletes them once and counts their files as pruned.
 //!
 //! ## Entry format
 //!
@@ -63,7 +63,7 @@
 
 use std::fs;
 use std::io::{Read, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -149,6 +149,8 @@ impl DiskStore {
     /// once at startup (inheriting an oversized directory must not keep
     /// it oversized) and again after each write-behind drain. Pruning
     /// an entry only costs a future recompute; values are deterministic.
+    /// With or without a budget, opening deletes the trees of the stages
+    /// that do not [`persist`](persists).
     pub fn open_bounded(
         dir: impl Into<PathBuf>,
         gc_max_bytes: Option<u64>,
@@ -169,6 +171,7 @@ impl DiskStore {
             pending: Mutex::new(0),
             drained: Condvar::new(),
         });
+        inner.prune_stale_stages();
         inner.gc();
         let (tx, rx) = mpsc::channel::<(Key, CacheValue)>();
         let worker = Arc::clone(&inner);
@@ -368,6 +371,28 @@ impl Inner {
         }
     }
 
+    /// Count one deleted entry file.
+    fn pruned(&self, len: u64) {
+        self.pruned_files.fetch_add(1, Ordering::Relaxed);
+        self.pruned_bytes.fetch_add(len, Ordering::Relaxed);
+    }
+
+    /// Delete the trees of the stages that do not [`persist`](persists),
+    /// which older binaries wrote: nothing reads them again, and under a
+    /// budget they would crowd out live entries. Their files count as
+    /// pruned.
+    fn prune_stale_stages(&self) {
+        for stage in Stage::ALL.into_iter().filter(|&s| !persists(s)) {
+            let dir = self.root.join(stage.name());
+            for (md, path) in stage_files(&dir) {
+                if fs::remove_file(path).is_ok() {
+                    self.pruned(md.len());
+                }
+            }
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
     /// One GC pass: walk every stage directory, and while the artifact
     /// files exceed the budget, delete them oldest-mtime-first (ties
     /// break by path for determinism). `.tmp-*` orphans are ignored —
@@ -376,36 +401,20 @@ impl Inner {
     /// (shared cache directories are supported) just stops counting.
     fn gc(&self) {
         let Some(max) = self.gc_max_bytes else { return };
-        let mut files: Vec<(std::time::SystemTime, u64, PathBuf)> = Vec::new();
-        let mut total: u64 = 0;
         let Ok(stages) = fs::read_dir(&self.root) else {
             return;
         };
+        let mut files: Vec<(std::time::SystemTime, u64, PathBuf)> = Vec::new();
         for stage in stages.flatten() {
-            let Ok(fans) = fs::read_dir(stage.path()) else {
-                continue;
-            };
-            for fan in fans.flatten() {
-                let Ok(entries) = fs::read_dir(fan.path()) else {
-                    continue;
-                };
-                for entry in entries.flatten() {
-                    if entry.file_name().to_string_lossy().starts_with(".tmp-") {
-                        continue;
-                    }
-                    let Ok(md) = entry.metadata() else { continue };
-                    if !md.is_file() {
-                        continue;
-                    }
-                    total += md.len();
-                    files.push((
-                        md.modified().unwrap_or(std::time::SystemTime::UNIX_EPOCH),
-                        md.len(),
-                        entry.path(),
-                    ));
+            for (md, path) in stage_files(&stage.path()) {
+                let name = path.file_name().unwrap_or_default().to_string_lossy();
+                if !name.starts_with(".tmp-") {
+                    let mtime = md.modified().unwrap_or(std::time::SystemTime::UNIX_EPOCH);
+                    files.push((mtime, md.len(), path));
                 }
             }
         }
+        let mut total: u64 = files.iter().map(|f| f.1).sum();
         if total <= max {
             return;
         }
@@ -416,11 +425,32 @@ impl Inner {
             }
             if fs::remove_file(&path).is_ok() {
                 total -= len;
-                self.pruned_files.fetch_add(1, Ordering::Relaxed);
-                self.pruned_bytes.fetch_add(len, Ordering::Relaxed);
+                self.pruned(len);
             }
         }
     }
+}
+
+/// The regular files of one stage tree (`<stage>/<ss>/<file>`), with
+/// their metadata. Unreadable directories and vanished files are skipped.
+fn stage_files(stage_dir: &Path) -> Vec<(fs::Metadata, PathBuf)> {
+    let mut files = Vec::new();
+    let Ok(fans) = fs::read_dir(stage_dir) else {
+        return files;
+    };
+    for fan in fans.flatten() {
+        let Ok(entries) = fs::read_dir(fan.path()) else {
+            continue;
+        };
+        for entry in entries.flatten() {
+            if let Ok(md) = entry.metadata() {
+                if md.is_file() {
+                    files.push((md, entry.path()));
+                }
+            }
+        }
+    }
+    files
 }
 
 fn checksum(payload: &[u8]) -> u128 {
@@ -506,6 +536,40 @@ mod tests {
             assert!(!dir.exists(), "{}", dir.display());
         }
         assert_eq!(store.stats(), DiskStats::default());
+        drop(store);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn opening_deletes_the_trees_of_stages_that_no_longer_persist() {
+        let root = tmp_root("stale");
+        let live = key(9, Stage::Cpp);
+        let store = DiskStore::open(&root).unwrap();
+        store.store(&live, &cpp("kept"));
+        drop(store);
+        // Entries an older binary wrote for the memory-only stages.
+        let tree = root.join(format!("v{FORMAT_VERSION}"));
+        let stale = [
+            "parse/00/a",
+            "parse/7f/b",
+            "desugar/00/c",
+            "lower/ff/d",
+            "lower/ff/.tmp-1-0",
+        ];
+        for path in stale {
+            let path = tree.join(path);
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            fs::write(&path, b"stale entry").unwrap();
+        }
+
+        let store = DiskStore::open(&root).unwrap();
+        for stage in ["parse", "desugar", "lower"] {
+            assert!(!tree.join(stage).exists(), "{stage} tree survived");
+        }
+        assert!(store.load(&live).is_some(), "the live cpp entry loads");
+        let s = store.stats();
+        assert_eq!(s.pruned_files, stale.len() as u64, "{s:?}");
+        assert_eq!(s.pruned_bytes, 11 * stale.len() as u64, "{s:?}");
         drop(store);
         let _ = fs::remove_dir_all(&root);
     }
