@@ -40,5 +40,5 @@ pub use diag::{Diagnostic, Phase};
 pub use error::{Error, TypeError, TypeErrorKind};
 pub use intern::{InternStats, Symbol, SymbolMap, SymbolSet};
 pub use interp::{interpret, InterpOptions, Value};
-pub use parser::{parse, parse_expr};
+pub use parser::{parse, parse_expr, parse_tokens};
 pub use span::{Span, Spanned};

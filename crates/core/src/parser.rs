@@ -21,19 +21,24 @@ use crate::span::Span;
 /// overflow.
 pub const MAX_NESTING: usize = 256;
 
-/// Parse a complete Dahlia program.
+/// Parse a complete Dahlia program: [`parse_tokens`] over its [`lex`].
 ///
 /// # Errors
 ///
 /// Returns [`Error::Lex`] or [`Error::Parse`] on malformed input.
 pub fn parse(src: &str) -> Result<Program, Error> {
-    let tokens = lex(src)?;
-    Parser {
-        toks: tokens,
-        pos: 0,
-        depth: 0,
-    }
-    .program()
+    parse_tokens(&lex(src)?)
+}
+
+/// Parse a complete Dahlia program from its tokens, as [`lex`] returns
+/// them: the last one is [`Tok::Eof`].
+///
+/// # Errors
+///
+/// Returns [`Error::Parse`] on malformed input, or on a token slice
+/// that does not end in [`Tok::Eof`].
+pub fn parse_tokens(tokens: &[Token]) -> Result<Program, Error> {
+    Parser::new(tokens)?.program()
 }
 
 /// Parse a single expression (used by tests and tools).
@@ -43,24 +48,35 @@ pub fn parse(src: &str) -> Result<Program, Error> {
 /// Returns an error if the input is not exactly one expression.
 pub fn parse_expr(src: &str) -> Result<Expr, Error> {
     let tokens = lex(src)?;
-    let mut p = Parser {
-        toks: tokens,
-        pos: 0,
-        depth: 0,
-    };
+    let mut p = Parser::new(&tokens)?;
     let e = p.expr()?;
     p.expect(&Tok::Eof)?;
     Ok(e)
 }
 
-struct Parser {
-    toks: Vec<Token>,
+struct Parser<'t> {
+    /// Ends in [`Tok::Eof`], which the cursor never moves past.
+    toks: &'t [Token],
     pos: usize,
     /// Levels of nesting open around the current token.
     depth: usize,
 }
 
-impl Parser {
+impl<'t> Parser<'t> {
+    fn new(toks: &'t [Token]) -> Result<Parser<'t>, Error> {
+        match toks.last() {
+            Some(Token { tok: Tok::Eof, .. }) => Ok(Parser {
+                toks,
+                pos: 0,
+                depth: 0,
+            }),
+            last => Err(Error::parse(
+                "token stream does not end in Eof",
+                last.map(|t| t.span).unwrap_or_default(),
+            )),
+        }
+    }
+
     fn peek(&self) -> &Tok {
         &self.toks[self.pos].tok
     }
@@ -816,6 +832,16 @@ mod tests {
 
     fn body(src: &str) -> Cmd {
         parse(src).unwrap().body
+    }
+
+    #[test]
+    fn tokens_parse_as_their_source_does() {
+        let src = "decl A: float[8 bank 4];\nfor (let i = 0..8) unroll 4 { A[i] := 1.0; }";
+        let tokens = lex(src).unwrap();
+        assert_eq!(parse_tokens(&tokens).unwrap(), parse(src).unwrap());
+        let err = parse_tokens(&tokens[..tokens.len() - 1]).unwrap_err();
+        assert!(err.to_string().contains("Eof"), "{err}");
+        assert!(parse_tokens(&[]).is_err());
     }
 
     #[test]

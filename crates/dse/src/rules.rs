@@ -9,14 +9,14 @@
 //! Dahlia's contribution is enforcing these **compositionally** through
 //! types rather than as global syntactic checks. This module states the
 //! rules explicitly as a symbolic acceptance predictor for simple
-//! loop-over-array templates, which serves two purposes:
-//!
-//! * **cross-validation** — tests check that the type checker's verdict on
-//!   generated programs coincides with the written-down rules on the
-//!   template space (and the checker generalizes far beyond it);
-//! * **fast pre-filtering** — a DSE can discard most of a parameter space
-//!   without generating source text (the paper's §6 "polymorphism" future
-//!   work imagines exactly this kind of parameter-level reasoning).
+//! loop-over-array templates. It is a cross-validation oracle:
+//! `tests/rules_vs_checker.rs` checks that the type checker's verdict on
+//! generated programs coincides with the written-down rules on the
+//! template space (and the checker generalizes far beyond it). Nothing
+//! else calls it; no sweep pre-filters with it. A parameter-level
+//! pre-filter that keeps rejected points away from the parser (the
+//! paper's §6 "polymorphism" future work) is ROADMAP item 5's remaining
+//! work, and would be derived from the checker, not from these rules.
 
 /// One parallel access pattern of a loop nest: a memory dimension swept by
 /// a (possibly unrolled) iterator.

@@ -12,7 +12,10 @@
 //! shard would give, without a hop. The scatter parks no thread per
 //! point: the sweep's own thread keeps a window of points in flight,
 //! each started with the router's asynchronous submit, and folds every
-//! reply itself as it lands. Three properties carry the subsystem:
+//! reply itself as it lands. The front end lexes each template shape
+//! once (see [`Shapes`]): every other point of the shape has its
+//! integer slots patched into the shape's tokens, then parses and
+//! checks as a shard would. Three properties carry the subsystem:
 //!
 //! * **Durability.** Every completed point is appended to a crash-safe
 //!   journal (the [`Tsdb`] record format, retention disabled) keyed by
@@ -38,13 +41,15 @@
 //! keeps pruning off.
 
 use std::collections::HashSet;
+use std::panic::AssertUnwindSafe;
 use std::sync::{mpsc, Arc};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use dahlia_dse::{point_digest, ParetoFront, Plan, SweepSpec};
+use dahlia_dse::{point_digest, ParetoFront, Plan, ShapeTokens, Slots, SweepSpec};
 use dahlia_obs::{Counter, Gauge, Registry, Tsdb, TsdbOptions};
+use dahlia_server::evict::{EvictConfig, Lru};
 use dahlia_server::json::{obj, Json};
-use dahlia_server::{front_end, Request, Stage};
+use dahlia_server::{front_end, front_end_tokens, Diagnostic, Request, Stage};
 
 use crate::{GwInner, HOP_WINDOW};
 
@@ -135,6 +140,63 @@ struct SweepState<'a> {
     cache_hits: u64,
     failures: u64,
     pruned: u64,
+    shapes: Shapes,
+}
+
+/// The most shapes a sweep keeps the tokens of. A template's shapes
+/// number its directive outcomes times its slot widths, a handful for
+/// the paper's spaces.
+const SHAPES_CAP: usize = 64;
+
+/// The most token bytes a sweep keeps across its shapes.
+const SHAPES_BYTES: usize = 16 << 20;
+
+/// The sweep thread's front end. Each shape (see [`Slots::shape`]) is
+/// lexed once, by its first point; every later point of the shape has
+/// its slot values patched into those tokens, then parses and checks as
+/// [`front_end`] does. A shape that [`ShapeTokens::lex`] refuses, and a
+/// point it cannot patch, run [`front_end`] on the source.
+struct Shapes {
+    /// `None` marks a shape that is lexed point by point.
+    cache: Lru<Vec<u8>, Option<ShapeTokens>>,
+}
+
+impl Shapes {
+    fn new() -> Shapes {
+        Shapes {
+            cache: Lru::new(
+                EvictConfig::unbounded()
+                    .entries(SHAPES_CAP)
+                    .bytes(SHAPES_BYTES),
+            ),
+        }
+    }
+
+    /// [`front_end`]'s verdict on `source`, rendered with `slots`.
+    fn front_end(&mut self, source: &str, slots: &Slots, stage: Stage) -> Result<(), Diagnostic> {
+        if let Some(shape) = self.cache.get_mut(&slots.shape) {
+            return verdict(shape.as_mut(), source, slots, stage);
+        }
+        let mut shape = ShapeTokens::lex(source, &slots.ints);
+        let verdict = verdict(shape.as_mut(), source, slots, stage);
+        let weight = shape.as_ref().map_or(0, ShapeTokens::bytes);
+        self.cache.insert(slots.shape.clone(), shape, weight);
+        verdict
+    }
+}
+
+/// The front end's verdict on a point: its shape's tokens patched with
+/// `slots`, or `source` when there are none or they cannot be patched.
+fn verdict(
+    shape: Option<&mut ShapeTokens>,
+    source: &str,
+    slots: &Slots,
+    stage: Stage,
+) -> Result<(), Diagnostic> {
+    match shape.and_then(|t| t.patch(&slots.ints)) {
+        Some(tokens) => front_end_tokens(tokens, stage),
+        None => front_end(source, stage),
+    }
 }
 
 /// Execute one sweep op end to end, emitting zero or more
@@ -217,6 +279,7 @@ pub(crate) fn run_sweep(inner: &Arc<GwInner>, op: dahlia_server::SweepOp, emit: 
         cache_hits: 0,
         failures: journal_failures,
         pruned: 0,
+        shapes: Shapes::new(),
     };
 
     if op.prune {
@@ -253,12 +316,9 @@ pub(crate) fn run_sweep(inner: &Arc<GwInner>, op: dahlia_server::SweepOp, emit: 
     // Global accounting, then the final summary.
     let (done, pruned, cache_hits, failures) =
         (state.done, state.pruned, state.cache_hits, state.failures);
-    let elapsed_ms = t0.elapsed().as_millis() as u64;
-    let pps = if elapsed_ms > 0 {
-        done as f64 / (elapsed_ms as f64 / 1_000.0)
-    } else {
-        done as f64
-    };
+    let elapsed = t0.elapsed();
+    let elapsed_ms = elapsed.as_millis() as u64;
+    let (pps, mean_point_ms) = rates(done, elapsed);
     let g = &inner.sweeps;
     g.completed.inc();
     g.points_total.add(state.total);
@@ -269,11 +329,6 @@ pub(crate) fn run_sweep(inner: &Arc<GwInner>, op: dahlia_server::SweepOp, emit: 
     g.point_failures.add(failures);
     g.last_points_per_s.set(pps);
 
-    let mean_point_ms = if done > 0 {
-        elapsed_ms as f64 / done as f64
-    } else {
-        0.0
-    };
     let front_json: Vec<Json> = state
         .front
         .entries()
@@ -317,6 +372,18 @@ pub(crate) fn run_sweep(inner: &Arc<GwInner>, op: dahlia_server::SweepOp, emit: 
     emit(line, true);
 }
 
+/// A sweep's completion rate in points per second and its mean wall
+/// time per point in milliseconds, from the sweep's whole `elapsed`
+/// time, not its whole milliseconds: a sweep under 1 ms still has a
+/// rate. Both are 0 when nothing was timed or nothing was done.
+fn rates(done: u64, elapsed: Duration) -> (f64, f64) {
+    let secs = elapsed.as_secs_f64();
+    if secs == 0.0 || done == 0 {
+        return (0.0, 0.0);
+    }
+    (done as f64 / secs, secs * 1_000.0 / done as f64)
+}
+
 /// The emit callback type [`run_sweep`] streams lines through.
 pub(crate) type EmitFn = dyn Fn(Json, bool) + Send + Sync;
 
@@ -348,12 +415,15 @@ fn evaluate(
     };
     let mut values = vec![0; plan.axes()];
     let mut source = String::new();
+    let mut slots = Slots::default();
     for &n in pts {
         plan.decode(n, &mut values);
-        plan.render(&values, &mut source);
+        plan.render_slots(&values, &mut source, &mut slots);
         // A panicking front end is no verdict: the point routes, and
         // its shard answers `internal`.
-        let verdict = std::panic::catch_unwind(|| front_end(&source, state.stage));
+        let verdict = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            state.shapes.front_end(&source, &slots, state.stage)
+        }));
         if let Ok(Err(_)) = verdict {
             state.reject(|| Ident::of(plan, &values, &source), emit);
             continue;
@@ -965,6 +1035,122 @@ mod tests {
         assert_eq!(count("points_skipped"), 4);
         assert_eq!(count("points_done"), 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_sweep_under_a_millisecond_still_has_a_rate() {
+        let (pps, mean_ms) = rates(9, Duration::from_micros(500));
+        assert!((pps - 18_000.0).abs() < 1e-6, "{pps}");
+        assert!((mean_ms - 0.5 / 9.0).abs() < 1e-12, "{mean_ms}");
+        assert_eq!(rates(0, Duration::from_micros(500)), (0.0, 0.0));
+        assert_eq!(rates(9, Duration::ZERO), (0.0, 0.0));
+    }
+
+    /// Run every planned point of `spec` through one [`Shapes`], as
+    /// `evaluate` does, checking each verdict against [`front_end`] on
+    /// the rendered source. Returns the accepted points and how many
+    /// times the shapes lexed.
+    fn replay(spec: &SweepSpec) -> (u64, u64) {
+        let plan = spec.plan().unwrap();
+        let stage = Stage::from_name(&spec.stage).unwrap();
+        let mut shapes = Shapes::new();
+        let mut values = vec![0; plan.axes()];
+        let mut source = String::new();
+        let mut slots = Slots::default();
+        let mut accepted = 0;
+        for n in 0..plan.count() {
+            plan.decode(n, &mut values);
+            plan.render_slots(&values, &mut source, &mut slots);
+            let verdict = shapes.front_end(&source, &slots, stage);
+            assert_eq!(verdict, front_end(&source, stage), "{source}");
+            accepted += u64::from(verdict.is_ok());
+        }
+        let cache = shapes.cache.stats();
+        (accepted, cache.resident_entries + cache.evictions)
+    }
+
+    fn fig7() -> SweepSpec {
+        SweepSpec {
+            name: "gemm-blocked".to_string(),
+            template: dahlia_kernels::gemm::gemm_blocked_template(128, 8),
+            params: dahlia_kernels::gemm::GEMM_BLOCKED_AXES
+                .iter()
+                .map(|(n, vs)| (n.to_string(), vs.to_vec()))
+                .collect(),
+            stage: "est".to_string(),
+            stride: 1,
+        }
+    }
+
+    #[test]
+    fn the_fig7_sweep_lexes_once_per_shape() {
+        // Two shrink directives, each shrinking or not, and every slot
+        // one digit wide: four shapes for 32,000 points.
+        assert_eq!(replay(&fig7()), (504, 4));
+    }
+
+    /// A one-parameter sweep of `template` over `values` at `stage`.
+    fn one_axis(template: &str, values: &[u64], stage: &str) -> SweepSpec {
+        SweepSpec {
+            name: "k".to_string(),
+            template: template.to_string(),
+            params: vec![("b".to_string(), values.to_vec())],
+            stage: stage.to_string(),
+            stride: 1,
+        }
+    }
+
+    #[test]
+    fn slots_that_are_not_one_integer_token_fall_back_to_the_source() {
+        let falls_back = |template: &str, values: &[u64]| {
+            let spec = one_axis(template, values, "check");
+            let (_, lexes) = replay(&spec);
+            assert_eq!(lexes, 1, "{template}: one shape");
+            let plan = spec.plan().unwrap();
+            let (mut source, mut slots) = (String::new(), Slots::default());
+            plan.render_slots(&[values[0]], &mut source, &mut slots);
+            assert!(
+                ShapeTokens::lex(&source, &slots.ints).is_none(),
+                "{template} is lexed point by point"
+            );
+        };
+        falls_back("let x${b} = 1;\nlet y = x${b} + ${b};", &[1, 2, 3]);
+        falls_back(
+            "let A: float[8 bank 2];\n// bank ${b}\nlet x = A[${b}];",
+            &[0, 1, 9],
+        );
+        falls_back("let x = ${b}.5;", &[1, 2, 3]);
+        falls_back("let x = ${b}e2;", &[1, 2, 3]);
+        falls_back("let x = ${b}0;", &[0, 1, 2]);
+        falls_back("let x = ${b};", &[9_223_372_036_854_775_808]);
+    }
+
+    #[test]
+    fn a_slot_past_i64_falls_back_for_that_point_only() {
+        // One shape: i64::MAX lexes and patches, one past it is the
+        // lexer's `bad int literal`.
+        let spec = one_axis(
+            "let x = ${b};",
+            &[
+                9_223_372_036_854_775_807,
+                9_223_372_036_854_775_808,
+                1_000_000_000_000_000_000,
+            ],
+            "check",
+        );
+        assert_eq!(replay(&spec), (2, 1));
+        let err = front_end("let x = 9223372036854775808;", Stage::Check).unwrap_err();
+        assert!(err.message.contains("bad int literal"), "{err:?}");
+    }
+
+    #[test]
+    fn a_parse_stage_sweep_gives_the_parsers_verdicts() {
+        // Ill-typed points parse; a parse error is the parser's own.
+        let typed = "let A: float[8 bank ${b}];\nfor (let i = 0..8) unroll 4 { A[i] := 1.0; }";
+        assert_eq!(replay(&one_axis(typed, &[1, 2, 3, 4, 8], "parse")), (5, 1));
+        assert_eq!(replay(&one_axis(typed, &[1, 2, 3, 4, 8], "check")), (1, 1));
+        let broken = "let x = ${b} +;";
+        assert_eq!(replay(&one_axis(broken, &[1, 2, 3], "parse")), (0, 1));
     }
 
     #[test]

@@ -207,6 +207,12 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
 
     /// Look up and touch: a hit moves the entry to most-recently-used.
     pub fn get(&mut self, key: &K) -> Option<&V> {
+        self.get_mut(key).map(|v| &*v)
+    }
+
+    /// [`Lru::get`], lending the value mutably. A change to it keeps
+    /// the weight it was inserted with.
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
         self.clock += 1;
         let slot = self.entries.get_mut(key)?;
         let key = self
@@ -215,7 +221,7 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
             .expect("order/entries in sync");
         slot.stamp = self.clock;
         self.order.insert(self.clock, key);
-        Some(&slot.value)
+        Some(&mut slot.value)
     }
 
     /// Insert (or replace) an entry of the given `weight` as

@@ -16,6 +16,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use dahlia_core::diag::Diagnostic;
+use dahlia_core::lexer::Token;
 use dahlia_core::{CheckReport, Program};
 use dahlia_obs::{Span, Tier};
 use hls_sim::digest::Fnv;
@@ -142,7 +143,13 @@ pub fn source_digest(source: &str) -> u128 {
 /// steps, so a caller that runs this ahead of a request reaches the
 /// verdict the pipeline would.
 pub fn front_end(source: &str, stage: Stage) -> Result<(), Diagnostic> {
-    let ast = parse(source)?;
+    let tokens = dahlia_core::lexer::lex(source).map_err(|e| e.diagnostic())?;
+    front_end_tokens(&tokens, stage)
+}
+
+/// [`front_end`] on `source`'s tokens, as `lex` returns them.
+pub fn front_end_tokens(tokens: &[Token], stage: Stage) -> Result<(), Diagnostic> {
+    let ast = dahlia_core::parse_tokens(tokens).map_err(|e| e.diagnostic())?;
     if stage != Stage::Parse {
         check(&ast)?;
     }
