@@ -2,13 +2,16 @@
 //! Fig. 7 space: decode, render, then the front end. Two ways, in
 //! alternating rounds:
 //!
-//! * `full` runs `front_end` on each rendered source, lexing every point;
-//! * `replayed` lexes each template shape once and patches every other
-//!   point's integer slots into that shape's tokens before parsing and
-//!   checking, as the gateway's sweep does.
+//! * `full` runs `front_end` on each rendered source, lexing and
+//!   parsing every point;
+//! * `replayed` parses each template shape once and patches every other
+//!   point's integer slots into that shape's AST before checking it, as
+//!   the gateway's sweep does.
 //!
-//! Prints one JSON line: the median and quartile µs per point of each
-//! way, the accept counts (both must be 504) and the number of shapes.
+//! Every round compares the two ways' verdicts point by point and exits
+//! 1 at the first disagreement, naming the point. Otherwise it prints
+//! one JSON line: the median and quartile µs per point of each way, the
+//! accept counts (both must be 504) and the number of shapes.
 //!
 //! ```text
 //! cargo run --release -p dahlia-bench --bin sweep_replay [ROUNDS]   # default 12
@@ -17,39 +20,48 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use dahlia_dse::{ShapeTokens, Slots, SweepSpec};
+use dahlia_dse::{ShapeAst, Slots, SweepSpec};
 use dahlia_kernels::gemm::{gemm_blocked_template, GEMM_BLOCKED_AXES};
 use dahlia_server::json::{obj, Json};
-use dahlia_server::{front_end, front_end_tokens, Stage};
+use dahlia_server::{front_end, verdict, Diagnostic, Stage};
 
-/// One pass over every point; returns µs per point and points accepted.
-fn round(spec: &SweepSpec, replay: bool) -> (f64, u64, usize) {
+/// One pass over every point, replacing `verdicts` with each point's;
+/// returns µs per point and the number of shapes.
+fn round(
+    spec: &SweepSpec,
+    replay: bool,
+    verdicts: &mut Vec<Result<(), Diagnostic>>,
+) -> (f64, usize) {
     let plan = spec.plan().expect("the Fig. 7 spec plans");
-    let mut shapes: HashMap<Vec<u8>, Option<ShapeTokens>> = HashMap::new();
+    let mut shapes: HashMap<Vec<u8>, Option<ShapeAst>> = HashMap::new();
     let mut values = vec![0; plan.axes()];
     let mut source = String::new();
     let mut slots = Slots::default();
-    let mut accepted = 0;
+    verdicts.clear();
     let t0 = Instant::now();
     for n in 0..plan.count() {
         plan.decode(n, &mut values);
-        let verdict = if replay {
+        verdicts.push(if replay {
             plan.render_slots(&values, &mut source, &mut slots);
             let shape = shapes
                 .entry(slots.shape.clone())
-                .or_insert_with(|| ShapeTokens::lex(&source, &slots.ints));
-            match shape.as_mut().and_then(|t| t.patch(&slots.ints)) {
-                Some(tokens) => front_end_tokens(tokens, Stage::Estimate),
+                .or_insert_with(|| ShapeAst::build(&source, &slots.ints));
+            match shape.as_mut().and_then(|s| s.patch(&slots.ints)) {
+                Some(ast) => verdict(ast, Stage::Estimate),
                 None => front_end(&source, Stage::Estimate),
             }
         } else {
             plan.render(&values, &mut source);
             front_end(&source, Stage::Estimate)
-        };
-        accepted += u64::from(verdict.is_ok());
+        });
     }
     let us = t0.elapsed().as_secs_f64() * 1e6 / plan.count() as f64;
-    (us, accepted, shapes.len())
+    (us, shapes.len())
+}
+
+/// How many `verdicts` accept their point.
+fn accepted(verdicts: &[Result<(), Diagnostic>]) -> f64 {
+    verdicts.iter().filter(|v| v.is_ok()).count() as f64
 }
 
 /// Median and quartiles of `xs`.
@@ -85,23 +97,33 @@ fn main() {
         stride: 1,
     };
     let (mut full, mut replayed) = (Vec::new(), Vec::new());
-    let (mut accepted, mut shapes) = ((0, 0), 0);
+    let (mut by_full, mut by_replay) = (Vec::new(), Vec::new());
+    let mut shapes = 0;
     for _ in 0..rounds {
-        let (us, a, _) = round(&spec, false);
-        full.push(us);
-        accepted.0 = a;
-        let (us, a, s) = round(&spec, true);
+        full.push(round(&spec, false, &mut by_full).0);
+        let (us, s) = round(&spec, true, &mut by_replay);
         replayed.push(us);
-        accepted.1 = a;
         shapes = s;
+        if let Some(n) = (0..by_full.len()).find(|&n| by_full[n] != by_replay[n]) {
+            let plan = spec.plan().expect("the Fig. 7 spec plans");
+            let mut values = vec![0; plan.axes()];
+            plan.decode(n as u64, &mut values);
+            eprintln!(
+                "sweep_replay: point {n} ({}) disagrees: full {:?}, replayed {:?}",
+                plan.key(&values),
+                by_full[n],
+                by_replay[n]
+            );
+            std::process::exit(1);
+        }
     }
     let line = obj([
         ("points", Json::Num(32_000.0)),
         ("rounds", Json::Num(rounds as f64)),
         ("full_us_per_point", spread(full)),
         ("replayed_us_per_point", spread(replayed)),
-        ("accepted_full", Json::Num(accepted.0 as f64)),
-        ("accepted_replayed", Json::Num(accepted.1 as f64)),
+        ("accepted_full", Json::Num(accepted(&by_full))),
+        ("accepted_replayed", Json::Num(accepted(&by_replay))),
         ("shapes", Json::Num(shapes as f64)),
     ]);
     println!("{}", line.emit());

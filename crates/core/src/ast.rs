@@ -551,6 +551,255 @@ pub struct Program {
     pub body: Cmd,
 }
 
+/// Which field an integer leaf of a [`Program`] is, and so how the
+/// parser converts a source integer into it ([`IntField::accept`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum IntField {
+    /// An integer literal, [`Expr::LitInt`].
+    Lit,
+    /// A loop bound, [`Cmd::For`]'s `lo` or `hi`.
+    Bound,
+    /// A loop's unroll factor, [`Cmd::For`]'s `unroll`.
+    Unroll,
+    /// A memory dimension's size, [`Dim::size`].
+    Size,
+    /// A memory dimension's banking, [`Dim::banks`].
+    Banks,
+    /// A memory's ports per bank, [`MemType::ports`].
+    Ports,
+    /// A [`Type::Bit`] or [`Type::UBit`] width.
+    Width,
+    /// A [`ViewKind::Shrink`] or [`ViewKind::Split`] factor.
+    Factor,
+}
+
+impl IntField {
+    /// The value a source integer `v` gives this field, or the parse
+    /// error's message when the field refuses it. The value is `v`
+    /// itself, and it fits the field's type. The parser converts every
+    /// integer it stores through here, so a rule that depends on an
+    /// integer's value lives in this one place.
+    pub fn accept(self, v: i64) -> Result<i64, &'static str> {
+        let (ok, message) = match self {
+            IntField::Lit | IntField::Bound => (true, ""),
+            IntField::Size | IntField::Banks => (v >= 0, "a memory dimension must be non-negative"),
+            IntField::Unroll => (v > 0, "unroll factor must be positive"),
+            IntField::Factor => (v > 0, "this view requires positive integer factors"),
+            IntField::Ports => (
+                (0..=i64::from(u32::MAX)).contains(&v),
+                "a port count must be at most 4294967295",
+            ),
+            IntField::Width => (
+                (1..=i64::from(u32::MAX)).contains(&v),
+                "a bit width must be between 1 and 4294967295",
+            ),
+        };
+        if ok {
+            Ok(v)
+        } else {
+            Err(message)
+        }
+    }
+}
+
+/// One integer leaf of a [`Program`], as [`Program::for_each_int_mut`]
+/// visits it: its field and a mutable reference to its value.
+#[derive(Debug)]
+pub struct IntLeaf<'a> {
+    /// Which field the leaf is.
+    pub field: IntField,
+    value: IntRef<'a>,
+}
+
+/// The storage of an [`IntLeaf`]: the field's own integer type.
+#[derive(Debug)]
+enum IntRef<'a> {
+    I64(&'a mut i64),
+    U64(&'a mut u64),
+    U32(&'a mut u32),
+}
+
+impl IntLeaf<'_> {
+    /// The leaf's value.
+    pub fn get(&self) -> i128 {
+        match &self.value {
+            IntRef::I64(v) => i128::from(**v),
+            IntRef::U64(v) => i128::from(**v),
+            IntRef::U32(v) => i128::from(**v),
+        }
+    }
+
+    /// Write the source integer `v` as the parser would store it in
+    /// this field ([`IntField::accept`]). When the field refuses `v`,
+    /// nothing is written and the parse error's message is returned.
+    pub fn set(&mut self, v: i64) -> Result<(), &'static str> {
+        let v = self.field.accept(v)?;
+        match &mut self.value {
+            IntRef::I64(at) => **at = v,
+            IntRef::U64(at) => **at = v as u64,
+            IntRef::U32(at) => **at = v as u32,
+        }
+        Ok(())
+    }
+}
+
+impl Program {
+    /// Visit every integer leaf, mutably, in a fixed order: the
+    /// declarations, the definitions' parameter types and bodies, then
+    /// the body; within a node, its fields in declaration order. Shared
+    /// subtrees are made unique first ([`Arc::make_mut`]), so a program
+    /// that owns its tree is patched in place and one that shares it is
+    /// copied only along the shared paths.
+    pub fn for_each_int_mut(&mut self, f: &mut impl FnMut(IntLeaf<'_>)) {
+        for d in &mut self.decls {
+            mem_ints(&mut d.ty, f);
+        }
+        for def in &mut self.defs {
+            for p in &mut def.params {
+                type_ints(&mut p.ty, f);
+            }
+            cmd_ints(&mut def.body, f);
+        }
+        cmd_ints(&mut self.body, f);
+    }
+}
+
+fn leaf(field: IntField, value: IntRef<'_>) -> IntLeaf<'_> {
+    IntLeaf { field, value }
+}
+
+fn type_ints(ty: &mut Type, f: &mut impl FnMut(IntLeaf<'_>)) {
+    match ty {
+        Type::Bit(w) | Type::UBit(w) => f(leaf(IntField::Width, IntRef::U32(w))),
+        Type::Mem(m) => mem_ints(m, f),
+        Type::Bool | Type::Float | Type::Double | Type::Idx { .. } => {}
+    }
+}
+
+fn mem_ints(m: &mut MemType, f: &mut impl FnMut(IntLeaf<'_>)) {
+    type_ints(Arc::make_mut(&mut m.elem), f);
+    f(leaf(IntField::Ports, IntRef::U32(&mut m.ports)));
+    for d in &mut m.dims {
+        f(leaf(IntField::Size, IntRef::U64(&mut d.size)));
+        f(leaf(IntField::Banks, IntRef::U64(&mut d.banks)));
+    }
+}
+
+fn expr_ints(e: &mut Expr, f: &mut impl FnMut(IntLeaf<'_>)) {
+    match e {
+        Expr::LitInt { val, .. } => f(leaf(IntField::Lit, IntRef::I64(val))),
+        Expr::LitFloat { .. } | Expr::LitBool { .. } | Expr::Var { .. } => {}
+        Expr::Bin { lhs, rhs, .. } => {
+            expr_ints(Arc::make_mut(lhs), f);
+            expr_ints(Arc::make_mut(rhs), f);
+        }
+        Expr::Un { arg, .. } => expr_ints(Arc::make_mut(arg), f),
+        Expr::Access {
+            phys_bank, idxs, ..
+        } => {
+            if let Some(b) = phys_bank {
+                expr_ints(Arc::make_mut(b), f);
+            }
+            for i in idxs {
+                expr_ints(i, f);
+            }
+        }
+        Expr::Call { args, .. } => {
+            for a in args {
+                expr_ints(a, f);
+            }
+        }
+    }
+}
+
+fn cmd_ints(c: &mut Cmd, f: &mut impl FnMut(IntLeaf<'_>)) {
+    match c {
+        Cmd::Let { ty, init, .. } => {
+            if let Some(ty) = ty {
+                type_ints(ty, f);
+            }
+            if let Some(e) = init {
+                expr_ints(e, f);
+            }
+        }
+        Cmd::View { kind, .. } => match kind {
+            ViewKind::Shrink { factors } => {
+                for k in factors {
+                    f(leaf(IntField::Factor, IntRef::U64(k)));
+                }
+            }
+            ViewKind::Suffix { offsets } | ViewKind::Shift { offsets } => {
+                for e in offsets {
+                    expr_ints(e, f);
+                }
+            }
+            ViewKind::Split { factor } => f(leaf(IntField::Factor, IntRef::U64(factor))),
+        },
+        Cmd::Assign { rhs, .. } => expr_ints(rhs, f),
+        Cmd::Store {
+            phys_bank,
+            idxs,
+            rhs,
+            ..
+        } => {
+            if let Some(b) = phys_bank {
+                expr_ints(Arc::make_mut(b), f);
+            }
+            for i in idxs {
+                expr_ints(i, f);
+            }
+            expr_ints(rhs, f);
+        }
+        Cmd::Reduce {
+            target_idxs, rhs, ..
+        } => {
+            for i in target_idxs {
+                expr_ints(i, f);
+            }
+            expr_ints(rhs, f);
+        }
+        Cmd::Seq(cs) | Cmd::Par(cs) => {
+            for c in cs {
+                cmd_ints(c, f);
+            }
+        }
+        Cmd::If {
+            cond,
+            then_branch,
+            else_branch,
+            ..
+        } => {
+            expr_ints(cond, f);
+            cmd_ints(Arc::make_mut(then_branch), f);
+            if let Some(e) = else_branch {
+                cmd_ints(Arc::make_mut(e), f);
+            }
+        }
+        Cmd::While { cond, body, .. } => {
+            expr_ints(cond, f);
+            cmd_ints(Arc::make_mut(body), f);
+        }
+        Cmd::For {
+            lo,
+            hi,
+            unroll,
+            body,
+            combine,
+            ..
+        } => {
+            f(leaf(IntField::Bound, IntRef::I64(lo)));
+            f(leaf(IntField::Bound, IntRef::I64(hi)));
+            f(leaf(IntField::Unroll, IntRef::U64(unroll)));
+            cmd_ints(Arc::make_mut(body), f);
+            if let Some(c) = combine {
+                cmd_ints(Arc::make_mut(c), f);
+            }
+        }
+        Cmd::Expr(e) => expr_ints(e, f),
+        Cmd::Skip => {}
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -589,6 +838,65 @@ mod tests {
         };
         assert!(e.mentions("i"));
         assert!(!e.mentions("j"));
+    }
+
+    #[test]
+    fn int_leaves_are_visited_in_a_fixed_order_and_set_as_the_parser_stores_them() {
+        let src = "decl A: bit<8>{2}[16 bank 4];
+                   def f(x: ubit<3>) { let y = x + 5; }
+                   view s = shrink A[by 2]; view p = split A[by 4];
+                   for (let i = 1..9) unroll 2 { A{3}[i] := -7; } combine { z += 6; }";
+        let mut prog = crate::parse(src).unwrap();
+        let mut seen = Vec::new();
+        prog.for_each_int_mut(&mut |l| seen.push((l.field, l.get())));
+        use IntField::*;
+        let expected = [
+            (Width, 8),
+            (Ports, 2),
+            (Size, 16),
+            (Banks, 4),
+            (Width, 3),
+            (Lit, 5),
+            (Factor, 2),
+            (Factor, 4),
+            (Bound, 1),
+            (Bound, 9),
+            (Unroll, 2),
+            (Lit, 3),
+            (Lit, 7),
+            (Lit, 6),
+        ];
+        assert_eq!(seen, expected);
+        // Every leaf takes a value its field accepts, and refuses one
+        // it does not without writing it.
+        let mut refused = Vec::new();
+        prog.for_each_int_mut(&mut |mut l| {
+            let v = l.get() as i64;
+            refused.push(l.set(0).is_err());
+            l.set(v + 1).unwrap();
+        });
+        let expected_refusals: Vec<bool> = expected
+            .iter()
+            .map(|(f, _)| matches!(f, Width | Unroll | Factor))
+            .collect();
+        assert_eq!(refused, expected_refusals);
+        let mut bumped = Vec::new();
+        prog.for_each_int_mut(&mut |l| bumped.push(l.get()));
+        let plus_one: Vec<i128> = expected.iter().map(|(_, v)| v + 1).collect();
+        assert_eq!(bumped, plus_one);
+    }
+
+    #[test]
+    fn int_fields_accept_what_their_types_hold() {
+        let max = i64::from(u32::MAX);
+        assert!(IntField::Ports.accept(max).is_ok());
+        assert!(IntField::Ports.accept(max + 1).is_err());
+        assert!(IntField::Ports.accept(0).is_ok());
+        assert!(IntField::Width.accept(max).is_ok());
+        assert!(IntField::Width.accept(max + 1).is_err());
+        assert!(IntField::Width.accept(0).is_err());
+        assert!(IntField::Lit.accept(i64::MAX).is_ok());
+        assert!(IntField::Size.accept(-1).is_err());
     }
 
     #[test]

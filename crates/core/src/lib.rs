@@ -34,7 +34,9 @@ pub mod parser;
 pub mod pretty;
 pub mod span;
 
-pub use ast::{Cmd, Decl, Dim, Expr, FuncDef, Id, MemType, Program, Type, ViewKind};
+pub use ast::{
+    Cmd, Decl, Dim, Expr, FuncDef, Id, IntField, IntLeaf, MemType, Program, Type, ViewKind,
+};
 pub use check::{typecheck, CheckReport};
 pub use diag::{Diagnostic, Phase};
 pub use error::{Error, TypeError, TypeErrorKind};

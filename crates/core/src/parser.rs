@@ -170,6 +170,14 @@ impl<'t> Parser<'t> {
         }
     }
 
+    /// An integer token as `field` takes it ([`IntField::accept`]),
+    /// refused with the token's span.
+    fn int_as(&mut self, field: IntField) -> Result<i64, Error> {
+        let span = self.span();
+        let v = self.int()?;
+        field.accept(v).map_err(|m| Error::parse(m, span))
+    }
+
     // ---------------------------------------------------------- program
 
     fn program(&mut self) -> Result<Program, Error> {
@@ -244,13 +252,13 @@ impl<'t> Parser<'t> {
             Tok::DoubleTy => Type::Double,
             Tok::BitTy => {
                 self.expect(&Tok::Lt)?;
-                let n = self.int()?;
+                let n = self.int_as(IntField::Width)?;
                 self.expect(&Tok::Gt)?;
                 Type::Bit(n as u32)
             }
             Tok::UBitTy => {
                 self.expect(&Tok::Lt)?;
-                let n = self.int()?;
+                let n = self.int_as(IntField::Width)?;
                 self.expect(&Tok::Gt)?;
                 Type::UBit(n as u32)
             }
@@ -265,17 +273,17 @@ impl<'t> Parser<'t> {
         let mut ports = 1u32;
         if *self.peek() == Tok::LBrace {
             self.bump();
-            ports = self.int()? as u32;
+            ports = self.int_as(IntField::Ports)? as u32;
             self.expect(&Tok::RBrace)?;
         }
         let mut dims = Vec::new();
         while self.eat(&Tok::LBracket) {
-            let size = self.int()? as u64;
+            let size = self.int_as(IntField::Size)? as u64;
             let mut banks = 1u64;
             if let Tok::Ident(w) = self.peek() {
                 if *w == "bank" {
                     self.bump();
-                    banks = self.int()? as u64;
+                    banks = self.int_as(IntField::Banks)? as u64;
                 }
             }
             self.expect(&Tok::RBracket)?;
@@ -444,12 +452,15 @@ impl<'t> Parser<'t> {
         let const_factors = |offsets: &[Expr]| -> Result<Vec<u64>, Error> {
             offsets
                 .iter()
-                .map(|e| match e {
-                    Expr::LitInt { val, .. } if *val > 0 => Ok(*val as u64),
-                    other => Err(Error::parse(
-                        "this view requires positive integer factors",
-                        other.span(),
-                    )),
+                .map(|e| {
+                    let Expr::LitInt { val, .. } = e else {
+                        return Err(Error::parse(
+                            "this view requires positive integer factors",
+                            e.span(),
+                        ));
+                    };
+                    let k = IntField::Factor.accept(*val);
+                    k.map(|k| k as u64).map_err(|m| Error::parse(m, e.span()))
                 })
                 .collect()
         };
@@ -516,21 +527,15 @@ impl<'t> Parser<'t> {
         self.expect(&Tok::Let)?;
         let (var, _) = self.ident()?;
         self.expect(&Tok::Eq)?;
-        let lo = self.int()?;
+        let lo = self.int_as(IntField::Bound)?;
         self.expect(&Tok::DotDot)?;
-        let hi = self.int()?;
+        let hi = self.int_as(IntField::Bound)?;
         self.expect(&Tok::RParen)?;
         let unroll = if self.eat(&Tok::Unroll) {
-            self.int()? as u64
+            self.int_as(IntField::Unroll)? as u64
         } else {
             1
         };
-        if unroll == 0 {
-            return Err(Error::parse(
-                "unroll factor must be positive",
-                self.prev_span(),
-            ));
-        }
         let body = Arc::new(self.block()?);
         let combine = if self.eat(&Tok::Combine) {
             Some(Arc::new(self.block()?))
@@ -1089,6 +1094,45 @@ mod tests {
         assert!(parse("for (let i = 0..10) unroll 0 { }").is_err());
         assert!(parse("view v = chunk A[by 2];").is_err());
         assert!(parse("decl x: bit<32>;").is_err());
+    }
+
+    #[test]
+    fn integers_that_fit_no_field_are_parse_errors() {
+        // Each used to wrap into its `u32` field: 2^32 + 1 ports read as
+        // one, 2^32 as none, and a width past 2^32 as its remainder.
+        for (src, message) in [
+            ("let A: float{4294967297}[8]; let x = A[0];", "port count"),
+            ("let A: float{4294967296}[8];", "port count"),
+            ("let x: bit<4294967328> = 1;", "bit width"),
+            ("let x: bit<4294967296> = 1;", "bit width"),
+            ("let x: bit<0> = 1;", "bit width"),
+            ("let x: ubit<0> = 1;", "bit width"),
+            ("decl A: bit<0>[8];", "bit width"),
+            ("for (let i = 0..8) unroll 0 { }", "unroll factor"),
+            ("view v = shrink A[by 0];", "positive integer factors"),
+            ("view v = split A[by 0];", "positive integer factors"),
+        ] {
+            let err = parse(src).expect_err(src);
+            assert!(matches!(err, Error::Parse { .. }), "{src}: {err}");
+            assert!(err.to_string().contains(message), "{src}: {err}");
+            assert_eq!(err.diagnostic().code, "parse/invalid", "{src}");
+        }
+        // The largest values each field holds still parse.
+        let c = body("let A: bit<4294967295>{4294967295}[8];");
+        match c {
+            Cmd::Let {
+                ty: Some(Type::Mem(m)),
+                ..
+            } => {
+                assert_eq!(m.ports, u32::MAX);
+                assert_eq!(*m.elem, Type::Bit(u32::MAX));
+            }
+            other => panic!("unexpected: {other:?}"),
+        }
+        assert!(
+            parse("let A: float{0}[8];").is_ok(),
+            "the checker's to refuse"
+        );
     }
 
     #[test]

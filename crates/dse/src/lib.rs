@@ -42,7 +42,7 @@ pub use pareto::{dominates, FrontEntry, ParetoFront};
 pub use point::{mark_pareto, DesignPoint};
 pub use report::{to_csv, Summary};
 pub use space::{Config, ConfigIter, ParamSpace};
-pub use sweep::{point_digest, render, Plan, ShapeTokens, Slot, Slots, SweepSpec};
+pub use sweep::{point_digest, render, Plan, ShapeAst, Slot, Slots, SweepSpec};
 
 /// Does the Dahlia type checker accept this source text?
 ///

@@ -39,13 +39,15 @@
 //! *shape*: each `shrink`/`access` decision and each slot's decimal
 //! width. Two points with one shape have identical bytes outside their
 //! slots. The lexer never tells one digit from another, so they also
-//! lex to the same tokens but for the integer values in the slots:
-//! [`ShapeTokens`] lexes a shape once and patches each later point's
-//! values in, which is how a sweep lexes Fig. 7's 32,000 points 4
-//! times.
+//! lex to the same tokens but for the integer values in the slots, and
+//! parse to the same AST but for the integer leaves those slots feed:
+//! [`ShapeAst`] parses a shape once and patches each later point's
+//! values into its AST, which is how a sweep parses Fig. 7's 32,000
+//! points 4 times and only type-checks the rest.
 
 use crate::space::Config;
-use dahlia_core::lexer::{lex, Tok, Token};
+use dahlia_core::lexer::{lex, Tok};
+use dahlia_core::{parse_tokens, IntField, Program};
 use hls_sim::Fnv;
 
 /// The most a sweep may plan: its points' rendered sources plus
@@ -290,30 +292,40 @@ pub struct Slot {
     pub value: u64,
 }
 
-/// The tokens of one shape (see [`Slots::shape`]), lexed once from its
+/// The AST of one shape (see [`Slots::shape`]), parsed once from its
 /// first point.
 ///
 /// Replacing a digit with another digit never moves a token boundary
 /// or changes a token's kind in [`lex`]: no lexer decision tells digits
-/// apart. So every point of a shape lexes to the same tokens but for
-/// the values of the integer tokens its slots spell, and [`patch`]
-/// writes those values in instead of lexing again.
+/// apart. Nor does the parser's control flow look at an integer's
+/// value, except through the conversion each field applies
+/// ([`IntField::accept`]). So every point of a shape parses to the
+/// shape's AST with only the integer leaves its slots feed changed, and
+/// [`patch`] writes those leaves instead of parsing again.
 ///
-/// [`patch`]: ShapeTokens::patch
-#[derive(Debug, Clone)]
-pub struct ShapeTokens {
-    tokens: Vec<Token>,
-    /// The position of each slot's integer token, by slot.
-    index: Vec<usize>,
+/// [`patch`]: ShapeAst::patch
+#[derive(Debug)]
+pub struct ShapeAst {
+    ast: Program,
+    /// `(leaf, slot)`: the position in [`Program::for_each_int_mut`]'s
+    /// order of the leaf each slot feeds, sorted by leaf.
+    feeds: Vec<(usize, usize)>,
+    /// The bytes of the tokens the AST was parsed from: a measure of
+    /// its size.
+    bytes: usize,
 }
 
-impl ShapeTokens {
-    /// Lex `source`, a point rendered with `slots`. `None` when it does
-    /// not lex, or when some slot is not exactly one integer token: a
-    /// slot inside an identifier, a comment or a float, or next to
-    /// template digits. Such a shape is lexed point by point.
-    pub fn lex(source: &str, slots: &[Slot]) -> Option<ShapeTokens> {
-        let tokens = lex(source).ok()?;
+impl ShapeAst {
+    /// Lex and parse `source`, a point rendered with `slots`, and find
+    /// the leaf each slot feeds: parse again once per slot with its
+    /// token set to another value any field accepts, and take the one
+    /// leaf that changed. `None` when `source` does not parse, when some
+    /// slot is not exactly one integer token (inside an identifier, a
+    /// comment or a float, or next to template digits), or when a slot
+    /// does not change exactly one leaf to exactly its value. Such a
+    /// shape is parsed point by point.
+    pub fn build(source: &str, slots: &[Slot]) -> Option<ShapeAst> {
+        let mut tokens = lex(source).ok()?;
         let mut index = Vec::with_capacity(slots.len());
         let mut at = 0;
         for slot in slots {
@@ -327,25 +339,70 @@ impl ShapeTokens {
             }
             index.push(at);
         }
-        Some(ShapeTokens { tokens, index })
-    }
-
-    /// The tokens [`lex`] gives for a point of this shape rendered with
-    /// `slots`, patched in place. `None` when a value is past
-    /// `i64::MAX`, where [`lex`] refuses the literal; every patch writes
-    /// every slot, so one refused leaves nothing behind that matters.
-    pub fn patch(&mut self, slots: &[Slot]) -> Option<&[Token]> {
-        debug_assert_eq!(slots.len(), self.index.len(), "another shape's slots");
-        for (slot, &i) in slots.iter().zip(&self.index) {
-            self.tokens[i].tok = Tok::Int(i64::try_from(slot.value).ok()?);
+        let mut ast = parse_tokens(&tokens).ok()?;
+        let base = int_leaves(&mut ast);
+        let mut feeds = Vec::with_capacity(slots.len());
+        for (s, &i) in index.iter().enumerate() {
+            let Tok::Int(v) = tokens[i].tok else {
+                unreachable!("slots are located on integer tokens")
+            };
+            // Every field takes 1 and 2, and takes one less than any
+            // value above 1 that it took.
+            let moved = if v <= 1 { v + 1 } else { v - 1 };
+            tokens[i].tok = Tok::Int(moved);
+            let other = int_leaves(&mut parse_tokens(&tokens).ok()?);
+            tokens[i].tok = Tok::Int(v);
+            if other.len() != base.len() {
+                return None;
+            }
+            let mut changed = (0..base.len()).filter(|&l| base[l] != other[l]);
+            let leaf = changed.next()?;
+            let fed =
+                base[leaf] == (other[leaf].0, i128::from(v)) && other[leaf].1 == i128::from(moved);
+            if !fed || changed.next().is_some() {
+                return None;
+            }
+            feeds.push((leaf, s));
         }
-        Some(&self.tokens)
+        feeds.sort_unstable();
+        if feeds.windows(2).any(|w| w[0].0 == w[1].0) {
+            return None;
+        }
+        let bytes = std::mem::size_of_val(tokens.as_slice());
+        Some(ShapeAst { ast, feeds, bytes })
     }
 
-    /// The bytes the tokens take.
-    pub fn bytes(&self) -> usize {
-        std::mem::size_of_val(self.tokens.as_slice()) + std::mem::size_of_val(self.index.as_slice())
+    /// The AST `parse` gives for a point of this shape rendered with
+    /// `slots`, patched in place. `None` when a value is past
+    /// `i64::MAX`, where [`lex`] refuses the literal, or when the field
+    /// a slot feeds refuses its value (say `unroll 0`), where the parser
+    /// does; every patch writes every slot, so one refused leaves
+    /// nothing behind that matters.
+    pub fn patch(&mut self, slots: &[Slot]) -> Option<&Program> {
+        debug_assert_eq!(slots.len(), self.feeds.len(), "another shape's slots");
+        let mut feeds = self.feeds.iter().peekable();
+        let (mut at, mut ok) = (0, true);
+        self.ast.for_each_int_mut(&mut |mut leaf| {
+            if let Some(&(_, s)) = feeds.next_if(|(l, _)| *l == at) {
+                ok &= i64::try_from(slots[s].value).is_ok_and(|v| leaf.set(v).is_ok());
+            }
+            at += 1;
+        });
+        ok.then_some(&self.ast)
     }
+
+    /// The bytes of the tokens the shape was parsed from: a measure of
+    /// its AST's size.
+    pub fn bytes(&self) -> usize {
+        self.bytes
+    }
+}
+
+/// Every integer leaf of `ast` with its field, in visiting order.
+fn int_leaves(ast: &mut Program) -> Vec<(IntField, i128)> {
+    let mut leaves = Vec::new();
+    ast.for_each_int_mut(&mut |leaf| leaves.push((leaf.field, leaf.get())));
+    leaves
 }
 
 /// Stable 128-bit digest of one rendered point source — the unit the

@@ -12,10 +12,11 @@
 //! shard would give, without a hop. The scatter parks no thread per
 //! point: the sweep's own thread keeps a window of points in flight,
 //! each started with the router's asynchronous submit, and folds every
-//! reply itself as it lands. The front end lexes each template shape
+//! reply itself as it lands. The front end parses each template shape
 //! once (see [`Shapes`]): every other point of the shape has its
-//! integer slots patched into the shape's tokens, then parses and
-//! checks as a shard would. Three properties carry the subsystem:
+//! integer slots patched into the shape's AST, and only the type
+//! checker runs on it, the checker a shard runs. Three properties carry
+//! the subsystem:
 //!
 //! * **Durability.** Every completed point is appended to a crash-safe
 //!   journal (the [`Tsdb`] record format, retention disabled) keyed by
@@ -45,11 +46,11 @@ use std::panic::AssertUnwindSafe;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use dahlia_dse::{point_digest, ParetoFront, Plan, ShapeTokens, Slots, SweepSpec};
+use dahlia_dse::{point_digest, ParetoFront, Plan, ShapeAst, Slots, SweepSpec};
 use dahlia_obs::{Counter, Gauge, Registry, Tsdb, TsdbOptions};
 use dahlia_server::evict::{EvictConfig, Lru};
 use dahlia_server::json::{obj, Json};
-use dahlia_server::{front_end, front_end_tokens, Diagnostic, Request, Stage};
+use dahlia_server::{front_end, Diagnostic, Request, Stage};
 
 use crate::{GwInner, HOP_WINDOW};
 
@@ -143,22 +144,23 @@ struct SweepState<'a> {
     shapes: Shapes,
 }
 
-/// The most shapes a sweep keeps the tokens of. A template's shapes
+/// The most shapes a sweep keeps the AST of. A template's shapes
 /// number its directive outcomes times its slot widths, a handful for
 /// the paper's spaces.
 const SHAPES_CAP: usize = 64;
 
-/// The most token bytes a sweep keeps across its shapes.
+/// The most bytes a sweep keeps across its shapes, as
+/// [`ShapeAst::bytes`] measures them.
 const SHAPES_BYTES: usize = 16 << 20;
 
 /// The sweep thread's front end. Each shape (see [`Slots::shape`]) is
-/// lexed once, by its first point; every later point of the shape has
-/// its slot values patched into those tokens, then parses and checks as
-/// [`front_end`] does. A shape that [`ShapeTokens::lex`] refuses, and a
-/// point it cannot patch, run [`front_end`] on the source.
+/// parsed once, by its first point; every later point of the shape has
+/// its slot values patched into that AST, which is then checked as
+/// [`front_end`] checks. A shape that [`ShapeAst::build`] refuses, and
+/// a point it cannot patch, run [`front_end`] on the source.
 struct Shapes {
-    /// `None` marks a shape that is lexed point by point.
-    cache: Lru<Vec<u8>, Option<ShapeTokens>>,
+    /// `None` marks a shape that is parsed point by point.
+    cache: Lru<Vec<u8>, Option<ShapeAst>>,
 }
 
 impl Shapes {
@@ -177,24 +179,24 @@ impl Shapes {
         if let Some(shape) = self.cache.get_mut(&slots.shape) {
             return verdict(shape.as_mut(), source, slots, stage);
         }
-        let mut shape = ShapeTokens::lex(source, &slots.ints);
+        let mut shape = ShapeAst::build(source, &slots.ints);
         let verdict = verdict(shape.as_mut(), source, slots, stage);
-        let weight = shape.as_ref().map_or(0, ShapeTokens::bytes);
+        let weight = shape.as_ref().map_or(0, ShapeAst::bytes);
         self.cache.insert(slots.shape.clone(), shape, weight);
         verdict
     }
 }
 
-/// The front end's verdict on a point: its shape's tokens patched with
-/// `slots`, or `source` when there are none or they cannot be patched.
+/// The front end's verdict on a point: its shape's AST patched with
+/// `slots`, or `source` when there is none or it cannot be patched.
 fn verdict(
-    shape: Option<&mut ShapeTokens>,
+    shape: Option<&mut ShapeAst>,
     source: &str,
     slots: &Slots,
     stage: Stage,
 ) -> Result<(), Diagnostic> {
-    match shape.and_then(|t| t.patch(&slots.ints)) {
-        Some(tokens) => front_end_tokens(tokens, stage),
+    match shape.and_then(|s| s.patch(&slots.ints)) {
+        Some(ast) => dahlia_server::verdict(ast, stage),
         None => front_end(source, stage),
     }
 }
@@ -1048,25 +1050,30 @@ mod tests {
 
     /// Run every planned point of `spec` through one [`Shapes`], as
     /// `evaluate` does, checking each verdict against [`front_end`] on
-    /// the rendered source. Returns the accepted points and how many
-    /// times the shapes lexed.
-    fn replay(spec: &SweepSpec) -> (u64, u64) {
+    /// the rendered source: the same code and the same diagnostic.
+    /// Returns the accepted points, how many shapes were built (one
+    /// lex and one first-point parse each), and how many points fell
+    /// back to [`front_end`].
+    fn replay(spec: &SweepSpec) -> (u64, u64, u64) {
         let plan = spec.plan().unwrap();
         let stage = Stage::from_name(&spec.stage).unwrap();
         let mut shapes = Shapes::new();
         let mut values = vec![0; plan.axes()];
         let mut source = String::new();
         let mut slots = Slots::default();
-        let mut accepted = 0;
+        let (mut accepted, mut fell_back) = (0, 0);
         for n in 0..plan.count() {
             plan.decode(n, &mut values);
             plan.render_slots(&values, &mut source, &mut slots);
             let verdict = shapes.front_end(&source, &slots, stage);
             assert_eq!(verdict, front_end(&source, stage), "{source}");
             accepted += u64::from(verdict.is_ok());
+            let shape = shapes.cache.get_mut(&slots.shape).unwrap();
+            fell_back += u64::from(shape.as_mut().and_then(|s| s.patch(&slots.ints)).is_none());
         }
         let cache = shapes.cache.stats();
-        (accepted, cache.resident_entries + cache.evictions)
+        let built = cache.resident_entries + cache.evictions;
+        (accepted, built, fell_back)
     }
 
     fn fig7() -> SweepSpec {
@@ -1085,8 +1092,10 @@ mod tests {
     #[test]
     fn the_fig7_sweep_lexes_once_per_shape() {
         // Two shrink directives, each shrinking or not, and every slot
-        // one digit wide: four shapes for 32,000 points.
-        assert_eq!(replay(&fig7()), (504, 4));
+        // one digit wide: four shapes for 32,000 points, so four lexes
+        // and four first-point parses. Every other point is patched
+        // into its shape's AST; none falls back to the source.
+        assert_eq!(replay(&fig7()), (504, 4, 0));
     }
 
     /// A one-parameter sweep of `template` over `values` at `stage`.
@@ -1104,14 +1113,15 @@ mod tests {
     fn slots_that_are_not_one_integer_token_fall_back_to_the_source() {
         let falls_back = |template: &str, values: &[u64]| {
             let spec = one_axis(template, values, "check");
-            let (_, lexes) = replay(&spec);
-            assert_eq!(lexes, 1, "{template}: one shape");
+            let (_, built, fell_back) = replay(&spec);
+            assert_eq!(built, 1, "{template}: one shape");
+            assert_eq!(fell_back, values.len() as u64, "{template}");
             let plan = spec.plan().unwrap();
             let (mut source, mut slots) = (String::new(), Slots::default());
             plan.render_slots(&[values[0]], &mut source, &mut slots);
             assert!(
-                ShapeTokens::lex(&source, &slots.ints).is_none(),
-                "{template} is lexed point by point"
+                ShapeAst::build(&source, &slots.ints).is_none(),
+                "{template} is parsed point by point"
             );
         };
         falls_back("let x${b} = 1;\nlet y = x${b} + ${b};", &[1, 2, 3]);
@@ -1138,19 +1148,76 @@ mod tests {
             ],
             "check",
         );
-        assert_eq!(replay(&spec), (2, 1));
+        assert_eq!(replay(&spec), (2, 1, 1));
         let err = front_end("let x = 9223372036854775808;", Stage::Check).unwrap_err();
         assert!(err.message.contains("bad int literal"), "{err:?}");
+    }
+
+    #[test]
+    fn a_value_its_field_refuses_falls_back_for_that_point_only() {
+        // Each template's first point builds the shape; its second
+        // point, of the same widths, holds a value the parser refuses
+        // in that field, and falls back to the source for the parser's
+        // own diagnostic. `replay` checks each verdict against
+        // `front_end`'s, message and span included.
+        for (template, values, message) in [
+            (
+                "let A: float[8 bank 4];\nfor (let i = 0..8) unroll ${b} { A[i] := 1.0; }",
+                &[4, 0, 2][..],
+                "unroll factor must be positive",
+            ),
+            (
+                "let A: float[8 bank 4];\nview v = shrink A[by ${b}];\nlet x = v[0];",
+                &[2, 0, 4],
+                "positive integer factors",
+            ),
+            (
+                "let A: float[8];\nview v = split A[by ${b}];\nlet x = v[0][0];",
+                &[2, 0, 4],
+                "positive integer factors",
+            ),
+            ("let x: bit<${b}> = 1;", &[8, 0, 4], "bit width"),
+            (
+                "let x: ubit<${b}> = 1;",
+                &[4_294_967_295, 4_294_967_296, 1_000_000_000],
+                "bit width",
+            ),
+            (
+                "let A: float{${b}}[8];\nlet x = A[0];",
+                &[4_294_967_295, 4_294_967_296, 1_000_000_000],
+                "port count",
+            ),
+        ] {
+            let spec = one_axis(template, values, "check");
+            let (_, built, fell_back) = replay(&spec);
+            assert_eq!((built, fell_back), (1, 1), "{template}");
+            let plan = spec.plan().unwrap();
+            let mut source = String::new();
+            plan.render(&values[1..2], &mut source);
+            let err = front_end(&source, Stage::Check).unwrap_err();
+            assert_eq!(err.code, "parse/invalid", "{source}");
+            assert!(err.message.contains(message), "{source}: {err:?}");
+        }
+        // A scalar's port annotation feeds no leaf: `{1}` is dropped and
+        // any other count is refused, so the shape parses point by point.
+        let spec = one_axis("let x: bit<8>{${b}} = 1;", &[1, 2, 3], "check");
+        assert_eq!(replay(&spec), (1, 1, 3));
     }
 
     #[test]
     fn a_parse_stage_sweep_gives_the_parsers_verdicts() {
         // Ill-typed points parse; a parse error is the parser's own.
         let typed = "let A: float[8 bank ${b}];\nfor (let i = 0..8) unroll 4 { A[i] := 1.0; }";
-        assert_eq!(replay(&one_axis(typed, &[1, 2, 3, 4, 8], "parse")), (5, 1));
-        assert_eq!(replay(&one_axis(typed, &[1, 2, 3, 4, 8], "check")), (1, 1));
+        assert_eq!(
+            replay(&one_axis(typed, &[1, 2, 3, 4, 8], "parse")),
+            (5, 1, 0)
+        );
+        assert_eq!(
+            replay(&one_axis(typed, &[1, 2, 3, 4, 8], "check")),
+            (1, 1, 0)
+        );
         let broken = "let x = ${b} +;";
-        assert_eq!(replay(&one_axis(broken, &[1, 2, 3], "parse")), (0, 1));
+        assert_eq!(replay(&one_axis(broken, &[1, 2, 3], "parse")), (0, 1, 3));
     }
 
     #[test]

@@ -127,16 +127,14 @@ use std::time::{Duration, Instant};
 use dahlia_obs::{Counter, Histogram, Registry, Sampler, Snapshot, Span, Value, Window};
 
 pub use client::{Client, PipelinedClient};
-/// The verdict type of [`front_end`] and [`front_end_tokens`].
+/// The verdict type of [`front_end`] and [`verdict`].
 pub use dahlia_core::Diagnostic;
 pub use disk::{DiskStats, DiskStore};
 pub use evict::EvictConfig;
 pub use net::{
     serve_listener, serve_sessions, serve_sessions_with, NetConfig, NetSummary, TransportStats,
 };
-pub use pipeline::{
-    front_end, front_end_tokens, source_digest, Artifact, Options, Pipeline, Stage,
-};
+pub use pipeline::{front_end, source_digest, verdict, Artifact, Options, Pipeline, Stage};
 pub use pool::Pool;
 pub use protocol::{Request, Response};
 pub use session::{

@@ -16,7 +16,6 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use dahlia_core::diag::Diagnostic;
-use dahlia_core::lexer::Token;
 use dahlia_core::{CheckReport, Program};
 use dahlia_obs::{Span, Tier};
 use hls_sim::digest::Fnv;
@@ -143,15 +142,14 @@ pub fn source_digest(source: &str) -> u128 {
 /// steps, so a caller that runs this ahead of a request reaches the
 /// verdict the pipeline would.
 pub fn front_end(source: &str, stage: Stage) -> Result<(), Diagnostic> {
-    let tokens = dahlia_core::lexer::lex(source).map_err(|e| e.diagnostic())?;
-    front_end_tokens(&tokens, stage)
+    verdict(&parse(source)?, stage)
 }
 
-/// [`front_end`] on `source`'s tokens, as `lex` returns them.
-pub fn front_end_tokens(tokens: &[Token], stage: Stage) -> Result<(), Diagnostic> {
-    let ast = dahlia_core::parse_tokens(tokens).map_err(|e| e.diagnostic())?;
+/// [`front_end`]'s verdict on a source that parsed to `ast`: the type
+/// check unless `stage` is [`Stage::Parse`].
+pub fn verdict(ast: &Program, stage: Stage) -> Result<(), Diagnostic> {
     if stage != Stage::Parse {
-        check(&ast)?;
+        check(ast)?;
     }
     Ok(())
 }
@@ -511,6 +509,9 @@ mod tests {
                     piped.err().map(|d| d.code),
                     "{source} at {stage:?}"
                 );
+                if let Ok(ast) = dahlia_core::parse(source) {
+                    assert_eq!(verdict(&ast, stage), front_end(source, stage));
+                }
             }
         }
     }
