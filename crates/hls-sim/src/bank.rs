@@ -1,13 +1,16 @@
-//! Bank-access-pattern analysis.
+//! Bank-access-pattern analysis and port scheduling.
 //!
 //! For every access in an unrolled loop body the toolchain needs to know
 //! (a) how many banks each processing element (PE) must be able to reach —
 //! the *mux width* that determines indirection hardware (Fig. 3b of the
-//! paper), and (b) how many simultaneous accesses land on the same bank in
-//! one iteration group — the *port demand* that forces the scheduler to
-//! serialize (the Fig. 4a/4b pitfalls).
+//! paper), and (b) how many copies of one iteration group land on each
+//! bank — the *port demand* that forces the scheduler to serialize (the
+//! Fig. 4a/4b pitfalls). [`bank_counts`] is the one place that enumerates
+//! the copies; [`analyze`] and [`schedule_group`] read its per-bank counts.
 
-use crate::ir::{Access, ArrayDecl, Idx};
+use std::collections::HashMap;
+
+use crate::ir::{Access, ArrayDecl, Idx, Op};
 
 /// Enclosing unrolled loops: `(iterator, unroll factor)`, outermost first.
 /// Only factors > 1 matter.
@@ -32,9 +35,10 @@ impl UnrollCtx {
         self.vars.pop();
     }
 
-    /// Total parallel copies of the innermost body.
+    /// Total parallel copies of the innermost body, saturating at
+    /// `u64::MAX`.
     pub fn copies(&self) -> u64 {
-        self.vars.iter().map(|(_, u)| *u).product::<u64>().max(1)
+        self.vars.iter().fold(1, |n, (_, u)| n.saturating_mul(*u))
     }
 
     /// Unroll factor of `var` (1 if not unrolled or unknown).
@@ -44,10 +48,6 @@ impl UnrollCtx {
             .find(|(v, _)| v == var)
             .map(|(_, u)| *u)
             .unwrap_or(1)
-    }
-
-    fn unrolled_vars(&self) -> Vec<(String, u64)> {
-        self.vars.iter().filter(|(_, u)| *u > 1).cloned().collect()
     }
 }
 
@@ -76,38 +76,35 @@ fn gcd(a: u64, b: u64) -> u64 {
     }
 }
 
+/// Bank count of each of `array`'s dimensions.
+fn bank_dims(array: &ArrayDecl) -> impl Iterator<Item = u64> + '_ {
+    (0..array.dims.len()).map(|d| array.partition.get(d).copied().unwrap_or(1).max(1))
+}
+
 /// Analyze an access to `array` in the given unroll context.
 pub fn analyze(access: &Access, array: &ArrayDecl, ctx: &UnrollCtx) -> BankStats {
     let copies = ctx.copies();
-    let dims = array.dims.len();
-    let banks: Vec<u64> = (0..dims)
-        .map(|d| array.partition.get(d).copied().unwrap_or(1).max(1))
-        .collect();
 
     // Mux width: per dimension, how many banks one copy can reach across
     // the whole iteration space.
     let mut mux_ways = 1u64;
-    for (d, b) in banks.iter().enumerate() {
+    for (d, b) in bank_dims(array).enumerate() {
         let reach = match access.idx.get(d) {
             Some(Idx::Const(_)) | None => 1,
-            Some(Idx::Dynamic) => *b,
+            Some(Idx::Dynamic) => b,
             Some(Idx::Affine { var, stride, .. }) => {
                 // Copy `c` sees indices stride·(u·g + c) + offset as g
                 // varies: a coset of ⟨stride·u⟩ in Z_b.
                 let u = ctx.factor(var);
-                let step = stride.unsigned_abs().wrapping_mul(u) % *b;
+                let step = stride.unsigned_abs().wrapping_mul(u) % b;
                 // step = 0 means the copy is pinned to one bank.
-                b / gcd(*b, if step == 0 { *b } else { step })
+                b / gcd(b, if step == 0 { b } else { step })
             }
         };
         mux_ways = mux_ways.saturating_mul(reach.max(1));
     }
 
-    // Demand: enumerate the copies of one iteration group (g = 0) and count
-    // collisions of their flat bank coordinates.
-    let unrolled = ctx.unrolled_vars();
-    let total: u64 = unrolled.iter().map(|(_, u)| *u).product::<u64>().max(1);
-    if total > ENUM_CAP || access.idx.iter().any(|i| matches!(i, Idx::Dynamic)) {
+    if copies > ENUM_CAP || access.idx.iter().any(|i| matches!(i, Idx::Dynamic)) {
         // Dynamic or huge: the tool must assume every copy can collide.
         return BankStats {
             copies,
@@ -116,121 +113,105 @@ pub fn analyze(access: &Access, array: &ArrayDecl, ctx: &UnrollCtx) -> BankStats
             distinct_banks: 1,
         };
     }
-
-    let mut counts = std::collections::HashMap::<Vec<u64>, u64>::new();
-    let mut assignment = vec![0u64; unrolled.len()];
-    loop {
-        // Flat bank coordinate of this copy.
-        let mut coord = Vec::with_capacity(dims);
-        for (d, b) in banks.iter().enumerate() {
-            let bank = match access.idx.get(d) {
-                Some(Idx::Const(n)) => n.rem_euclid(*b as i64) as u64,
-                // Dynamic was handled by the early return; missing dims act
-                // like constants.
-                Some(Idx::Dynamic) | None => 0,
-                Some(Idx::Affine {
-                    var,
-                    stride,
-                    offset,
-                }) => {
-                    let c = unrolled
-                        .iter()
-                        .position(|(v, _)| v == var)
-                        .map(|i| assignment[i])
-                        .unwrap_or(0);
-                    (stride.wrapping_mul(c as i64) + offset).rem_euclid(*b as i64) as u64
-                }
-            };
-            coord.push(bank);
-        }
-        *counts.entry(coord).or_insert(0) += 1;
-
-        // Next copy assignment.
-        let mut carry = true;
-        for (slot, (_, u)) in assignment.iter_mut().zip(&unrolled) {
-            if carry {
-                *slot += 1;
-                if *slot == *u {
-                    *slot = 0;
-                } else {
-                    carry = false;
-                }
-            }
-        }
-        if carry {
-            break;
-        }
-    }
-
-    let max_demand = counts.values().copied().max().unwrap_or(1);
-    let distinct_banks = counts.len() as u64;
+    let counts = bank_counts(access, array, ctx);
     BankStats {
         copies,
-        max_demand,
+        max_demand: counts.values().copied().max().unwrap_or(1),
         mux_ways,
-        distinct_banks,
+        distinct_banks: counts.len() as u64,
     }
 }
 
-/// Concrete (flat bank) targets of each copy of an access in one group,
-/// used by the port scheduler. Dynamic accesses map every copy to bank 0
-/// (worst case).
-pub fn copy_banks(access: &Access, array: &ArrayDecl, ctx: &UnrollCtx) -> Vec<u64> {
-    let unrolled = ctx.unrolled_vars();
-    let total: u64 = unrolled.iter().map(|(_, u)| *u).product::<u64>().max(1);
-    let dims = array.dims.len();
-    let banks: Vec<u64> = (0..dims)
-        .map(|d| array.partition.get(d).copied().unwrap_or(1).max(1))
-        .collect();
-    if total > ENUM_CAP {
-        return vec![0; ENUM_CAP as usize];
+/// Flat bank → number of copies of one iteration group (g = 0) that
+/// access it. A dynamic index dimension counts as bank 0 (worst case);
+/// past `ENUM_CAP` copies the enumeration stops and `ENUM_CAP` copies pile
+/// on bank 0.
+pub fn bank_counts(access: &Access, array: &ArrayDecl, ctx: &UnrollCtx) -> HashMap<u64, u64> {
+    let copies = ctx.copies();
+    if copies > ENUM_CAP {
+        return HashMap::from([(0, ENUM_CAP)]);
     }
-    let mut out = Vec::with_capacity(total as usize);
-    let mut assignment = vec![0u64; unrolled.len()];
-    loop {
-        let mut flat = 0u64;
-        for (d, b) in banks.iter().enumerate() {
-            let bank = match access.idx.get(d) {
-                Some(Idx::Const(n)) => n.rem_euclid(*b as i64) as u64,
-                Some(Idx::Dynamic) | None => 0,
+    // Copy `c` is a mixed-radix number over the unrolled variables: the
+    // variable with factor `u` takes the digit `c / place % u`, where
+    // `place` is the product of the factors before it. Per dimension:
+    // `(banks, stride, offset, place, u)`.
+    let lanes: Vec<(u64, i64, i64, u64, u64)> = bank_dims(array)
+        .enumerate()
+        .map(|(d, banks)| {
+            let (stride, offset, var) = match access.idx.get(d) {
+                Some(Idx::Const(n)) => (0, *n, None),
+                Some(Idx::Dynamic) | None => (0, 0, None),
                 Some(Idx::Affine {
                     var,
                     stride,
                     offset,
-                }) => {
-                    let c = unrolled
-                        .iter()
-                        .position(|(v, _)| v == var)
-                        .map(|i| assignment[i])
-                        .unwrap_or(0);
-                    (stride.wrapping_mul(c as i64) + offset).rem_euclid(*b as i64) as u64
-                }
+                }) => (*stride, *offset, Some(var)),
             };
-            flat = flat * b + bank;
-        }
-        out.push(flat);
-        let mut carry = true;
-        for (slot, (_, u)) in assignment.iter_mut().zip(&unrolled) {
-            if carry {
-                *slot += 1;
-                if *slot == *u {
-                    *slot = 0;
-                } else {
-                    carry = false;
+            let mut place = 1;
+            for (v, u) in ctx.vars.iter().filter(|(_, u)| *u > 1) {
+                if Some(v) == var {
+                    return (banks, stride, offset, place, *u);
                 }
+                place *= u;
             }
-        }
-        if carry {
-            break;
+            (banks, stride, offset, 1, 1)
+        })
+        .collect();
+
+    let mut counts = HashMap::new();
+    for c in 0..copies {
+        let flat = lanes
+            .iter()
+            .fold(0, |flat, &(banks, stride, offset, place, u)| {
+                let digit = (c / place % u) as i64;
+                flat * banks + (stride.wrapping_mul(digit) + offset).rem_euclid(banks as i64) as u64
+            });
+        *counts.entry(flat).or_insert(0) += 1;
+    }
+    counts
+}
+
+/// The scheduler's verdict for an innermost loop body.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GroupSchedule {
+    /// Cycles needed to issue all memory transactions of one iteration
+    /// group (the pipeline II).
+    pub ii: u64,
+    /// Total memory transactions in one group.
+    pub transactions: u64,
+}
+
+/// Schedule all accesses of `ops` (already inside `ctx`'s unrolled loops)
+/// against the arrays' bank ports.
+///
+/// Every transaction holds one port of its bank for one cycle, so issuing
+/// each at the earliest cycle with a free port takes `ceil(n / ports)`
+/// cycles for a bank with `n` transactions; the II is the slowest bank's.
+pub fn schedule_group(ops: &[&Op], arrays: &[ArrayDecl], ctx: &UnrollCtx) -> GroupSchedule {
+    // (array index, flat bank) → transactions.
+    let mut load = HashMap::<(usize, u64), u64>::new();
+    for access in ops.iter().flat_map(|op| op.reads.iter().chain(&op.writes)) {
+        let Some(ai) = arrays.iter().position(|a| a.name == access.array) else {
+            continue;
+        };
+        for (bank, n) in bank_counts(access, &arrays[ai], ctx) {
+            *load.entry((ai, bank)).or_insert(0) += n;
         }
     }
-    out
+    let ii = load
+        .iter()
+        .map(|(&(ai, _), n)| n.div_ceil(u64::from(arrays[ai].ports.max(1))))
+        .fold(1, u64::max);
+    GroupSchedule {
+        ii,
+        transactions: load.values().sum(),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::ArrayDecl;
+    use crate::ir::OpKind;
 
     fn arr(banks: u64) -> ArrayDecl {
         ArrayDecl::new("a", 32, &[512]).partitioned(&[banks])
@@ -327,10 +308,101 @@ mod tests {
     }
 
     #[test]
-    fn copy_banks_concrete() {
-        let b = copy_banks(&acc(), &arr(8), &ctx(9));
-        assert_eq!(b.len(), 9);
-        assert_eq!(b[0], 0);
-        assert_eq!(b[8], 0, "copy 8 wraps to bank 0");
+    fn bank_counts_concrete() {
+        // Nine copies on eight banks: copy 8 wraps to bank 0.
+        let counts = bank_counts(&acc(), &arr(8), &ctx(9));
+        let want: HashMap<u64, u64> = (0..8).map(|b| (b, 1 + u64::from(b == 0))).collect();
+        assert_eq!(counts, want);
+    }
+
+    #[test]
+    fn bank_counts_flatten_dimensions_row_major() {
+        let m = ArrayDecl::new("m", 32, &[16, 16]).partitioned(&[2, 4]);
+        let mut c = UnrollCtx::new();
+        c.push("i", 2);
+        c.push("j", 3);
+        let a = Access::new("m", vec![Idx::var("i"), Idx::affine("j", 2, 1)]);
+        // Row i, column bank (2j + 1) mod 4 ∈ {1, 3, 1}: flat = 4i + col.
+        let want = HashMap::from([(1, 2), (3, 1), (5, 2), (7, 1)]);
+        assert_eq!(bank_counts(&a, &m, &c), want);
+    }
+
+    #[test]
+    fn dynamic_dimension_counts_as_bank_zero() {
+        let m = ArrayDecl::new("m", 32, &[16, 16]).partitioned(&[4, 2]);
+        let a = Access::new("m", vec![Idx::Dynamic, Idx::var("i")]);
+        assert_eq!(
+            bank_counts(&a, &m, &ctx(4)),
+            HashMap::from([(0, 2), (1, 2)])
+        );
+    }
+
+    fn read_op() -> Op {
+        Op::compute(OpKind::IntAlu).read(Access::new("a", vec![Idx::var("i")]))
+    }
+
+    #[test]
+    fn matched_banking_gives_ii_one() {
+        let arrays = [ArrayDecl::new("a", 32, &[64]).partitioned(&[8])];
+        let op = read_op();
+        let s = schedule_group(&[&op], &arrays, &ctx(8));
+        assert_eq!(s.ii, 1);
+        assert_eq!(s.transactions, 8);
+    }
+
+    #[test]
+    fn single_bank_serializes_fully() {
+        let arrays = [ArrayDecl::new("a", 32, &[64])];
+        let op = read_op();
+        let s = schedule_group(&[&op], &arrays, &ctx(8));
+        assert_eq!(s.ii, 8, "eight copies share one port");
+    }
+
+    #[test]
+    fn two_ports_halve_the_queue() {
+        let arrays = [ArrayDecl::new("a", 32, &[64]).with_ports(2)];
+        let op = read_op();
+        let s = schedule_group(&[&op], &arrays, &ctx(8));
+        assert_eq!(s.ii, 4);
+    }
+
+    #[test]
+    fn mismatched_unroll_pays_a_cycle() {
+        let arrays = [ArrayDecl::new("a", 32, &[72]).partitioned(&[8])];
+        let op = read_op();
+        let s = schedule_group(&[&op], &arrays, &ctx(9));
+        assert_eq!(s.ii, 2, "bank 0 gets copies 0 and 8");
+    }
+
+    #[test]
+    fn independent_arrays_do_not_interfere() {
+        let arrays = [
+            ArrayDecl::new("a", 32, &[64]).partitioned(&[4]),
+            ArrayDecl::new("b", 32, &[64]).partitioned(&[4]),
+        ];
+        let op = Op::compute(OpKind::FMul)
+            .read(Access::new("a", vec![Idx::var("i")]))
+            .read(Access::new("b", vec![Idx::var("i")]));
+        let s = schedule_group(&[&op], &arrays, &ctx(4));
+        assert_eq!(s.ii, 1);
+        assert_eq!(s.transactions, 8);
+    }
+
+    #[test]
+    fn multiple_ops_stack_on_the_same_bank() {
+        let arrays = [ArrayDecl::new("a", 32, &[64])];
+        let op1 = Op::compute(OpKind::IntAlu).read(Access::new("a", vec![Idx::Const(0)]));
+        let op2 = Op::compute(OpKind::IntAlu).read(Access::new("a", vec![Idx::Const(1)]));
+        let s = schedule_group(&[&op1, &op2], &arrays, &UnrollCtx::new());
+        assert_eq!(s.ii, 2);
+    }
+
+    #[test]
+    fn unknown_array_is_ignored() {
+        let arrays: [ArrayDecl; 0] = [];
+        let op = read_op();
+        let s = schedule_group(&[&op], &arrays, &ctx(4));
+        assert_eq!(s.ii, 1);
+        assert_eq!(s.transactions, 0);
     }
 }

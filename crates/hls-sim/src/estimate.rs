@@ -7,8 +7,9 @@
 //! * **datapath** — operator cost × number of unrolled copies;
 //! * **bank indirection** — a mux per PE sized by how many banks it must
 //!   reach ([`crate::bank::BankStats::mux_ways`], Fig. 3b);
-//! * **port serialization** — the initiation interval produced by the
-//!   greedy port scheduler ([`crate::schedule`]), Fig. 4a/4b;
+//! * **port serialization** — the initiation interval of the busiest bank,
+//!   `ceil(copies on the bank / ports)` ([`crate::bank::schedule_group`]),
+//!   Fig. 4a/4b;
 //! * **leftover hardware** — bounds/epilogue logic when banking does not
 //!   divide the array size or unrolling does not divide the trip count
 //!   (Fig. 4c);
@@ -17,10 +18,12 @@
 //!   leftover hardware, modelling the unpredictable interactions of
 //!   scheduling heuristics. Clean configurations (the ones Dahlia accepts)
 //!   are exactly reproducible and smooth.
+//!
+//! Cycle counts and area sums saturate at `u64::MAX`: a design too large
+//! to count reports the maximum, never a wrapped small number.
 
-use crate::bank::{analyze, UnrollCtx};
+use crate::bank::{analyze, schedule_group, UnrollCtx};
 use crate::ir::{ArrayDecl, Kernel, Op, Stmt};
-use crate::schedule::schedule_group;
 
 /// Resource and latency estimate for one kernel configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,26 +112,24 @@ pub fn estimate(k: &Kernel) -> Estimate {
 
     // Memory area.
     let (brams, lut_mems, guard_luts) = memory_area(&k.arrays, &mut w.notes, &mut w.messy);
-    w.luts += guard_luts;
+    w.lut(guard_luts);
 
-    // Cycle counts saturate: a design too slow to count in u64 reports
-    // `u64::MAX`, and more work never reports fewer cycles.
+    // More work never reports fewer cycles.
     let mut cycles = 0u64;
     for s in &k.body {
         cycles = cycles.saturating_add(w.stmt(s));
     }
     // Kernel-level control overhead.
-    w.luts += 120;
-    w.ffs += w.luts * 3 / 5;
+    w.lut(120);
+    w.ffs = w.ffs.saturating_add(mul_div(w.luts, 3, 5));
 
     // Deterministic heuristic jitter on messy configurations only.
     let mut luts = w.luts;
     let mut correct = true;
     if w.messy {
         let h = splitmix(w.seed);
-        luts = luts * (97 + h % 16) / 100;
-        let jittered = u128::from(cycles) * u128::from(100 + splitmix(h) % 26) / 100;
-        cycles = u64::try_from(jittered).unwrap_or(u64::MAX);
+        luts = mul_div(luts, 97 + h % 16, 100);
+        cycles = mul_div(cycles, 100 + splitmix(h) % 26, 100);
         if splitmix(h ^ 0xbeef).is_multiple_of(7) {
             correct = false;
             w.notes.push("simulated toolchain miscompilation".into());
@@ -148,6 +149,11 @@ pub fn estimate(k: &Kernel) -> Estimate {
     }
 }
 
+/// `a · b / d`, exact in 128 bits and saturated to `u64::MAX`.
+fn mul_div(a: u64, b: u64, d: u64) -> u64 {
+    u64::try_from(u128::from(a) * u128::from(b) / u128::from(d)).unwrap_or(u64::MAX)
+}
+
 /// BRAM / distributed-RAM allocation. Banks whose contents fit in ≤ 1024
 /// bits become LUT memory, mirroring Vivado's distributed-RAM inference.
 /// Returns `(brams, lut_mems, guard_luts)` — the last is the leftover-
@@ -159,22 +165,21 @@ fn memory_area(arrays: &[ArrayDecl], notes: &mut Vec<String>, messy: &mut bool) 
     for a in arrays {
         let banks = a.total_banks();
         // Uneven banking pads each bank up to the ceiling.
-        let bank_elems: u64 = a
+        let bank_elems = a
             .dims
             .iter()
             .zip(&a.partition)
-            .map(|(d, p)| d.div_ceil(*p.max(&1)))
-            .product();
-        let bank_bits = bank_elems * a.elem_bits as u64;
+            .fold(1u64, |n, (d, p)| n.saturating_mul(d.div_ceil(*p.max(&1))));
+        let bank_bits = bank_elems.saturating_mul(a.elem_bits as u64);
         if bank_bits <= 1024 {
-            lut_mems += banks * bank_bits.div_ceil(64);
+            lut_mems = lut_mems.saturating_add(banks.saturating_mul(bank_bits.div_ceil(64)));
         } else {
-            brams += banks * bank_bits.div_ceil(18_432);
+            brams = brams.saturating_add(banks.saturating_mul(bank_bits.div_ceil(18_432)));
         }
         if !a.evenly_banked() {
             *messy = true;
             // Per-bank bounds guards plus per-PE self-disable logic.
-            guard_luts += banks * 26 + 48;
+            guard_luts = guard_luts.saturating_add(banks.saturating_mul(26).saturating_add(48));
             notes.push(format!(
                 "array `{}`: banking does not divide the size; banks padded and guarded",
                 a.name
@@ -199,6 +204,11 @@ struct Walker<'a> {
 const LOOP_OVERHEAD: u64 = 2;
 
 impl Walker<'_> {
+    /// Charge `n` LUTs.
+    fn lut(&mut self, n: u64) {
+        self.luts = self.luts.saturating_add(n);
+    }
+
     fn stmt(&mut self, s: &Stmt) -> u64 {
         match s {
             Stmt::Op(op) => self.op(op),
@@ -209,7 +219,8 @@ impl Walker<'_> {
 
                 // Loop control: one FSM plus per-copy increment logic.
                 let copies = self.ctx.copies();
-                self.luts += 45 + 2 * (64 - l.trips.leading_zeros() as u64) + 8 * copies;
+                self.lut(45 + 2 * (64 - l.trips.leading_zeros() as u64));
+                self.lut(copies.saturating_mul(8));
 
                 let has_subloops = l.body.iter().any(|s| matches!(s, Stmt::Loop(_)));
                 let groups = l.trips.div_ceil(u);
@@ -220,7 +231,7 @@ impl Walker<'_> {
                         l.var, u, l.trips
                     ));
                     // The epilogue duplicates the body datapath once more.
-                    self.luts += 60;
+                    self.lut(60);
                 }
 
                 let cycles = if has_subloops {
@@ -251,10 +262,12 @@ impl Walker<'_> {
                             l.var, sched.ii
                         ));
                         // Arbitration hardware between copies and banks.
-                        self.luts += sched.worst_queue * 20 * copies.min(64);
+                        self.lut(sched.ii.saturating_mul(20 * copies.min(64)));
                     }
                     // Pipeline registers.
-                    self.ffs += depth * copies * 12;
+                    self.ffs = self
+                        .ffs
+                        .saturating_add(depth.saturating_mul(copies).saturating_mul(12));
                     if self.kernel.pipeline {
                         // Every group takes `ii` cycles to issue its memory
                         // transactions (the port-constrained makespan), so
@@ -280,8 +293,10 @@ impl Walker<'_> {
     /// contribution.
     fn op_area(&mut self, op: &Op) -> u64 {
         let copies = self.ctx.copies();
-        self.luts += op.kind.luts() * copies;
-        self.dsps += op.kind.dsps() * copies;
+        self.lut(op.kind.luts().saturating_mul(copies));
+        self.dsps = self
+            .dsps
+            .saturating_add(op.kind.dsps().saturating_mul(copies));
         let mut depth = op.kind.latency();
         for access in op.reads.iter().chain(&op.writes) {
             depth = depth.max(1);
@@ -292,7 +307,7 @@ impl Walker<'_> {
             if stats.mux_ways > 1 {
                 // K-way bank indirection per copy (Fig. 3b / Fig. 5).
                 let sel_bits = 64 - (stats.mux_ways - 1).leading_zeros() as u64;
-                self.luts += copies * sel_bits * (array.elem_bits as u64) / 2;
+                self.lut(mul_div(copies, sel_bits * array.elem_bits as u64, 2));
                 self.notes.push(format!(
                     "access to `{}`: {}-way bank mux per PE",
                     access.array, stats.mux_ways
@@ -304,10 +319,16 @@ impl Walker<'_> {
             // Address adapter for non-trivial offsets.
             if let Some(crate::ir::Idx::Affine { stride, offset, .. }) = access.idx.first() {
                 if *stride != 1 || *offset != 0 {
-                    self.luts += copies * 9;
+                    self.lut(copies.saturating_mul(9));
                 }
             }
-            self.seed ^= splitmix(stats.copies * 7 + stats.mux_ways * 131 + stats.max_demand);
+            self.seed ^= splitmix(
+                stats
+                    .copies
+                    .wrapping_mul(7)
+                    .wrapping_add(stats.mux_ways.wrapping_mul(131))
+                    .wrapping_add(stats.max_demand),
+            );
         }
         depth
     }
@@ -358,6 +379,24 @@ mod tests {
         let cycles: Vec<u64> = (15..=17).map(nest).collect();
         assert!(cycles.windows(2).all(|w| w[0] <= w[1]), "{cycles:?}");
         assert_eq!(cycles[2], u64::MAX, "{cycles:?}");
+    }
+
+    #[test]
+    fn huge_designs_saturate_area_instead_of_wrapping() {
+        // Two nested loops unrolled 2^40 ways: 2^80 copies of the body.
+        let n = 1u64 << 40;
+        let body = Op::compute(OpKind::IntMul).into_stmt();
+        let inner = Loop::new("j", n).unrolled(n).stmt(body).into_stmt();
+        let outer = Loop::new("i", n).unrolled(n).stmt(inner).into_stmt();
+        let e = estimate(&Kernel::new("huge").stmt(outer));
+        assert_eq!(e.luts, u64::MAX);
+        assert_eq!(e.ffs, u64::MAX);
+        assert_eq!(e.dsps, u64::MAX);
+
+        // 2^64 − 2^32 elements of 32 bits: the bank's bit count saturates.
+        let big = ArrayDecl::new("a", 32, &[1 << 32, (1 << 32) - 1]);
+        let e = estimate(&Kernel::new("big").array(big));
+        assert_eq!(e.brams, u64::MAX.div_ceil(18_432));
     }
 
     #[test]

@@ -92,9 +92,12 @@ impl ArrayDecl {
         self
     }
 
-    /// Total number of banks.
+    /// Total number of banks, saturating at `u64::MAX`.
     pub fn total_banks(&self) -> u64 {
-        self.partition.iter().product::<u64>().max(1)
+        self.partition
+            .iter()
+            .fold(1u64, |n, p| n.saturating_mul(*p))
+            .max(1)
     }
 
     /// Total number of elements.

@@ -38,10 +38,8 @@ pub mod bank;
 pub mod digest;
 pub mod estimate;
 pub mod ir;
-pub mod schedule;
 
-pub use bank::{analyze, BankStats, UnrollCtx};
+pub use bank::{analyze, schedule_group, BankStats, GroupSchedule, UnrollCtx};
 pub use digest::{Fnv, StableDigest};
 pub use estimate::{estimate, Device, Estimate, VU9P};
 pub use ir::{Access, ArrayDecl, Idx, Kernel, Loop, Op, OpKind, Stmt};
-pub use schedule::{schedule_group, GroupSchedule};
