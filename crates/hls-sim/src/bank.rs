@@ -211,7 +211,6 @@ pub fn schedule_group(ops: &[&Op], arrays: &[ArrayDecl], ctx: &UnrollCtx) -> Gro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::OpKind;
 
     fn arr(banks: u64) -> ArrayDecl {
         ArrayDecl::new("a", 32, &[512]).partitioned(&[banks])
@@ -308,7 +307,7 @@ mod tests {
     }
 
     #[test]
-    fn bank_counts_concrete() {
+    fn copy_banks_concrete() {
         // Nine copies on eight banks: copy 8 wraps to bank 0.
         let counts = bank_counts(&acc(), &arr(8), &ctx(9));
         let want: HashMap<u64, u64> = (0..8).map(|b| (b, 1 + u64::from(b == 0))).collect();
@@ -335,74 +334,5 @@ mod tests {
             bank_counts(&a, &m, &ctx(4)),
             HashMap::from([(0, 2), (1, 2)])
         );
-    }
-
-    fn read_op() -> Op {
-        Op::compute(OpKind::IntAlu).read(Access::new("a", vec![Idx::var("i")]))
-    }
-
-    #[test]
-    fn matched_banking_gives_ii_one() {
-        let arrays = [ArrayDecl::new("a", 32, &[64]).partitioned(&[8])];
-        let op = read_op();
-        let s = schedule_group(&[&op], &arrays, &ctx(8));
-        assert_eq!(s.ii, 1);
-        assert_eq!(s.transactions, 8);
-    }
-
-    #[test]
-    fn single_bank_serializes_fully() {
-        let arrays = [ArrayDecl::new("a", 32, &[64])];
-        let op = read_op();
-        let s = schedule_group(&[&op], &arrays, &ctx(8));
-        assert_eq!(s.ii, 8, "eight copies share one port");
-    }
-
-    #[test]
-    fn two_ports_halve_the_queue() {
-        let arrays = [ArrayDecl::new("a", 32, &[64]).with_ports(2)];
-        let op = read_op();
-        let s = schedule_group(&[&op], &arrays, &ctx(8));
-        assert_eq!(s.ii, 4);
-    }
-
-    #[test]
-    fn mismatched_unroll_pays_a_cycle() {
-        let arrays = [ArrayDecl::new("a", 32, &[72]).partitioned(&[8])];
-        let op = read_op();
-        let s = schedule_group(&[&op], &arrays, &ctx(9));
-        assert_eq!(s.ii, 2, "bank 0 gets copies 0 and 8");
-    }
-
-    #[test]
-    fn independent_arrays_do_not_interfere() {
-        let arrays = [
-            ArrayDecl::new("a", 32, &[64]).partitioned(&[4]),
-            ArrayDecl::new("b", 32, &[64]).partitioned(&[4]),
-        ];
-        let op = Op::compute(OpKind::FMul)
-            .read(Access::new("a", vec![Idx::var("i")]))
-            .read(Access::new("b", vec![Idx::var("i")]));
-        let s = schedule_group(&[&op], &arrays, &ctx(4));
-        assert_eq!(s.ii, 1);
-        assert_eq!(s.transactions, 8);
-    }
-
-    #[test]
-    fn multiple_ops_stack_on_the_same_bank() {
-        let arrays = [ArrayDecl::new("a", 32, &[64])];
-        let op1 = Op::compute(OpKind::IntAlu).read(Access::new("a", vec![Idx::Const(0)]));
-        let op2 = Op::compute(OpKind::IntAlu).read(Access::new("a", vec![Idx::Const(1)]));
-        let s = schedule_group(&[&op1, &op2], &arrays, &UnrollCtx::new());
-        assert_eq!(s.ii, 2);
-    }
-
-    #[test]
-    fn unknown_array_is_ignored() {
-        let arrays: [ArrayDecl; 0] = [];
-        let op = read_op();
-        let s = schedule_group(&[&op], &arrays, &ctx(4));
-        assert_eq!(s.ii, 1);
-        assert_eq!(s.transactions, 0);
     }
 }
