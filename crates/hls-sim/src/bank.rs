@@ -5,8 +5,9 @@
 //! the *mux width* that determines indirection hardware (Fig. 3b of the
 //! paper), and (b) how many copies of one iteration group land on each
 //! bank — the *port demand* that forces the scheduler to serialize (the
-//! Fig. 4a/4b pitfalls). [`bank_counts`] is the one place that enumerates
-//! the copies; [`analyze`] and [`schedule_group`] read its per-bank counts.
+//! Fig. 4a/4b pitfalls). [`bank_counts`] counts them per bank by residue
+//! arithmetic, in work bounded by the bank count, not the copy count;
+//! [`analyze`] and [`schedule_group`] read its counts.
 
 use std::collections::HashMap;
 
@@ -65,9 +66,6 @@ pub struct BankStats {
     pub distinct_banks: u64,
 }
 
-/// Cap on exact copy enumeration; beyond it we fall back to worst case.
-const ENUM_CAP: u64 = 1 << 14;
-
 fn gcd(a: u64, b: u64) -> u64 {
     if b == 0 {
         a
@@ -104,8 +102,8 @@ pub fn analyze(access: &Access, array: &ArrayDecl, ctx: &UnrollCtx) -> BankStats
         mux_ways = mux_ways.saturating_mul(reach.max(1));
     }
 
-    if copies > ENUM_CAP || access.idx.iter().any(|i| matches!(i, Idx::Dynamic)) {
-        // Dynamic or huge: the tool must assume every copy can collide.
+    if access.idx.iter().any(|i| matches!(i, Idx::Dynamic)) {
+        // Dynamic: the tool must assume every copy can collide.
         return BankStats {
             copies,
             max_demand: copies,
@@ -122,51 +120,52 @@ pub fn analyze(access: &Access, array: &ArrayDecl, ctx: &UnrollCtx) -> BankStats
     }
 }
 
-/// Flat bank → number of copies of one iteration group (g = 0) that
-/// access it. A dynamic index dimension counts as bank 0 (worst case);
-/// past `ENUM_CAP` copies the enumeration stops and `ENUM_CAP` copies pile
-/// on bank 0.
+/// Flat bank (row-major) → copies of one iteration group (g = 0) on it.
+///
+/// A closed form, in work at most the array's bank count: a dimension of
+/// `B` banks indexed `stride·v + offset` puts digit `k < u` of a variable
+/// unrolled `u` ways on bank `(stride·k + offset) mod B`, which repeats
+/// with period `B / gcd(B, stride mod B)`. Over the lcm `P` of a variable's
+/// periods, residue `r < min(u, P)` is taken `ceil((u − r) / P)` times.
+/// Variables combine independently: bank offsets add, counts multiply
+/// (saturating). A dynamic or missing index is bank 0, an index on a
+/// variable no loop unrolls is its offset, and a name unrolled twice binds
+/// to its first unrolled entry.
 pub fn bank_counts(access: &Access, array: &ArrayDecl, ctx: &UnrollCtx) -> HashMap<u64, u64> {
-    let copies = ctx.copies();
-    if copies > ENUM_CAP {
-        return HashMap::from([(0, ENUM_CAP)]);
-    }
-    // Copy `c` is a mixed-radix number over the unrolled variables: the
-    // variable with factor `u` takes the digit `c / place % u`, where
-    // `place` is the product of the factors before it. Per dimension:
-    // `(banks, stride, offset, place, u)`.
-    let lanes: Vec<(u64, i64, i64, u64, u64)> = bank_dims(array)
-        .enumerate()
-        .map(|(d, banks)| {
-            let (stride, offset, var) = match access.idx.get(d) {
-                Some(Idx::Const(n)) => (0, *n, None),
-                Some(Idx::Dynamic) | None => (0, 0, None),
+    // Each dimension as `(banks, stride, offset, variable)`.
+    let lanes = || {
+        bank_dims(array)
+            .enumerate()
+            .map(|(d, b)| match access.idx.get(d) {
+                Some(Idx::Const(n)) => (b, 0, *n, None),
+                Some(Idx::Dynamic) | None => (b, 0, 0, None),
                 Some(Idx::Affine {
                     var,
                     stride,
                     offset,
-                }) => (*stride, *offset, Some(var)),
-            };
-            let mut place = 1;
-            for (v, u) in ctx.vars.iter().filter(|(_, u)| *u > 1) {
-                if Some(v) == var {
-                    return (banks, stride, offset, place, *u);
-                }
-                place *= u;
-            }
-            (banks, stride, offset, 1, 1)
-        })
-        .collect();
-
-    let mut counts = HashMap::new();
-    for c in 0..copies {
-        let flat = lanes
-            .iter()
-            .fold(0, |flat, &(banks, stride, offset, place, u)| {
-                let digit = (c / place % u) as i64;
-                flat * banks + (stride.wrapping_mul(digit) + offset).rem_euclid(banks as i64) as u64
-            });
-        *counts.entry(flat).or_insert(0) += 1;
+                }) => (b, *stride, *offset, Some(var)),
+            })
+    };
+    // Unrolled variables as `(name, u, P, residue place)`; a repeat indexes nothing.
+    let (mut vars, mut combos) = (Vec::<(&String, u64, u64, u64)>::new(), 1);
+    for (v, u) in ctx.vars.iter().filter(|(_, u)| *u > 1) {
+        let period = lanes()
+            .filter(|l| l.3 == Some(v) && !vars.iter().any(|w| w.0 == v))
+            .map(|(b, s, ..)| b / gcd(b, s.unsigned_abs()))
+            .fold(1, |p, q| p / gcd(p, q) * q);
+        vars.push((v, *u, period, combos));
+        combos *= period.min(*u);
+    }
+    let mut counts = HashMap::with_capacity(combos as usize);
+    for c in 0..combos {
+        let residue = |&(_, u, p, place): &(_, u64, u64, u64)| c / place % p.min(u);
+        let flat = lanes().fold(0, |flat, (b, s, o, var)| {
+            let r = vars.iter().find(|w| Some(w.0) == var).map_or(0, residue);
+            flat * b + (i128::from(s) * i128::from(r) + i128::from(o)).rem_euclid(b.into()) as u64
+        });
+        let n = vars.iter().map(|w| (w.1 - residue(w)).div_ceil(w.2));
+        // Distinct residue combinations land on distinct banks.
+        counts.insert(flat, n.fold(1, u64::saturating_mul));
     }
     counts
 }
@@ -195,7 +194,8 @@ pub fn schedule_group(ops: &[&Op], arrays: &[ArrayDecl], ctx: &UnrollCtx) -> Gro
             continue;
         };
         for (bank, n) in bank_counts(access, &arrays[ai], ctx) {
-            *load.entry((ai, bank)).or_insert(0) += n;
+            let total = load.entry((ai, bank)).or_insert(0);
+            *total = total.saturating_add(n);
         }
     }
     let ii = load
@@ -204,13 +204,15 @@ pub fn schedule_group(ops: &[&Op], arrays: &[ArrayDecl], ctx: &UnrollCtx) -> Gro
         .fold(1, u64::max);
     GroupSchedule {
         ii,
-        transactions: load.values().sum(),
+        transactions: load.values().fold(0, |t, n| t.saturating_add(*n)),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimate::estimate;
+    use crate::ir::{Kernel, Loop, OpKind};
 
     fn arr(banks: u64) -> ArrayDecl {
         ArrayDecl::new("a", 32, &[512]).partitioned(&[banks])
@@ -324,6 +326,54 @@ mod tests {
         // Row i, column bank (2j + 1) mod 4 ∈ {1, 3, 1}: flat = 4i + col.
         let want = HashMap::from([(1, 2), (3, 1), (5, 2), (7, 1)]);
         assert_eq!(bank_counts(&a, &m, &c), want);
+    }
+
+    /// `A[i]` (or `A[i][j]`) over a memory with one bank per element,
+    /// inside loops unrolled as far as each dimension is long: every copy
+    /// has a bank of its own.
+    fn fully_banked(sizes: &[u64]) -> (Kernel, Op, UnrollCtx) {
+        let vars = &["i", "j"][..sizes.len()];
+        let read = Op::compute(OpKind::Copy).read(Access::new(
+            "A",
+            vars.iter().map(|v| Idx::var(*v)).collect(),
+        ));
+        let mut ctx = UnrollCtx::new();
+        let mut body = read.clone().into_stmt();
+        for (v, n) in vars.iter().zip(sizes).rev() {
+            ctx.push(v, *n);
+            body = Loop::new(*v, *n).unrolled(*n).stmt(body).into_stmt();
+        }
+        let array = ArrayDecl::new("A", 32, sizes).partitioned(sizes);
+        (Kernel::new("wide").array(array).stmt(body), read, ctx)
+    }
+
+    #[test]
+    fn fully_banked_designs_past_16384_copies_schedule_at_ii_one() {
+        // 32,768 banks unrolled 32,768 ways; a 256×256-bank grid unrolled
+        // 256×256 ways (65,536 copies).
+        for sizes in [&[32_768][..], &[256, 256]] {
+            let (kernel, read, ctx) = fully_banked(sizes);
+            assert_eq!(ctx.copies(), sizes.iter().product::<u64>());
+            assert_eq!(schedule_group(&[&read], &kernel.arrays, &ctx).ii, 1);
+            assert_eq!(
+                analyze(&read.reads[0], &kernel.arrays[0], &ctx).max_demand,
+                1
+            );
+            let notes = estimate(&kernel).notes;
+            assert!(
+                !notes.iter().any(|n| n.contains("bank ports force")),
+                "{sizes:?}: {notes:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_name_unrolled_twice_binds_to_its_first_unrolled_entry() {
+        // `A[i]` reads the factor-2 `i`; the factor-3 `i` repeats each copy.
+        let mut c = ctx(2);
+        c.push("i", 3);
+        let want = HashMap::from([(0, 3), (1, 3)]);
+        assert_eq!(bank_counts(&acc(), &arr(4), &c), want);
     }
 
     #[test]

@@ -318,10 +318,44 @@ proptest! {
     }
 }
 
+/// A group past 16,384 copies: one or two unrolled variables (`i` with
+/// factor `u`, `j` with `ceil(copies / u)`) making 16,385 to 39,999 copies
+/// of one access to an array with 1–2 dimensions of 1–64 banks each.
+type WideSpec = (Vec<u64>, u64, u64, Vec<IdxSpec>);
+
+fn wide_spec() -> impl Strategy<Value = WideSpec> {
+    (
+        prop::collection::vec(1u64..=64, 1..=2),
+        16_385u64..=39_744,
+        1u64..=256,
+        prop::collection::vec(idx_spec(), 1..=2),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Past 16,384 copies `bank_counts` is still the histogram of the
+    /// enumerated copies' banks.
+    #[test]
+    fn bank_counts_match_the_enumerated_copies_past_16384((banks, copies, u, idx) in wide_spec()) {
+        let dims: Vec<u64> = banks.iter().map(|b| b * 4).collect();
+        let array = ArrayDecl::new("a", 32, &dims).partitioned(&banks);
+        let access = Access::new("a", idx.into_iter().map(idx_of).collect());
+        let vars = [("i", u), ("j", copies.div_ceil(u))];
+        let mut want = HashMap::new();
+        for bank in reference_copy_banks(&access, &array, &vars) {
+            *want.entry(bank).or_insert(0) += 1;
+        }
+        prop_assert!(want.values().sum::<u64>() > 16_384);
+        prop_assert_eq!(bank_counts(&access, &array, &ctx_of(&vars)), want);
+    }
+}
+
 #[test]
-fn past_the_enumeration_cap_every_copy_is_on_bank_zero() {
-    // 10^8 copies of `A[0]` on one port: the estimator enumerates 16,384
-    // of them, all on bank 0.
+fn every_copy_of_a_shared_read_serializes_on_its_one_port() {
+    // 10^8 copies of `A[0]` on one port: every copy is counted on bank 0,
+    // so the group issues one transaction per cycle.
     let arr = ArrayDecl::new("A", 32, &[100_000_000]);
     let access = Access::new("A", vec![Idx::Const(0)]);
     let ctx = ctx_of(&[("i", 100_000_000)]);
@@ -330,8 +364,8 @@ fn past_the_enumeration_cap_every_copy_is_on_bank_zero() {
     assert_eq!(
         sched,
         GroupSchedule {
-            ii: 16_384,
-            transactions: 16_384
+            ii: 100_000_000,
+            transactions: 100_000_000
         }
     );
 }
@@ -353,6 +387,6 @@ fn an_unroll_product_past_u64_saturates() {
     );
     assert_eq!(
         bank_counts(&access, &arr, &ctx),
-        HashMap::from([(0, 16_384)])
+        HashMap::from([(0, u64::MAX)])
     );
 }
